@@ -562,6 +562,15 @@ impl<'n> IncrementalEvaluator<'n> {
         let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
         let mut dirty_partials: Vec<f64> = Vec::new();
         if new_w != old_w && !edge_disabled(&self.disabled, e) {
+            // Size the partials slab once: every destination passing the
+            // affectedness test is dirty, since the repair re-runs that
+            // same test and then always returns a new DAG.
+            let k = self
+                .dags
+                .iter()
+                .filter(|dag| edge_change_affects_dag(dag, e, u, v, new_w))
+                .count();
+            dirty_partials = vec![0.0; k * m];
             for (i, dag) in self.dags.iter().enumerate() {
                 if !edge_change_affects_dag(dag, e, u, v, new_w) {
                     continue;
@@ -585,16 +594,17 @@ impl<'n> IncrementalEvaluator<'n> {
                         d
                     }
                 };
-                let base = dirty_partials.len();
-                dirty_partials.resize(base + m, 0.0);
+                let base = dirty.len() * m;
                 // Seed from the cached injection fold (bitwise the values the
                 // injection loop produces; reachability was validated at
                 // build time and cannot change under positive finite weights).
                 let n = self.net.node_count();
                 node_flow.copy_from_slice(&self.seeds[i * n..(i + 1) * n]);
-                spread_seeded(self.net, &repaired, &mut dirty_partials[base..], node_flow);
+                let partial = &mut dirty_partials[base..base + m];
+                spread_seeded(self.net, &repaired, partial, node_flow);
                 dirty.push((i, Arc::new(repaired)));
             }
+            debug_assert_eq!(dirty.len(), k, "affectedness count must be exact");
         }
         c.dirty_dests.add(dirty.len() as u64);
         c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
@@ -701,21 +711,32 @@ impl<'n> IncrementalEvaluator<'n> {
                     }
                 }
 
+                // Removal never adds tight edges: a destination is dirty iff
+                // some dead edge is on its current DAG. Returns the last such
+                // edge and how many there are.
+                let dead_on_dag = |dag: &SpDag| {
+                    let mut on_dag = None;
+                    let mut on_dag_count = 0usize;
+                    for &e in dead {
+                        if !edge_disabled(&self.disabled, e) && dag.edge_on_dag[e.index()] {
+                            on_dag = Some(e);
+                            on_dag_count += 1;
+                        }
+                    }
+                    (on_dag, on_dag_count)
+                };
                 let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
                 let mut dirty_partials: Vec<f64> = Vec::new();
                 if new_dead > 0 {
+                    // Size the partials slab once for every dirty destination.
+                    let k = self
+                        .dags
+                        .iter()
+                        .filter(|dag| dead_on_dag(dag).1 > 0)
+                        .count();
+                    dirty_partials = vec![0.0; k * m];
                     for (i, dag) in self.dags.iter().enumerate() {
-                        // Removal never adds tight edges: a destination is
-                        // dirty iff some dead edge is on its current DAG.
-                        let mut on_dag = None;
-                        let mut on_dag_count = 0usize;
-                        for &e in dead {
-                            if !edge_disabled(&self.disabled, e) && dag.edge_on_dag[e.index()] {
-                                on_dag = Some(e);
-                                on_dag_count += 1;
-                            }
-                        }
-                        let repaired = match (on_dag, on_dag_count) {
+                        let repaired = match dead_on_dag(dag) {
                             (None, _) => continue,
                             (Some(e), 1) => {
                                 // Bounded dynamic repair under the full mask:
@@ -763,12 +784,13 @@ impl<'n> IncrementalEvaluator<'n> {
                                 });
                             }
                         }
-                        let base = dirty_partials.len();
-                        dirty_partials.resize(base + m, 0.0);
+                        let base = dirty.len() * m;
                         node_flow.copy_from_slice(seed_row);
-                        spread_seeded(self.net, &repaired, &mut dirty_partials[base..], node_flow);
+                        let partial = &mut dirty_partials[base..base + m];
+                        spread_seeded(self.net, &repaired, partial, node_flow);
                         dirty.push((i, Arc::new(repaired)));
                     }
+                    debug_assert_eq!(dirty.len(), k, "dead-edge count must be exact");
                 }
                 c.dirty_dests.add(dirty.len() as u64);
                 c.clean_dests.add((self.dests.len() - dirty.len()) as u64);

@@ -19,7 +19,10 @@
 //!
 //! Integral weights make every finite distance an exact integer far below
 //! 2^53, so both engines compute bit-identical `f64` distance vectors and —
-//! through the shared [`dag_from_dist`] builder — bit-identical DAGs.
+//! through the shared [`dag_from_dist`] builder — bit-identical DAGs. The
+//! dynamic repairs patch the previous DAG instead of rebuilding it, with the
+//! same tight-edge predicate and order key, so their DAGs are bit-identical
+//! to a from-scratch build as well.
 //!
 //! Both engines, the DAG builder and the dynamic-repair path additionally
 //! honor an optional **disabled-edge mask** (`_masked` entry points): a
@@ -470,14 +473,21 @@ pub fn shortest_path_dag_masked(
     dag_from_dist(g, weights, target, dist, disabled)
 }
 
-/// Per-thread scratch for [`dag_from_dist`]: the tight-edge list and the
-/// per-node counters are pure build intermediates, so they live in reusable
-/// slabs instead of being reallocated on every probe repair.
+/// Per-thread scratch for [`dag_from_dist`] and [`patch_dag`]: the
+/// tight-edge list, the per-node counters and the patch's row and order
+/// edits are pure build intermediates, so they live in reusable slabs
+/// instead of being reallocated on every probe repair.
 struct DagScratch {
     /// `(tail, edge)` pairs of tight edges, in ascending edge-id order.
     tight: Vec<(u32, EdgeId)>,
     /// Out-degree counts, then reused as the CSR fill cursor.
     counts: Vec<u32>,
+    /// Tails of the edges whose on-DAG flag the patch flipped.
+    dirty_rows: Vec<u32>,
+    /// Positions in the old order of the nodes the patch moves out.
+    removed: Vec<usize>,
+    /// Moved nodes still reaching the target, with their insert positions.
+    inserted: Vec<(usize, NodeId)>,
 }
 
 thread_local! {
@@ -485,45 +495,70 @@ thread_local! {
         RefCell::new(DagScratch {
             tight: Vec::new(),
             counts: Vec::new(),
+            dirty_rows: Vec::new(),
+            removed: Vec::new(),
+            inserted: Vec::new(),
         })
     };
 }
 
+/// The tight-edge predicate: `e = (u, v)` lies on the DAG iff it is enabled,
+/// both ends reach the target and `dist(u) = w(e) + dist(v)` within the
+/// scaled tolerance of [`approx_eq`]. The full scan and the repair patch
+/// both decide membership through this one function.
+#[inline]
+fn is_tight(
+    weights: &[f64],
+    dist: &[f64],
+    disabled: &[bool],
+    e: EdgeId,
+    u: NodeId,
+    v: NodeId,
+) -> bool {
+    if edge_disabled(disabled, e) {
+        return false;
+    }
+    let du = dist[u.index()];
+    let dv = dist[v.index()];
+    du.is_finite() && dv.is_finite() && approx_eq(du, weights[e.index()] + dv)
+}
+
+/// Compares `(distance, node)` order keys: decreasing distance, then
+/// ascending node id. A strict total order over finite non-negative
+/// distances, where `total_cmp` agrees bit-for-bit with the IEEE
+/// `partial_cmp`, so `order` is the unique permutation of the reachable
+/// nodes sorted by it.
+#[inline]
+fn order_cmp((da, a): (f64, NodeId), (db, b): (f64, NodeId)) -> Ordering {
+    db.total_cmp(&da).then_with(|| a.0.cmp(&b.0))
+}
+
 /// Materializes the DAG structure (`edge_on_dag`, the CSR slabs, `order`)
-/// from an already-correct distance vector. Shared by the from-scratch
-/// builder and the incremental repair path, so both produce byte-identical
-/// `SpDag`s from equal distances.
+/// from an already-correct distance vector: the from-scratch build.
 ///
 /// One pass over `g.edges()` in ascending edge-id order collects the tight
 /// edges; counting and CSR placement then walk that (much shorter) list in
-/// the same order, which reproduces exactly the per-node edge order the old
-/// `Vec<Vec<EdgeId>>` push loop produced. `prev_order` short-circuits the
-/// topological sort when the caller knows the distance vector is unchanged
-/// (structure-only repairs): equal keys sort to the same unique permutation,
-/// so reusing the old order is exact, not an approximation.
-fn dag_from_dist_cached(
+/// the same order, so each CSR row lists its tail's tight out-edges by
+/// ascending edge id. The order is a full sort under [`order_cmp`].
+/// Repairs do not come through here: [`patch_dag`] derives the same
+/// `SpDag` from the previous one.
+fn dag_from_dist(
     g: &Digraph,
     weights: &[f64],
     target: NodeId,
     dist: Vec<f64>,
-    prev_order: Option<Vec<NodeId>>,
     disabled: &[bool],
 ) -> SpDag {
     let n = g.node_count();
     let mut edge_on_dag = vec![false; g.edge_count()];
 
     DAG_SCRATCH.with(|s| {
-        let DagScratch { tight, counts } = &mut *s.borrow_mut();
+        let DagScratch { tight, counts, .. } = &mut *s.borrow_mut();
         tight.clear();
         counts.clear();
         counts.resize(n, 0);
         for (e, u, v) in g.edges() {
-            if edge_disabled(disabled, e) {
-                continue;
-            }
-            let du = dist[u.index()];
-            let dv = dist[v.index()];
-            if du.is_finite() && dv.is_finite() && approx_eq(du, weights[e.index()] + dv) {
+            if is_tight(weights, &dist, disabled, e, u, v) {
                 edge_on_dag[e.index()] = true;
                 tight.push((u.0, e));
                 counts[u.index()] += 1;
@@ -539,23 +574,8 @@ fn dag_from_dist_cached(
             counts[u as usize] += 1;
         }
 
-        // The order is the unique permutation sorted by (dist desc, id asc) —
-        // a strict total order over finite non-negative distances, where
-        // `total_cmp` agrees bit-for-bit with the IEEE `partial_cmp`, so the
-        // allocation-free unstable sort is exact.
-        let order: Vec<NodeId> = match prev_order {
-            Some(order) => order,
-            None => {
-                let mut order: Vec<NodeId> =
-                    g.nodes().filter(|v| dist[v.index()].is_finite()).collect();
-                order.sort_unstable_by(|a, b| {
-                    dist[b.index()]
-                        .total_cmp(&dist[a.index()])
-                        .then_with(|| a.0.cmp(&b.0))
-                });
-                order
-            }
-        };
+        let mut order: Vec<NodeId> = g.nodes().filter(|v| dist[v.index()].is_finite()).collect();
+        order.sort_unstable_by(|&a, &b| order_cmp((dist[a.index()], a), (dist[b.index()], b)));
 
         SpDag {
             target,
@@ -568,14 +588,149 @@ fn dag_from_dist_cached(
     })
 }
 
-fn dag_from_dist(
+/// Derives a repaired DAG from `prev` instead of rebuilding it: the result
+/// is byte-identical to [`dag_from_dist`] on the same `dist`, at a cost
+/// proportional to the repair rather than to the graph.
+///
+/// Preconditions, which every repair in this module meets: `prev` is the
+/// DAG of `prev.dist` under the old weights and mask; `dist` differs from
+/// `prev.dist` only at nodes listed in `moved`; and the new weights and
+/// mask differ from the old ones only at edge `changed`, or at edges off
+/// `prev` that the new mask disables.
+///
+/// * **Edge set.** The tight predicate ([`is_tight`]) of an edge reads its
+///   weight, its mask bit and the distances of its two ends. Only
+///   `changed` and the edges incident to a moved node can see different
+///   inputs, so only they are re-tested; every other edge keeps its flag.
+///   (A newly masked edge off `prev` was not tight and stays not tight.)
+/// * **CSR rows.** A row lists its tail's on-DAG out-edges by ascending
+///   edge id. Rows whose tail has no flipped edge are copied from `prev`;
+///   the others are re-read from `g.out_edges`, which is in ascending edge
+///   id order, the order the full scan emits.
+/// * **Order.** Nodes that did not move keep their keys, so `prev.order`
+///   without the moved nodes is still sorted under [`order_cmp`]. Merging
+///   the moved nodes that still reach the target, sorted by the same key,
+///   yields the unique sorted permutation the full sort produces. Binary
+///   search on the old keys finds where each moved node was and where its
+///   new key falls among the nodes that stayed, so the unmoved runs are
+///   copied in blocks.
+fn patch_dag(
     g: &Digraph,
     weights: &[f64],
-    target: NodeId,
+    prev: &SpDag,
     dist: Vec<f64>,
+    changed: EdgeId,
+    moved: &[NodeId],
     disabled: &[bool],
 ) -> SpDag {
-    dag_from_dist_cached(g, weights, target, dist, None, disabled)
+    let n = g.node_count();
+    let mut edge_on_dag = prev.edge_on_dag.clone();
+
+    DAG_SCRATCH.with(|s| {
+        let DagScratch {
+            dirty_rows,
+            removed,
+            inserted,
+            ..
+        } = &mut *s.borrow_mut();
+        dirty_rows.clear();
+
+        // Re-test an edge; on a flip, note its tail's row. An edge reached
+        // twice is a no-op the second time.
+        let mut retest = |e: EdgeId| {
+            let (a, b) = g.endpoints(e);
+            let tight = is_tight(weights, &dist, disabled, e, a, b);
+            if tight != edge_on_dag[e.index()] {
+                edge_on_dag[e.index()] = tight;
+                dirty_rows.push(a.0);
+            }
+        };
+        retest(changed);
+        for &x in moved {
+            for &e in g.out_edges(x) {
+                retest(e);
+            }
+            for &e in g.in_edges(x) {
+                retest(e);
+            }
+        }
+
+        // Each flip adds at most one edge to the slab.
+        let mut dag_edges = Vec::with_capacity(prev.dag_edges.len() + dirty_rows.len());
+        let mut dag_start: Vec<u32> = Vec::with_capacity(n + 1);
+        dirty_rows.sort_unstable();
+        dirty_rows.dedup();
+        // Clean rows `lo..hi` move as one block: their edges are copied in
+        // one slice and their offsets shifted by the same amount. Offsets
+        // stay within u32: at most `m` edges, and `add_edge` bounds `m`.
+        let copy_clean = |dag_start: &mut Vec<u32>, dag_edges: &mut Vec<EdgeId>, lo, hi| {
+            let (from, to) = (prev.dag_start[lo], prev.dag_start[hi]);
+            let shift = (dag_edges.len() as u32).wrapping_sub(from);
+            let starts = prev.dag_start[lo..hi].iter();
+            dag_start.extend(starts.map(|&s| s.wrapping_add(shift)));
+            dag_edges.extend_from_slice(&prev.dag_edges[from as usize..to as usize]);
+        };
+        let mut next = 0usize;
+        for &t in dirty_rows.iter() {
+            let t = t as usize;
+            copy_clean(&mut dag_start, &mut dag_edges, next, t);
+            dag_start.push(dag_edges.len() as u32);
+            let row = g.out_edges(NodeId(t as u32)).iter();
+            dag_edges.extend(row.filter(|e| edge_on_dag[e.index()]));
+            next = t + 1;
+        }
+        copy_clean(&mut dag_start, &mut dag_edges, next, n);
+        dag_start.push(dag_edges.len() as u32);
+
+        // A listed node whose distance came back bit-equal keeps its place.
+        // The others leave `prev.order` and, if they still reach the target,
+        // go back in before the first old key above their new key (only
+        // nodes that stayed count: the moved ones are skipped anyway).
+        let old_key = |v: NodeId| (prev.dist[v.index()], v);
+        let new_key = |v: NodeId| (dist[v.index()], v);
+        let rank = |k| {
+            let below = |&y: &NodeId| order_cmp(old_key(y), k) == Ordering::Less;
+            prev.order.partition_point(below)
+        };
+        removed.clear();
+        inserted.clear();
+        for &x in moved {
+            let (old, new) = (prev.dist[x.index()], dist[x.index()]);
+            if old.to_bits() == new.to_bits() {
+                continue;
+            }
+            if old.is_finite() {
+                removed.push(rank(old_key(x)));
+            }
+            if new.is_finite() {
+                inserted.push((rank(new_key(x)), x));
+            }
+        }
+        removed.sort_unstable();
+        inserted.sort_unstable_by(|&(_, a), &(_, b)| order_cmp(new_key(a), new_key(b)));
+        let mut order = Vec::with_capacity(prev.order.len() - removed.len() + inserted.len());
+        let mut gone = removed.iter().copied().peekable();
+        let mut next = 0usize;
+        let end = (prev.order.len(), None);
+        for (p, x) in inserted.iter().map(|&(p, x)| (p, Some(x))).chain([end]) {
+            while let Some(q) = gone.next_if(|&q| q < p) {
+                order.extend_from_slice(&prev.order[next..q]);
+                next = q + 1;
+            }
+            order.extend_from_slice(&prev.order[next..p]);
+            next = p;
+            order.extend(x);
+        }
+
+        SpDag {
+            target: prev.target,
+            dist,
+            edge_on_dag,
+            dag_start,
+            dag_edges,
+            order,
+        }
+    })
 }
 
 /// Result of [`update_shortest_path_dag`]: how a single-edge weight change
@@ -636,10 +791,13 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 ///
 /// The repair follows Ramalingam–Reps: identify the affected node set (nodes
 /// whose distance to the target changes), re-run Dijkstra restricted to that
-/// set seeded from its unaffected fringe, then rebuild the DAG structure from
-/// the patched distances. When the affected set exceeds `frontier_cap` nodes
-/// the bounded repair is abandoned and a full per-destination Dijkstra runs
-/// instead ([`SpDagUpdate::Rebuilt`]).
+/// set seeded from its unaffected fringe, then **patch** `prev` into the new
+/// DAG: re-test only `e` and the edges incident to the moved nodes, copy the
+/// CSR rows of tails with no flipped edge, and merge the moved nodes into the
+/// old topological order. The distance work and the DAG work are both
+/// proportional to the damage, not to the graph. When the affected set
+/// exceeds `frontier_cap` nodes the bounded repair is abandoned and a full
+/// per-destination Dijkstra runs instead ([`SpDagUpdate::Rebuilt`]).
 ///
 /// The restricted re-runs keep the `BinaryHeap`: repair frontiers are capped
 /// at a few dozen nodes, where a heap beats allocating a distance-spanning
@@ -649,7 +807,9 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 /// With tie-exact weights (e.g. the integral vectors every optimizer in this
 /// workspace emits) the repaired DAG is **bit-identical** to
 /// [`shortest_path_dag`] on the new weights: both paths compute the exact
-/// distance minima and share [`dag_from_dist`].
+/// distance minima, the patch decides edge membership with the same
+/// predicate on the same inputs as the full scan, and the order is the
+/// unique permutation under the same key (see `patch_dag`).
 pub fn update_shortest_path_dag(
     g: &Digraph,
     weights: &[f64],
@@ -686,7 +846,7 @@ pub fn update_shortest_path_dag_masked(
         return SpDagUpdate::Unchanged;
     }
     if new_w > old_w {
-        repair_increase(g, weights, prev, u, frontier_cap, disabled)
+        repair_increase(g, weights, prev, e, frontier_cap, disabled)
     } else {
         repair_decrease(g, weights, prev, e, u, v, frontier_cap, disabled)
     }
@@ -697,11 +857,12 @@ pub fn update_shortest_path_dag_masked(
 /// Removing an edge can only lengthen paths, so this is the weight-increase
 /// repair pushed to its limit: if `e` is off the DAG the structure provably
 /// cannot change ([`SpDagUpdate::Unchanged`]); if the tail keeps its old
-/// distance through another tight edge only the structure is rebuilt
-/// (distances and topological order carry over verbatim); otherwise the
-/// affected set re-runs restricted Dijkstra under the mask. Nodes whose
-/// every path to the target used `e` end at [`INFINITY`] — a disconnection
-/// is a classified outcome, not an error.
+/// distance through another tight edge the DAG only loses `e` (distances
+/// and topological order carry over verbatim); otherwise the affected set
+/// re-runs restricted Dijkstra under the mask and the DAG is patched as in
+/// [`update_shortest_path_dag`]. Nodes whose every path to the target used
+/// `e` end at [`INFINITY`] and leave `order` — a disconnection is a
+/// classified outcome, not an error.
 ///
 /// `disabled` is the **new** mask and must have `disabled[e]` set; `prev`
 /// must have been built under the mask *without* `e`. With tie-exact
@@ -724,7 +885,7 @@ pub fn disable_edge_update(
         // Off-DAG removal: no path gets shorter, no tight edge appears.
         return SpDagUpdate::Unchanged;
     }
-    repair_increase(g, weights, prev, g.src(e), frontier_cap, disabled)
+    repair_increase(g, weights, prev, e, frontier_cap, disabled)
 }
 
 /// Weight increase on an on-DAG edge `e = (u, v)`.
@@ -734,16 +895,19 @@ pub fn disable_edge_update(
 /// a node joins `A` when every one of its DAG out-edges leads into `A`.
 /// Phase 2 re-runs Dijkstra restricted to `A`, seeded with the best detour
 /// through unaffected neighbours. Nodes outside `A` keep their exact old
-/// distances, so work is proportional to the damage, not the graph.
+/// distances, so `patch_dag` re-tests only `e` and the edges around `A`.
+/// Work is proportional to the damage, not the graph. Also serves edge
+/// disabling, where `e` is masked out rather than made heavier.
 fn repair_increase(
     g: &Digraph,
     weights: &[f64],
     prev: &SpDag,
-    u: NodeId,
+    e: EdgeId,
     frontier_cap: usize,
     disabled: &[bool],
 ) -> SpDagUpdate {
     let n = g.node_count();
+    let u = g.src(e);
     // Remaining old-distance support per node: DAG out-edges still justified.
     // Read straight off the CSR offsets — row width = out-degree on the DAG.
     let mut support: Vec<usize> = prev
@@ -761,16 +925,9 @@ fn repair_increase(
         queue.push_back(u);
     } else {
         // u keeps its distance through another tight edge; the DAG only
-        // loses edge `e` — distances are unchanged, rebuild structure only
-        // (and the topological order carries over verbatim).
-        let repaired = dag_from_dist_cached(
-            g,
-            weights,
-            prev.target,
-            prev.dist.clone(),
-            Some(prev.order.clone()),
-            disabled,
-        );
+        // loses edge `e`. No node moves, so the patch re-tests `e` alone
+        // and the topological order carries over verbatim.
+        let repaired = patch_dag(g, weights, prev, prev.dist.clone(), e, &[], disabled);
         return SpDagUpdate::Repaired(repaired, 0);
     }
 
@@ -860,7 +1017,7 @@ fn repair_increase(
 
     let touched = affected_nodes.len();
     SpDagUpdate::Repaired(
-        dag_from_dist(g, weights, prev.target, dist, disabled),
+        patch_dag(g, weights, prev, dist, e, &affected_nodes, disabled),
         touched,
     )
 }
@@ -868,10 +1025,11 @@ fn repair_increase(
 /// Weight decrease on `e = (u, v)` that reaches the current distance at `u`.
 ///
 /// If the cheaper edge exactly ties `dist(u)` the distances are unchanged and
-/// only the DAG structure is rebuilt. Otherwise the improvement propagates
-/// backwards from `u` with a Dijkstra-like frontier over strictly improving
-/// nodes — the classical decrease-only dynamic SSSP, whose work is bounded by
-/// the set of nodes that actually get closer.
+/// the DAG only gains `e`. Otherwise the improvement propagates backwards
+/// from `u` with a Dijkstra-like frontier over strictly improving nodes —
+/// the classical decrease-only dynamic SSSP, whose work is bounded by the
+/// set of nodes that actually get closer — and `patch_dag` re-tests only
+/// `e` and the edges around those nodes.
 #[allow(clippy::too_many_arguments)] // internal repair kernel: one flat argument list keeps the hot path alloc-free
 fn repair_decrease(
     g: &Digraph,
@@ -888,24 +1046,16 @@ fn repair_decrease(
     if cand + EPS >= du {
         // New tie at u: distances hold (so the order carries over), edge e
         // joins the DAG.
-        let repaired = dag_from_dist_cached(
-            g,
-            weights,
-            prev.target,
-            prev.dist.clone(),
-            Some(prev.order.clone()),
-            disabled,
-        );
+        let repaired = patch_dag(g, weights, prev, prev.dist.clone(), e, &[], disabled);
         return SpDagUpdate::Repaired(repaired, 0);
     }
 
     let mut dist = prev.dist.clone();
     let mut improved = vec![false; g.node_count()];
-    let mut touched = 0usize;
+    let mut improved_nodes = vec![u];
     let mut heap = BinaryHeap::new();
     dist[u.index()] = cand;
     improved[u.index()] = true;
-    touched += 1;
     heap.push(HeapEntry {
         dist: cand,
         node: u,
@@ -924,8 +1074,8 @@ fn repair_decrease(
                 dist[p.index()] = nd;
                 if !improved[p.index()] {
                     improved[p.index()] = true;
-                    touched += 1;
-                    if touched > frontier_cap {
+                    improved_nodes.push(p);
+                    if improved_nodes.len() > frontier_cap {
                         return SpDagUpdate::Rebuilt(shortest_path_dag_masked(
                             g,
                             weights,
@@ -938,8 +1088,9 @@ fn repair_decrease(
             }
         }
     }
+    let touched = improved_nodes.len();
     SpDagUpdate::Repaired(
-        dag_from_dist(g, weights, prev.target, dist, disabled),
+        patch_dag(g, weights, prev, dist, e, &improved_nodes, disabled),
         touched,
     )
 }

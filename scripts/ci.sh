@@ -191,4 +191,14 @@ assert rec["latency_p99_ms"] < 250.0, f"serve p99 regressed: {rec['latency_p99_m
 print(f"bench_serve OK: p50 {rec['latency_p50_ms']:.3f} ms, p99 {rec['latency_p99_ms']:.3f} ms")
 EOF
 
+# Benchmark oracle gate: the benchmark's unit tests, then one smoke run of
+# every workload (about half a second each). A smoke run exits 1 when any
+# output fails its from-scratch `Router` check, so these oracles run on
+# every CI pass, not only when someone measures.
+echo "==> benchmark unit tests and per-workload oracle smoke runs"
+cargo test -q --manifest-path benchmark/Cargo.toml
+for w in offline-g50 serve-g50 sweep-g50 scale-geo400 exact-abilene; do
+    bash benchmark/run.sh --workload "$w" --seed 1 --smoke | tail -n 2
+done
+
 echo "CI OK"

@@ -33,7 +33,14 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
+    let flags = match parse_flags(&args[1..]) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            usage();
+            return ExitCode::FAILURE;
+        }
+    };
     if let Err(e) = init_observability(&flags) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
@@ -190,47 +197,50 @@ fn init_observability(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Flags that take no value: present means on. Every other flag is
+/// followed by its value.
+const BOOLEAN_FLAGS: [&str; 3] = ["doubles", "fast", "no-shrink"];
+
+/// Parses `--name value` pairs and the value-less [`BOOLEAN_FLAGS`] (stored
+/// as `"true"`). A flag that needs a value but ends the line or is followed
+/// by another `--flag` is a usage error naming that flag.
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
+        let Some(name) = args[i].strip_prefix("--") else {
+            i += 1;
+            continue;
+        };
+        if BOOLEAN_FLAGS.contains(&name) {
+            flags.insert(name.to_string(), "true".to_string());
+            i += 1;
+        } else {
             let value = args
                 .get(i + 1)
                 .filter(|v| !v.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "true".to_string());
-            let consumed = if value == "true" && args.get(i + 1).is_none_or(|v| v.starts_with("--"))
-            {
-                1
-            } else {
-                2
-            };
-            flags.insert(name.to_string(), value);
-            i += consumed;
-        } else {
-            i += 1;
+                .ok_or_else(|| format!("--{name} needs a value"))?;
+            flags.insert(name.to_string(), value.clone());
+            i += 2;
         }
     }
-    flags
+    Ok(flags)
 }
 
 /// Tokens that are not `--flag` names or their values, in order. Mirrors the
-/// consumption rule of `parse_flags` (every flag that is followed by a
-/// non-`--` token consumes it as its value).
+/// consumption rule of `parse_flags`, which has already rejected a missing
+/// value: a boolean flag stands alone, any other flag consumes one value.
 fn positionals(args: &[String]) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i].starts_with("--") {
-            i += if args.get(i + 1).is_some_and(|v| !v.starts_with("--")) {
-                2
-            } else {
-                1
-            };
-        } else {
-            out.push(args[i].clone());
-            i += 1;
+        match args[i].strip_prefix("--") {
+            Some(name) if BOOLEAN_FLAGS.contains(&name) => i += 1,
+            Some(_) => i += 2,
+            None => {
+                out.push(args[i].clone());
+                i += 1;
+            }
         }
     }
     out
@@ -1341,7 +1351,10 @@ fn serve_stream<R: std::io::BufRead, W: std::io::Write>(
 
 /// Accepts TCP connections one at a time, serving each until it closes;
 /// session state persists across connections. A shutdown event terminates
-/// the daemon.
+/// the daemon. A failed accept or an I/O error on one connection (peer
+/// reset, broken pipe) is logged to stderr and ends only that connection:
+/// the events it already applied stay applied, and the daemon keeps
+/// accepting.
 fn serve_tcp(addr: &str, session: &mut ServeSession<'_>) -> Result<(), String> {
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("--listen {addr}: {e}"))?;
@@ -1350,12 +1363,15 @@ fn serve_tcp(addr: &str, session: &mut ServeSession<'_>) -> Result<(), String> {
         Err(_) => eprintln!("serve: listening on {addr}"),
     }
     for conn in listener.incoming() {
-        let stream = conn.map_err(|e| format!("accept: {e}"))?;
-        let reader =
-            std::io::BufReader::new(stream.try_clone().map_err(|e| format!("socket: {e}"))?);
-        let mut writer = stream;
-        if serve_stream(session, reader, &mut writer)? {
-            return Ok(());
+        let served = conn.map_err(|e| format!("accept: {e}")).and_then(|stream| {
+            let reader = stream.try_clone().map_err(|e| format!("socket: {e}"))?;
+            let mut writer = stream;
+            serve_stream(session, std::io::BufReader::new(reader), &mut writer)
+        });
+        match served {
+            Ok(true) => return Ok(()),
+            Ok(false) => {}
+            Err(e) => eprintln!("serve: connection dropped: {e}"),
         }
     }
     Ok(())

@@ -417,3 +417,17 @@ fn parse_rejects_missing_file() {
     assert!(!ok);
     assert!(stderr.contains("error"));
 }
+
+#[test]
+fn flag_without_value_is_a_usage_error() {
+    // Last on the line.
+    let (ok, _, stderr) = segrout(&["optimize", "--topology"]);
+    assert!(!ok);
+    assert!(stderr.contains("--topology needs a value"), "{stderr}");
+    assert!(!stderr.contains("unknown topology"), "{stderr}");
+    // Followed by another flag, which must not be taken as its value.
+    let (ok, _, stderr) = segrout(&["optimize", "--topology", "--algorithm", "heurospf"]);
+    assert!(!ok);
+    assert!(stderr.contains("--topology needs a value"), "{stderr}");
+    assert!(!stderr.contains("unknown topology"), "{stderr}");
+}

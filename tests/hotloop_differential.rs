@@ -12,7 +12,11 @@
 //! * full `SpDag` structure (CSR offsets, edge slab, order) built through
 //!   engine dispatch vs forced-heap scratch;
 //! * dynamic-repair paths (`update_shortest_path_dag`) against forced-heap
-//!   from-scratch rebuilds over random single-edge weight-change sequences;
+//!   from-scratch rebuilds over random single-edge weight-change sequences,
+//!   and (`disable_edge_update`) over random on-DAG edge removals under a
+//!   growing mask, including removals that disconnect nodes — at a small
+//!   frontier cap and at `n`, so large repairs run through the DAG patch
+//!   instead of the rebuild fallback;
 //! * the whole evaluator stack (`Router` + `IncrementalEvaluator`) with the
 //!   bucket queue enabled vs disabled, at 1 and 4 worker threads.
 
@@ -22,11 +26,12 @@ use segrout_core::{
     WeightSetting,
 };
 use segrout_graph::{
-    set_heap_only, shortest_path_dag, single_target_distances, single_target_distances_heap,
-    update_shortest_path_dag, SpDag, SpDagUpdate,
+    disable_edge_update, set_heap_only, shortest_path_dag, shortest_path_dag_masked,
+    single_target_distances, single_target_distances_heap, update_shortest_path_dag, SpDag,
+    SpDagUpdate,
 };
 use segrout_instances::{instance1, instance3, instance5};
-use segrout_topo::{by_name, random_connected};
+use segrout_topo::{by_name, geo_backbone, random_connected};
 use std::sync::{Mutex, MutexGuard};
 
 /// The thread-count override and the heap-only engine toggle are both
@@ -58,7 +63,8 @@ fn assert_same_dag(a: &SpDag, b: &SpDag, ctx: &str) {
     assert_eq!(a.order, b.order, "{ctx}: topological order diverged");
 }
 
-/// The covered networks (instances, seeded random, one SNDLib backbone).
+/// The covered networks (instances, seeded random, one SNDLib backbone, and
+/// a 120-node synthetic WAN whose repairs move tens of nodes).
 fn cases() -> Vec<(String, Network)> {
     let mut out: Vec<(String, Network)> = vec![
         ("instance1(m=8)".into(), instance1(8).network),
@@ -72,6 +78,7 @@ fn cases() -> Vec<(String, Network)> {
             random_connected(12, 26, seed),
         ));
     }
+    out.push(("geo_backbone(120)".into(), geo_backbone(120, 240, 0x6e0)));
     out
 }
 
@@ -110,45 +117,100 @@ fn distances_and_dags_bit_identical_across_engines() {
     }
 }
 
+/// A handful of fixed targets each walk tracks.
+fn walk_targets(net: &Network) -> Vec<NodeId> {
+    (0..net.node_count().min(6))
+        .map(|i| NodeId(i as u32))
+        .collect()
+}
+
+/// Random single-edge weight changes, each repaired for every walk target
+/// and compared with a forced-heap from-scratch build of the same state.
+fn weight_walk(label: &str, net: &Network, cap: usize) {
+    let g = net.graph();
+    let m = net.edge_count();
+    let mut rng = StdRng::seed_from_u64(0x0d1a + m as u64);
+    let mut w = integral_weights(m, 0x5eed + m as u64);
+    let targets = walk_targets(net);
+    let mut dags: Vec<SpDag> = targets
+        .iter()
+        .map(|&t| shortest_path_dag(g, &w, t))
+        .collect();
+    for step in 0..20 {
+        let e = EdgeId(rng.gen_range(0..m as u32));
+        let old_w = w[e.index()];
+        w[e.index()] = f64::from(rng.gen_range(1..=20u32));
+        for (dag, &t) in dags.iter_mut().zip(&targets) {
+            // Repair with bucket dispatch live (rebuild fallbacks use it).
+            let repaired = match update_shortest_path_dag(g, &w, dag, e, old_w, cap) {
+                SpDagUpdate::Unchanged => dag.clone(),
+                SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
+            };
+            // Oracle: forced-heap from-scratch rebuild of the same state.
+            set_heap_only(true);
+            let scratch = shortest_path_dag(g, &w, t);
+            set_heap_only(false);
+            assert_same_dag(
+                &repaired,
+                &scratch,
+                &format!("{label} cap {cap} step {step} target {t:?}"),
+            );
+            *dag = repaired;
+        }
+    }
+}
+
+/// Per walk target, disables random on-DAG edges one at a time under a
+/// growing mask, repairing with `disable_edge_update` and comparing with a
+/// forced-heap masked build. Returns how many nodes the walks cut off.
+fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
+    let g = net.graph();
+    let m = net.edge_count();
+    let mut rng = StdRng::seed_from_u64(0xd15a + m as u64);
+    let w = integral_weights(m, 0x5eed + m as u64);
+    let mut disconnected = 0;
+    for t in walk_targets(net) {
+        let mut mask = vec![false; m];
+        let mut dag = shortest_path_dag(g, &w, t);
+        for step in 0..25 {
+            let on_dag: Vec<usize> = (0..m).filter(|&i| dag.edge_on_dag[i]).collect();
+            if on_dag.is_empty() {
+                break; // every other node is cut off already
+            }
+            let e = EdgeId(on_dag[rng.gen_range(0..on_dag.len())] as u32);
+            mask[e.index()] = true;
+            let repaired = disable_edge_update(g, &w, &dag, e, cap, &mask)
+                .into_dag()
+                .expect("an on-DAG removal dirties the DAG");
+            set_heap_only(true);
+            let scratch = shortest_path_dag_masked(g, &w, t, &mask);
+            set_heap_only(false);
+            let ctx = format!("{label} cap {cap} masked step {step} target {t:?}");
+            assert_same_dag(&repaired, &scratch, &ctx);
+            for v in g.nodes() {
+                if dag.reaches_target(v) && !repaired.reaches_target(v) {
+                    assert!(!repaired.order.contains(&v), "{ctx}: {v:?} left in order");
+                    disconnected += 1;
+                }
+            }
+            dag = repaired;
+        }
+    }
+    disconnected
+}
+
 #[test]
 fn update_paths_match_forced_heap_scratch() {
     let _guard = global_lock();
     let _restore = Restore;
     set_heap_only(false);
     for (label, net) in cases() {
-        let g = net.graph();
-        let m = net.edge_count();
-        let mut rng = StdRng::seed_from_u64(0x0d1a + m as u64);
-        let mut w = integral_weights(m, 0x5eed + m as u64);
-        // A handful of fixed targets tracked through a weight-change walk.
-        let targets: Vec<NodeId> = (0..net.node_count().min(6))
-            .map(|i| NodeId(i as u32))
-            .collect();
-        let mut dags: Vec<SpDag> = targets
-            .iter()
-            .map(|&t| shortest_path_dag(g, &w, t))
-            .collect();
-        for step in 0..20 {
-            let e = EdgeId(rng.gen_range(0..m as u32));
-            let old_w = w[e.index()];
-            w[e.index()] = f64::from(rng.gen_range(1..=20u32));
-            for (dag, &t) in dags.iter_mut().zip(&targets) {
-                // Repair with bucket dispatch live (rebuild fallbacks use it).
-                let repaired = match update_shortest_path_dag(g, &w, dag, e, old_w, 8) {
-                    SpDagUpdate::Unchanged => dag.clone(),
-                    SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
-                };
-                // Oracle: forced-heap from-scratch rebuild of the same state.
-                set_heap_only(true);
-                let scratch = shortest_path_dag(g, &w, t);
-                set_heap_only(false);
-                assert_same_dag(
-                    &repaired,
-                    &scratch,
-                    &format!("{label} step {step} target {t:?}"),
-                );
-                *dag = repaired;
-            }
+        // A small cap sends large affected sets to the rebuild fallback; a
+        // cap of `n` sends every repair through the DAG patch.
+        for cap in [8, net.node_count()] {
+            weight_walk(&label, &net, cap);
+            let cut = masked_walk(&label, &net, cap);
+            assert!(cut > 0, "{label} cap {cap}: no removal disconnected a node");
         }
     }
 }

@@ -2,10 +2,13 @@
 //! stdio JSONL and check the wire contract — well-formed responses,
 //! monotone sequence numbers, error replies (not process death) for
 //! malformed events, a shutdown ack, and byte-identical response streams
-//! when the same event log is replayed.
+//! when the same event log is replayed. Over `--listen`, a peer that
+//! drops its connection must not take the daemon down.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::process::{Command, Stdio};
+use std::time::Duration;
 
 /// Runs `segrout serve` with the given extra args, feeding `input` on
 /// stdin; returns (stdout, stderr, success).
@@ -138,5 +141,89 @@ fn eof_without_shutdown_exits_cleanly() {
     assert!(
         stderr.contains("1 event(s)"),
         "summary goes to stderr:\n{stderr}"
+    );
+}
+
+/// Kills the daemon if the test fails before it shuts down on its own.
+struct KillOnDrop(std::process::Child);
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn tcp_daemon_survives_a_peer_that_hangs_up() {
+    let child = Command::new(env!("CARGO_BIN_EXE_segrout"))
+        .arg("serve")
+        .args(["--topology", "Abilene", "--restarts", "0", "--passes", "2"])
+        .args(["--listen", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let mut daemon = KillOnDrop(child);
+    let mut stderr = BufReader::new(daemon.0.stderr.take().expect("piped"));
+    let addr = loop {
+        let mut line = String::new();
+        let read = stderr.read_line(&mut line).expect("stderr readable");
+        assert!(read > 0, "daemon exited before listening");
+        if let Some(addr) = line.trim().strip_prefix("serve: listening on ") {
+            break addr.to_string();
+        }
+    };
+    // Drain the rest of stderr so the daemon never blocks on a full pipe.
+    let log = std::thread::spawn(move || {
+        let mut rest = String::new();
+        stderr.read_to_string(&mut rest).expect("stderr readable");
+        rest
+    });
+
+    // First peer: a burst of events, then it hangs up without reading a
+    // single reply, so the daemon's writes meet a closed socket.
+    const BURST: usize = 200;
+    {
+        let mut peer = TcpStream::connect(&addr).expect("first peer connects");
+        let burst = "{\"event\":\"noop\"}\n".repeat(BURST);
+        peer.write_all(burst.as_bytes()).expect("burst sent");
+    }
+
+    // Second peer: its replies continue the sequence of the events the
+    // session applied, and shutdown is acknowledged with the total.
+    let peer = TcpStream::connect(&addr).expect("daemon still accepts");
+    peer.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout set");
+    let mut writer = peer.try_clone().expect("socket clones");
+    writer
+        .write_all(b"{\"event\":\"noop\"}\n{\"event\":\"demand\",\"index\":3,\"factor\":1.5}\n{\"event\":\"shutdown\"}\n")
+        .expect("events sent");
+    let lines: Vec<String> = BufReader::new(peer)
+        .lines()
+        .collect::<Result<_, _>>()
+        .expect("replies readable");
+    assert_eq!(lines.len(), 3, "two replies and the ack: {lines:?}");
+    let seq = |i: usize| {
+        let rec = segrout::obs::Json::parse(&lines[i]).expect("reply is JSON");
+        assert_eq!(rec["type"].as_str(), Some("serve"), "{}", lines[i]);
+        rec["seq"].as_i64().expect("seq present")
+    };
+    let first = seq(0);
+    assert!(
+        (1..=BURST as i64 + 1).contains(&first),
+        "seq {first} must follow the first peer's applied events"
+    );
+    assert_eq!(seq(1), first + 1, "seq must stay monotone");
+    let bye = segrout::obs::Json::parse(&lines[2]).expect("ack is JSON");
+    assert_eq!(bye["type"].as_str(), Some("bye"));
+    assert_eq!(bye["events"].as_i64(), Some(first + 1));
+
+    let status = daemon.0.wait().expect("daemon exits");
+    let log = log.join().expect("stderr drained");
+    assert!(status.success(), "daemon must exit cleanly:\n{log}");
+    assert!(
+        log.contains("serve: connection dropped"),
+        "the hang-up must be logged, not fatal:\n{log}"
     );
 }

@@ -267,9 +267,9 @@ pub fn greedy_wpo_robust(
             // Each cell is a sparse single-segment probe — microseconds of
             // work — so small grids (one matrix × a few dozen waypoints, the
             // k=1 common case) run serially: pool dispatch used to cost more
-            // than the probes themselves (0.69× "speedup" at 2 threads in
-            // the pre-threshold BENCH_parallel record). Robust multi-matrix
-            // grids clear the threshold and still fan out.
+            // than the probes themselves (0.69× "speedup" at 2 threads
+            // before this cutoff existed). Robust multi-matrix grids clear
+            // the threshold and still fan out.
             let mut evals =
                 segrout_par::par_map_slice_min(&tasks, GRID_SERIAL_CUTOFF, |_, &(ci, mi)| {
                     let delta = chain_loads(&probes[ci], d.src, d.dst, sizes[mi]).ok()?;

@@ -18,10 +18,15 @@
 //! ([`segrout_core::IncrementalEvaluator`]): probes borrow the shared base
 //! state read-only and repair only the destinations whose shortest-path DAG
 //! the single-edge change can touch; the accepted move is committed in
-//! place. Probe answers are bit-identical to a from-scratch evaluation, so
-//! the search trajectory is byte-for-byte the one the (slower) from-scratch
-//! scorer produces — `use_incremental: false` in [`HeurOspfConfig`] selects
-//! that baseline scorer, which the benchmarks compare against.
+//! place. Probe answers are bit-identical to a from-scratch [`Router`]
+//! evaluation (pinned by `tests/incremental_differential.rs`, the fuzzer's
+//! probe/commit stage and the debug-build commit hooks), so the search
+//! takes the trajectory a from-scratch scorer would, at a fraction of the
+//! work. Building a descent's evaluators is one full evaluation, which also
+//! scores its start: the inverse-capacity start is evaluated once, and
+//! restart 0 descends from the evaluators that scored it.
+//!
+//! [`Router`]: segrout_core::Router
 //!
 //! Objective: the paper's local search minimizes the piecewise-linear
 //! congestion cost `Φ` (which correlates with, and tie-breaks on, MLU); the
@@ -38,8 +43,8 @@
 
 use segrout_core::rng::{SliceRandom, StdRng};
 use segrout_core::{
-    fortz_phi, DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator, Network,
-    RobustObjective, Router, WaypointSetting, WeightSetting,
+    DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator, Network, RobustObjective,
+    WaypointSetting, WeightSetting,
 };
 use segrout_obs::{event, Level};
 use std::collections::HashSet;
@@ -67,11 +72,6 @@ pub struct HeurOspfConfig {
     pub objective: Objective,
     /// RNG seed (the search is deterministic given the seed).
     pub seed: u64,
-    /// Score candidates through the incremental evaluation engine (default).
-    /// `false` selects the from-scratch scorer — one full ECMP evaluation
-    /// per candidate — kept as the benchmark baseline; both scorers produce
-    /// bit-identical search trajectories.
-    pub use_incremental: bool,
 }
 
 impl Default for HeurOspfConfig {
@@ -82,7 +82,6 @@ impl Default for HeurOspfConfig {
             max_passes: 30,
             objective: Objective::MluThenPhi,
             seed: 0x5eed,
-            use_incremental: true,
         }
     }
 }
@@ -150,37 +149,6 @@ fn score_from(phi: f64, mlu: f64, objective: Objective) -> Score {
     }
 }
 
-/// Evaluates integer weights from scratch against every matrix of the set,
-/// returning the configured lexicographic score over the robust-aggregated
-/// `(Φ, MLU)`. A set any matrix of which is unroutable scores infinitely
-/// bad. This is the baseline scorer; the hot loop normally probes the
-/// incremental engine instead (bit-identical answers, a fraction of the
-/// work).
-fn score_set(
-    net: &Network,
-    set: &DemandSet,
-    robust: RobustObjective,
-    weights: &[u32],
-    objective: Objective,
-) -> Score {
-    let w = WeightSetting::new(net, weights.iter().map(|&x| x as f64).collect())
-        .expect("integer weights in range are always valid");
-    let router = Router::new(net, &w);
-    let caps = net.capacities();
-    let mut phis = Vec::with_capacity(set.len());
-    let mut mlus = Vec::with_capacity(set.len());
-    for demands in set.matrices() {
-        match router.evaluate(demands, &WaypointSetting::none(demands.len())) {
-            Err(_) => return Score(f64::INFINITY, f64::INFINITY),
-            Ok(report) => {
-                phis.push(fortz_phi(&report.loads, caps));
-                mlus.push(report.mlu);
-            }
-        }
-    }
-    score_from(robust.aggregate(&phis), robust.aggregate(&mlus), objective)
-}
-
 /// Scales the inverse-capacity setting into the integer range
 /// `[1, max_weight]` — the conventional warm start.
 ///
@@ -214,10 +182,8 @@ fn inverse_capacity_start(net: &Network, max_weight: u32) -> Vec<u32> {
 /// Builds one incremental evaluation engine per matrix for the current
 /// integer weights.
 ///
-/// `None` when any matrix is unroutable (construction performs the same
-/// full evaluation `score_set` would): the caller then falls back to the
-/// scratch scorer, whose infinite score rejects every move — the
-/// pre-incremental behavior.
+/// `None` when any matrix is unroutable: the descent then scores the
+/// weights infinitely bad (see [`evaluators_score`]).
 fn build_evaluators<'n>(
     net: &'n Network,
     set: &DemandSet,
@@ -236,28 +202,26 @@ fn build_evaluators<'n>(
 }
 
 /// The robust-aggregated lexicographic score of the evaluators' base state.
+/// `None` — some scenario is unroutable — scores infinitely bad.
 fn evaluators_score(
-    evs: &[IncrementalEvaluator<'_>],
+    evs: Option<&[IncrementalEvaluator<'_>]>,
     robust: RobustObjective,
     objective: Objective,
 ) -> Score {
+    let Some(evs) = evs else {
+        return Score(f64::INFINITY, f64::INFINITY);
+    };
     let phis: Vec<f64> = evs.iter().map(IncrementalEvaluator::phi).collect();
     let mlus: Vec<f64> = evs.iter().map(IncrementalEvaluator::mlu).collect();
     score_from(robust.aggregate(&phis), robust.aggregate(&mlus), objective)
 }
 
-thread_local! {
-    /// Per-worker weight buffer for the from-scratch scorer, so speculative
-    /// candidate evaluation does not allocate a fresh vector per candidate.
-    static SCRATCH_WEIGHTS: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Runs the HeurOSPF local search, returning the best weight setting found.
 ///
-/// Deterministic for a fixed seed. Demands that are unroutable under every
-/// weight setting make every score infinite; the inverse-capacity start is
-/// then returned unchanged.
+/// Deterministic for a fixed seed. Routability does not depend on the
+/// weights, so demands unroutable under one setting are unroutable under
+/// all: every score is then infinite, and the inverse-capacity start is
+/// returned unchanged.
 pub fn heur_ospf(net: &Network, demands: &DemandList, cfg: &HeurOspfConfig) -> WeightSetting {
     heur_ospf_robust(
         net,
@@ -296,7 +260,6 @@ pub fn heur_ospf_robust(
         robust,
         set.len(),
         |w| build_evaluators(net, set, w),
-        |w| score_set(net, set, robust, w, cfg.objective),
         |cur, evs| {
             // Commit-point hook: every evaluator's repaired state must equal
             // a from-scratch evaluation of the accepted weights.
@@ -380,56 +343,26 @@ pub fn heur_ospf_failure_robust<'n>(
         }
         Some(evs)
     };
-    descend(
-        net,
-        cfg,
-        robust,
-        k,
-        build,
-        |w| {
-            // From-scratch scorer: scenario-evaluator construction *is* the
-            // full masked evaluation, so build-and-aggregate is the scratch
-            // score.
-            let ws = WeightSetting::new(net, w.iter().map(|&x| f64::from(x)).collect())
-                .expect("integer weights in range are always valid");
-            let mut phis = Vec::with_capacity(scenarios.len());
-            let mut mlus = Vec::with_capacity(scenarios.len());
-            for dead in &scenarios {
-                match IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead) {
-                    Ok(ev) => {
-                        phis.push(ev.phi());
-                        mlus.push(ev.mlu());
-                    }
-                    Err(_) => return Score(f64::INFINITY, f64::INFINITY),
-                }
-            }
-            score_from(
-                robust.aggregate(&phis),
-                robust.aggregate(&mlus),
-                cfg.objective,
-            )
-        },
-        |cur, evs| {
-            // Commit-point hook: each scenario's repaired state must equal a
-            // from-scratch masked evaluation of the accepted weights.
-            let ws = WeightSetting::new(net, cur.iter().map(|&x| f64::from(x)).collect())
-                .expect("integer weights in range are always valid");
-            for (dead, ev) in scenarios.iter().zip(evs.iter()) {
-                let fresh = IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead)
-                    .expect("surviving scenarios stay routable under any weights");
-                assert_eq!(
-                    fresh.mlu().to_bits(),
-                    ev.mlu().to_bits(),
-                    "committed failure-scenario state diverged from scratch"
-                );
-                assert_eq!(
-                    fresh.phi().to_bits(),
-                    ev.phi().to_bits(),
-                    "committed failure-scenario state diverged from scratch"
-                );
-            }
-        },
-    )
+    descend(net, cfg, robust, k, build, |cur, evs| {
+        // Commit-point hook: each scenario's repaired state must equal a
+        // from-scratch masked evaluation of the accepted weights.
+        let ws = WeightSetting::new(net, cur.iter().map(|&x| f64::from(x)).collect())
+            .expect("integer weights in range are always valid");
+        for (dead, ev) in scenarios.iter().zip(evs.iter()) {
+            let fresh = IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead)
+                .expect("surviving scenarios stay routable under any weights");
+            assert_eq!(
+                fresh.mlu().to_bits(),
+                ev.mlu().to_bits(),
+                "committed failure-scenario state diverged from scratch"
+            );
+            assert_eq!(
+                fresh.phi().to_bits(),
+                ev.phi().to_bits(),
+                "committed failure-scenario state diverged from scratch"
+            );
+        }
+    })
 }
 
 /// The shared first-improvement descent: restarts, shuffled link scans, and
@@ -439,23 +372,19 @@ pub fn heur_ospf_failure_robust<'n>(
 /// failure scenario.
 ///
 /// `build` constructs the per-scenario evaluators for a weight vector
-/// (`None` ⇒ some scenario is unroutable ⇒ the scratch scorer's infinite
-/// score rejects every move), `scratch_score` is the from-scratch fallback
-/// scorer (also used when `use_incremental` is off), and `debug_check`
-/// asserts commit consistency of every evaluator after an accepted move
-/// (invoked in debug builds only).
-fn descend<'n, B, S, C>(
+/// (`None` ⇒ some scenario is unroutable ⇒ an infinite score no move can
+/// improve), and `debug_check` asserts commit consistency of every
+/// evaluator after an accepted move (invoked in debug builds only).
+fn descend<'n, B, C>(
     net: &'n Network,
     cfg: &HeurOspfConfig,
     robust: RobustObjective,
     k: usize,
     build: B,
-    scratch_score: S,
     debug_check: C,
 ) -> WeightSetting
 where
     B: Fn(&[u32]) -> Option<Vec<IncrementalEvaluator<'n>>>,
-    S: Fn(&[u32]) -> Score + Sync,
     C: Fn(&[u32], &[IncrementalEvaluator<'n>]),
 {
     // `heurospf.iterations` counts candidate-weight evaluations (one full
@@ -469,7 +398,8 @@ where
     let m = net.edge_count();
 
     let mut best: Vec<u32> = inverse_capacity_start(net, cfg.max_weight);
-    let mut best_score = scratch_score(&best);
+    let start_evaluators = build(&best);
+    let mut best_score = evaluators_score(start_evaluators.as_deref(), robust, cfg.objective);
     iterations.inc();
     // Local evaluation count for the flight recorder (the global counter is
     // shared across concurrent runs in one process); `trace_best` gates the
@@ -493,27 +423,25 @@ where
         start_mlu = best_score.mlu(cfg.objective),
     );
 
+    // Restart 0 descends from the evaluators that scored the start, so the
+    // start costs one evaluation.
+    let mut start_evaluators = Some(start_evaluators);
     for restart in 0..=cfg.restarts {
-        let mut cur: Vec<u32> = if restart == 0 {
-            best.clone()
-        } else {
-            (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect()
-        };
         // The evaluators own the descent's base state (weights, per-dest
         // DAGs and load partials, Φ/MLU per matrix); construction is one
         // full evaluation per matrix, so their aggregated score is the
         // restart's starting score.
-        let mut evaluators = if cfg.use_incremental {
-            build(&cur)
-        } else {
-            None
+        let (mut cur, mut evaluators) = match start_evaluators.take() {
+            Some(evs) => (best.clone(), evs),
+            None => {
+                let cur: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=cfg.max_weight)).collect();
+                iterations.inc();
+                total_evals += 1;
+                let evs = build(&cur);
+                (cur, evs)
+            }
         };
-        let mut cur_score = match &evaluators {
-            Some(evs) => evaluators_score(evs, robust, cfg.objective),
-            None => scratch_score(&cur),
-        };
-        iterations.inc();
-        total_evals += 1;
+        let mut cur_score = evaluators_score(evaluators.as_deref(), robust, cfg.objective);
         event!(
             Level::Debug,
             "heurospf.restart",
@@ -559,133 +487,94 @@ where
                         fresh.push(cand);
                     }
                 }
+                pass_evals += fresh.len() as u64;
+                // Unroutable weights score ∞, and so does every candidate
+                // (routability does not depend on the weights): the pass
+                // rejects the neighbourhood without probing it.
+                let Some(evs) = evaluators.as_mut() else {
+                    continue;
+                };
                 // Score the whole neighbourhood speculatively on the pool,
                 // then accept the first improving candidate *in candidate
                 // order* — the ordered (score, index) reduction that keeps
-                // the search bit-identical at any thread count.
-                pass_evals += fresh.len() as u64;
-                match evaluators.as_mut() {
-                    Some(evs) => {
-                        // Probes borrow the base state read-only: each one
-                        // repairs only the destinations the single-edge
-                        // change can affect, then re-sums the cached load
-                        // partials — no full ECMP evaluation, no weight
-                        // vector clone. The fan-out covers the full
-                        // (candidate × matrix) grid, candidate-major, so
-                        // candidate `ci`'s probes live at `[ci·K, ci·K+K)`.
-                        let ev_refs: &[IncrementalEvaluator] = evs;
-                        let eid = segrout_core::EdgeId(e as u32);
-                        let tasks: Vec<(usize, usize)> = fresh
-                            .iter()
-                            .enumerate()
-                            .flat_map(|(ci, _)| (0..k).map(move |mi| (ci, mi)))
-                            .collect();
-                        let mut probes = segrout_par::par_map_slice(&tasks, |_, &(ci, mi)| {
-                            ev_refs[mi].probe(eid, f64::from(fresh[ci])).ok()
-                        });
-                        for (idx, &cand) in fresh.iter().enumerate() {
-                            let group = &probes[idx * k..(idx + 1) * k];
-                            let s = if group.iter().all(Option::is_some) {
-                                let mut phis = Vec::with_capacity(k);
-                                let mut mlus = Vec::with_capacity(k);
-                                for p in group.iter().flatten() {
-                                    phis.push(p.phi);
-                                    mlus.push(p.mlu);
-                                }
-                                score_from(
-                                    robust.aggregate(&phis),
-                                    robust.aggregate(&mlus),
-                                    cfg.objective,
-                                )
-                            } else {
-                                Score(f64::INFINITY, f64::INFINITY)
-                            };
-                            if s.better_than(&cur_score) {
-                                for (mi, ev) in evs.iter_mut().enumerate() {
-                                    let p = probes[idx * k + mi]
-                                        .take()
-                                        .expect("an infinite score never improves");
-                                    ev.commit(p);
-                                }
-                                cur[e] = cand;
-                                cur_score = s;
-                                improved = true;
-                                if cfg!(debug_assertions) {
-                                    debug_check(&cur, evs);
-                                }
-                                trajectory.push(cur_score.mlu(cfg.objective));
-                                if segrout_obs::trace_enabled()
-                                    && cur_score.better_than(&trace_best)
-                                {
-                                    trace_best = cur_score;
-                                    segrout_obs::trace_point(
-                                        "heurospf.accept",
-                                        total_evals + pass_evals,
-                                        cur_score.phi(cfg.objective),
-                                        cur_score.mlu(cfg.objective),
-                                    );
-                                    // Robust runs also record the accepted
-                                    // move's per-matrix state (`iter` is the
-                                    // matrix index within the set).
-                                    if k > 1 {
-                                        for (mi, ev) in evs.iter().enumerate() {
-                                            segrout_obs::trace_point(
-                                                "robust.matrix",
-                                                mi as u64,
-                                                ev.phi(),
-                                                ev.mlu(),
-                                            );
-                                        }
-                                    }
-                                }
-                                event!(
-                                    Level::Trace,
-                                    "heurospf.accept",
-                                    edge = e,
-                                    weight = cand,
-                                    mlu = cur_score.mlu(cfg.objective),
-                                );
-                                break; // first improvement: keep cand
-                            }
+                // the search bit-identical at any thread count. Probes
+                // borrow the base state read-only: each one repairs only the
+                // destinations the single-edge change can affect, then
+                // re-sums the cached load partials — no full ECMP
+                // evaluation, no weight vector clone. The fan-out covers the
+                // full (candidate × matrix) grid, candidate-major, so
+                // candidate `ci`'s probes live at `[ci·K, ci·K+K)`.
+                let ev_refs: &[IncrementalEvaluator] = evs;
+                let eid = segrout_core::EdgeId(e as u32);
+                let tasks: Vec<(usize, usize)> = fresh
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(ci, _)| (0..k).map(move |mi| (ci, mi)))
+                    .collect();
+                let mut probes = segrout_par::par_map_slice(&tasks, |_, &(ci, mi)| {
+                    ev_refs[mi].probe(eid, f64::from(fresh[ci])).ok()
+                });
+                for (idx, &cand) in fresh.iter().enumerate() {
+                    let group = &probes[idx * k..(idx + 1) * k];
+                    let s = if group.iter().all(Option::is_some) {
+                        let mut phis = Vec::with_capacity(k);
+                        let mut mlus = Vec::with_capacity(k);
+                        for p in group.iter().flatten() {
+                            phis.push(p.phi);
+                            mlus.push(p.mlu);
                         }
-                    }
-                    None => {
-                        let scores = segrout_par::par_map_slice(&fresh, |_, &cand| {
-                            SCRATCH_WEIGHTS.with(|buf| {
-                                let mut w = buf.borrow_mut();
-                                w.clear();
-                                w.extend_from_slice(&cur);
-                                w[e] = cand;
-                                scratch_score(&w)
-                            })
-                        });
-                        for (cand, s) in fresh.iter().zip(&scores) {
-                            if s.better_than(&cur_score) {
-                                cur[e] = *cand;
-                                cur_score = *s;
-                                improved = true;
-                                trajectory.push(cur_score.mlu(cfg.objective));
-                                if segrout_obs::trace_enabled()
-                                    && cur_score.better_than(&trace_best)
-                                {
-                                    trace_best = cur_score;
+                        score_from(
+                            robust.aggregate(&phis),
+                            robust.aggregate(&mlus),
+                            cfg.objective,
+                        )
+                    } else {
+                        Score(f64::INFINITY, f64::INFINITY)
+                    };
+                    if s.better_than(&cur_score) {
+                        for (mi, ev) in evs.iter_mut().enumerate() {
+                            let p = probes[idx * k + mi]
+                                .take()
+                                .expect("an infinite score never improves");
+                            ev.commit(p);
+                        }
+                        cur[e] = cand;
+                        cur_score = s;
+                        improved = true;
+                        if cfg!(debug_assertions) {
+                            debug_check(&cur, evs);
+                        }
+                        trajectory.push(cur_score.mlu(cfg.objective));
+                        if segrout_obs::trace_enabled() && cur_score.better_than(&trace_best) {
+                            trace_best = cur_score;
+                            segrout_obs::trace_point(
+                                "heurospf.accept",
+                                total_evals + pass_evals,
+                                cur_score.phi(cfg.objective),
+                                cur_score.mlu(cfg.objective),
+                            );
+                            // Robust runs also record the accepted move's
+                            // per-matrix state (`iter` is the matrix index
+                            // within the set).
+                            if k > 1 {
+                                for (mi, ev) in evs.iter().enumerate() {
                                     segrout_obs::trace_point(
-                                        "heurospf.accept",
-                                        total_evals + pass_evals,
-                                        cur_score.phi(cfg.objective),
-                                        cur_score.mlu(cfg.objective),
+                                        "robust.matrix",
+                                        mi as u64,
+                                        ev.phi(),
+                                        ev.mlu(),
                                     );
                                 }
-                                event!(
-                                    Level::Trace,
-                                    "heurospf.accept",
-                                    edge = e,
-                                    weight = *cand,
-                                    mlu = cur_score.mlu(cfg.objective),
-                                );
-                                break; // first improvement: keep cand
                             }
                         }
+                        event!(
+                            Level::Trace,
+                            "heurospf.accept",
+                            edge = e,
+                            weight = cand,
+                            mlu = cur_score.mlu(cfg.objective),
+                        );
+                        break; // first improvement: keep cand
                     }
                 }
             }
@@ -733,7 +622,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segrout_core::NodeId;
+    use segrout_core::{NodeId, Router};
 
     /// The Figure-1 style trap: direct link (s,t) with capacity 1, detour
     /// with capacity 10. Unit weights overload the direct link; the local
@@ -857,46 +746,25 @@ mod tests {
         }
     }
 
-    /// The incremental scorer must retrace the from-scratch scorer's search
-    /// byte for byte: same accepted moves, same final weights.
+    /// Demands no weight setting can route (node 2 has no path to node 0)
+    /// score ∞ at the start and at every restart, so no move is accepted
+    /// and the inverse-capacity start comes back unchanged.
     #[test]
-    fn incremental_and_scratch_trajectories_agree() {
-        let mut nets: Vec<(Network, DemandList)> = vec![trap_network()];
-        let mut b = Network::builder(4);
-        b.bilink(NodeId(0), NodeId(1), 1.0);
-        b.bilink(NodeId(1), NodeId(2), 1.0);
-        b.bilink(NodeId(2), NodeId(3), 1.0);
-        b.bilink(NodeId(3), NodeId(0), 1.0);
-        b.bilink(NodeId(0), NodeId(2), 3.0);
-        let net = b.build().unwrap();
+    fn unroutable_demand_returns_inverse_capacity_start() {
+        let (net, _) = trap_network();
         let mut d = DemandList::new();
-        d.push(NodeId(0), NodeId(2), 1.0);
         d.push(NodeId(2), NodeId(0), 1.0);
-        d.push(NodeId(1), NodeId(3), 0.5);
-        nets.push((net, d));
-
-        for (net, d) in &nets {
-            for objective in [Objective::MluThenPhi, Objective::PhiThenMlu] {
-                let incremental = heur_ospf(
-                    net,
-                    d,
-                    &HeurOspfConfig {
-                        objective,
-                        use_incremental: true,
-                        ..Default::default()
-                    },
-                );
-                let scratch = heur_ospf(
-                    net,
-                    d,
-                    &HeurOspfConfig {
-                        objective,
-                        use_incremental: false,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(incremental.as_slice(), scratch.as_slice());
-            }
+        for objective in [Objective::MluThenPhi, Objective::PhiThenMlu] {
+            let cfg = HeurOspfConfig {
+                objective,
+                ..Default::default()
+            };
+            let w = heur_ospf(&net, &d, &cfg);
+            let start: Vec<f64> = inverse_capacity_start(&net, cfg.max_weight)
+                .iter()
+                .map(|&x| f64::from(x))
+                .collect();
+            assert_eq!(w.as_slice(), start.as_slice());
         }
     }
 
@@ -982,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_robust_deterministic_and_matches_scratch() {
+    fn failure_robust_is_deterministic() {
         let mut b = Network::builder(5);
         b.bilink(NodeId(0), NodeId(1), 2.0);
         b.bilink(NodeId(1), NodeId(4), 2.0);
@@ -996,7 +864,7 @@ mod tests {
         d.push(NodeId(4), NodeId(0), 0.5);
         let failures = FailureSet::enumerate(&net, false);
 
-        let incremental = heur_ospf_failure_robust(
+        let first = heur_ospf_failure_robust(
             &net,
             &d,
             &failures,
@@ -1010,20 +878,7 @@ mod tests {
             RobustObjective::WorstCase,
             &HeurOspfConfig::default(),
         );
-        assert_eq!(incremental.as_slice(), again.as_slice());
-        // The probe grid must retrace the scratch scorer's trajectory byte
-        // for byte (same contract as the plain search).
-        let scratch = heur_ospf_failure_robust(
-            &net,
-            &d,
-            &failures,
-            RobustObjective::WorstCase,
-            &HeurOspfConfig {
-                use_incremental: false,
-                ..Default::default()
-            },
-        );
-        assert_eq!(incremental.as_slice(), scratch.as_slice());
+        assert_eq!(first.as_slice(), again.as_slice());
     }
 
     /// A pendant demand whose only link appears in the failure set: those
@@ -1075,19 +930,14 @@ mod tests {
     #[test]
     fn single_matrix_set_reduces_bit_identically() {
         let (net, d) = trap_network();
-        for use_incremental in [true, false] {
-            let cfg = HeurOspfConfig {
-                use_incremental,
-                ..Default::default()
-            };
-            let classic = heur_ospf(&net, &d, &cfg);
-            let robust = heur_ospf_robust(
-                &net,
-                &DemandSet::single(d.clone()),
-                RobustObjective::Quantile(1.0),
-                &cfg,
-            );
-            assert_eq!(classic.as_slice(), robust.as_slice());
-        }
+        let cfg = HeurOspfConfig::default();
+        let classic = heur_ospf(&net, &d, &cfg);
+        let robust = heur_ospf_robust(
+            &net,
+            &DemandSet::single(d.clone()),
+            RobustObjective::Quantile(1.0),
+            &cfg,
+        );
+        assert_eq!(classic.as_slice(), robust.as_slice());
     }
 }

@@ -30,7 +30,7 @@ fn main() {
         .expect("connected");
 
         time_it(&format!("sp_dag/{name}"), SAMPLES, || {
-            shortest_path_dag(net.graph(), weights.as_slice(), NodeId(0))
+            shortest_path_dag(net.graph(), weights.as_slice(), NodeId(0), &[])
         });
         time_it(&format!("ecmp_eval/{name}"), SAMPLES, || {
             let router = Router::new(&net, &weights);

@@ -13,9 +13,12 @@
 //! | `fig6` | Figure 6 — real-like (gravity) demands |
 //! | `fig7` | Figure 7 — hash-ECMP (Nanonet) experiment |
 //! | `ablation_joint` | §8 open questions — JOINT-Heur design knobs |
-//! | `bench_parallel` | serial vs parallel optimizer wall-time (`BENCH_parallel.json`) |
-//! | `bench_incremental` | incremental vs from-scratch candidate evaluation (`BENCH_incremental.json`) |
+//! | `dynamic_reopt` | re-optimization under traffic drift |
+//! | `failure_robustness` | single-link failure robustness of the optimizers |
 //! | `bench_failsweep` | failure-sweep scenario throughput on Germany50 (`BENCH_failsweep.json`) |
+//! | `bench_robust` | price of robustness over demand sets (`BENCH_robust.json`) |
+//! | `bench_serve` | serve-daemon event latency (`BENCH_serve.json`) |
+//! | `bench_simplex` | branch-and-bound node throughput per LP engine (`BENCH_simplex.json`) |
 //!
 //! Run e.g. `cargo run -p segrout-bench --release --bin fig4`. Binaries
 //! accept `SEGROUT_SEEDS=<k>` to change the number of demand sets
@@ -104,9 +107,9 @@ pub fn fast_mode() -> bool {
 
 /// Writes a JSON record for an experiment under `results/`, stamping host
 /// provenance (core count, thread setting, git rev) into the record and
-/// writing a sibling `<name>.run.json` run artifact — so a
-/// `BENCH_parallel.json` measured on one core is self-describing and two
-/// bench runs can be diffed with `segrout report`.
+/// writing a sibling `<name>.run.json` run artifact — so a record
+/// measured on one core is self-describing and two bench runs can be
+/// diffed with `segrout report`.
 pub fn write_json(name: &str, value: &Json) {
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_err() {
@@ -132,7 +135,7 @@ pub fn write_json(name: &str, value: &Json) {
     finish_obs();
 }
 
-/// Writes a standalone benchmark record (e.g. `BENCH_parallel.json` in the
+/// Writes a standalone benchmark record (e.g. `BENCH_serve.json` in the
 /// working directory), stamping host provenance (core count, thread
 /// setting, git rev) into the record and writing a sibling `<stem>.run.json`
 /// run artifact so two runs can be diffed with `segrout report`.

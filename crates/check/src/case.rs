@@ -134,7 +134,9 @@ pub struct Case {
     pub waypoints: Vec<Vec<u32>>,
     /// Worker-thread count the case runs under.
     pub threads: usize,
-    /// Whether the incremental evaluation engine is exercised.
+    /// Whether the incremental evaluation engine is cross-checked: the
+    /// seeded probe/commit differential (stage 2) and the validator's
+    /// evaluator comparison. The optimizers always score through it.
     pub incremental: bool,
     /// LP engine used for the MILP-oracle stage.
     pub engine: EngineChoice,
@@ -597,7 +599,6 @@ impl Case {
                     max_weight: 8,
                     max_passes: 2,
                     seed: self.seed,
-                    use_incremental: self.incremental,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -860,7 +861,6 @@ impl Case {
             restarts: 1,
             max_passes: 2,
             seed: self.seed,
-            use_incremental: self.incremental,
             ..Default::default()
         };
 
@@ -979,7 +979,6 @@ impl Case {
             restarts: 1,
             max_passes: 3,
             seed: self.seed,
-            use_incremental: self.incremental,
             ..Default::default()
         };
         let hw = segrout_algos::heur_ospf(net, demands, &ospf);

@@ -125,7 +125,7 @@ impl<'n> Router<'n> {
     pub fn dag(&self, t: NodeId) -> Arc<SpDag> {
         Arc::clone(self.dags[t.index()].get_or_init(|| {
             self.recomputes.inc();
-            Arc::new(shortest_path_dag(self.net.graph(), &self.weights, t))
+            Arc::new(shortest_path_dag(self.net.graph(), &self.weights, t, &[]))
         }))
     }
 

@@ -1,5 +1,7 @@
 //! Incremental ECMP re-evaluation for single-edge weight changes — the
-//! engine behind the HeurOSPF candidate loop.
+//! engine behind the HeurOSPF candidate loop, which scores every candidate
+//! through it. [`crate::Router`] stays as the from-scratch oracle the tests
+//! and debug commit hooks compare it against.
 //!
 //! The Fortz–Thorup local search asks one question thousands of times per
 //! pass: *"what are Φ / MLU if edge `e`'s weight becomes `w`?"* Answering it
@@ -41,6 +43,12 @@
 //! The re-fold itself is a branch-free add over two contiguous `f64` slices
 //! the compiler can autovectorize.
 //!
+//! An evaluator built with failed links keeps them as a disabled-edge mask
+//! through every build, repair and probe
+//! ([`IncrementalEvaluator::new_with_failures`]). One built without failed
+//! links keeps an empty mask, so its Dijkstra runs take the loops compiled
+//! without the mask test.
+//!
 //! Probes borrow the evaluator read-only, so a speculative candidate
 //! neighbourhood can be scored in parallel on the `segrout-par` pool against
 //! one shared base state; the accepted candidate is then applied in place
@@ -64,8 +72,8 @@ use crate::network::Network;
 use crate::waypoints::WaypointSetting;
 use crate::weights::WeightSetting;
 use segrout_graph::{
-    disable_edge_update, edge_change_affects_dag, edge_disabled, shortest_path_dag_masked,
-    update_shortest_path_dag_masked, EdgeId, NodeId, SpDag, SpDagUpdate,
+    disable_edge_update, edge_change_affects_dag, edge_disabled, shortest_path_dag,
+    update_shortest_path_dag, EdgeId, NodeId, SpDag, SpDagUpdate,
 };
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
@@ -334,20 +342,7 @@ impl<'n> IncrementalEvaluator<'n> {
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<Self, TeError> {
-        if waypoints.len() != demands.len() {
-            return Err(TeError::InvalidWaypoints(format!(
-                "waypoint table has {} rows for {} demands",
-                waypoints.len(),
-                demands.len()
-            )));
-        }
-        let mut segments = Vec::with_capacity(demands.len());
-        for (i, d) in demands.iter().enumerate() {
-            for (src, dst, amount) in waypoints.segments_of(i, d) {
-                segments.push(Segment { src, dst, amount });
-            }
-        }
-        Self::for_segments(net, weights, &segments)
+        Self::new_with_failures(net, weights, demands, waypoints, &[])
     }
 
     /// Builds the evaluator with a set of failed (disabled) links baked into
@@ -355,6 +350,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// failed edges were deleted from the topology. Returns
     /// [`TeError::Unroutable`] when the failures cut some demand off its
     /// destination — the caller classifies that scenario as disconnected.
+    /// No failed links is the intact topology, with an empty mask.
     pub fn new_with_failures(
         net: &'n Network,
         weights: &WeightSetting,
@@ -375,25 +371,19 @@ impl<'n> IncrementalEvaluator<'n> {
                 segments.push(Segment { src, dst, amount });
             }
         }
-        let mut disabled = vec![false; net.edge_count()];
-        for &e in failed {
-            disabled[e.index()] = true;
+        let mut disabled = Vec::new();
+        if !failed.is_empty() {
+            disabled.resize(net.edge_count(), false);
+            for &e in failed {
+                disabled[e.index()] = true;
+            }
         }
-        Self::for_segments_masked(net, weights, &segments, disabled)
-    }
-
-    /// Builds the evaluator for an explicit segment list.
-    pub fn for_segments(
-        net: &'n Network,
-        weights: &WeightSetting,
-        segments: &[Segment],
-    ) -> Result<Self, TeError> {
-        Self::for_segments_masked(net, weights, segments, Vec::new())
+        Self::for_segments(net, weights, &segments, disabled)
     }
 
     /// Builds the evaluator for an explicit segment list under a base
     /// disabled-edge mask (empty = intact topology).
-    fn for_segments_masked(
+    fn for_segments(
         net: &'n Network,
         weights: &WeightSetting,
         segments: &[Segment],
@@ -411,12 +401,7 @@ impl<'n> IncrementalEvaluator<'n> {
         let built = segrout_par::par_map(grouped.len(), |i| {
             let (t, injections) = &grouped[i];
             recomputes.inc();
-            let dag = Arc::new(shortest_path_dag_masked(
-                net.graph(),
-                &weights,
-                *t,
-                &disabled,
-            ));
+            let dag = Arc::new(shortest_path_dag(net.graph(), &weights, *t, &disabled));
             let mut partial = vec![0.0; m];
             let mut node_flow = vec![0.0; n];
             propagate_destination(net, &dag, injections, &mut partial, &mut node_flow)
@@ -575,7 +560,7 @@ impl<'n> IncrementalEvaluator<'n> {
                 if !edge_change_affects_dag(dag, e, u, v, new_w) {
                     continue;
                 }
-                let repaired = match update_shortest_path_dag_masked(
+                let repaired = match update_shortest_path_dag(
                     g,
                     weights,
                     dag,
@@ -769,7 +754,7 @@ impl<'n> IncrementalEvaluator<'n> {
                                 // possible for multi-link scenarios): full
                                 // masked rebuild.
                                 recomputes.inc();
-                                shortest_path_dag_masked(g, &self.weights, dag.target, mask)
+                                shortest_path_dag(g, &self.weights, dag.target, mask)
                             }
                         };
                         // Failures can sever sources — recheck every seeded
@@ -988,7 +973,7 @@ impl<'n> IncrementalEvaluator<'n> {
     fn rebuild_for_segments(&mut self, segments: &[Segment]) -> Result<(), TeError> {
         let w = WeightSetting::new(self.net, self.weights.clone())
             .expect("committed weights are positive finite");
-        let fresh = Self::for_segments_masked(self.net, &w, segments, self.disabled.clone())?;
+        let fresh = Self::for_segments(self.net, &w, segments, self.disabled.clone())?;
         self.dests = fresh.dests;
         self.seeds = fresh.seeds;
         self.dags = fresh.dags;
@@ -1121,7 +1106,7 @@ impl<'n> IncrementalEvaluator<'n> {
                 // A fresh Dijkstra under the shrunk mask — exactly what a
                 // from-scratch build runs for this destination.
                 recomputes.inc();
-                let rebuilt = shortest_path_dag_masked(g, &self.weights, dag.target, &mask);
+                let rebuilt = shortest_path_dag(g, &self.weights, dag.target, &mask);
                 let base = dirty_partials.len();
                 dirty_partials.resize(base + m, 0.0);
                 // Reachability only improves when a link comes back, so the

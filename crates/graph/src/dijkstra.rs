@@ -7,15 +7,16 @@
 //! plus the subgraph of links `(u, v)` with `dist(u) = w(u,v) + dist(v)` —
 //! the *shortest-path DAG* to `t`.
 //!
-//! Two queue engines back [`single_target_distances`]:
+//! Two queue engines back [`single_target_distances`], chosen by the
+//! weights alone:
 //!
 //! * a **monotone bucket queue** (Dial's algorithm) for the integer weight
 //!   domain `[1, w_max]` every optimizer in this workspace emits — O(1)
 //!   pushes into a ring of `w_max + 1` buckets instead of heap sifts;
-//! * the classic `BinaryHeap`, kept verbatim as
-//!   [`single_target_distances_heap`] — both the fallback for non-integral
-//!   weights and the differential **oracle** the bucket queue is pinned
-//!   against (see `tests/hotloop_differential.rs`).
+//! * the classic `BinaryHeap` for every other weight vector. It is also
+//!   exposed as [`single_target_distances_heap`], the differential
+//!   **oracle** the bucket queue is pinned against (see
+//!   `tests/hotloop_differential.rs`).
 //!
 //! Integral weights make every finite distance an exact integer far below
 //! 2^53, so both engines compute bit-identical `f64` distance vectors and —
@@ -24,13 +25,14 @@
 //! same tight-edge predicate and order key, so their DAGs are bit-identical
 //! to a from-scratch build as well.
 //!
-//! Both engines, the DAG builder and the dynamic-repair path additionally
-//! honor an optional **disabled-edge mask** (`_masked` entry points): a
-//! disabled edge is skipped during relaxation and excluded from the
-//! tight-edge scan, which is *exactly* the arithmetic of deleting the edge
-//! and re-running from scratch — the remaining edges relax in the same order
-//! with the same `f64` operations, so masked results are bit-identical to
-//! the edge-deleted graph. This is how link failures are modelled: weights
+//! Every entry point takes a **disabled-edge mask** (`disabled: &[bool]`):
+//! either one flag per edge, or the empty slice for the intact topology,
+//! which runs loops compiled without the mask test. A disabled edge is
+//! skipped during relaxation and excluded from the tight-edge scan, which
+//! is *exactly* the arithmetic of deleting the edge and re-running from
+//! scratch — the remaining edges relax in the same order with the same
+//! `f64` operations, so masked results are bit-identical to the
+//! edge-deleted graph. This is how link failures are modelled: weights
 //! stay finite (the bucket queue keeps its `[1, MAX_DIAL_WEIGHT]` domain)
 //! and a failure is a mask bit, not a weight perturbation. Nodes cut off by
 //! a failure end at [`INFINITY`], a classified outcome rather than an error.
@@ -40,7 +42,6 @@ use crate::{approx_eq, EPS};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 /// Distance value for unreachable nodes.
 pub const INFINITY: f64 = f64::INFINITY;
@@ -50,22 +51,6 @@ pub const INFINITY: f64 = f64::INFINITY;
 /// over. Fortz–Thorup weight search stays in `[1, ~20]`; this cap leaves two
 /// orders of magnitude of headroom.
 pub const MAX_DIAL_WEIGHT: u32 = 4096;
-
-/// When set, [`single_target_distances`] always uses the `BinaryHeap`
-/// engine. Used by benches for A/B timing and by differential tests.
-static HEAP_ONLY: AtomicBool = AtomicBool::new(false);
-
-/// Forces (`true`) or re-enables dispatch away from (`false`) the
-/// `BinaryHeap` engine. Global: intended for benches and differential
-/// harnesses, not concurrent toggling.
-pub fn set_heap_only(on: bool) {
-    HEAP_ONLY.store(on, AtomicOrdering::Relaxed);
-}
-
-/// `true` if bucket-queue dispatch is currently disabled.
-pub fn heap_only() -> bool {
-    HEAP_ONLY.load(AtomicOrdering::Relaxed)
-}
 
 /// The `dijkstra.*` counter handles, resolved once: Dijkstra runs are
 /// frequent and short, so they must not pay a registry lookup each time.
@@ -301,27 +286,23 @@ fn check_weights(g: &Digraph, weights: &[f64]) {
 }
 
 /// Computes `dist(v, target)` for every node `v`, i.e. the cost of the
-/// cheapest directed path from `v` to `target` under `weights`.
+/// cheapest directed path from `v` to `target` under `weights`, skipping the
+/// edges `disabled` marks.
 ///
-/// Unreachable nodes get [`INFINITY`]. Dispatches to the bucket-queue engine
-/// when the weights are integral in `[1, MAX_DIAL_WEIGHT]` (bit-identical
-/// result — see module docs), to the `BinaryHeap` engine otherwise.
+/// `disabled` is empty (the intact topology) or holds one flag per edge; a
+/// disabled edge is skipped exactly as if deleted (bit-identical distances —
+/// see module docs). Weights of disabled edges must still be valid (they are
+/// never read into a path sum but keep the bucket-queue weight domain
+/// decidable). Unreachable nodes get [`INFINITY`]. Dispatches to the
+/// bucket-queue engine when the weights are integral in
+/// `[1, MAX_DIAL_WEIGHT]` (bit-identical result — see module docs), to the
+/// `BinaryHeap` engine otherwise.
 ///
 /// # Panics
-/// Panics if `weights.len() != g.edge_count()` or any weight is not a
-/// strictly positive finite number (the paper's weight settings map every
-/// link to a positive real).
-pub fn single_target_distances(g: &Digraph, weights: &[f64], target: NodeId) -> Vec<f64> {
-    check_weights(g, weights);
-    run_engine(g, weights, target, &[])
-}
-
-/// [`single_target_distances`] under a disabled-edge mask: disabled edges
-/// are skipped exactly as if deleted (bit-identical distances — see module
-/// docs). An empty mask is the intact topology. Weights of disabled edges
-/// must still be valid (they are never read into a path sum but keep the
-/// bucket-queue weight domain decidable).
-pub fn single_target_distances_masked(
+/// Panics if `weights.len() != g.edge_count()`, if the mask is neither empty
+/// nor one flag per edge, or if any weight is not a strictly positive finite
+/// number (the paper's weight settings map every link to a positive real).
+pub fn single_target_distances(
     g: &Digraph,
     weights: &[f64],
     target: NodeId,
@@ -329,37 +310,16 @@ pub fn single_target_distances_masked(
 ) -> Vec<f64> {
     check_weights(g, weights);
     check_mask(g, disabled);
-    run_engine(g, weights, target, disabled)
-}
-
-/// Engine dispatch shared by the masked and unmasked entry points.
-fn run_engine(g: &Digraph, weights: &[f64], target: NodeId, disabled: &[bool]) -> Vec<f64> {
-    if !heap_only() {
-        if let Some(wmax) = dial_weight_domain(g.node_count(), weights) {
-            return if disabled.is_empty() {
-                dial_run::<false>(g, weights, wmax, target, disabled)
-            } else {
-                dial_run::<true>(g, weights, wmax, target, disabled)
-            };
-        }
-    }
-    if disabled.is_empty() {
-        heap_run::<false>(g, weights, target, disabled)
-    } else {
-        heap_run::<true>(g, weights, target, disabled)
+    match dial_weight_domain(g.node_count(), weights) {
+        Some(wmax) if disabled.is_empty() => dial_run::<false>(g, weights, wmax, target, disabled),
+        Some(wmax) => dial_run::<true>(g, weights, wmax, target, disabled),
+        None => heap_engine(g, weights, target, disabled),
     }
 }
 
-/// The `BinaryHeap` reference engine, exposed as the differential oracle for
-/// the bucket queue. Same contract as [`single_target_distances`].
-pub fn single_target_distances_heap(g: &Digraph, weights: &[f64], target: NodeId) -> Vec<f64> {
-    check_weights(g, weights);
-    heap_run::<false>(g, weights, target, &[])
-}
-
-/// The `BinaryHeap` oracle under a disabled-edge mask. Same contract as
-/// [`single_target_distances_masked`].
-pub fn single_target_distances_heap_masked(
+/// The `BinaryHeap` engine, exposed as the differential oracle for the
+/// bucket queue. Same contract as [`single_target_distances`].
+pub fn single_target_distances_heap(
     g: &Digraph,
     weights: &[f64],
     target: NodeId,
@@ -367,6 +327,11 @@ pub fn single_target_distances_heap_masked(
 ) -> Vec<f64> {
     check_weights(g, weights);
     check_mask(g, disabled);
+    heap_engine(g, weights, target, disabled)
+}
+
+/// Picks the `BinaryHeap` instantiation for the mask.
+fn heap_engine(g: &Digraph, weights: &[f64], target: NodeId, disabled: &[bool]) -> Vec<f64> {
     if disabled.is_empty() {
         heap_run::<false>(g, weights, target, disabled)
     } else {
@@ -448,28 +413,18 @@ pub fn csr_offsets(counts: &[u32]) -> Vec<u32> {
     offsets
 }
 
-/// Builds the shortest-path DAG towards `target` under `weights`.
+/// Builds the shortest-path DAG towards `target` under `weights`, with the
+/// edges `disabled` marks excluded (empty mask: the intact topology).
 ///
 /// Edge membership uses the scaled tolerance of [`approx_eq`], so weight
 /// settings produced from exact integer arithmetic (all optimizers in this
-/// workspace emit integral weights) classify ties exactly.
-pub fn shortest_path_dag(g: &Digraph, weights: &[f64], target: NodeId) -> SpDag {
-    let dist = single_target_distances(g, weights, target);
-    dag_from_dist(g, weights, target, dist, &[])
-}
-
-/// [`shortest_path_dag`] under a disabled-edge mask: disabled edges are
-/// excluded both from the distance computation and from the tight-edge scan
-/// (a disabled edge can be numerically tight — e.g. one of two parallel
-/// equal-weight links — but never carries flow). Bit-identical to building
-/// the DAG on a copy of the graph with the masked edges deleted.
-pub fn shortest_path_dag_masked(
-    g: &Digraph,
-    weights: &[f64],
-    target: NodeId,
-    disabled: &[bool],
-) -> SpDag {
-    let dist = single_target_distances_masked(g, weights, target, disabled);
+/// workspace emit integral weights) classify ties exactly. Disabled edges
+/// are excluded both from the distance computation and from the tight-edge
+/// scan (a disabled edge can be numerically tight — e.g. one of two parallel
+/// equal-weight links — but never carries flow), so the DAG is bit-identical
+/// to building it on a copy of the graph with the masked edges deleted.
+pub fn shortest_path_dag(g: &Digraph, weights: &[f64], target: NodeId, disabled: &[bool]) -> SpDag {
+    let dist = single_target_distances(g, weights, target, disabled);
     dag_from_dist(g, weights, target, dist, disabled)
 }
 
@@ -789,6 +744,11 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 /// *old* weights) after edge `e`'s weight changed from `old_w` to
 /// `weights[e]`, where `weights` is the **new** full weight vector.
 ///
+/// `prev` must have been built under the same mask `disabled` (empty: the
+/// intact topology), and the repair keeps honoring it: skipped relaxations,
+/// masked tight-edge tests, masked fallback rebuild. A weight change on a
+/// disabled edge is a provable no-op and returns [`SpDagUpdate::Unchanged`].
+///
 /// The repair follows Ramalingam–Reps: identify the affected node set (nodes
 /// whose distance to the target changes), re-run Dijkstra restricted to that
 /// set seeded from its unaffected fringe, then **patch** `prev` into the new
@@ -811,22 +771,6 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 /// predicate on the same inputs as the full scan, and the order is the
 /// unique permutation under the same key (see `patch_dag`).
 pub fn update_shortest_path_dag(
-    g: &Digraph,
-    weights: &[f64],
-    prev: &SpDag,
-    e: EdgeId,
-    old_w: f64,
-    frontier_cap: usize,
-) -> SpDagUpdate {
-    update_shortest_path_dag_masked(g, weights, prev, e, old_w, frontier_cap, &[])
-}
-
-/// [`update_shortest_path_dag`] under a disabled-edge mask: `prev` must have
-/// been built under the same mask, and the repair keeps honoring it (skipped
-/// relaxations, masked tight-edge scan, masked fallback rebuild). A weight
-/// change on a *disabled* edge is a provable no-op and returns
-/// [`SpDagUpdate::Unchanged`].
-pub fn update_shortest_path_dag_masked(
     g: &Digraph,
     weights: &[f64],
     prev: &SpDag,
@@ -867,7 +811,7 @@ pub fn update_shortest_path_dag_masked(
 /// `disabled` is the **new** mask and must have `disabled[e]` set; `prev`
 /// must have been built under the mask *without* `e`. With tie-exact
 /// weights the result is bit-identical to
-/// [`shortest_path_dag_masked`] under the new mask.
+/// [`shortest_path_dag`] under the new mask.
 pub fn disable_edge_update(
     g: &Digraph,
     weights: &[f64],
@@ -935,12 +879,7 @@ fn repair_increase(
     while let Some(x) = queue.pop_front() {
         affected_nodes.push(x);
         if affected_nodes.len() > frontier_cap {
-            return SpDagUpdate::Rebuilt(shortest_path_dag_masked(
-                g,
-                weights,
-                prev.target,
-                disabled,
-            ));
+            return SpDagUpdate::Rebuilt(shortest_path_dag(g, weights, prev.target, disabled));
         }
         for &ein in g.in_edges(x) {
             if !prev.edge_on_dag[ein.index()] {
@@ -1076,7 +1015,7 @@ fn repair_decrease(
                     improved[p.index()] = true;
                     improved_nodes.push(p);
                     if improved_nodes.len() > frontier_cap {
-                        return SpDagUpdate::Rebuilt(shortest_path_dag_masked(
+                        return SpDagUpdate::Rebuilt(shortest_path_dag(
                             g,
                             weights,
                             prev.target,
@@ -1114,7 +1053,7 @@ mod tests {
     #[test]
     fn distances_to_target() {
         let (g, w) = weighted_diamond();
-        let d = single_target_distances(&g, &w, NodeId(3));
+        let d = single_target_distances(&g, &w, NodeId(3), &[]);
         assert_eq!(d[3], 0.0);
         assert_eq!(d[1], 1.0);
         assert_eq!(d[2], 2.0);
@@ -1126,7 +1065,7 @@ mod tests {
         let mut g = Digraph::new(3);
         g.add_edge(NodeId(0), NodeId(1));
         // node 2 cannot reach node 1
-        let d = single_target_distances(&g, &[1.0], NodeId(1));
+        let d = single_target_distances(&g, &[1.0], NodeId(1), &[]);
         assert!(d[2].is_infinite());
         assert_eq!(d[0], 1.0);
     }
@@ -1134,7 +1073,7 @@ mod tests {
     #[test]
     fn dag_contains_exactly_tight_edges() {
         let (g, w) = weighted_diamond();
-        let dag = shortest_path_dag(&g, &w, NodeId(3));
+        let dag = shortest_path_dag(&g, &w, NodeId(3), &[]);
         // shortest paths from 0: 0-1-3 (cost 2) and 0-3 (cost 2); 0-2-3 costs 3.
         assert!(dag.edge_on_dag[0]); // 0->1
         assert!(dag.edge_on_dag[1]); // 1->3
@@ -1149,7 +1088,7 @@ mod tests {
     #[test]
     fn order_is_topological() {
         let (g, w) = weighted_diamond();
-        let dag = shortest_path_dag(&g, &w, NodeId(3));
+        let dag = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let pos: Vec<usize> = {
             let mut p = vec![usize::MAX; g.node_count()];
             for (i, v) in dag.order.iter().enumerate() {
@@ -1170,7 +1109,7 @@ mod tests {
         let mut g = Digraph::new(2);
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(0), NodeId(1));
-        let dag = shortest_path_dag(&g, &[1.0, 1.0], NodeId(1));
+        let dag = shortest_path_dag(&g, &[1.0, 1.0], NodeId(1), &[]);
         assert_eq!(dag.split_degree(NodeId(0)), 2);
     }
 
@@ -1182,7 +1121,7 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(3));
         g.add_edge(NodeId(0), NodeId(2));
         g.add_edge(NodeId(2), NodeId(3));
-        let dag = shortest_path_dag(&g, &[5.0, 7.0, 4.0, 8.0], NodeId(3));
+        let dag = shortest_path_dag(&g, &[5.0, 7.0, 4.0, 8.0], NodeId(3), &[]);
         assert_eq!(dag.dist[0], 12.0);
         assert_eq!(dag.split_degree(NodeId(0)), 2);
     }
@@ -1191,14 +1130,14 @@ mod tests {
     #[should_panic(expected = "length must match")]
     fn wrong_weight_length_panics() {
         let (g, _) = weighted_diamond();
-        single_target_distances(&g, &[1.0], NodeId(0));
+        single_target_distances(&g, &[1.0], NodeId(0), &[]);
     }
 
     #[test]
     fn reaches_target_reports_reachability() {
         let mut g = Digraph::new(3);
         g.add_edge(NodeId(0), NodeId(1));
-        let dag = shortest_path_dag(&g, &[1.0], NodeId(1));
+        let dag = shortest_path_dag(&g, &[1.0], NodeId(1), &[]);
         assert!(dag.reaches_target(NodeId(0)));
         assert!(!dag.reaches_target(NodeId(2)));
     }
@@ -1239,8 +1178,8 @@ mod tests {
             assert!(dial_weight_domain(n, &w).is_some());
             for t in 0..n {
                 let target = NodeId(t as u32);
-                let dial = single_target_distances(&g, &w, target);
-                let heap = single_target_distances_heap(&g, &w, target);
+                let dial = single_target_distances(&g, &w, target, &[]);
+                let heap = single_target_distances_heap(&g, &w, target, &[]);
                 let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&dial), bits(&heap), "target {target:?}");
             }
@@ -1261,8 +1200,8 @@ mod tests {
     fn non_integral_weights_fall_back_to_heap() {
         let (g, _) = weighted_diamond();
         let w = vec![1.5, 1.5, 1.0, 2.5, 4.5];
-        let d = single_target_distances(&g, &w, NodeId(3));
-        let h = single_target_distances_heap(&g, &w, NodeId(3));
+        let d = single_target_distances(&g, &w, NodeId(3), &[]);
+        let h = single_target_distances_heap(&g, &w, NodeId(3), &[]);
         assert_eq!(d, h);
         assert_eq!(d[0], 3.0); // 0->1->3 at 1.5 + 1.5
     }
@@ -1294,11 +1233,11 @@ mod tests {
     /// Applies one weight change both incrementally and from scratch and
     /// checks the results match bit-for-bit.
     fn check_update(g: &Digraph, w_old: &[f64], e: EdgeId, new_w: f64, target: NodeId, cap: usize) {
-        let prev = shortest_path_dag(g, w_old, target);
+        let prev = shortest_path_dag(g, w_old, target, &[]);
         let mut w_new = w_old.to_vec();
         w_new[e.index()] = new_w;
-        let scratch = shortest_path_dag(g, &w_new, target);
-        let upd = update_shortest_path_dag(g, &w_new, &prev, e, w_old[e.index()], cap);
+        let scratch = shortest_path_dag(g, &w_new, target, &[]);
+        let upd = update_shortest_path_dag(g, &w_new, &prev, e, w_old[e.index()], cap, &[]);
         let got = match upd {
             SpDagUpdate::Unchanged => prev,
             SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
@@ -1331,11 +1270,11 @@ mod tests {
     fn off_dag_increase_is_clean() {
         let (g, w) = weighted_diamond();
         // 0->2 is not on the DAG towards 3; making it longer changes nothing.
-        let prev = shortest_path_dag(&g, &w, NodeId(3));
+        let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let mut w_new = w.clone();
         w_new[2] = 9.0;
         assert!(matches!(
-            update_shortest_path_dag(&g, &w_new, &prev, EdgeId(2), w[2], usize::MAX),
+            update_shortest_path_dag(&g, &w_new, &prev, EdgeId(2), w[2], usize::MAX, &[]),
             SpDagUpdate::Unchanged
         ));
     }
@@ -1349,12 +1288,12 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(2), NodeId(3));
         let w = vec![1.0, 1.0, 1.0];
-        let prev = shortest_path_dag(&g, &w, NodeId(3));
+        let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let mut w_new = w.clone();
         w_new[2] = 5.0;
-        let upd = update_shortest_path_dag(&g, &w_new, &prev, EdgeId(2), w[2], 1);
+        let upd = update_shortest_path_dag(&g, &w_new, &prev, EdgeId(2), w[2], 1, &[]);
         assert!(matches!(upd, SpDagUpdate::Rebuilt(_)));
-        let scratch = shortest_path_dag(&g, &w_new, NodeId(3));
+        let scratch = shortest_path_dag(&g, &w_new, NodeId(3), &[]);
         assert_same_dag(&upd.into_dag().unwrap(), &scratch, "fallback rebuild");
     }
 
@@ -1386,8 +1325,8 @@ mod tests {
             .filter(|&i| map[i].is_some())
             .map(|i| w[i])
             .collect();
-        let masked = shortest_path_dag_masked(g, w, target, disabled);
-        let deleted = shortest_path_dag(&h, &wh, target);
+        let masked = shortest_path_dag(g, w, target, disabled);
+        let deleted = shortest_path_dag(&h, &wh, target, &[]);
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&masked.dist), bits(&deleted.dist), "{ctx}: dist");
         assert_eq!(masked.order, deleted.order, "{ctx}: order");
@@ -1405,7 +1344,7 @@ mod tests {
             }
         }
         // Both engines agree under the mask, bit for bit.
-        let heap = single_target_distances_heap_masked(g, w, target, disabled);
+        let heap = single_target_distances_heap(g, w, target, disabled);
         assert_eq!(bits(&masked.dist), bits(&heap), "{ctx}: dial vs heap");
     }
 
@@ -1436,7 +1375,7 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         let w = vec![1.0, 1.0];
-        let dag = shortest_path_dag_masked(&g, &w, NodeId(2), &[false, true]);
+        let dag = shortest_path_dag(&g, &w, NodeId(2), &[false, true]);
         assert!(!dag.reaches_target(NodeId(0)));
         assert!(!dag.reaches_target(NodeId(1)));
         assert!(dag.reaches_target(NodeId(2)));
@@ -1446,10 +1385,10 @@ mod tests {
     /// Disables one edge both via [`disable_edge_update`] and from scratch
     /// under the mask and checks the repaired DAG matches bit-for-bit.
     fn check_disable(g: &Digraph, w: &[f64], e: EdgeId, target: NodeId, cap: usize) {
-        let prev = shortest_path_dag(g, w, target);
+        let prev = shortest_path_dag(g, w, target, &[]);
         let mut disabled = vec![false; g.edge_count()];
         disabled[e.index()] = true;
-        let scratch = shortest_path_dag_masked(g, w, target, &disabled);
+        let scratch = shortest_path_dag(g, w, target, &disabled);
         let got = match disable_edge_update(g, w, &prev, e, cap, &disabled) {
             SpDagUpdate::Unchanged => prev,
             SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
@@ -1491,7 +1430,7 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(3));
         let w = vec![1.0, 1.0, 1.0, 5.0];
         check_disable(&g, &w, EdgeId(2), NodeId(3), usize::MAX);
-        let prev = shortest_path_dag(&g, &w, NodeId(3));
+        let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let disabled = vec![false, false, true, false];
         let upd = disable_edge_update(&g, &w, &prev, EdgeId(2), usize::MAX, &disabled);
         let dag = upd.into_dag().expect("on-DAG edge must dirty the DAG");
@@ -1517,12 +1456,11 @@ mod tests {
             for _ in 0..5 {
                 let e = EdgeId((xorshift(&mut state) % m as u64) as u32);
                 let new_w = (1 + xorshift(&mut state) % 10) as f64;
-                let prev = shortest_path_dag_masked(&g, &w, target, &disabled);
+                let prev = shortest_path_dag(&g, &w, target, &disabled);
                 let old_w = w[e.index()];
                 w[e.index()] = new_w;
-                let scratch = shortest_path_dag_masked(&g, &w, target, &disabled);
-                let upd =
-                    update_shortest_path_dag_masked(&g, &w, &prev, e, old_w, usize::MAX, &disabled);
+                let scratch = shortest_path_dag(&g, &w, target, &disabled);
+                let upd = update_shortest_path_dag(&g, &w, &prev, e, old_w, usize::MAX, &disabled);
                 let got = match upd {
                     SpDagUpdate::Unchanged => prev,
                     SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,

@@ -35,11 +35,9 @@ pub mod traversal;
 
 pub use digraph::{Digraph, EdgeId, NodeId};
 pub use dijkstra::{
-    csr_offsets, disable_edge_update, edge_change_affects_dag, edge_disabled, heap_only,
-    set_heap_only, shortest_path_dag, shortest_path_dag_masked, single_target_distances,
-    single_target_distances_heap, single_target_distances_heap_masked,
-    single_target_distances_masked, update_shortest_path_dag, update_shortest_path_dag_masked,
-    SpDag, SpDagUpdate, INFINITY, MAX_DIAL_WEIGHT,
+    csr_offsets, disable_edge_update, edge_change_affects_dag, edge_disabled, shortest_path_dag,
+    single_target_distances, single_target_distances_heap, update_shortest_path_dag, SpDag,
+    SpDagUpdate, INFINITY, MAX_DIAL_WEIGHT,
 };
 pub use maxflow::{acyclic_max_flow, decompose_into_paths, max_flow, Flow, FlowPath};
 pub use metrics::{metrics, strongly_connected_components, GraphMetrics};

@@ -145,11 +145,13 @@ impl Json {
     /// Parses a JSON document (the inverse of [`Json::render`]).
     ///
     /// # Errors
-    /// Returns a [`JsonError`] describing the first syntax problem.
+    /// Returns a [`JsonError`] describing the first syntax problem, or the
+    /// first array or object nested deeper than [`MAX_JSON_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -314,6 +316,12 @@ macro_rules! json {
     ($other:expr) => { $crate::Json::from($other) };
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so a bound keeps a hostile line (say, a few
+/// hundred thousand `[`) from overflowing the stack; every document this
+/// workspace reads nests a handful of levels deep.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parse error: byte offset plus message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -334,6 +342,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -378,8 +388,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -565,6 +586,23 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_JSON_DEPTH);
+        assert!(err.msg.contains("nesting"), "{err}");
+        // Objects count too, and a hostile depth is an error, not a crash.
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_JSON_DEPTH + 1),
+            "}".repeat(MAX_JSON_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        assert!(Json::parse(&"[".repeat(300_000)).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use segrout_core::rng::StdRng;
 use segrout_core::{max_link_utilization, Network, NodeId, Router, TeError, WeightSetting};
-use segrout_graph::{shortest_path_dag_masked, SpDag};
+use segrout_graph::{shortest_path_dag, SpDag};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -165,7 +165,7 @@ impl<'n> HashEcmpSim<'n> {
             return self.router.dag(dst);
         }
         Arc::clone(cache[dst.index()].get_or_insert_with(|| {
-            Arc::new(shortest_path_dag_masked(
+            Arc::new(shortest_path_dag(
                 self.net.graph(),
                 self.router.weights(),
                 dst,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite under both a
-# serial and a parallel thread count, and the serial-vs-parallel
-# benchmark record.
+# serial and a parallel thread count, the differential and fuzz legs,
+# bench smoke runs, and the benchmark's per-workload oracle checks.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,15 +21,9 @@ SEGROUT_THREADS=1 cargo test -q --workspace
 echo "==> cargo test -q --workspace  (SEGROUT_THREADS=4)"
 SEGROUT_THREADS=4 cargo test -q --workspace
 
-echo "==> bench_parallel (writes BENCH_parallel.json; SEGROUT_FAST=1 for a smoke run)"
+# The bench binaries the smoke legs below run.
+echo "==> cargo build --release -p segrout-bench"
 cargo build --release -q -p segrout-bench
-./target/release/bench_parallel
-
-# Smoke-run the incremental-vs-scratch record (the differential suite
-# already ran under both thread counts above; this checks the bench path
-# and refreshes BENCH_incremental.json).
-echo "==> bench_incremental (writes BENCH_incremental.json)"
-SEGROUT_FAST=1 ./target/release/bench_incremental
 
 # The LP engine differential suite (revised simplex vs reference tableau)
 # in isolation — it is part of the workspace runs above, but this leg
@@ -57,20 +51,14 @@ cargo build --release -q
 echo "==> corpus replay"
 cargo test -q --test corpus_replay
 
-# Hot-loop engine gate: the bucket-queue (Dial) Dijkstra and the CSR/
-# prefix-slab arenas must stay bit-identical to the BinaryHeap oracle and
-# the from-scratch router, under both the serial and the parallel pool.
+# Hot-loop gate: the bucket-queue (Dial) Dijkstra must match the
+# BinaryHeap oracle on every target, intact and masked; repaired DAGs
+# must match from-scratch builds; and the CSR/prefix-slab evaluator must
+# match the from-scratch router, under both the serial and the parallel
+# pool.
 echo "==> hotloop differential suite (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test hotloop_differential
 SEGROUT_THREADS=4 cargo test -q --test hotloop_differential
-
-# Flat-memory hot-loop record (full numbers live in EXPERIMENTS.md; the
-# smoke run checks the bench path, the engine A/B bit-identity asserts,
-# and that the record plus its provenance sibling land on disk).
-echo "==> bench_hotloop (writes BENCH_hotloop_fast.json)"
-SEGROUT_FAST=1 ./target/release/bench_hotloop
-test -s BENCH_hotloop_fast.json || { echo "BENCH_hotloop_fast.json missing"; exit 1; }
-test -s BENCH_hotloop_fast.run.json || { echo "BENCH_hotloop_fast.run.json missing"; exit 1; }
 
 # Robust multi-matrix gate: the single-matrix reduction and the MILP
 # oracle cross-checks must hold under both the serial and the parallel
@@ -97,8 +85,8 @@ SEGROUT_FAST=1 ./target/release/bench_robust
 
 # Failure-sweep gate: the edge-disable probe must stay bit-identical to
 # from-scratch re-routing on the edge-deleted topology, under both the
-# serial and the parallel pool and with both Dijkstra engines (the suite
-# itself iterates the engine toggle).
+# serial and the parallel pool (the suite itself also compares 1 and 4
+# threads).
 echo "==> failure-sweep differential suite (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test failure_differential
 SEGROUT_THREADS=4 cargo test -q --test failure_differential
@@ -155,16 +143,16 @@ EOF
 
 # Online-serving gate: after every event the daemon's in-place state must
 # be bit-identical to a from-scratch rebuild, and the whole event walk
-# must replay identically at 1 and 4 worker threads with either Dijkstra
-# engine (the suite itself iterates the thread/engine grid; the two env
-# runs additionally pin the ambient default).
+# must replay identically at 1 and 4 worker threads (the suite itself
+# iterates the thread counts; the two env runs additionally pin the
+# ambient default).
 echo "==> serve differential suite (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test serve_differential --test serve_counters
 SEGROUT_THREADS=4 cargo test -q --test serve_differential --test serve_counters
 
 # Wire-protocol gate: the real binary over stdio JSONL — well-formed
-# responses, monotone sequence numbers, error replies for malformed
-# events, and byte-identical double replay.
+# responses, monotone sequence numbers, error replies for malformed,
+# deeply nested and oversized events, and byte-identical double replay.
 echo "==> serve e2e suite (real binary over stdio)"
 cargo test -q --test serve_e2e
 

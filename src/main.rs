@@ -1312,20 +1312,49 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Longest event line `segrout serve` reads, newline excluded. The largest
+/// line the daemon's own traffic models produce, a `matrix` event carrying
+/// Ta2's default `mcf` demands, is about 1.3 MB.
+const MAX_EVENT_LINE: usize = 16 << 20;
+
+/// Reads the next line of `input` into `buf`, newline included; `Ok(false)`
+/// at end of input. `buf` is reused across lines and grows to the longest
+/// line read. A line longer than [`MAX_EVENT_LINE`] is discarded through
+/// its newline and leaves `buf` empty, its memory released.
+fn read_event_line<R: std::io::BufRead>(input: &mut R, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    use std::io::{BufRead, Read};
+    buf.clear();
+    let cap = MAX_EVENT_LINE as u64 + 1;
+    let n = input.by_ref().take(cap).read_until(b'\n', buf)?;
+    if n as u64 == cap && buf.last() != Some(&b'\n') {
+        *buf = Vec::new();
+        input.skip_until(b'\n')?;
+    }
+    Ok(n > 0)
+}
+
 /// Feeds one JSONL event stream through the session, writing one response
 /// line per input line. Returns `true` when a shutdown event arrived.
 fn serve_stream<R: std::io::BufRead, W: std::io::Write>(
     session: &mut ServeSession<'_>,
-    input: R,
+    mut input: R,
     out: &mut W,
 ) -> Result<bool, String> {
-    for line in input.lines() {
-        let line = line.map_err(|e| format!("event stream: {e}"))?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let response = match parse_event(line) {
+    let mut buf = Vec::new();
+    while read_event_line(&mut input, &mut buf).map_err(|e| format!("event stream: {e}"))? {
+        // Only a line past the cap leaves the buffer empty.
+        let parsed = if buf.is_empty() {
+            Err(format!("event line longer than {MAX_EVENT_LINE} bytes"))
+        } else {
+            let line = std::str::from_utf8(&buf)
+                .map_err(|_| "event stream: stream did not contain valid UTF-8")?
+                .trim();
+            if line.is_empty() {
+                continue;
+            }
+            parse_event(line)
+        };
+        let response = match parsed {
             Ok(None) => {
                 // Shutdown is a control line, not an event: it gets an ack,
                 // consumes no sequence number, and stops the daemon.
@@ -1599,4 +1628,60 @@ fn cmd_parse(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use segrout::obs::Json;
+
+    /// The largest event line the daemon's own traffic models produce — a
+    /// `matrix` event carrying Ta2's demands under the serve defaults
+    /// (`--traffic mcf --seed 1 --pairs 0.2`) — fits under the line cap and
+    /// parses back to the full matrix.
+    #[test]
+    fn ta2_default_matrix_event_fits_under_the_line_cap() {
+        let net = by_name("Ta2").expect("embedded topology");
+        let cfg = TrafficConfig {
+            seed: 1,
+            pair_fraction: 0.2,
+            ..Default::default()
+        };
+        let demands = mcf_synthetic(&net, &cfg).expect("Ta2 demands");
+        let rows = demands
+            .iter()
+            .map(|d| Json::arr([Json::from(d.src.0), Json::from(d.dst.0), Json::from(d.size)]));
+        let line = Json::obj([
+            ("event", Json::from("matrix")),
+            ("demands", Json::arr(rows)),
+        ])
+        .render();
+        assert!(line.len() > 1_000_000, "{} bytes", line.len());
+        assert!(line.len() <= MAX_EVENT_LINE, "{} bytes", line.len());
+        match parse_event(&line) {
+            Ok(Some(ServeEvent::DemandMatrix { demands: parsed })) => {
+                assert_eq!(parsed.len(), demands.len());
+            }
+            other => panic!("matrix event did not parse back: {other:?}"),
+        }
+    }
+
+    /// Lines up to the cap come back whole, a longer one is discarded
+    /// through its newline, and the next line reads normally.
+    #[test]
+    fn event_lines_past_the_cap_are_discarded() {
+        let fits = "x".repeat(MAX_EVENT_LINE);
+        let input = format!("{fits}\n{fits}y\nnext\ntail");
+        let mut input = std::io::BufReader::new(input.as_bytes());
+        let mut buf = Vec::new();
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert_eq!(buf.len(), MAX_EVENT_LINE + 1, "the line and its newline");
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert!(buf.is_empty(), "an oversized line leaves no bytes");
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert_eq!(buf, b"next\n");
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert_eq!(buf, b"tail", "a last line without a newline still counts");
+        assert!(!read_event_line(&mut input, &mut buf).unwrap());
+    }
 }

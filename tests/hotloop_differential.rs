@@ -1,24 +1,27 @@
 //! Differential suite pinning the bucket-queue (Dial) Dijkstra engine
 //! bit-identical to the `BinaryHeap` oracle.
 //!
-//! The hot-loop refactor swapped the evaluator's shortest-path engine for a
-//! monotone bucket queue over the integer weight domain and the SP-DAG
-//! storage for flat CSR slabs. The contract is unchanged from every other
-//! differential suite in this repo: **`f64::to_bits` equality, no epsilon**.
-//! This file checks, over the paper's TE-Instances 1/3/5, seeded random
-//! strongly-connected topologies and Germany50:
+//! The evaluator's shortest-path engine is a monotone bucket queue over the
+//! integer weight domain, and its SP-DAGs are flat CSR slabs. The contract
+//! is unchanged from every other differential suite in this repo:
+//! **`f64::to_bits` equality, no epsilon**. This file checks, over the
+//! paper's TE-Instances 1/3/5, seeded random strongly-connected topologies,
+//! Germany50 and a 120-node synthetic WAN:
 //!
-//! * distance vectors: bucket queue vs heap oracle, every target;
-//! * full `SpDag` structure (CSR offsets, edge slab, order) built through
-//!   engine dispatch vs forced-heap scratch;
-//! * dynamic-repair paths (`update_shortest_path_dag`) against forced-heap
-//!   from-scratch rebuilds over random single-edge weight-change sequences,
-//!   and (`disable_edge_update`) over random on-DAG edge removals under a
-//!   growing mask, including removals that disconnect nodes — at a small
-//!   frontier cap and at `n`, so large repairs run through the DAG patch
-//!   instead of the rebuild fallback;
-//! * the whole evaluator stack (`Router` + `IncrementalEvaluator`) with the
-//!   bucket queue enabled vs disabled, at 1 and 4 worker threads.
+//! * distance vectors: bucket queue vs the heap oracle
+//!   (`single_target_distances_heap`), every target, on the intact topology
+//!   and under a failure mask. Both engines feed one DAG builder, so equal
+//!   distances give equal DAGs;
+//! * dynamic-repair paths (`update_shortest_path_dag`) over random
+//!   single-edge weight-change sequences, and (`disable_edge_update`) over
+//!   random on-DAG edge removals under a growing mask, including removals
+//!   that disconnect nodes: each repaired `SpDag` (CSR offsets, edge slab,
+//!   order) must equal a from-scratch `shortest_path_dag` build whose
+//!   distances equal the heap oracle's — at a small frontier cap and at
+//!   `n`, so large repairs run through the DAG patch instead of the rebuild
+//!   fallback;
+//! * the whole evaluator stack (`Router` + `IncrementalEvaluator`) at 1 and
+//!   4 worker threads.
 
 use segrout_core::rng::StdRng;
 use segrout_core::{
@@ -26,26 +29,24 @@ use segrout_core::{
     WeightSetting,
 };
 use segrout_graph::{
-    disable_edge_update, set_heap_only, shortest_path_dag, shortest_path_dag_masked,
-    single_target_distances, single_target_distances_heap, update_shortest_path_dag, SpDag,
-    SpDagUpdate,
+    disable_edge_update, shortest_path_dag, single_target_distances, single_target_distances_heap,
+    update_shortest_path_dag, Digraph, SpDag, SpDagUpdate,
 };
 use segrout_instances::{instance1, instance3, instance5};
 use segrout_topo::{by_name, geo_backbone, random_connected};
 use std::sync::{Mutex, MutexGuard};
 
-/// The thread-count override and the heap-only engine toggle are both
-/// process-global; serialize the tests of this binary.
+/// The thread-count override is process-global; serialize the tests of
+/// this binary that set it.
 fn global_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Restores engine dispatch and the thread default even on panic.
+/// Restores the thread default even on panic.
 struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
-        set_heap_only(false);
         segrout_par::set_threads(0);
     }
 }
@@ -90,29 +91,40 @@ fn integral_weights(m: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Seeded failure mask disabling about one edge in eight, and at least one.
+fn random_mask(m: usize, seed: u64) -> Vec<bool> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mask: Vec<bool> = (0..m).map(|_| rng.gen_range(0..8u32) == 0).collect();
+    mask[rng.gen_range(0..m)] = true;
+    mask
+}
+
+/// From-scratch DAG of the current state, its distances checked against
+/// the heap oracle. Both engines feed one DAG builder, so this is the DAG a
+/// heap-engine build produces.
+fn scratch_dag(g: &Digraph, w: &[f64], t: NodeId, mask: &[bool], ctx: &str) -> SpDag {
+    let dag = shortest_path_dag(g, w, t, mask);
+    let heap = single_target_distances_heap(g, w, t, mask);
+    assert_eq!(bits(&dag.dist), bits(&heap), "{ctx}: scratch dist vs heap");
+    dag
+}
+
 #[test]
 fn distances_and_dags_bit_identical_across_engines() {
-    let _guard = global_lock();
-    let _restore = Restore;
-    set_heap_only(false);
     for (label, net) in cases() {
         let g = net.graph();
-        let w = integral_weights(net.edge_count(), 0xb0c3 + net.edge_count() as u64);
+        let m = net.edge_count();
+        let w = integral_weights(m, 0xb0c3 + m as u64);
+        let mask = random_mask(m, 0x3a5c + m as u64);
         for t in 0..net.node_count() {
             let target = NodeId(t as u32);
-            let dial = single_target_distances(g, &w, target);
-            let heap = single_target_distances_heap(g, &w, target);
-            assert_eq!(bits(&dial), bits(&heap), "{label} target {target:?}");
-
-            let dag_dispatch = shortest_path_dag(g, &w, target);
-            set_heap_only(true);
-            let dag_heap = shortest_path_dag(g, &w, target);
-            set_heap_only(false);
-            assert_same_dag(
-                &dag_dispatch,
-                &dag_heap,
-                &format!("{label} target {target:?}"),
-            );
+            for (kind, disabled) in [("intact", &[][..]), ("masked", &mask[..])] {
+                let ctx = format!("{label} {kind} target {target:?}");
+                let dial = single_target_distances(g, &w, target, disabled);
+                let heap = single_target_distances_heap(g, &w, target, disabled);
+                assert_eq!(bits(&dial), bits(&heap), "{ctx}: dial vs heap");
+                scratch_dag(g, &w, target, disabled, &ctx);
+            }
         }
     }
 }
@@ -125,7 +137,7 @@ fn walk_targets(net: &Network) -> Vec<NodeId> {
 }
 
 /// Random single-edge weight changes, each repaired for every walk target
-/// and compared with a forced-heap from-scratch build of the same state.
+/// and compared with a from-scratch build of the same state.
 fn weight_walk(label: &str, net: &Network, cap: usize) {
     let g = net.graph();
     let m = net.edge_count();
@@ -134,27 +146,19 @@ fn weight_walk(label: &str, net: &Network, cap: usize) {
     let targets = walk_targets(net);
     let mut dags: Vec<SpDag> = targets
         .iter()
-        .map(|&t| shortest_path_dag(g, &w, t))
+        .map(|&t| shortest_path_dag(g, &w, t, &[]))
         .collect();
     for step in 0..20 {
         let e = EdgeId(rng.gen_range(0..m as u32));
         let old_w = w[e.index()];
         w[e.index()] = f64::from(rng.gen_range(1..=20u32));
         for (dag, &t) in dags.iter_mut().zip(&targets) {
-            // Repair with bucket dispatch live (rebuild fallbacks use it).
-            let repaired = match update_shortest_path_dag(g, &w, dag, e, old_w, cap) {
+            let repaired = match update_shortest_path_dag(g, &w, dag, e, old_w, cap, &[]) {
                 SpDagUpdate::Unchanged => dag.clone(),
                 SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
             };
-            // Oracle: forced-heap from-scratch rebuild of the same state.
-            set_heap_only(true);
-            let scratch = shortest_path_dag(g, &w, t);
-            set_heap_only(false);
-            assert_same_dag(
-                &repaired,
-                &scratch,
-                &format!("{label} cap {cap} step {step} target {t:?}"),
-            );
+            let ctx = format!("{label} cap {cap} step {step} target {t:?}");
+            assert_same_dag(&repaired, &scratch_dag(g, &w, t, &[], &ctx), &ctx);
             *dag = repaired;
         }
     }
@@ -162,7 +166,7 @@ fn weight_walk(label: &str, net: &Network, cap: usize) {
 
 /// Per walk target, disables random on-DAG edges one at a time under a
 /// growing mask, repairing with `disable_edge_update` and comparing with a
-/// forced-heap masked build. Returns how many nodes the walks cut off.
+/// from-scratch masked build. Returns how many nodes the walks cut off.
 fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
     let g = net.graph();
     let m = net.edge_count();
@@ -171,7 +175,7 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
     let mut disconnected = 0;
     for t in walk_targets(net) {
         let mut mask = vec![false; m];
-        let mut dag = shortest_path_dag(g, &w, t);
+        let mut dag = shortest_path_dag(g, &w, t, &[]);
         for step in 0..25 {
             let on_dag: Vec<usize> = (0..m).filter(|&i| dag.edge_on_dag[i]).collect();
             if on_dag.is_empty() {
@@ -182,11 +186,8 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
             let repaired = disable_edge_update(g, &w, &dag, e, cap, &mask)
                 .into_dag()
                 .expect("an on-DAG removal dirties the DAG");
-            set_heap_only(true);
-            let scratch = shortest_path_dag_masked(g, &w, t, &mask);
-            set_heap_only(false);
             let ctx = format!("{label} cap {cap} masked step {step} target {t:?}");
-            assert_same_dag(&repaired, &scratch, &ctx);
+            assert_same_dag(&repaired, &scratch_dag(g, &w, t, &mask, &ctx), &ctx);
             for v in g.nodes() {
                 if dag.reaches_target(v) && !repaired.reaches_target(v) {
                     assert!(!repaired.order.contains(&v), "{ctx}: {v:?} left in order");
@@ -201,9 +202,6 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
 
 #[test]
 fn update_paths_match_forced_heap_scratch() {
-    let _guard = global_lock();
-    let _restore = Restore;
-    set_heap_only(false);
     for (label, net) in cases() {
         // A small cap sends large affected sets to the rebuild fallback; a
         // cap of `n` sends every repair through the DAG patch.
@@ -250,7 +248,7 @@ fn evaluator_trace(net: &Network, demands: &DemandList, seed: u64) -> Vec<(Vec<u
 }
 
 #[test]
-fn evaluator_stack_identical_with_either_engine_at_1_and_4_threads() {
+fn evaluator_stack_identical_at_1_and_4_threads() {
     let _guard = global_lock();
     let _restore = Restore;
     let net = by_name("Germany50").expect("embedded");
@@ -266,18 +264,12 @@ fn evaluator_stack_identical_with_either_engine_at_1_and_4_threads() {
     }
     let mut traces = Vec::new();
     for threads in [1usize, 4] {
-        for heap in [false, true] {
-            segrout_par::set_threads(threads);
-            set_heap_only(heap);
-            traces.push(evaluator_trace(&net, &demands, 0xfacade));
-        }
+        segrout_par::set_threads(threads);
+        traces.push(evaluator_trace(&net, &demands, 0xfacade));
     }
-    set_heap_only(false);
     segrout_par::set_threads(0);
-    for (i, t) in traces.iter().enumerate().skip(1) {
-        assert_eq!(
-            &traces[0], t,
-            "trace {i} diverged (thread-count × engine grid must be bit-identical)"
-        );
-    }
+    assert_eq!(
+        traces[0], traces[1],
+        "4-thread trace diverged (must be bit-identical to serial)"
+    );
 }

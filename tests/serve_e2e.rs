@@ -1,9 +1,10 @@
 //! End-to-end protocol tests: spawn the real `segrout serve` binary over
 //! stdio JSONL and check the wire contract — well-formed responses,
 //! monotone sequence numbers, error replies (not process death) for
-//! malformed events, a shutdown ack, and byte-identical response streams
-//! when the same event log is replayed. Over `--listen`, a peer that
-//! drops its connection must not take the daemon down.
+//! malformed events, hostile nesting and oversized lines, a shutdown ack,
+//! and byte-identical response streams when the same event log is
+//! replayed. Over `--listen`, a peer that drops its connection must not
+//! take the daemon down.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -131,6 +132,40 @@ fn event_file_replay_matches_stdin() {
     assert!(ok1 && ok2);
     assert_eq!(stdin_out, file_out, "--events must match the stdin stream");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Feeds `hostile` then a well-formed event and checks the daemon answers
+/// both in order: an error reply naming `reason` at seq 1, then the event
+/// at seq 2.
+fn assert_rejected_then_served(hostile: &str, reason: &str) {
+    let input = format!("{hostile}\n{{\"event\":\"demand\",\"index\":3,\"factor\":1.5}}\n");
+    let (stdout, stderr, ok) = run_serve(&input, &[]);
+    assert!(ok, "serve must exit cleanly; stderr:\n{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "stdout:\n{stdout}");
+    let rec = |i: usize| segrout::obs::Json::parse(lines[i]).expect("reply is JSON");
+    let (rejected, served) = (rec(0), rec(1));
+    assert_eq!(rejected["tier"].as_str(), Some("error"));
+    let err = rejected["error"].as_str().expect("error reason present");
+    assert!(err.contains(reason), "reason {err:?} missing {reason:?}");
+    assert_eq!(rejected["seq"].as_i64(), Some(1));
+    assert_eq!(
+        served["seq"].as_i64(),
+        Some(2),
+        "seq advances past the error"
+    );
+    assert_ne!(served["tier"].as_str(), Some("error"), "{}", lines[1]);
+}
+
+#[test]
+fn deeply_nested_line_gets_an_error_reply() {
+    assert_rejected_then_served(&"[".repeat(300_000), "nesting deeper than");
+}
+
+#[test]
+fn oversized_line_gets_an_error_reply() {
+    // 32 MiB before the newline: twice the daemon's line cap.
+    assert_rejected_then_served(&"x".repeat(32 << 20), "event line longer than");
 }
 
 #[test]

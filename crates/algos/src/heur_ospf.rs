@@ -19,12 +19,13 @@
 //! state read-only and repair only the destinations whose shortest-path DAG
 //! the single-edge change can touch; the accepted move is committed in
 //! place. Probe answers are bit-identical to a from-scratch [`Router`]
-//! evaluation (pinned by `tests/incremental_differential.rs`, the fuzzer's
-//! probe/commit stage and the debug-build commit hooks), so the search
-//! takes the trajectory a from-scratch scorer would, at a fraction of the
-//! work. Building a descent's evaluators is one full evaluation, which also
-//! scores its start: the inverse-capacity start is evaluated once, and
-//! restart 0 descends from the evaluators that scored it.
+//! evaluation (pinned by the differential harness's `walk` kind in
+//! `tests/incremental_differential.rs`, the fuzzer's probe/commit stage and
+//! the debug-build commit hooks), so the search takes the trajectory a
+//! from-scratch scorer would, at a fraction of the work. Building a
+//! descent's evaluators is one full evaluation, which also scores its
+//! start: the inverse-capacity start is evaluated once, and restart 0
+//! descends from the evaluators that scored it.
 //!
 //! [`Router`]: segrout_core::Router
 //!

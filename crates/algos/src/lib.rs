@@ -31,7 +31,6 @@ pub mod lwo_apx;
 pub mod mcf;
 pub mod reopt;
 pub mod serve;
-pub mod wpo_local;
 
 pub use dag_weights::dag_realizing_weights;
 pub use greedy_wpo::{greedy_wpo, greedy_wpo_robust, GreedyWpoConfig};
@@ -46,4 +45,3 @@ pub use reopt::{
     round_deployed, weight_distance, EvaluatorReopt, ReoptimizeConfig, ReoptimizeResult,
 };
 pub use serve::{ServeConfig, ServeEvent, ServeResponse, ServeSession, ServeStats, ServeTier};
-pub use wpo_local::{wpo_local_search, WpoLocalConfig};

@@ -12,9 +12,10 @@
 //! parent's basis.
 //!
 //! Results land in `BENCH_simplex.json`. `SEGROUT_FAST=1` shrinks the node
-//! budgets for smoke runs. Node counts are host-independent; wall-clock (and
-//! thus nodes/sec) is whatever the host gives, but the *ratio* between the
-//! engines on the same host is the signal.
+//! budgets for smoke runs and writes `BENCH_simplex_fast.json` instead.
+//! Node counts are host-independent; wall-clock (and thus nodes/sec) is
+//! whatever the host gives, but the *ratio* between the engines on the same
+//! host is the signal.
 
 use segrout_bench::{banner, fast_mode};
 use segrout_instances::instance1;
@@ -145,6 +146,11 @@ fn main() {
         "geomean_speedup": geomean,
         "min_joint_speedup": min_joint,
     });
-    segrout_bench::write_record("BENCH_simplex.json", &record);
+    let path = if fast {
+        "BENCH_simplex_fast.json"
+    } else {
+        "BENCH_simplex.json"
+    };
+    segrout_bench::write_record(path, &record);
     segrout_bench::finish_obs();
 }

@@ -33,7 +33,7 @@ use crate::validator::{validate_robust, validate_sweep, Validator, ValidatorConf
 use segrout_algos::{ServeConfig, ServeEvent, ServeSession, ServeTier};
 use segrout_core::rng::StdRng;
 use segrout_core::{
-    evaluate_robust, read_config, DemandList, DemandSet, IncrementalEvaluator, Network,
+    evaluate_robust, fortz_phi, read_config, DemandList, DemandSet, IncrementalEvaluator, Network,
     RobustObjective, Router, TeError, WaypointSetting, WeightSetting,
 };
 use segrout_graph::{EdgeId, NodeId};
@@ -772,8 +772,9 @@ impl Case {
     }
 
     /// Random walk of weight probes; every committed step must leave the
-    /// incremental engine bit-identical (integral weights) or within
-    /// tolerance (fractional) of a from-scratch evaluation.
+    /// incremental engine's loads, MLU and Φ bit-identical (integral
+    /// weights) or within tolerance (fractional) of a from-scratch
+    /// evaluation.
     fn run_incremental_differential(
         &self,
         net: &Network,
@@ -818,12 +819,20 @@ impl Case {
                     });
                 }
             }
-            checks += 1;
-            if (ev.mlu() - fresh.mlu).abs() > TOL * (1.0 + fresh.mlu) {
-                violations.push(Violation {
-                    invariant: "incremental-differential",
-                    detail: format!("step {step}: MLU {} != fresh {}", ev.mlu(), fresh.mlu),
-                });
+            let fresh_phi = fortz_phi(&fresh.loads, net.capacities());
+            for (what, got, want) in [("MLU", ev.mlu(), fresh.mlu), ("Φ", ev.phi(), fresh_phi)] {
+                checks += 1;
+                let ok = if integral {
+                    got.to_bits() == want.to_bits()
+                } else {
+                    (got - want).abs() <= TOL * (1.0 + want)
+                };
+                if !ok {
+                    violations.push(Violation {
+                        invariant: "incremental-differential",
+                        detail: format!("step {step}: {what} {got} != fresh {want}"),
+                    });
+                }
             }
         }
         Ok((checks, violations))

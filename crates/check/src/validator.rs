@@ -608,8 +608,8 @@ pub fn validate_robust(
 ///   scalings, `evaluated + disconnects = scenarios`),
 /// * **scratch differential** — every [`ScenarioOutcome::Evaluated`] is
 ///   reproduced by a from-scratch [`Router`] evaluation of a rebuilt
-///   topology with the dead edges *deleted* (bit-identical loads and MLU
-///   under integral weights, within tolerance otherwise), the disable probe
+///   topology with the dead edges *deleted* (bit-identical loads, MLU and
+///   Φ under integral weights, within tolerance otherwise), the disable probe
 ///   carries exactly zero load on every dead edge, and every
 ///   [`ScenarioOutcome::Disconnected`] corresponds to a scratch evaluation
 ///   that is genuinely unroutable,
@@ -765,16 +765,17 @@ pub fn validate_sweep(
                         });
                     }
                     let fresh_phi = fortz_phi(&fresh.loads, net2.capacities());
-                    rep.check(
-                        (phi - fresh_phi).abs() <= LOAD_TOL * (1.0 + fresh_phi),
-                        "sweep-scratch-phi",
-                        || {
-                            format!(
-                                "pattern {p} @ x{scale}: probe Φ {phi} vs deleted-topology \
-                                 scratch Φ {fresh_phi}"
-                            )
-                        },
-                    );
+                    let ok_phi = if integral {
+                        phi.to_bits() == fresh_phi.to_bits()
+                    } else {
+                        (phi - fresh_phi).abs() <= LOAD_TOL * (1.0 + fresh_phi)
+                    };
+                    rep.check(ok_phi, "sweep-scratch-phi", || {
+                        format!(
+                            "pattern {p} @ x{scale}: probe Φ {phi} vs deleted-topology \
+                             scratch Φ {fresh_phi} (integral = {integral})"
+                        )
+                    });
                 }
                 (&ScenarioOutcome::Disconnected { .. }, Err(TeError::Unroutable { .. })) => {
                     rep.check(true, "sweep-classify", String::new);

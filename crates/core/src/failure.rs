@@ -28,7 +28,7 @@
 //! "minimize the worst-case MLU over the failure set" is the same code path
 //! as "minimize the worst case over a demand set".
 
-use crate::demand::DemandList;
+use crate::demand::{Demand, DemandList};
 use crate::error::TeError;
 use crate::incremental::IncrementalEvaluator;
 use crate::network::Network;
@@ -285,13 +285,13 @@ fn sweep_metrics() -> &'static (
 }
 
 /// Scales every demand size by `scale` (sources, destinations and order are
-/// preserved).
-fn scale_demands(demands: &DemandList, scale: f64) -> DemandList {
-    let mut out = DemandList::new();
-    for d in demands.iter() {
-        out.push(d.src, d.dst, d.size * scale);
-    }
-    out
+/// preserved). [`TeError::InvalidDemand`] when a scaled size overflows to
+/// infinity or underflows to zero.
+fn scale_demands(demands: &DemandList, scale: f64) -> Result<DemandList, TeError> {
+    let scaled = demands
+        .iter()
+        .map(|d| Demand::new(d.src, d.dst, d.size * scale));
+    DemandList::from_vec(scaled.collect())
 }
 
 /// Sweeps every `(failure pattern, demand scaling)` scenario of `set` over
@@ -306,8 +306,10 @@ fn scale_demands(demands: &DemandList, scale: f64) -> DemandList {
 /// probe is bit-identical to a from-scratch evaluation of the edge-deleted
 /// topology.
 ///
-/// Errors only if the *intact* workload fails to route for some scaling
-/// (failure-induced disconnections are classified per scenario instead).
+/// Errors if the *intact* workload fails to route for some scaling
+/// (failure-induced disconnections are classified per scenario instead),
+/// and with [`TeError::InvalidDemand`] if a scaling takes a demand size out
+/// of the positive finite range.
 pub fn sweep_failures(
     net: &Network,
     weights: &WeightSetting,
@@ -335,7 +337,7 @@ pub fn sweep_failures(
     let mut worst: Option<(f64, usize)> = None;
 
     for (si, &scale) in scalings.iter().enumerate() {
-        let scaled = scale_demands(demands, scale);
+        let scaled = scale_demands(demands, scale)?;
         let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
         base_mlu.push(eval.mlu());
         let outcomes =
@@ -381,7 +383,7 @@ pub fn sweep_failures(
         None => None,
         Some((mlu, idx)) => {
             let r = &results[idx];
-            let scaled = scale_demands(demands, scalings[r.scaling]);
+            let scaled = scale_demands(demands, scalings[r.scaling])?;
             let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
             let probe = eval
                 .probe_disable(&set.patterns()[r.pattern].dead)

@@ -13,8 +13,8 @@
 //! slice returns that element bit-for-bit, so every `heur_ospf` /
 //! `greedy_wpo` / `joint_milp` entry point can delegate to its robust
 //! generalization without perturbing a single bit of its output. The
-//! differential test battery (`tests/robust_differential.rs`) enforces
-//! this reduction.
+//! differential harness's `reductions` kind and the Joint MILP test, both
+//! in `tests/robust_differential.rs`, enforce this reduction.
 //!
 //! Matrices that share the `(src, dst)` pair structure index-by-index are
 //! *aligned* ([`DemandSet::is_aligned`]). Alignment is what lets one

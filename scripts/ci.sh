@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, the full test suite under both a
-# serial and a parallel thread count, the differential and fuzz legs,
-# bench smoke runs, and the benchmark's per-workload oracle checks.
+# serial and a parallel thread count, the differential harness, the fuzz
+# legs, bench smoke runs, and the benchmark's per-workload oracle checks.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -34,7 +34,7 @@ cargo test -q -p segrout-lp --test differential
 # Smoke-run the B&B node-throughput record (full numbers live in
 # EXPERIMENTS.md; the smoke run checks the bench path and that both
 # engines still agree on the benchmark MILPs).
-echo "==> bench_simplex (writes BENCH_simplex.json)"
+echo "==> bench_simplex (writes BENCH_simplex_fast.json)"
 SEGROUT_FAST=1 ./target/release/bench_simplex
 
 # Bounded differential-fuzz smoke leg: a fixed seed keeps it
@@ -51,22 +51,23 @@ cargo build --release -q
 echo "==> corpus replay"
 cargo test -q --test corpus_replay
 
-# Hot-loop gate: the bucket-queue (Dial) Dijkstra must match the
-# BinaryHeap oracle on every target, intact and masked; repaired DAGs
-# must match from-scratch builds; and the CSR/prefix-slab evaluator must
-# match the from-scratch router, under both the serial and the parallel
-# pool.
-echo "==> hotloop differential suite (SEGROUT_THREADS=1 and =4)"
-SEGROUT_THREADS=1 cargo test -q --test hotloop_differential
-SEGROUT_THREADS=4 cargo test -q --test hotloop_differential
+# Differential harness (tests/differential/mod.rs, run by the six suites
+# below): incremental probes, edge-disable probes and sweeps, the serving
+# session, the optimizers and the Dijkstra/DAG engines must all match the
+# from-scratch oracle bit for bit, and reproduce the same bit trace at 1,
+# 2, 4 and 8 threads (the harness sets its own thread counts; also part of
+# the workspace runs above, the named leg keeps the gate visible even if
+# test filters change).
+echo "==> differential harness"
+cargo test -q --test incremental_differential --test hotloop_differential \
+    --test failure_differential --test robust_differential \
+    --test serve_differential --test parallel_determinism
 
-# Robust multi-matrix gate: the single-matrix reduction and the MILP
-# oracle cross-checks must hold under both the serial and the parallel
-# pool (also part of the workspace runs above; the named legs keep the
-# robust contract visible even if test filters change).
-echo "==> robust differential suite (SEGROUT_THREADS=1 and =4)"
-SEGROUT_THREADS=1 cargo test -q --test robust_differential --test robust_properties
-SEGROUT_THREADS=4 cargo test -q --test robust_differential --test robust_properties
+# Robust multi-matrix and serving properties under both the serial and the
+# parallel pool.
+echo "==> robust and serve property suites (SEGROUT_THREADS=1 and =4)"
+SEGROUT_THREADS=1 cargo test -q --test robust_properties --test serve_counters
+SEGROUT_THREADS=4 cargo test -q --test robust_properties --test serve_counters
 
 # Multi-matrix fuzz smoke: a different seed band from the single-matrix
 # leg above, biased toward scenarios carrying 2-6 traffic matrices so the
@@ -82,14 +83,6 @@ SEGROUT_THREADS=4 ./target/release/segrout fuzz --seed 1042 --cases 60 --fast \
 # smoke run checks the bench path and the robust-never-loses assertion).
 echo "==> bench_robust (writes BENCH_robust_fast.json)"
 SEGROUT_FAST=1 ./target/release/bench_robust
-
-# Failure-sweep gate: the edge-disable probe must stay bit-identical to
-# from-scratch re-routing on the edge-deleted topology, under both the
-# serial and the parallel pool (the suite itself also compares 1 and 4
-# threads).
-echo "==> failure-sweep differential suite (SEGROUT_THREADS=1 and =4)"
-SEGROUT_THREADS=1 cargo test -q --test failure_differential
-SEGROUT_THREADS=4 cargo test -q --test failure_differential
 
 # Failure-sweep throughput record (full numbers live in EXPERIMENTS.md;
 # the smoke run checks the bench path, the disconnect classification and
@@ -140,15 +133,6 @@ print(f"flight recorder OK: {n} trace points, {len(stacks)} stack lines")
 EOF
 ./target/release/segrout report "$FR_DIR/run.json" "$FR_DIR/run.json"
 ./target/release/segrout catalog --check "$FR_DIR/metrics.jsonl"
-
-# Online-serving gate: after every event the daemon's in-place state must
-# be bit-identical to a from-scratch rebuild, and the whole event walk
-# must replay identically at 1 and 4 worker threads (the suite itself
-# iterates the thread counts; the two env runs additionally pin the
-# ambient default).
-echo "==> serve differential suite (SEGROUT_THREADS=1 and =4)"
-SEGROUT_THREADS=1 cargo test -q --test serve_differential --test serve_counters
-SEGROUT_THREADS=4 cargo test -q --test serve_differential --test serve_counters
 
 # Wire-protocol gate: the real binary over stdio JSONL — well-formed
 # responses, monotone sequence numbers, error replies for malformed,

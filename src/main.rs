@@ -16,7 +16,7 @@ use segrout::algos::{
 };
 use segrout::core::{
     evaluate_robust, sweep_failures, EdgeId, FailureSet, Network, NodeId, RobustObjective, Router,
-    UtilizationReport, WaypointSetting, WeightSetting,
+    TeError, UtilizationReport, WaypointSetting, WeightSetting,
 };
 use segrout::instances::{instance1, instance2, instance3, instance4, instance5, PaperInstance};
 use segrout::topo::{by_name, parse_graphml, parse_sndlib_xml, TOPOLOGY_NAMES};
@@ -33,7 +33,12 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
+    let Some(accepted) = command_flags(cmd) else {
+        eprintln!("error: unknown command '{cmd}'");
+        usage();
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(cmd, &accepted, &args[1..]) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("error: {e}");
@@ -66,11 +71,11 @@ fn main() -> ExitCode {
         "parse" => cmd_parse(&flags),
         "fuzz" => cmd_fuzz(&flags),
         "catalog" => cmd_catalog(&flags),
-        "help" | "--help" | "-h" => {
+        // `command_flags` has rejected every other command.
+        _ => {
             usage();
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
     };
     // Flight-recorder artifacts (trace, collapsed-stack profile, run.json)
     // are written for successful runs only — a failed command has nothing
@@ -201,10 +206,36 @@ fn init_observability(flags: &HashMap<String, String>) -> Result<(), String> {
 /// followed by its value.
 const BOOLEAN_FLAGS: [&str; 3] = ["doubles", "fast", "no-shrink"];
 
+/// The flags command `cmd` accepts, space-separated: its own and the
+/// global ones. `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<String> {
+    let traffic = "topology traffic seed pairs algorithm restarts passes";
+    let own = match cmd {
+        "optimize" => format!("{traffic} top demand-set robust save load"),
+        "serve" => format!("{traffic} load budget slo-ms reopt-ratio escalate-ratio events listen"),
+        "sweep" => format!("{traffic} doubles scalings robust sweep-out"),
+        "gaps" => "instance m".into(),
+        "parse" => "sndlib graphml".into(),
+        "fuzz" => "seed cases no-shrink corpus fast".into(),
+        "report" => "mlu-tol time-tol count-tol".into(),
+        "catalog" => "check".into(),
+        "topo" | "help" | "--help" | "-h" => String::new(),
+        _ => return None,
+    };
+    Some(format!(
+        "{own} log-level metrics-out trace-out profile-out run-out threads"
+    ))
+}
+
 /// Parses `--name value` pairs and the value-less [`BOOLEAN_FLAGS`] (stored
-/// as `"true"`). A flag that needs a value but ends the line or is followed
-/// by another `--flag` is a usage error naming that flag.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// as `"true"`). A flag not in `accepted` (see [`command_flags`]) is a
+/// usage error naming it and `cmd`; so is a flag that needs a value but
+/// ends the line or is followed by another `--flag`.
+fn parse_flags(
+    cmd: &str,
+    accepted: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -212,6 +243,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
             i += 1;
             continue;
         };
+        if !accepted.split_whitespace().any(|f| f == name) {
+            return Err(format!("unknown flag --{name} for '{cmd}'"));
+        }
         if BOOLEAN_FLAGS.contains(&name) {
             flags.insert(name.to_string(), "true".to_string());
             i += 1;
@@ -689,21 +723,7 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("Abilene");
     let net = by_name(topo_name).ok_or_else(|| format!("unknown topology '{topo_name}'"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(1);
-    let pairs: f64 = flags
-        .get("pairs")
-        .map(|s| s.parse().map_err(|_| "bad --pairs"))
-        .transpose()?
-        .unwrap_or(0.2);
-    let cfg = TrafficConfig {
-        seed,
-        pair_fraction: pairs,
-        ..Default::default()
-    };
+    let cfg = traffic_config(flags)?;
     if let Some(spec) = flags.get("demand-set") {
         return cmd_optimize_robust(flags, &net, topo_name, &cfg, spec);
     }
@@ -725,7 +745,7 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("algorithm")
         .map(String::as_str)
         .unwrap_or("joint");
-    let ospf = ospf_config(flags, seed)?;
+    let ospf = ospf_config(flags, cfg.seed)?;
     let (weights, waypoints) = if let Some(path) = flags.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         segrout::core::read_config(&net, &demands, &text).map_err(|e| e.to_string())?
@@ -784,21 +804,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("Abilene");
     let net = by_name(topo_name).ok_or_else(|| format!("unknown topology '{topo_name}'"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(1);
-    let pairs: f64 = flags
-        .get("pairs")
-        .map(|s| s.parse().map_err(|_| "bad --pairs"))
-        .transpose()?
-        .unwrap_or(0.2);
-    let cfg = TrafficConfig {
-        seed,
-        pair_fraction: pairs,
-        ..Default::default()
-    };
+    let cfg = traffic_config(flags)?;
     let demands = match flags.get("traffic").map(String::as_str).unwrap_or("mcf") {
         "mcf" => mcf_synthetic(&net, &cfg),
         "gravity" => gravity(&net, &cfg),
@@ -850,7 +856,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("algorithm")
         .map(String::as_str)
         .unwrap_or("heurospf");
-    let ospf = ospf_config(flags, seed)?;
+    let ospf = ospf_config(flags, cfg.seed)?;
     let (weights, waypoints) = {
         let _span = segrout::obs::span("optimize");
         if algorithm == "failrobust" {
@@ -864,8 +870,14 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
 
     let rep = {
         let _span = segrout::obs::span("sweep");
-        sweep_failures(&net, &weights, &demands, &waypoints, &set, &scalings)
-            .map_err(|e| e.to_string())?
+        let spec = flags.get("scalings").map_or("1.0", String::as_str);
+        sweep_failures(&net, &weights, &demands, &waypoints, &set, &scalings).map_err(
+            |e| match e {
+                // The generated demands are valid, so only a scaling can break one.
+                TeError::InvalidDemand { .. } => format!("--scalings {spec}: {e}"),
+                e => e.to_string(),
+            },
+        )?
     };
     for (i, &s) in rep.scalings.iter().enumerate() {
         println!("intact MLU @ x{s:<5.2} = {:.4}", rep.base_mlu[i]);
@@ -992,6 +1004,28 @@ fn sweep_artifact(
         ("worst", worst),
         ("results", Json::arr(rows)),
     ]))
+}
+
+/// Shared `--seed`/`--pairs` parsing for the commands that generate traffic.
+fn traffic_config(flags: &HashMap<String, String>) -> Result<TrafficConfig, String> {
+    let seed: u64 = flags
+        .get("seed")
+        .map(|s| s.parse().map_err(|_| "bad --seed"))
+        .transpose()?
+        .unwrap_or(1);
+    let pair_fraction = match flags.get("pairs") {
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|p: &f64| *p > 0.0 && *p <= 1.0)
+            .ok_or_else(|| format!("--pairs {s}: expected a fraction in (0, 1]"))?,
+        None => 0.2,
+    };
+    Ok(TrafficConfig {
+        seed,
+        pair_fraction,
+        ..Default::default()
+    })
 }
 
 /// Shared `--restarts`/`--passes` parsing for the weight-search stages.
@@ -1205,21 +1239,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("Abilene");
     let net = by_name(topo_name).ok_or_else(|| format!("unknown topology '{topo_name}'"))?;
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(1);
-    let pairs: f64 = flags
-        .get("pairs")
-        .map(|s| s.parse().map_err(|_| "bad --pairs"))
-        .transpose()?
-        .unwrap_or(0.2);
-    let cfg = TrafficConfig {
-        seed,
-        pair_fraction: pairs,
-        ..Default::default()
-    };
+    let cfg = traffic_config(flags)?;
     let demands = match flags.get("traffic").map(String::as_str).unwrap_or("mcf") {
         "mcf" => mcf_synthetic(&net, &cfg),
         "gravity" => gravity(&net, &cfg),
@@ -1231,7 +1251,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("algorithm")
         .map(String::as_str)
         .unwrap_or("heurospf");
-    let ospf = ospf_config(flags, seed)?;
+    let ospf = ospf_config(flags, cfg.seed)?;
     let (weights, waypoints) = if let Some(path) = flags.get("load") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         segrout::core::read_config(&net, &demands, &text).map_err(|e| e.to_string())?
@@ -1506,14 +1526,18 @@ fn cmd_gaps(flags: &HashMap<String, String>) -> Result<(), String> {
         .map(|s| s.parse().map_err(|_| "bad --m"))
         .transpose()?
         .unwrap_or(8);
-    let inst: PaperInstance = match which {
-        1 => instance1(m),
-        2 => instance2(m),
-        3 => instance3(m),
-        4 => instance4(m),
-        5 => instance5(m),
+    let (build, min_m): (fn(usize) -> PaperInstance, usize) = match which {
+        1 => (instance1, 2),
+        2 => (instance2, 1),
+        3 => (instance3, 2),
+        4 => (instance4, 2),
+        5 => (instance5, 2),
         other => return Err(format!("no TE-Instance {other}")),
     };
+    if m < min_m {
+        return Err(format!("--m {m}: TE-Instance {which} needs m >= {min_m}"));
+    }
+    let inst = build(m);
     let router = Router::new(&inst.network, &inst.joint_weights);
     let joint = router
         .evaluate(&inst.demands, &inst.joint_waypoints)

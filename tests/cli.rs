@@ -431,3 +431,53 @@ fn flag_without_value_is_a_usage_error() {
     assert!(stderr.contains("--topology needs a value"), "{stderr}");
     assert!(!stderr.contains("unknown topology"), "{stderr}");
 }
+
+#[test]
+fn unknown_flags_are_usage_errors_naming_flag_and_command() {
+    let dir = tmp_dir("unknown-flag");
+    let metrics = dir.join("metrics.jsonl");
+    let _ = std::fs::remove_file(&metrics);
+    for (args, flag, cmd) in [
+        (
+            &["optimize", "--topolgy", "Germany50"][..],
+            "--topolgy",
+            "optimize",
+        ),
+        (&["sweep", "--double"][..], "--double", "sweep"),
+        (
+            &["gaps", "--instance", "1", "--seed", "9"][..],
+            "--seed",
+            "gaps",
+        ),
+    ] {
+        let mut args = args.to_vec();
+        args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+        let (code, _, stderr) = segrout_code(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag} for '{cmd}'")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("needs a value"), "{stderr}");
+        assert!(!metrics.exists(), "{args:?}: an output file was opened");
+    }
+}
+
+#[test]
+fn out_of_range_values_are_errors_naming_the_value() {
+    for (args, value) in [
+        (&["gaps", "--instance", "1", "--m", "0"][..], "--m 0"),
+        (&["gaps", "--instance", "4", "--m", "1"][..], "--m 1"),
+        (&["sweep", "--scalings", "1e308"][..], "--scalings 1e308"),
+        (&["optimize", "--pairs", "0"][..], "--pairs 0"),
+        (&["optimize", "--pairs", "-1"][..], "--pairs -1"),
+        (&["optimize", "--pairs", "nan"][..], "--pairs nan"),
+        (&["optimize", "--pairs", "5"][..], "--pairs 5"),
+        (&["serve", "--pairs", "0"][..], "--pairs 0"),
+        (&["sweep", "--pairs", "1.5"][..], "--pairs 1.5"),
+    ] {
+        let (code, _, stderr) = segrout_code(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(value), "{args:?}: {stderr}");
+    }
+}

@@ -1,159 +1,30 @@
-//! Differential determinism harness for the parallel execution layer.
-//!
-//! The `segrout-par` contract is that thread count is a pure performance
-//! knob: HeurOSPF weight vectors, GreedyWPO waypoint selections, and
-//! JOINT-Heur results must be **bit-identical** under 1, 2 and 8 threads.
-//! One thread bypasses the pool entirely (pure inline execution), so the
-//! serial path is the reference each parallel run is diffed against.
-//!
-//! Covered inputs: the paper's worst-case TE-Instances 1, 3 and 5, plus
-//! three seeded random strongly-connected topologies with random demand
-//! sets. Floating-point outputs are compared through `f64::to_bits` — no
-//! epsilon anywhere.
+//! The pool's contract: thread count is a pure performance knob. HeurOSPF
+//! weights, GreedyWPO waypoints, JOINT-Heur results and the ECMP
+//! evaluator's loads are bit-identical at 1, 2, 4 and 8 threads. The
+//! optimizer kinds live in the differential harness
+//! (`tests/differential/mod.rs`); Germany50 is left out of the optimizer
+//! runs, which take seconds there in a debug build.
 
-use segrout_algos::{
-    greedy_wpo, heur_ospf, joint_heur, GreedyWpoConfig, HeurOspfConfig, JointHeurConfig,
-};
-use segrout_core::rng::StdRng;
-use segrout_core::{DemandList, Network, NodeId, Router, WeightSetting};
-use segrout_instances::{instance1, instance3, instance5};
-use segrout_topo::random_connected;
-use std::sync::{Mutex, MutexGuard};
+mod differential;
 
-/// The thread-count override is process-global; serialize the sweeps so
-/// concurrently running tests don't change it mid-run.
-fn threads_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` under 1 (serial reference), 2 and 8 threads and asserts the
-/// results are identical.
-fn assert_thread_invariant<R, F>(label: &str, f: F)
-where
-    R: PartialEq + std::fmt::Debug,
-    F: Fn() -> R,
-{
-    let _guard = threads_lock();
-    segrout_par::set_threads(1);
-    let reference = f();
-    for t in [2usize, 8] {
-        segrout_par::set_threads(t);
-        let got = f();
-        segrout_par::set_threads(0);
-        assert_eq!(
-            got, reference,
-            "{label}: threads={t} diverged from the serial reference"
-        );
-        segrout_par::set_threads(1);
-    }
-    segrout_par::set_threads(0);
-}
-
-/// Bit pattern of a weight setting (exact comparison, no tolerance).
-fn weight_bits(w: &WeightSetting) -> Vec<u64> {
-    w.as_slice().iter().map(|x| x.to_bits()).collect()
-}
-
-/// The six covered cases: (label, network, demands).
-fn cases() -> Vec<(String, Network, DemandList)> {
-    let mut out = Vec::new();
-    for (label, inst) in [
-        ("instance1(m=8)", instance1(8)),
-        ("instance3(m=5)", instance3(5)),
-        ("instance5(m=3)", instance5(3)),
-    ] {
-        out.push((label.to_string(), inst.network, inst.demands));
-    }
-    for seed in [11u64, 22, 33] {
-        let net = random_connected(10, 20, seed);
-        let mut rng = StdRng::seed_from_u64(seed * 7919);
-        let n = net.node_count() as u32;
-        let mut demands = DemandList::new();
-        for _ in 0..12 {
-            let s = rng.gen_range(0..n);
-            let t = rng.gen_range(0..n);
-            if s != t {
-                demands.push(NodeId(s), NodeId(t), f64::from(rng.gen_range(1..=10u32)));
-            }
-        }
-        out.push((format!("random(seed={seed})"), net, demands));
-    }
-    out
-}
-
-/// A cheap-but-nontrivial HeurOSPF configuration (the sweep runs every
-/// optimizer three times per case).
-fn ospf_cfg() -> HeurOspfConfig {
-    HeurOspfConfig {
-        restarts: 1,
-        max_passes: 6,
-        seed: 0xd15ea5e,
-        ..Default::default()
-    }
-}
+use differential::{cases, joint, ospf, router, run_kind, small_cases, wpo, Grid};
 
 #[test]
 fn heur_ospf_is_thread_count_invariant() {
-    for (label, net, demands) in cases() {
-        assert_thread_invariant(&format!("heur_ospf on {label}"), || {
-            let w = heur_ospf(&net, &demands, &ospf_cfg());
-            let mlu = Router::new(&net, &w).mlu(&demands).map(f64::to_bits);
-            (weight_bits(&w), mlu)
-        });
-    }
+    run_kind("heur_ospf", Grid::Threads, small_cases(), ospf);
 }
 
 #[test]
 fn greedy_wpo_is_thread_count_invariant() {
-    for (label, net, demands) in cases() {
-        let weights = WeightSetting::inverse_capacity(&net);
-        assert_thread_invariant(&format!("greedy_wpo on {label}"), || {
-            let wp = greedy_wpo(&net, &demands, &weights, &GreedyWpoConfig::default())
-                .expect("strongly connected instances route");
-            let mlu = Router::new(&net, &weights)
-                .evaluate(&demands, &wp)
-                .expect("routes")
-                .mlu;
-            (wp, mlu.to_bits())
-        });
-    }
+    run_kind("greedy_wpo", Grid::Threads, small_cases(), wpo);
 }
 
 #[test]
 fn joint_heur_is_thread_count_invariant() {
-    for (label, net, demands) in cases() {
-        assert_thread_invariant(&format!("joint_heur on {label}"), || {
-            let r = joint_heur(
-                &net,
-                &demands,
-                &JointHeurConfig {
-                    ospf: ospf_cfg(),
-                    ..Default::default()
-                },
-            )
-            .expect("strongly connected instances route");
-            (weight_bits(&r.weights), r.waypoints, r.mlu.to_bits())
-        });
-    }
+    run_kind("joint_heur", Grid::Full, small_cases(), joint);
 }
 
 #[test]
 fn parallel_evaluator_is_thread_count_invariant() {
-    // The ECMP evaluator itself (multi-destination demand list) must
-    // produce bit-identical loads and MLU at any thread count.
-    for (label, net, demands) in cases() {
-        let weights = WeightSetting::inverse_capacity(&net);
-        assert_thread_invariant(&format!("evaluator on {label}"), || {
-            let router = Router::new(&net, &weights);
-            let report = router
-                .evaluate(
-                    &demands,
-                    &segrout_core::WaypointSetting::none(demands.len()),
-                )
-                .expect("routes");
-            let loads: Vec<u64> = report.loads.iter().map(|x| x.to_bits()).collect();
-            (loads, report.mlu.to_bits())
-        });
-    }
+    run_kind("router", Grid::Threads, cases(), router);
 }

@@ -1,168 +1,35 @@
-//! Differential battery for the robust multi-matrix optimization layer.
-//!
-//! The contract under test: every classic single-matrix entry point
-//! (`heur_ospf`, `greedy_wpo`, `joint_heur`, `joint_milp`) is a thin wrapper
-//! over its `*_robust` generalization with a one-element [`DemandSet`], and
-//! that reduction is **bit-identical** — same weights, same waypoints, same
-//! Φ and MLU down to `f64::to_bits`, at any thread count. On top of that,
-//! the robust MILP is cross-checked against independent per-matrix exact
-//! evaluation and against every single-matrix optimum evaluated across the
-//! whole set.
+//! The robust multi-matrix layer: every classic optimizer equals its
+//! one-matrix `*_robust` reduction bit for bit, JOINT-Heur-robust is
+//! identical at 1, 2, 4 and 8 threads with per-matrix MLUs equal to the
+//! oracle's, and the robust Joint MILP is cross-checked against the
+//! classic MILP and per-matrix evaluations. The heuristic kinds live in
+//! the differential harness (`tests/differential/mod.rs`).
 
-use segrout_algos::{
-    greedy_wpo, greedy_wpo_robust, heur_ospf, heur_ospf_robust, joint_heur, joint_heur_robust,
-    GreedyWpoConfig, HeurOspfConfig, JointHeurConfig,
+mod differential;
+
+use differential::{
+    bits, guard, intact_oracle, reductions, robust_joint, run_kind, scaled_set, small_cases, Grid,
 };
-use segrout_core::rng::StdRng;
-use segrout_core::{
-    evaluate_robust, fortz_phi, DemandList, DemandSet, Network, NodeId, RobustObjective, Router,
-    WaypointSetting, WeightSetting,
-};
-use segrout_milp::{joint_milp, joint_milp_robust, JointMilpOptions};
-use segrout_topo::random_connected;
-use std::sync::{Mutex, MutexGuard};
+use segrout::core::{evaluate_robust, DemandList, DemandSet, Network, NodeId, RobustObjective};
+use segrout::milp::{joint_milp, joint_milp_robust, JointMilpOptions, JointMilpOutcome};
 use std::time::Duration;
 
-/// Thread-count override is process-global; serialize the tests of this
-/// binary so they don't observe each other's settings.
-fn global_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Seeded random demand list over `net` with `count` attempted pairs.
-fn random_demands(net: &Network, seed: u64, count: usize) -> DemandList {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = net.node_count() as u32;
-    let mut demands = DemandList::new();
-    for _ in 0..count {
-        let s = rng.gen_range(0..n);
-        let t = rng.gen_range(0..n);
-        if s != t {
-            demands.push(NodeId(s), NodeId(t), f64::from(rng.gen_range(1..=9u32)));
-        }
-    }
-    demands
-}
-
-/// A K-matrix aligned set: the base demands plus `extra` rescaled variants
-/// whose pair-level multipliers differ (shape changes, not just scale).
-fn scaled_set(demands: &DemandList, extra: usize, seed: u64) -> DemandSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut set = DemandSet::single(demands.clone());
-    for j in 0..extra {
-        let mut m = DemandList::new();
-        for i in 0..demands.len() {
-            let d = demands[i];
-            let factor = 0.5 + 1.5 * rng.gen::<f64>();
-            m.push(d.src, d.dst, d.size * factor);
-        }
-        set.push(format!("x{j}"), m);
-    }
-    set
-}
-
-/// `(Φ bits, MLU bits)` of a configuration on one matrix, from scratch.
-fn eval_bits(
-    net: &Network,
-    weights: &WeightSetting,
-    demands: &DemandList,
-    waypoints: &WaypointSetting,
-) -> (u64, u64) {
-    let report = Router::new(net, weights)
-        .evaluate(demands, waypoints)
-        .expect("strongly connected cases route");
-    let phi = fortz_phi(&report.loads, net.capacities());
-    (phi.to_bits(), report.mlu.to_bits())
-}
-
-/// The single-matrix reduction fingerprint of all three heuristics plus the
-/// tiny-instance MILP: weight vectors, waypoint settings, and Φ/MLU bits.
-#[derive(Debug, PartialEq)]
-struct Fingerprint {
-    ospf_weights: Vec<f64>,
-    wpo: WaypointSetting,
-    joint_weights: Vec<f64>,
-    joint_wp: WaypointSetting,
-    joint_mlu: u64,
-    joint_matrix_mlus: Vec<u64>,
-    phi_mlu: (u64, u64),
-}
-
-fn single_matrix_fingerprint(net: &Network, demands: &DemandList, robust: bool) -> Fingerprint {
-    let single = DemandSet::single(demands.clone());
-    let ocfg = HeurOspfConfig {
-        max_weight: 6,
-        restarts: 1,
-        max_passes: 3,
-        seed: 0x5eed,
-        ..Default::default()
-    };
-    let wcfg = GreedyWpoConfig::default();
-    let jcfg = JointHeurConfig {
-        ospf: ocfg.clone(),
-        wpo: wcfg.clone(),
-        ..Default::default()
-    };
-
-    let (weights, wp, joint) = if robust {
-        let w = heur_ospf_robust(net, &single, RobustObjective::WorstCase, &ocfg);
-        let p = greedy_wpo_robust(net, &single, &w, RobustObjective::WorstCase, &wcfg)
-            .expect("routable");
-        let j =
-            joint_heur_robust(net, &single, RobustObjective::WorstCase, &jcfg).expect("routable");
-        (w, p, j)
-    } else {
-        let w = heur_ospf(net, demands, &ocfg);
-        let p = greedy_wpo(net, demands, &w, &wcfg).expect("routable");
-        let j = joint_heur(net, demands, &jcfg).expect("routable");
-        (w, p, j)
-    };
-    let phi_mlu = eval_bits(net, &joint.weights, demands, &joint.waypoints);
-    Fingerprint {
-        ospf_weights: weights.as_slice().to_vec(),
-        wpo: wp,
-        joint_weights: joint.weights.as_slice().to_vec(),
-        joint_wp: joint.waypoints.clone(),
-        joint_mlu: joint.mlu.to_bits(),
-        joint_matrix_mlus: joint.matrix_mlus.iter().map(|m| m.to_bits()).collect(),
-        phi_mlu,
-    }
-}
-
-/// Satellite 1: a one-matrix `DemandSet` produces bit-identical weights,
-/// waypoints, Φ and MLU through every robust optimizer as the classic
-/// single-matrix entry point — at 1 and 4 worker threads, and identically
-/// across the two thread counts.
+/// The classic entry points delegate to the robust code, so
+/// `parallel_determinism` pins the thread invariance of these runs.
 #[test]
 fn single_matrix_set_reduces_bit_identically_for_heuristics() {
-    let _guard = global_lock();
-    for seed in [3u64, 11] {
-        let net = random_connected(8, 16, seed);
-        let demands = random_demands(&net, seed * 7919, 10);
-        let mut per_thread = Vec::new();
-        for t in [1usize, 4] {
-            segrout_par::set_threads(t);
-            let classic = single_matrix_fingerprint(&net, &demands, false);
-            let robust = single_matrix_fingerprint(&net, &demands, true);
-            assert_eq!(
-                classic, robust,
-                "seed {seed} t={t}: single-matrix reduction diverged"
-            );
-            per_thread.push(classic);
-        }
-        segrout_par::set_threads(0);
-        assert_eq!(
-            per_thread[0], per_thread[1],
-            "seed {seed}: thread count changed the trajectory"
-        );
-    }
+    run_kind("reductions", Grid::Oracle, small_cases(), reductions);
+}
+
+#[test]
+fn multi_matrix_heuristics_are_thread_deterministic() {
+    run_kind("robust_joint", Grid::Full, small_cases(), robust_joint);
 }
 
 /// A bilinked diamond with asymmetric capacities: small enough for the MILP
 /// to prove optimality in seconds, rich enough that weights matter. Wall
 /// clock must never bind (it would make node counts nondeterministic), so
-/// MILP legs use a large `time_limit` and a tiny instance.
+/// the MILP tests use a large `time_limit` and a tiny instance.
 fn diamond() -> (Network, DemandList) {
     let mut b = Network::builder(4);
     b.bilink(NodeId(0), NodeId(1), 2.0);
@@ -180,7 +47,7 @@ fn milp_options() -> JointMilpOptions {
     JointMilpOptions {
         max_weight: 3,
         waypoints: 1,
-        milp: segrout_lp::MilpOptions {
+        milp: segrout::lp::MilpOptions {
             node_limit: 100_000,
             time_limit: Duration::from_secs(600),
             ..Default::default()
@@ -189,51 +56,49 @@ fn milp_options() -> JointMilpOptions {
     }
 }
 
-/// Satellite 1 (MILP leg): the robust Joint MILP on a one-matrix set is
-/// bit-identical to the classic `joint_milp` — same weights, waypoints,
-/// MLU, dual bound, and node count, at both thread counts.
+/// The robust Joint MILP on a one-matrix set is bit-identical to the
+/// classic `joint_milp` (same weights, waypoints, MLU, dual bound and node
+/// count) at 1 and 4 threads, and identical across the two.
 #[test]
 fn single_matrix_set_reduces_bit_identically_for_joint_milp() {
-    let _guard = global_lock();
+    let _guard = guard();
     let (net, demands) = diamond();
     let options = milp_options();
     let mut per_thread = Vec::new();
     for t in [1usize, 4] {
-        segrout_par::set_threads(t);
+        segrout::par::set_threads(t);
+        let single = DemandSet::single(demands.clone());
         let classic = joint_milp(&net, &demands, &options).expect("feasible");
-        let robust = joint_milp_robust(
-            &net,
-            &DemandSet::single(demands.clone()),
-            RobustObjective::WorstCase,
-            &options,
-        )
-        .expect("feasible");
-        assert_eq!(classic.weights.as_slice(), robust.weights.as_slice());
-        assert_eq!(classic.waypoints, robust.waypoints);
-        assert_eq!(classic.mlu.to_bits(), robust.mlu.to_bits());
-        assert_eq!(classic.bound.to_bits(), robust.bound.to_bits());
-        assert_eq!(classic.nodes, robust.nodes);
-        assert_eq!(robust.matrix_mlus.len(), 1);
-        assert_eq!(robust.matrix_mlus[0].to_bits(), robust.mlu.to_bits());
-        per_thread.push((
-            classic.weights.as_slice().to_vec(),
-            classic.mlu.to_bits(),
-            classic.nodes,
-        ));
+        let robust = joint_milp_robust(&net, &single, RobustObjective::WorstCase, &options)
+            .expect("feasible");
+        let sig = |r: &JointMilpOutcome| {
+            let mlu_bound = [r.mlu.to_bits(), r.bound.to_bits()];
+            (
+                bits(r.weights.as_slice()),
+                r.waypoints.clone(),
+                mlu_bound,
+                r.nodes,
+            )
+        };
+        assert_eq!(sig(&classic), sig(&robust), "threads={t}");
+        assert_eq!(
+            bits(&robust.matrix_mlus),
+            [robust.mlu.to_bits()],
+            "threads={t}"
+        );
+        per_thread.push(sig(&classic));
     }
-    segrout_par::set_threads(0);
     assert_eq!(per_thread[0], per_thread[1], "thread count changed MILP");
 }
 
-/// Satellite 2: MILP oracle cross-check. The robust MILP's reported
-/// worst-case MLU equals the max over independent per-matrix exact ECMP
-/// evaluations of its configuration, and is no worse (within 1e-6) than the
-/// worst-case MLU of **every** single-matrix optimum evaluated across the
-/// whole set.
+/// MILP oracle cross-check. The robust MILP's worst-case MLU equals the
+/// max over the oracle's per-matrix evaluations of its configuration, and
+/// is no worse (within 1e-6) than the worst-case MLU of every
+/// single-matrix optimum evaluated across the whole set.
 #[test]
 fn robust_milp_cross_checks_against_per_matrix_oracles() {
-    let _guard = global_lock();
-    segrout_par::set_threads(1);
+    let _guard = guard();
+    segrout::par::set_threads(1);
     let (net, demands) = diamond();
     let set = scaled_set(&demands, 2, 0x0dd5);
     let options = milp_options();
@@ -242,25 +107,22 @@ fn robust_milp_cross_checks_against_per_matrix_oracles() {
         joint_milp_robust(&net, &set, RobustObjective::WorstCase, &options).expect("feasible");
     assert_eq!(
         robust.status,
-        segrout_lp::MilpStatus::Optimal,
+        segrout::lp::MilpStatus::Optimal,
         "oracle instance must be solved to optimality"
     );
 
     // (a) Reported worst-case == max over independent per-matrix evaluation.
-    let mut independent = Vec::new();
+    let mut max_independent = f64::NEG_INFINITY;
+    let (weights, waypoints) = (robust.weights.as_slice(), &robust.waypoints);
     for k in 0..set.len() {
-        let (_, mlu_bits) = eval_bits(&net, &robust.weights, set.matrix(k), &robust.waypoints);
+        let want = intact_oracle(&net, weights, set.matrix(k), waypoints);
         assert_eq!(
             robust.matrix_mlus[k].to_bits(),
-            mlu_bits,
-            "matrix {k}: reported per-matrix MLU differs from scratch eval"
+            want.mlu,
+            "matrix {k}: reported per-matrix MLU differs from the oracle"
         );
-        independent.push(f64::from_bits(mlu_bits));
+        max_independent = max_independent.max(f64::from_bits(want.mlu));
     }
-    let max_independent = independent
-        .iter()
-        .cloned()
-        .fold(f64::NEG_INFINITY, f64::max);
     assert_eq!(
         robust.mlu.to_bits(),
         max_independent.to_bits(),
@@ -268,10 +130,11 @@ fn robust_milp_cross_checks_against_per_matrix_oracles() {
     );
 
     // (b) No single-matrix optimum beats the robust optimum on worst-case
-    // MLU over the set.
+    // MLU over the set, and the robust optimum never beats matrix k's own
+    // optimum on k.
     for k in 0..set.len() {
         let single = joint_milp(&net, set.matrix(k), &options).expect("feasible");
-        assert_eq!(single.status, segrout_lp::MilpStatus::Optimal);
+        assert_eq!(single.status, segrout::lp::MilpStatus::Optimal);
         let worst = evaluate_robust(&net, &single.weights, &set, &single.waypoints)
             .expect("routable")
             .worst_mlu();
@@ -281,53 +144,9 @@ fn robust_milp_cross_checks_against_per_matrix_oracles() {
              robust={} vs single-worst={worst}",
             robust.mlu
         );
-        // The robust optimum can never beat matrix k's own optimum on k.
         assert!(
             robust.matrix_mlus[k] >= single.mlu - 1e-6,
             "robust config out-performs the per-matrix optimum on matrix {k}"
         );
     }
-    segrout_par::set_threads(0);
-}
-
-/// Multi-matrix heuristics at 1 and 4 threads trace identical trajectories:
-/// the `(candidate × matrix)` fan-out is speculative only.
-#[test]
-fn multi_matrix_heuristics_are_thread_deterministic() {
-    let _guard = global_lock();
-    let net = random_connected(9, 18, 77);
-    let demands = random_demands(&net, 0x717, 12);
-    let set = scaled_set(&demands, 3, 0x5ca1e);
-    let jcfg = JointHeurConfig {
-        ospf: HeurOspfConfig {
-            max_weight: 6,
-            restarts: 1,
-            max_passes: 2,
-            seed: 0xf00d,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let mut runs = Vec::new();
-    for t in [1usize, 4] {
-        segrout_par::set_threads(t);
-        for robust in [RobustObjective::WorstCase, RobustObjective::Quantile(0.5)] {
-            let r = joint_heur_robust(&net, &set, robust, &jcfg).expect("routable");
-            runs.push((
-                r.weights.as_slice().to_vec(),
-                r.waypoints.clone(),
-                r.mlu.to_bits(),
-                r.matrix_mlus
-                    .iter()
-                    .map(|m| m.to_bits())
-                    .collect::<Vec<_>>(),
-            ));
-        }
-    }
-    segrout_par::set_threads(0);
-    let (first, rest) = runs.split_at(2);
-    assert_eq!(
-        first, rest,
-        "multi-matrix trajectories diverged across thread counts"
-    );
 }

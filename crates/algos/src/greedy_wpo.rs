@@ -9,45 +9,83 @@
 //! routing (earlier demands keep their chosen waypoints), which both matches
 //! the greedy "improve the MLU of the whole configuration" reading of the
 //! pseudo-code and avoids quadratic re-evaluation: probing a waypoint is a
-//! sparse delta on the load vector.
+//! sparse delta on the load vector, scored by `patched_mlu` in `O(|δ|)`
+//! against one utilization-sorted copy of the running loads.
 //!
-//! Per-demand waypoint probes are independent, so they run on the
-//! `segrout-par` pool against one shared (now `Sync`) router. The candidate
-//! chains are generated in fixed (position, waypoint) order and the
-//! acceptance fold replays that order serially, so the selected waypoints
-//! are bit-identical at any thread count.
+//! **Shared candidate deltas.** A candidate chain's delta depends only on the
+//! demand's source, destination, per-matrix sizes and current chain, never
+//! on the running loads. The paper's instances split every pair into equal
+//! sub-flows, which the descending order visits one after another, so the
+//! candidate chains and their deltas are built once per run of equal
+//! consecutive demands (`PairProbes`) and every sub-flow of the run re-scores
+//! them against its own running loads. Delta builds are segment walks
+//! ([`Router::append_segment_loads`]) and fan out on the `segrout-par` pool
+//! once the `(candidate × matrix)` grid clears `GRID_SERIAL_CUTOFF`; the
+//! re-scoring pass is a few dozen nanoseconds per cell and runs serially.
+//! The candidate chains are generated in fixed (position, waypoint) order
+//! and the acceptance fold replays that order, so the selected waypoints
+//! are bit-identical at any thread count, and to a sweep that rebuilds
+//! every delta for every demand.
 //!
 //! **Robust multi-matrix selection** ([`greedy_wpo_robust`]): the same
 //! greedy sweep against an aligned [`DemandSet`] of `K` matrices. One
 //! running load vector is maintained *per matrix*, every candidate chain is
-//! probed against every matrix (the `(candidate × matrix)` grid fans out on
-//! the `segrout-par` pool), and the per-matrix patched MLUs fold through a
-//! [`RobustObjective`] before the acceptance test. [`greedy_wpo`] is the
-//! `K = 1` special case and delegates here — a one-matrix set reproduces
-//! the classic sweep bit for bit.
+//! probed against every matrix, and the per-matrix patched MLUs fold
+//! through a [`RobustObjective`] before the acceptance test. [`greedy_wpo`]
+//! is the `K = 1` special case and delegates here — a one-matrix set
+//! reproduces the classic sweep bit for bit.
 
 use segrout_core::{
     max_link_utilization, DemandList, DemandSet, EdgeId, Network, NodeId, RobustObjective, Router,
     TeError, WaypointSetting, WeightSetting,
 };
 use segrout_obs::{event, Level};
+use std::cell::RefCell;
 
-/// Work threshold for the per-demand probe grid: below this many cells the
-/// grid runs serially on the caller. A cell is one sparse `chain_loads` +
-/// `patched_mlu` probe — far cheaper than the Dijkstra-sized work
-/// `par_map`'s default threshold assumes.
+/// Work threshold for building a run's candidate deltas: below this many
+/// cells the build runs serially on the caller. A cell is one candidate
+/// chain's segment walks for one matrix — far cheaper than the
+/// Dijkstra-sized work `par_map`'s default threshold assumes. A
+/// single-matrix build at budget 1 has `|V| - 2` cells, so on Germany50
+/// (48 cells) it runs serially, while a 3-matrix build (144 cells) fans
+/// out. Re-scoring a built grid always runs serially.
 const GRID_SERIAL_CUTOFF: usize = 128;
 
 /// Sparse per-edge load delta of one candidate routing.
 type SparseLoads = Vec<(EdgeId, f64)>;
+
+/// Initial capacity of a candidate delta: a two-segment delta on Germany50
+/// holds about 15 `(edge, load)` pairs, so most deltas never regrow.
+const DELTA_CAPACITY: usize = 32;
+
+/// Slot-table entry of an edge the current delta has not touched.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Per-thread scratch of [`patched_mlu`], clean between calls: `slot[e]` is
+/// edge `e`'s index into `touched`, or [`UNTOUCHED`].
+struct PatchScratch {
+    slot: Vec<u32>,
+    touched: Vec<(usize, f64)>,
+}
+
+thread_local! {
+    static PATCH_SCRATCH: RefCell<PatchScratch> = const {
+        RefCell::new(PatchScratch {
+            slot: Vec::new(),
+            touched: Vec::new(),
+        })
+    };
+}
 
 /// MLU of `loads` patched by the sparse `delta`, without materializing the
 /// patched vector.
 ///
 /// `base_util_desc` holds the *unpatched* per-edge utilizations sorted in
 /// descending order: the maximum over edges the delta does not touch is the
-/// first untouched entry in that order, so a probe costs `O(|δ|²
-/// + |δ| · scan)` instead of an `O(|E|)` clone-and-fold.
+/// first untouched entry in that order. A per-thread edge → slot table
+/// dedupes the touched edges, so a probe costs `O(|δ| + scan)` instead of
+/// an `O(|E|)` clone-and-fold; the table is reset edge by edge before
+/// returning.
 ///
 /// Bit-identity with the dense path: each touched edge's patched load
 /// replays the exact accumulation sequence `loads[e] += l` would perform on
@@ -59,27 +97,130 @@ fn patched_mlu(
     loads: &[f64],
     caps: &[f64],
     base_util_desc: &[(f64, usize)],
-    delta: &SparseLoads,
+    delta: &[(EdgeId, f64)],
 ) -> f64 {
-    let mut touched: Vec<(usize, f64)> = Vec::with_capacity(delta.len());
-    for &(e, l) in delta {
-        let idx = e.index();
-        match touched.iter_mut().find(|(te, _)| *te == idx) {
-            Some((_, v)) => *v += l,
-            None => touched.push((idx, loads[idx] + l)),
+    PATCH_SCRATCH.with(|scratch| {
+        let PatchScratch { slot, touched } = &mut *scratch.borrow_mut();
+        if slot.len() < loads.len() {
+            slot.resize(loads.len(), UNTOUCHED);
+        }
+        touched.clear();
+        for &(e, l) in delta {
+            let idx = e.index();
+            match slot[idx] {
+                UNTOUCHED => {
+                    slot[idx] = touched.len() as u32;
+                    touched.push((idx, loads[idx] + l));
+                }
+                at => touched[at as usize].1 += l,
+            }
+        }
+        let mut mlu = 0.0f64;
+        for &(u, idx) in base_util_desc {
+            if slot[idx] == UNTOUCHED {
+                mlu = mlu.max(u);
+                break; // descending order: the first untouched edge is the max
+            }
+        }
+        for &(idx, v) in touched.iter() {
+            mlu = mlu.max(v / caps[idx]);
+            slot[idx] = UNTOUCHED;
+        }
+        mlu
+    })
+}
+
+/// Appends the loads of routing `amount` along the segment chain
+/// `src -> chain[0] -> ... -> dst` to `out` (degenerate hops skipped).
+fn chain_loads(
+    router: &Router<'_>,
+    chain: &[NodeId],
+    src: NodeId,
+    dst: NodeId,
+    amount: f64,
+    out: &mut SparseLoads,
+) -> Result<(), TeError> {
+    let mut cur = src;
+    for &hop in chain.iter().chain(std::iter::once(&dst)) {
+        if hop != cur {
+            router.append_segment_loads(cur, hop, amount, out)?;
+            cur = hop;
         }
     }
-    let mut mlu = 0.0f64;
-    for &(u, idx) in base_util_desc {
-        if !touched.iter().any(|&(te, _)| te == idx) {
-            mlu = mlu.max(u);
-            break; // descending order: the first untouched edge is the max
+    Ok(())
+}
+
+/// What a demand's candidate deltas depend on: source, destination,
+/// per-matrix sizes (as bits) and current chain.
+#[derive(PartialEq)]
+struct ProbeKey {
+    src: NodeId,
+    dst: NodeId,
+    size_bits: Vec<u64>,
+    chain: Vec<NodeId>,
+}
+
+/// The candidate chains of one run of equal consecutive demands and their
+/// per-matrix loads, shared by every demand of the run.
+struct PairProbes {
+    key: ProbeKey,
+    /// Per matrix, the loads of the current chain.
+    current: Vec<SparseLoads>,
+    /// Candidate chains in fixed (position, waypoint) order.
+    chains: Vec<Vec<NodeId>>,
+    /// Candidate-major: chain `ci`'s delta on matrix `mi` sits at
+    /// `ci·K + mi`, `None` where the chain is unroutable.
+    deltas: Vec<Option<SparseLoads>>,
+}
+
+impl PairProbes {
+    /// Routes the current chain and every candidate chain of `key` on every
+    /// matrix; the `(candidate × matrix)` grid fans out on the pool.
+    fn build(
+        router: &Router<'_>,
+        key: ProbeKey,
+        sizes: &[f64],
+        candidates: &[NodeId],
+    ) -> Result<Self, TeError> {
+        let (src, dst, chain) = (key.src, key.dst, &key.chain);
+        let mut current = Vec::with_capacity(sizes.len());
+        for &size in sizes {
+            let mut loads = Vec::new();
+            chain_loads(router, chain, src, dst, size, &mut loads)?;
+            current.push(loads);
         }
+        let mut chains = Vec::new();
+        for pos in 0..=chain.len() {
+            for &w in candidates {
+                if w == src || w == dst || chain.contains(&w) {
+                    continue;
+                }
+                let mut cand = chain.clone();
+                cand.insert(pos, w);
+                chains.push(cand);
+            }
+        }
+        let k = sizes.len();
+        let deltas = segrout_par::par_map_min(chains.len() * k, GRID_SERIAL_CUTOFF, |cell| {
+            let mut delta = Vec::with_capacity(DELTA_CAPACITY);
+            chain_loads(
+                router,
+                &chains[cell / k],
+                src,
+                dst,
+                sizes[cell % k],
+                &mut delta,
+            )
+            .ok()
+            .map(|()| delta)
+        });
+        Ok(Self {
+            key,
+            current,
+            chains,
+            deltas,
+        })
     }
-    for &(idx, v) in &touched {
-        mlu = mlu.max(v / caps[idx]);
-    }
-    mlu
 }
 
 /// Configuration of GreedyWPO.
@@ -131,9 +272,10 @@ pub fn greedy_wpo(
 /// setting, accepted only when it improves the `robust`-aggregated
 /// per-matrix MLU.
 ///
-/// Each matrix keeps its own running load vector; a candidate chain's
-/// per-matrix patched MLUs are computed on the `segrout-par` pool over the
-/// `(candidate × matrix)` grid and folded through `robust` serially, in
+/// Each matrix keeps its own running load vector. A candidate chain's
+/// per-matrix deltas are built once per run of equal consecutive demands,
+/// on the `segrout-par` pool over the `(candidate × matrix)` grid; its
+/// per-matrix patched MLUs are folded through `robust` serially, in
 /// candidate order — bit-identical at any thread count. A single-matrix
 /// set is bit-identical to [`greedy_wpo`].
 ///
@@ -190,20 +332,12 @@ pub fn greedy_wpo_robust(
     let all_nodes: Vec<NodeId> = net.graph().nodes().collect();
     let candidates: &[NodeId] = cfg.candidates.as_deref().unwrap_or(&all_nodes);
 
-    // Sparse loads of routing `amount` along the segment chain
-    // src -> chain[0] -> ... -> dst (degenerate hops skipped).
-    let chain_loads =
-        |chain: &[NodeId], src: NodeId, dst: NodeId, amount: f64| -> Result<SparseLoads, TeError> {
-            let mut out = Vec::new();
-            let mut cur = src;
-            for &hop in chain.iter().chain(std::iter::once(&dst)) {
-                if hop != cur {
-                    out.extend(router.segment_loads_sparse(cur, hop, amount)?);
-                    cur = hop;
-                }
-            }
-            Ok(out)
-        };
+    // The candidate deltas of the last run of equal demands, and per-demand
+    // buffers reused across demands.
+    let mut probes: Option<PairProbes> = None;
+    let mut base_util: Vec<Vec<(f64, usize)>> = vec![Vec::with_capacity(caps.len()); k];
+    let mut mlus: Vec<f64> = Vec::with_capacity(k);
+    let mut best_mlus: Vec<f64> = Vec::with_capacity(k);
 
     // One greedy pass per waypoint of budget: each pass may insert one more
     // waypoint into every demand's chain (pass 1 with an empty chain is
@@ -212,15 +346,23 @@ pub fn greedy_wpo_robust(
         let mut inserted_any = false;
         for i in set.indices_by_descending_total_size() {
             let d = set.matrix(0)[i];
-            let sizes: Vec<f64> = (0..k).map(|mi| set.matrix(mi)[i].size).collect();
-            let chain = setting.get(i).to_vec();
-            if chain.len() >= cfg.max_waypoints {
+            if setting.get(i).len() >= cfg.max_waypoints {
                 continue;
             }
+            let sizes: Vec<f64> = (0..k).map(|mi| set.matrix(mi)[i].size).collect();
+            let key = ProbeKey {
+                src: d.src,
+                dst: d.dst,
+                size_bits: sizes.iter().map(|s| s.to_bits()).collect(),
+                chain: setting.get(i).to_vec(),
+            };
+            if probes.as_ref().is_none_or(|p| p.key != key) {
+                probes = Some(PairProbes::build(&router, key, &sizes, candidates)?);
+            }
+            let p = probes.as_ref().expect("built for this key");
             // Remove this demand's current contribution from every matrix.
-            for (mi, l) in loads.iter_mut().enumerate() {
-                let current = chain_loads(&chain, d.src, d.dst, sizes[mi])?;
-                for &(e, load) in &current {
+            for (l, current) in loads.iter_mut().zip(&p.current) {
+                for &(e, load) in current {
                     l[e.index()] -= load;
                 }
             }
@@ -228,67 +370,41 @@ pub fn greedy_wpo_robust(
             // read-only by every probe of this demand: one O(|E| log |E|)
             // sort per matrix replaces an O(|E|) load-vector clone per
             // probe.
-            let base_util: Vec<Vec<(f64, usize)>> = loads
-                .iter()
-                .map(|l| {
-                    let mut u: Vec<(f64, usize)> = l
-                        .iter()
+            for (u, l) in base_util.iter_mut().zip(&loads) {
+                u.clear();
+                u.extend(
+                    l.iter()
                         .zip(caps)
                         .map(|(l, c)| l / c)
                         .enumerate()
-                        .map(|(idx, u)| (u, idx))
-                        .collect();
-                    u.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-                    u
-                })
-                .collect();
-
-            // Candidate chains in fixed (position, waypoint) order; the
-            // parallel probe results are folded back in this same order.
-            let mut probes: Vec<Vec<NodeId>> = Vec::new();
-            for pos in 0..=chain.len() {
-                for &w in candidates {
-                    if w == d.src || w == d.dst || chain.contains(&w) {
-                        continue;
-                    }
-                    let mut cand = chain.clone();
-                    cand.insert(pos, w);
-                    probes.push(cand);
-                }
+                        .map(|(idx, u)| (u, idx)),
+                );
+                u.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
             }
-            // Each grid cell re-routes the demand along its candidate chain
-            // with one matrix's size and evaluates that matrix's patched MLU
-            // from the shared base state — no per-probe load-vector copy.
-            // Candidate-major order: candidate `ci`'s cells live at
-            // `[ci·K, ci·K+K)`.
-            let tasks: Vec<(usize, usize)> = (0..probes.len())
-                .flat_map(|ci| (0..k).map(move |mi| (ci, mi)))
-                .collect();
-            // Each cell is a sparse single-segment probe — microseconds of
-            // work — so small grids (one matrix × a few dozen waypoints, the
-            // k=1 common case) run serially: pool dispatch used to cost more
-            // than the probes themselves (0.69× "speedup" at 2 threads
-            // before this cutoff existed). Robust multi-matrix grids clear
-            // the threshold and still fan out.
-            let mut evals =
-                segrout_par::par_map_slice_min(&tasks, GRID_SERIAL_CUTOFF, |_, &(ci, mi)| {
-                    let delta = chain_loads(&probes[ci], d.src, d.dst, sizes[mi]).ok()?;
-                    Some((patched_mlu(&loads[mi], caps, &base_util[mi], &delta), delta))
-                });
 
+            // Re-score the shared deltas against this demand's running
+            // loads, folding in candidate order.
             let mut best: Option<(usize, f64)> = None;
             let mut probed: u64 = 0;
-            for ci in 0..probes.len() {
-                let group = &evals[ci * k..(ci + 1) * k];
+            for (ci, group) in p.deltas.chunks(k).enumerate() {
                 if group.iter().any(Option::is_none) {
                     continue;
                 }
                 probed += 1;
-                let mlus: Vec<f64> = group.iter().flatten().map(|(u, _)| *u).collect();
-                let u = robust.aggregate(&mlus);
+                mlus.clear();
+                for (mi, delta) in group.iter().flatten().enumerate() {
+                    mlus.push(patched_mlu(&loads[mi], caps, &base_util[mi], delta));
+                }
+                // The aggregate of one value is that value.
+                let u = if k == 1 {
+                    mlus[0]
+                } else {
+                    robust.aggregate(&mlus)
+                };
                 let current_best = best.map(|(_, u)| u).unwrap_or(u_min);
                 if u < current_best * (1.0 - cfg.min_improvement) {
                     best = Some((ci, u));
+                    best_mlus.clone_from(&mlus);
                 }
             }
 
@@ -300,7 +416,7 @@ pub fn greedy_wpo_robust(
             match best {
                 Some((ci, u)) => {
                     segrout_obs::trace_point("greedywpo.accept", total_probes, f64::NAN, u);
-                    let cand = probes[ci].clone();
+                    let cand = p.chains[ci].clone();
                     event!(
                         Level::Debug,
                         "greedywpo.pick",
@@ -309,13 +425,16 @@ pub fn greedy_wpo_robust(
                         mlu = u,
                     );
                     setting.set(i, cand);
-                    for (mi, l) in loads.iter_mut().enumerate() {
-                        let (u_mi, delta) = evals[ci * k + mi]
-                            .take()
-                            .expect("accepted candidates evaluated on every matrix");
-                        for (e, load) in delta {
+                    let accepted = &p.deltas[ci * k..(ci + 1) * k];
+                    for (mi, (l, delta)) in
+                        loads.iter_mut().zip(accepted.iter().flatten()).enumerate()
+                    {
+                        // The shared delta stays in place for the run's
+                        // next demand.
+                        for &(e, load) in delta {
                             l[e.index()] += load;
                         }
+                        let u_mi = best_mlus[mi];
                         if k > 1 && segrout_obs::trace_enabled() {
                             // Robust runs record the accepted move's
                             // per-matrix MLU (`iter` is the matrix index).
@@ -350,9 +469,8 @@ pub fn greedy_wpo_robust(
                     );
                     // Keep the current chain: restore each matrix's
                     // contribution.
-                    for (mi, l) in loads.iter_mut().enumerate() {
-                        let current = chain_loads(&chain, d.src, d.dst, sizes[mi])?;
-                        for (e, load) in current {
+                    for (l, current) in loads.iter_mut().zip(&p.current) {
+                        for &(e, load) in current {
                             l[e.index()] += load;
                         }
                     }
@@ -381,8 +499,11 @@ mod tests {
 
     /// The sparse probe evaluation must equal the dense clone-and-fold it
     /// replaced, bit for bit — including duplicate edges inside one delta
-    /// (two segments of a chain sharing a link) and deltas that demote the
-    /// current maximum edge.
+    /// (two segments of a chain sharing a link, one edge three times) and
+    /// deltas that demote the current maximum edge. The deltas run as
+    /// consecutive calls on one thread, overlapping and disjoint in turn, so
+    /// every result after the first also proves the previous call left the
+    /// slot table clean; the table is checked clean at the end too.
     #[test]
     fn patched_mlu_matches_dense_evaluation() {
         let loads = vec![0.3, 1.5, 0.0, 2.25, 0.7];
@@ -400,9 +521,19 @@ mod tests {
             vec![],
             vec![(EdgeId(2), 0.125)],
             vec![(EdgeId(4), 0.1), (EdgeId(4), 0.2)], // duplicate edge
-            vec![(EdgeId(4), -0.7)],                  // demote the max edge
+            vec![(EdgeId(4), -0.7)],                  // overlaps: demote the max edge
+            vec![(EdgeId(0), 0.05), (EdgeId(2), 0.3)], // disjoint from the last
             (0..5).map(|e| (EdgeId(e), 0.01 * e as f64)).collect(), // all touched
             vec![(EdgeId(1), 0.3), (EdgeId(3), 0.41), (EdgeId(1), 0.3)],
+            vec![
+                (EdgeId(3), 0.1),
+                (EdgeId(3), 0.2),
+                (EdgeId(0), 0.4),
+                (EdgeId(3), 0.3),
+            ], // 3x
+            vec![(EdgeId(4), 0.05)], // disjoint: the max edge alone
+            (0..5).rev().map(|e| (EdgeId(e), -0.1)).collect(), // all touched, reversed
+            vec![(EdgeId(2), 0.01)],
         ];
         for delta in &deltas {
             let mut dense = loads.clone();
@@ -413,6 +544,10 @@ mod tests {
             let got = patched_mlu(&loads, &caps, &base_util, delta);
             assert_eq!(got.to_bits(), want.to_bits(), "delta {delta:?}");
         }
+        PATCH_SCRATCH.with(|s| {
+            let s = s.borrow();
+            assert!(s.slot.iter().all(|&at| at == UNTOUCHED), "{:?}", s.slot);
+        });
     }
 
     /// TE-Instance-1 shape with m = 3: chain s=0 -> 1 -> 2 with thick links

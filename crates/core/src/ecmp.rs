@@ -27,8 +27,15 @@ use crate::network::Network;
 use crate::waypoints::WaypointSetting;
 use crate::weights::WeightSetting;
 use segrout_graph::{shortest_path_dag, EdgeId, NodeId, SpDag, EPS};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
+
+thread_local! {
+    /// Per-thread node-flow scratch of [`Router::append_segment_loads`],
+    /// all zero between calls.
+    static NODE_FLOW: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// One routing segment: `amount` units of flow from `src` to `dst`, routed
 /// as an ECMP flow towards `dst`.
@@ -123,10 +130,15 @@ impl<'n> Router<'n> {
 
     /// The (cached) shortest-path DAG towards `t`.
     pub fn dag(&self, t: NodeId) -> Arc<SpDag> {
-        Arc::clone(self.dags[t.index()].get_or_init(|| {
+        Arc::clone(self.cached_dag(t))
+    }
+
+    /// The cache slot of the DAG towards `t`, built on first use.
+    fn cached_dag(&self, t: NodeId) -> &Arc<SpDag> {
+        self.dags[t.index()].get_or_init(|| {
             self.recomputes.inc();
             Arc::new(shortest_path_dag(self.net.graph(), &self.weights, t, &[]))
-        }))
+        })
     }
 
     /// Shortest-path distance from `s` to `t` under the router's weights.
@@ -183,38 +195,65 @@ impl<'n> Router<'n> {
         Ok(loads)
     }
 
-    /// Loads of a single unit segment `src → dst` of size `amount`, returned
-    /// sparsely as `(edge, load)` pairs. This is the inner evaluation of
-    /// GreedyWPO, which probes `|D| · |V|` candidate waypoints.
-    pub fn segment_loads_sparse(
+    /// Appends the loads of one segment `src → dst` of size `amount` to
+    /// `out` as `(edge, load)` pairs, in the order the propagation pass
+    /// splits them: nodes in topological order, each node's next hops in
+    /// ascending edge id. Every edge appears at most once per call. This is
+    /// the inner walk of GreedyWPO and of the WPO MILP's option loads, which
+    /// route `|D| · |V|` candidate segments.
+    ///
+    /// Allocation-free apart from `out`'s growth: it borrows the cached DAG
+    /// and splits through a per-thread node-flow scratch, which is all zero
+    /// again on return. Each share is the same `f64` operation on the same
+    /// inputs as in [`Router::loads_for_segments`], so the pairs equal the
+    /// dense loads bit for bit. A degenerate segment (`src == dst` or
+    /// `amount <= EPS`) appends nothing.
+    ///
+    /// # Errors
+    /// [`TeError::Unroutable`] when `src` cannot reach `dst`; `out` is then
+    /// left as it was.
+    pub fn append_segment_loads(
         &self,
         src: NodeId,
         dst: NodeId,
         amount: f64,
-    ) -> Result<Vec<(EdgeId, f64)>, TeError> {
+        out: &mut Vec<(EdgeId, f64)>,
+    ) -> Result<(), TeError> {
         if src == dst || amount <= EPS {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let dag = self.dag(dst);
+        let dag = self.cached_dag(dst);
         if !dag.reaches_target(src) {
             return Err(TeError::Unroutable { src, dst });
         }
-        let mut node_flow = vec![0.0; self.net.node_count()];
-        node_flow[src.index()] = amount;
-        let mut out = Vec::new();
-        for &v in &dag.order {
-            let f = node_flow[v.index()];
-            if f <= EPS || v == dst {
-                continue;
+        let graph = self.net.graph();
+        NODE_FLOW.with(|scratch| {
+            let mut node_flow = scratch.borrow_mut();
+            if node_flow.len() < self.net.node_count() {
+                node_flow.resize(self.net.node_count(), 0.0);
             }
-            let outs = dag.dag_out(v);
-            let share = f / outs.len() as f64;
-            for &e in outs {
-                out.push((e, share));
-                node_flow[self.net.graph().dst(e).index()] += share;
+            node_flow[src.index()] = amount;
+            // `order` is sorted by decreasing distance and flow only moves
+            // to strictly closer nodes, so the walk starts at the first node
+            // no farther than `src`. Every node that receives flow is on
+            // the DAG, hence in `order` (the target last), so taking each
+            // entry as it is visited leaves the scratch zeroed.
+            let d_src = dag.dist[src.index()];
+            let start = dag.order.partition_point(|v| dag.dist[v.index()] > d_src);
+            for &v in &dag.order[start..] {
+                let f = std::mem::take(&mut node_flow[v.index()]);
+                if f <= EPS || v == dst {
+                    continue;
+                }
+                let outs = dag.dag_out(v);
+                let share = f / outs.len() as f64;
+                for &e in outs {
+                    out.push((e, share));
+                    node_flow[graph.dst(e).index()] += share;
+                }
             }
-        }
-        Ok(out)
+        });
+        Ok(())
     }
 
     /// Evaluates a full demand list under a waypoint setting, producing loads
@@ -426,27 +465,74 @@ mod tests {
         );
     }
 
+    /// The node-flow scratch of the calling thread is all zero.
+    fn assert_scratch_zeroed(ctx: &str) {
+        NODE_FLOW.with(|s| assert!(s.borrow().iter().all(|&f| f.to_bits() == 0), "{ctx}"));
+    }
+
+    /// The segment walk of every ordered pair, on the diamond and the
+    /// binary fan-out (both with ECMP splits), equals the dense evaluation
+    /// of that one segment bit for bit: each touched edge once, at the dense
+    /// load, every other edge at zero load. The scratch is all zero after
+    /// every call, also after an unroutable one (edges point one way, so
+    /// most reverse pairs are unroutable) and a degenerate one.
     #[test]
-    fn sparse_and_dense_loads_agree() {
-        let net = diamond();
-        let router = Router::new(&net, &WeightSetting::unit(&net));
-        let sparse = router
-            .segment_loads_sparse(NodeId(0), NodeId(3), 2.0)
-            .unwrap();
-        let dense = router
-            .loads_for_segments(&[Segment {
-                src: NodeId(0),
-                dst: NodeId(3),
-                amount: 2.0,
-            }])
-            .unwrap();
-        let mut from_sparse = vec![0.0; net.edge_count()];
-        for (e, l) in sparse {
-            from_sparse[e.index()] += l;
+    fn segment_walk_matches_dense_loads_and_leaves_scratch_zeroed() {
+        let mut b = Network::builder(6);
+        for (u, v) in [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (1, 4),
+            (2, 3),
+            (2, 4),
+            (3, 5),
+            (4, 5),
+        ] {
+            b.link(NodeId(u), NodeId(v), 1.0);
         }
-        for e in 0..net.edge_count() {
-            assert!((from_sparse[e] - dense[e]).abs() < 1e-12);
+        let fan_out = b.build().unwrap();
+        let (mut routed, mut unroutable) = (0, 0);
+        for net in [diamond(), fan_out] {
+            let router = Router::new(&net, &WeightSetting::unit(&net));
+            for (src, dst) in net
+                .graph()
+                .nodes()
+                .flat_map(|s| net.graph().nodes().map(move |t| (s, t)))
+            {
+                let ctx = format!("{} nodes, {src:?} -> {dst:?}", net.node_count());
+                let mut out = vec![(EdgeId(0), 7.0)]; // appended to, not cleared
+                let walked = router.append_segment_loads(src, dst, 3.0, &mut out);
+                assert_scratch_zeroed(&ctx);
+                let seg = Segment {
+                    src,
+                    dst,
+                    amount: 3.0,
+                };
+                let Ok(dense) = router.loads_for_segments(&[seg]) else {
+                    assert!(walked.is_err(), "{ctx}: walk routed an unroutable segment");
+                    assert_eq!(out, vec![(EdgeId(0), 7.0)], "{ctx}: error appended");
+                    unroutable += 1;
+                    continue;
+                };
+                walked.unwrap();
+                assert_eq!(out[0], (EdgeId(0), 7.0), "{ctx}");
+                let mut seen = vec![false; net.edge_count()];
+                for &(e, l) in &out[1..] {
+                    assert!(!seen[e.index()], "{ctx}: {e:?} twice");
+                    seen[e.index()] = true;
+                    assert_eq!(l.to_bits(), dense[e.index()].to_bits(), "{ctx}: {e:?}");
+                }
+                for (e, &l) in dense.iter().enumerate() {
+                    assert!(seen[e] || l == 0.0, "{ctx}: edge {e} missed");
+                }
+                routed += usize::from(src != dst);
+            }
         }
+        assert!(
+            routed > 10 && unroutable > 10,
+            "{routed} routed, {unroutable} unroutable"
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@ const REL_TOL: f64 = 1e-6;
 
 /// Asserts that a committed optimizer state is self-consistent: `loads` and
 /// `mlu` must match a from-scratch evaluation of `(weights, waypoints)` on
-/// `demands` within [`REL_TOL`], and every load must be finite and
+/// `demands` within `REL_TOL`, and every load must be finite and
 /// non-negative.
 ///
 /// No-op in release builds (`debug_assertions` off).

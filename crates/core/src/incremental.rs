@@ -33,7 +33,7 @@
 //!    addition is not associative — re-folding cached partials is the only
 //!    patch that preserves the bit pattern.)
 //!
-//! The partials live in a [`LoadArena`]: one flat `|D| · |E|` slab instead
+//! The partials live in a `LoadArena`: one flat `|D| · |E|` slab instead
 //! of `|D|` separate `Vec`s, plus a *prefix slab* caching the ascending fold
 //! up to every destination. A probe whose first dirty destination is `i`
 //! starts from a straight copy of prefix row `i - 1` and only folds rows

@@ -20,7 +20,7 @@
 //!
 //! Integral weights make every finite distance an exact integer far below
 //! 2^53, so both engines compute bit-identical `f64` distance vectors and —
-//! through the shared [`dag_from_dist`] builder — bit-identical DAGs. The
+//! through the shared `dag_from_dist` builder — bit-identical DAGs. The
 //! dynamic repairs patch the previous DAG instead of rebuilding it, with the
 //! same tight-edge predicate and order key, so their DAGs are bit-identical
 //! to a from-scratch build as well.

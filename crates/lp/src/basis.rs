@@ -6,7 +6,7 @@
 //! a *refactorization* rebuilds the whole file from the basic columns,
 //! bounding both floating-point drift and the cost of FTRAN/BTRAN sweeps.
 //!
-//! [`EtaFile`] stores every eta in one flat arena so a solve performs zero
+//! `EtaFile` stores every eta in one flat arena so a solve performs zero
 //! per-pivot allocations beyond the arena growth itself. [`Basis`] is the
 //! compact, cloneable snapshot of a basis (basic column per row plus the
 //! at-upper flags of the nonbasic columns) that the branch-and-bound driver

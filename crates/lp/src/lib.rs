@@ -15,7 +15,7 @@
 //!   A warm-start API ([`simplex::solve_lp_from_basis`]) re-solves from a
 //!   previous basis snapshot — the branch-and-bound driver uses it to start
 //!   each child from its parent's basis.
-//! * [`reference`] — the original dense two-phase tableau, kept as a
+//! * [`reference`](mod@reference) — the original dense two-phase tableau, kept as a
 //!   correctness oracle (select it with [`LpEngine::Tableau`]); the
 //!   differential suite in `crates/lp/tests/` asserts both engines agree.
 //! * [`milp`] — best-bound branch-and-bound over the LP relaxation with

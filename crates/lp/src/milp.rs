@@ -9,7 +9,7 @@
 //! runs on Abilene-scale Joint instances behave in practice.
 //!
 //! Every candidate incumbent is re-verified with [`Problem::is_feasible`]
-//! before acceptance: the relaxation is integral only up to [`INT_TOL`], and
+//! before acceptance: the relaxation is integral only up to `INT_TOL`, and
 //! rounding each integer variable individually can violate a tight equality
 //! row. A rounded point that fails verification is never accepted (and never
 //! prunes); instead the node is split around the offending near-integral

@@ -11,8 +11,8 @@
 //!    `=` rows a fixed slack `[0, 0]`; the constraint matrix is always
 //!    `[A | I]` and the all-slack basis is the identity.
 //! 2. **Product-form basis.** The basis inverse is an eta file
-//!    ([`crate::basis::EtaFile`]); a pivot appends one eta and the file is
-//!    rebuilt (refactorized) every [`REFACTOR_INTERVAL`] pivots, which also
+//!    (`EtaFile` in [`crate::basis`]); a pivot appends one eta and the file is
+//!    rebuilt (refactorized) every `REFACTOR_INTERVAL` pivots, which also
 //!    recomputes the basic values and bounds floating-point drift.
 //! 3. **Feasibility-restoring phase 1.** Instead of artificial variables,
 //!    phase 1 minimizes the total bound violation of the basic variables

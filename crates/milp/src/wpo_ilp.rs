@@ -67,20 +67,21 @@ pub fn wpo_ilp(
     let mut option_loads: Vec<DemandOptions> = Vec::new();
     for d in demands {
         let mut opts = Vec::new();
-        let direct = router.segment_loads_sparse(d.src, d.dst, d.size)?;
+        let mut direct = Vec::new();
+        router.append_segment_loads(d.src, d.dst, d.size, &mut direct)?;
         opts.push((0usize, direct));
         for (k, &w) in candidates.iter().enumerate() {
             if w == d.src || w == d.dst {
                 continue;
             }
-            let Ok(mut first) = router.segment_loads_sparse(d.src, w, d.size) else {
-                continue;
-            };
-            let Ok(second) = router.segment_loads_sparse(w, d.dst, d.size) else {
-                continue;
-            };
-            first.extend(second);
-            opts.push((k + 1, first));
+            let mut loads = Vec::new();
+            if router
+                .append_segment_loads(d.src, w, d.size, &mut loads)
+                .and_then(|()| router.append_segment_loads(w, d.dst, d.size, &mut loads))
+                .is_ok()
+            {
+                opts.push((k + 1, loads));
+            }
         }
         option_loads.push(opts);
     }

@@ -5,7 +5,7 @@
 //! * **Structured events** ([`event!`], [`Level`], [`set_level`]) — leveled,
 //!   typed-field log records broadcast to a pluggable sink stack (stderr
 //!   pretty-printer by default; [`init_jsonl`] adds a JSON-lines file).
-//! * **Spans** ([`span`]) — RAII wall-time timers that feed `time.<name>`
+//! * **Spans** ([`span()`]) — RAII wall-time timers that feed `time.<name>`
 //!   histograms and indent nested log output.
 //! * **Metrics** ([`counter`], [`gauge`], [`histogram`], [`series`]) — a
 //!   global registry of atomic counters, gauges, fixed-bucket histograms

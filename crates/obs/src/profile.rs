@@ -1,4 +1,4 @@
-//! Hierarchical span profiler: an aggregating call-tree over [`crate::span`].
+//! Hierarchical span profiler: an aggregating call-tree over [`crate::span()`].
 //!
 //! When profiling is enabled ([`set_profiling`]), every span additionally
 //! pushes its name onto a thread-local frame stack; on drop the span records

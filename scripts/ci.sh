@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, the full test suite under both a
-# serial and a parallel thread count, the differential harness, the fuzz
-# legs, bench smoke runs, and the benchmark's per-workload oracle checks.
+# Local CI gate: formatting, lints, rustdoc links, the full test suite
+# under both a serial and a parallel thread count, the differential
+# harness, the fuzz legs, bench smoke runs, and the benchmark's
+# per-workload oracle checks.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,6 +12,11 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: an intra-doc link to a renamed, removed or private item,
+# or an ambiguous one, fails the run instead of rotting silently.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The pool's determinism contract means the thread count must be
 # invisible to every test: run the whole suite serially and again with

@@ -9,7 +9,9 @@
 //! * [`disable`] and [`sweep`]: edge-disable probes and failure sweeps;
 //! * [`serve`]: the serving session's scripted event walk;
 //! * [`ospf`], [`wpo`], [`joint`], [`reductions`] and [`robust_joint`]: the
-//!   optimizers, and [`router`]: the oracle's own thread invariance;
+//!   optimizers (GreedyWPO's waypoints also against the dense
+//!   [`reference_greedy_wpo`]), and [`router`]: the oracle's own thread
+//!   invariance;
 //! * [`dag_engines`] and [`dag_repairs`]: the Dijkstra engines and the
 //!   SP-DAG repairs, with no thread axis (the graph crate runs
 //!   single-threaded).
@@ -37,9 +39,9 @@ use segrout::algos::{
 };
 use segrout::core::rng::StdRng;
 use segrout::core::{
-    fortz_phi, sweep_failures, DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator,
-    Network, NodeId, RobustObjective, Router, ScenarioOutcome, TeError, WaypointSetting,
-    WeightSetting,
+    fortz_phi, max_link_utilization, sweep_failures, DemandList, DemandSet, EdgeId, FailureSet,
+    IncrementalEvaluator, Network, NodeId, RobustObjective, Router, ScenarioOutcome, Segment,
+    TeError, WaypointSetting, WeightSetting,
 };
 use segrout::graph::{
     disable_edge_update, shortest_path_dag, single_target_distances, single_target_distances_heap,
@@ -610,14 +612,203 @@ pub fn ospf(case: &Case, _: &Ctx) -> Trace {
     vec![bits(w.as_slice()), state.row()]
 }
 
-/// `wpo`: GreedyWPO's waypoints on inverse-capacity weights and the
-/// routing they give.
-pub fn wpo(case: &Case, _: &Ctx) -> Trace {
-    let (net, demands) = (&case.net, &case.demands);
+/// `demands` with every demand split into `parts` equal consecutive
+/// sub-flows, as the paper's instances split each pair.
+pub fn split(demands: &DemandList, parts: usize) -> DemandList {
+    let mut out = DemandList::new();
+    for d in demands.iter() {
+        for _ in 0..parts {
+            out.push(d.src, d.dst, d.size / parts as f64);
+        }
+    }
+    out
+}
+
+/// The dense loads of each segment of `d` routed along `chain`, in chain
+/// order.
+fn dense_segments(
+    router: &Router<'_>,
+    d: segrout::core::Demand,
+    chain: &[NodeId],
+) -> Result<Vec<Vec<f64>>, TeError> {
+    let stops: Vec<NodeId> = std::iter::once(d.src)
+        .chain(chain.iter().copied())
+        .chain(std::iter::once(d.dst))
+        .collect();
+    let segment = |hop: &[NodeId]| Segment {
+        src: hop[0],
+        dst: hop[1],
+        amount: d.size,
+    };
+    stops
+        .windows(2)
+        .map(|hop| router.loads_for_segments(&[segment(hop)]))
+        .collect()
+}
+
+/// Adds (`sign = 1.0`) or removes (`sign = -1.0`) the dense segment loads
+/// from `loads`, segment by segment.
+fn apply_dense(loads: &mut [f64], segments: &[Vec<f64>], sign: f64) {
+    for seg in segments {
+        for (l, x) in loads.iter_mut().zip(seg) {
+            *l += sign * x;
+        }
+    }
+}
+
+/// The reference GreedyWPO: the descending order and acceptance rule of
+/// `greedy_wpo_robust`, but every candidate is scored on a dense copy of
+/// the running loads plus the dense loads of each of its segments, through
+/// `max_link_utilization` and `RobustObjective::aggregate`. Nothing is
+/// shared between demands and no sparse delta is built.
+pub fn reference_greedy_wpo(
+    net: &Network,
+    set: &DemandSet,
+    weights: &WeightSetting,
+    robust: RobustObjective,
+    cfg: &GreedyWpoConfig,
+) -> WaypointSetting {
+    let router = Router::new(net, weights);
+    let caps = net.capacities();
+    let candidates = cfg
+        .candidates
+        .clone()
+        .unwrap_or_else(|| net.graph().nodes().collect());
+    let mut setting = WaypointSetting::none(set.pair_count());
+    let mut loads: Vec<Vec<f64>> = set
+        .matrices()
+        .map(|d| router.evaluate(d, &setting).expect("routes").loads)
+        .collect();
+    let mlu_of = |loads: &[Vec<f64>]| {
+        let mlus: Vec<f64> = loads
+            .iter()
+            .map(|l| max_link_utilization(l, caps))
+            .collect();
+        robust.aggregate(&mlus)
+    };
+    let mut u_min = mlu_of(&loads);
+    for _pass in 0..cfg.max_waypoints.max(1) {
+        let mut inserted_any = false;
+        for i in set.indices_by_descending_total_size() {
+            let chain = setting.get(i).to_vec();
+            if chain.len() >= cfg.max_waypoints {
+                continue;
+            }
+            let current: Vec<Vec<Vec<f64>>> = (0..set.len())
+                .map(|mi| dense_segments(&router, set.matrix(mi)[i], &chain).expect("routes"))
+                .collect();
+            for (l, segs) in loads.iter_mut().zip(&current) {
+                apply_dense(l, segs, -1.0);
+            }
+            let (src, dst) = (set.matrix(0)[i].src, set.matrix(0)[i].dst);
+            let mut best: Option<(Vec<NodeId>, f64, Vec<Vec<f64>>)> = None;
+            for pos in 0..=chain.len() {
+                for &w in &candidates {
+                    if w == src || w == dst || chain.contains(&w) {
+                        continue;
+                    }
+                    let mut cand = chain.clone();
+                    cand.insert(pos, w);
+                    let patched: Result<Vec<Vec<f64>>, TeError> = (0..set.len())
+                        .map(|mi| {
+                            let segs = dense_segments(&router, set.matrix(mi)[i], &cand)?;
+                            let mut l = loads[mi].clone();
+                            apply_dense(&mut l, &segs, 1.0);
+                            Ok(l)
+                        })
+                        .collect();
+                    let Ok(patched) = patched else { continue };
+                    let u = mlu_of(&patched);
+                    let current_best = best.as_ref().map_or(u_min, |b| b.1);
+                    if u < current_best * (1.0 - cfg.min_improvement) {
+                        best = Some((cand, u, patched));
+                    }
+                }
+            }
+            match best {
+                Some((cand, u, patched)) => {
+                    setting.set(i, cand);
+                    loads = patched;
+                    u_min = u;
+                    inserted_any = true;
+                }
+                None => {
+                    for (l, segs) in loads.iter_mut().zip(&current) {
+                        apply_dense(l, segs, 1.0);
+                    }
+                }
+            }
+        }
+        if !inserted_any {
+            break;
+        }
+    }
+    setting
+}
+
+/// The inputs of the [`wpo`] kind: the case's demands as they are and
+/// split into 4 equal sub-flows each (the sub-flows of a pair share their
+/// candidate deltas), each as one matrix and as a 3-matrix set whose extra
+/// matrices rescale every pair, at waypoint budgets 1 and 2. Germany50,
+/// whose 48 candidates × 3 matrices clear GreedyWPO's pool cutoff, runs the
+/// split demands at budget 1 only, which keeps the debug run short.
+fn wpo_inputs(case: &Case) -> Vec<(String, DemandSet, usize)> {
+    let germany50 = case.label == "Germany50";
+    let mut inputs = Vec::new();
+    for parts in [1, 4] {
+        if germany50 && parts == 1 {
+            continue;
+        }
+        let three = scaled_set(&case.demands, 2, 0x3a7);
+        let three = three
+            .iter()
+            .map(|(name, d)| (name.to_string(), split(d, parts)));
+        let sets = [
+            DemandSet::single(split(&case.demands, parts)),
+            DemandSet::from_named(three.collect()),
+        ];
+        for set in sets {
+            for budget in [1, 2] {
+                if germany50 && budget == 2 {
+                    continue;
+                }
+                let label = format!("{} matrices, {parts} parts, W={budget}", set.len());
+                inputs.push((label, set.clone(), budget));
+            }
+        }
+    }
+    inputs
+}
+
+/// `wpo`: GreedyWPO's waypoints on inverse-capacity weights, and the
+/// routing they give on every matrix, for each of [`wpo_inputs`]. The
+/// waypoints must equal [`reference_greedy_wpo`]'s.
+pub fn wpo(case: &Case, ctx: &Ctx) -> Trace {
+    let net = &case.net;
     let invcap = WeightSetting::inverse_capacity(net);
-    let p = greedy_wpo(net, demands, &invcap, &GreedyWpoConfig::default()).expect("routes");
-    let state = intact_oracle(net, invcap.as_slice(), demands, &p);
-    vec![waypoint_bits(&p), state.row()]
+    let worst = RobustObjective::WorstCase;
+    let mut trace = Trace::new();
+    for (label, set, budget) in wpo_inputs(case) {
+        let cfg = GreedyWpoConfig {
+            max_waypoints: budget,
+            ..Default::default()
+        };
+        let p = greedy_wpo_robust(net, &set, &invcap, worst, &cfg).expect("routes");
+        if ctx.checks {
+            let want = reference_greedy_wpo(net, &set, &invcap, worst, &cfg);
+            let at = ctx.at(&label);
+            assert_eq!(
+                waypoint_bits(&p),
+                waypoint_bits(&want),
+                "{at}: vs reference"
+            );
+        }
+        trace.push(waypoint_bits(&p));
+        for demands in set.matrices() {
+            trace.push(intact_oracle(net, invcap.as_slice(), demands, &p).row());
+        }
+    }
+    trace
 }
 
 /// `joint`: JOINT-Heur's weights, waypoints and MLUs; the MLU must equal

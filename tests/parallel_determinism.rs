@@ -1,9 +1,12 @@
 //! The pool's contract: thread count is a pure performance knob. HeurOSPF
 //! weights, GreedyWPO waypoints, JOINT-Heur results and the ECMP
-//! evaluator's loads are bit-identical at 1, 2, 4 and 8 threads. The
+//! evaluator's loads are bit-identical at 1, 2, 4 and 8 threads. GreedyWPO's
+//! waypoints must also equal a dense reference greedy's at 1 thread, on
+//! as-is and split demands, one and three matrices, budgets 1 and 2. The
 //! optimizer kinds live in the differential harness
-//! (`tests/differential/mod.rs`); Germany50 is left out of the optimizer
-//! runs, which take seconds there in a debug build.
+//! (`tests/differential/mod.rs`); Germany50 is left out of the HeurOSPF and
+//! JOINT-Heur runs, which take seconds there in a debug build, and runs
+//! GreedyWPO on its split demands only.
 
 mod differential;
 
@@ -16,7 +19,7 @@ fn heur_ospf_is_thread_count_invariant() {
 
 #[test]
 fn greedy_wpo_is_thread_count_invariant() {
-    run_kind("greedy_wpo", Grid::Threads, small_cases(), wpo);
+    run_kind("greedy_wpo", Grid::Full, cases(), wpo);
 }
 
 #[test]

@@ -189,7 +189,9 @@ fn lwo_apx_guarantee_holds() {
     }
 }
 
-/// The sparse segment loads always sum to the dense evaluation.
+/// The segment walk equals the dense evaluation of its one segment bit for
+/// bit: each touched edge once, at the dense load, and every other edge at
+/// zero load.
 #[test]
 fn sparse_loads_match_dense() {
     for seed in 0..CASES {
@@ -202,7 +204,10 @@ fn sparse_loads_match_dense() {
         if src == dst {
             continue;
         }
-        let sparse = router.segment_loads_sparse(src, dst, 1.5).expect("routes");
+        let mut sparse = Vec::new();
+        router
+            .append_segment_loads(src, dst, 1.5, &mut sparse)
+            .expect("routes");
         let dense = router
             .loads_for_segments(&[segrout_core::Segment {
                 src,
@@ -210,12 +215,14 @@ fn sparse_loads_match_dense() {
                 amount: 1.5,
             }])
             .expect("routes");
-        let mut acc = vec![0.0; net.edge_count()];
+        let mut acc = vec![None; net.edge_count()];
         for (e, l) in sparse {
-            acc[e.index()] += l;
+            assert!(acc[e.index()].is_none(), "seed {seed}: edge {e:?} twice");
+            acc[e.index()] = Some(l);
         }
         for e in 0..net.edge_count() {
-            assert!((acc[e] - dense[e]).abs() < 1e-9, "seed {seed}: edge {e}");
+            let got = acc[e].unwrap_or(0.0);
+            assert_eq!(got.to_bits(), dense[e].to_bits(), "seed {seed}: edge {e}");
         }
     }
 }

@@ -19,9 +19,9 @@
 //! state read-only and repair only the destinations whose shortest-path DAG
 //! the single-edge change can touch; the accepted move is committed in
 //! place. Probe answers are bit-identical to a from-scratch [`Router`]
-//! evaluation (pinned by the differential harness's `walk` kind in
-//! `tests/incremental_differential.rs`, the fuzzer's probe/commit stage and
-//! the debug-build commit hooks), so the search takes the trajectory a
+//! evaluation (pinned by the `walk` kind of `segrout_check::differential`,
+//! which `tests/incremental_differential.rs` and the fuzzer run, and by the
+//! debug-build commit hooks), so the search takes the trajectory a
 //! from-scratch scorer would, at a fraction of the work. Building a
 //! descent's evaluators is one full evaluation, which also scores its
 //! start: the inverse-capacity start is evaluated once, and restart 0

@@ -29,17 +29,21 @@
 //! `segrout_core::read_config` so corpus files stay hand-editable with the
 //! same rules as deployed configurations.
 
-use crate::validator::{validate_robust, validate_sweep, Validator, ValidatorConfig, Violation};
-use segrout_algos::{ServeConfig, ServeEvent, ServeSession, ServeTier};
-use segrout_core::rng::StdRng;
+use crate::differential::{
+    disable, guard, joint, joint_cfg, ospf, ospf_cfg, reductions, robust_joint, run_case_kind,
+    serve, sweep, walk, wpo, Kind,
+};
+use crate::validator::{ValidationReport, Validator, ValidatorConfig, Violation};
+use segrout_algos::{joint_heur, joint_heur_robust, JointHeurResult, ServeEvent};
 use segrout_core::{
-    evaluate_robust, fortz_phi, read_config, DemandList, DemandSet, IncrementalEvaluator, Network,
-    RobustObjective, Router, TeError, WaypointSetting, WeightSetting,
+    read_config, Demand, DemandList, DemandSet, Network, RobustObjective, TeError, WaypointSetting,
+    WeightSetting,
 };
 use segrout_graph::{EdgeId, NodeId};
 use segrout_lp::{LpEngine, MilpOptions, MilpStatus};
-use segrout_milp::{joint_milp, joint_milp_robust, JointMilpOptions};
+use segrout_milp::{joint_milp, joint_milp_robust, JointMilpOptions, JointMilpOutcome};
 use std::fmt;
+use std::str::{FromStr, SplitWhitespace};
 use std::time::Duration;
 
 /// LP engine selector for the differential dimension of a case.
@@ -81,7 +85,8 @@ pub enum CaseOutcome {
     Error(String),
     /// At least one invariant or differential check failed.
     Violations(Vec<Violation>),
-    /// The pipeline panicked (recorded by the fuzzer's catch-unwind shim).
+    /// A differential kind's check failed, or the pipeline panicked
+    /// (recorded by the fuzzer's catch-unwind shim).
     Panic(String),
 }
 
@@ -118,52 +123,82 @@ pub struct Case {
     pub links: Vec<(u32, u32, f64)>,
     /// Demands `(src, dst, size)` — the base traffic matrix.
     pub demands: Vec<(u32, u32, f64)>,
-    /// Additional traffic matrices for the robust multi-matrix stage, each a
+    /// Additional traffic matrices for the robust multi-matrix kinds, each a
     /// size row over the **same pairs** as `demands` (aligned by
     /// construction). Empty for classic single-matrix cases.
     pub extra_matrices: Vec<Vec<f64>>,
-    /// Serve-event stream for the online-reoptimization stage: each event is
-    /// fed to a [`ServeSession`] and the post-event state is checked against
-    /// a from-scratch rebuild. Out-of-range indices and disconnecting
-    /// failures are **legal** inputs here — the daemon must answer them with
-    /// an error reply and untouched state, not die.
+    /// Serve-event stream of the `serve` kind: each event is fed to a
+    /// `ServeSession` and the post-event state is checked against the
+    /// oracle. Out-of-range indices and disconnecting failures are **legal**
+    /// inputs here — the daemon must answer them with an error reply and
+    /// untouched state, not die.
     pub events: Vec<ServeEvent>,
     /// Link weights, one per link.
     pub weights: Vec<f64>,
     /// Waypoint rows, one per demand (possibly empty).
     pub waypoints: Vec<Vec<u32>>,
-    /// Worker-thread count the case runs under.
+    /// Worker-thread count the validator and the MILP oracle run under, and
+    /// at which every kind reruns against its 1-thread trace.
     pub threads: usize,
     /// Whether the incremental evaluation engine is cross-checked: the
-    /// seeded probe/commit differential (stage 2) and the validator's
-    /// evaluator comparison. The optimizers always score through it.
+    /// `walk` kind and the validator's evaluator comparison. The optimizers
+    /// always score through it.
     pub incremental: bool,
     /// LP engine used for the MILP-oracle stage.
     pub engine: EngineChoice,
-    /// Whether the full heuristic pipeline (HeurOSPF + GreedyWPO, plus the
-    /// MILP oracle on tiny instances) runs on top of the state validation.
+    /// Whether the optimizer kinds (`ospf`, `wpo`, `joint`) and the MILP
+    /// oracle on tiny instances run on top of the state validation.
     pub pipeline: bool,
-    /// Seed driving the probe/commit differential and the pipeline search.
+    /// Seed of the `walk` kind's probes and of every HeurOSPF search.
     pub seed: u64,
 }
 
-/// Restores the ambient worker-thread override on scope exit, including
-/// panic unwinds out of the pipeline stage.
-struct ThreadGuard(usize);
+/// Tolerance of the MILP oracle's optimality sandwiches.
+const TOL: f64 = 1e-6;
 
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        segrout_par::set_threads(self.0);
-    }
+/// The next token of a line as a number.
+fn num(parts: &mut SplitWhitespace<'_>, lineno: usize, what: &str) -> Result<f64, TeError> {
+    parts
+        .next()
+        .and_then(|s| s.parse::<f64>().ok())
+        .ok_or_else(|| TeError::InvalidWaypoints(format!("line {}: needs {what}", lineno + 1)))
 }
 
-const TOL: f64 = 1e-6;
+/// The next token of a line as a non-negative integer: a node, thread,
+/// edge or index field, where `2.9` or `-1` is an error and not a cast.
+fn int<T: FromStr>(
+    parts: &mut SplitWhitespace<'_>,
+    lineno: usize,
+    what: &str,
+) -> Result<T, TeError> {
+    let line = lineno + 1;
+    let tok = parts
+        .next()
+        .ok_or_else(|| TeError::InvalidWaypoints(format!("line {line}: needs {what}")))?;
+    tok.parse().map_err(|_| {
+        TeError::InvalidWaypoints(format!(
+            "line {line}: {what} must be a non-negative integer, not '{tok}'"
+        ))
+    })
+}
+
+/// The next token of a line as a `0` or `1` switch.
+fn flag(parts: &mut SplitWhitespace<'_>, lineno: usize) -> Result<bool, TeError> {
+    match int::<u8>(parts, lineno, "0 or 1")? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(TeError::InvalidWaypoints(format!(
+            "line {}: needs 0 or 1",
+            lineno + 1
+        ))),
+    }
+}
 
 impl Case {
     /// Builds the network described by the topology section.
     ///
     /// # Errors
-    /// Rejects out-of-range endpoints and invalid capacities.
+    /// Rejects out-of-range endpoints, self-loops and invalid capacities.
     pub fn network(&self) -> Result<Network, TeError> {
         let mut b = Network::builder(self.nodes);
         for &(u, v, cap) in &self.links {
@@ -171,6 +206,11 @@ impl Case {
                 return Err(TeError::InvalidWaypoints(format!(
                     "link {u} -> {v} out of range for {} nodes",
                     self.nodes
+                )));
+            }
+            if u == v {
+                return Err(TeError::InvalidWaypoints(format!(
+                    "link {u} -> {v} is a self-loop"
                 )));
             }
             b.link(NodeId(u), NodeId(v), cap);
@@ -181,9 +221,9 @@ impl Case {
     /// Builds the demand list described by the demand section.
     ///
     /// # Errors
-    /// Rejects out-of-range endpoints.
+    /// Rejects out-of-range or equal endpoints and invalid sizes.
     pub fn demand_list(&self) -> Result<DemandList, TeError> {
-        let mut d = DemandList::new();
+        let mut d = Vec::new();
         for &(s, t, size) in &self.demands {
             if s as usize >= self.nodes || t as usize >= self.nodes {
                 return Err(TeError::InvalidWaypoints(format!(
@@ -191,9 +231,14 @@ impl Case {
                     self.nodes
                 )));
             }
-            d.push(NodeId(s), NodeId(t), size);
+            if s == t {
+                return Err(TeError::InvalidWaypoints(format!(
+                    "demand {s} -> {t} needs distinct endpoints"
+                )));
+            }
+            d.push(Demand::new(NodeId(s), NodeId(t), size));
         }
-        Ok(d)
+        DemandList::from_vec(d)
     }
 
     /// Builds the full multi-matrix [`DemandSet`]: the base matrix (`m0`)
@@ -233,7 +278,7 @@ impl Case {
         WeightSetting::new(net, self.weights.clone())
     }
 
-    fn waypoint_setting(&self) -> Result<WaypointSetting, TeError> {
+    pub(crate) fn waypoint_setting(&self) -> Result<WaypointSetting, TeError> {
         if self.waypoints.len() != self.demands.len() {
             return Err(TeError::InvalidWaypoints(format!(
                 "{} waypoint rows for {} demands",
@@ -340,31 +385,14 @@ impl Case {
                 continue;
             }
             let bad = |msg: &str| TeError::InvalidWaypoints(format!("line {}: {msg}", lineno + 1));
-            fn num(
-                parts: &mut std::str::SplitWhitespace<'_>,
-                lineno: usize,
-                what: &str,
-            ) -> Result<f64, TeError> {
-                parts
-                    .next()
-                    .and_then(|s| s.parse::<f64>().ok())
-                    .ok_or_else(|| {
-                        TeError::InvalidWaypoints(format!("line {}: needs {what}", lineno + 1))
-                    })
-            }
             let mut parts = line.split_whitespace();
             let directive = parts.next().expect("non-empty line has a first token");
             let p = &mut parts;
             match directive {
-                "seed" => {
-                    case.seed = p
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| bad("seed needs an integer"))?
-                }
-                "threads" => case.threads = num(p, lineno, "a thread count")? as usize,
-                "incremental" => case.incremental = num(p, lineno, "0 or 1")? != 0.0,
-                "pipeline" => case.pipeline = num(p, lineno, "0 or 1")? != 0.0,
+                "seed" => case.seed = int(p, lineno, "a seed")?,
+                "threads" => case.threads = int(p, lineno, "a thread count")?,
+                "incremental" => case.incremental = flag(p, lineno)?,
+                "pipeline" => case.pipeline = flag(p, lineno)?,
                 "engine" => {
                     case.engine = match p.next() {
                         Some("revised") => EngineChoice::Revised,
@@ -372,17 +400,26 @@ impl Case {
                         _ => return Err(bad("engine needs 'revised' or 'tableau'")),
                     }
                 }
-                "nodes" => case.nodes = num(p, lineno, "a node count")? as usize,
+                "nodes" => case.nodes = int(p, lineno, "a node count")?,
                 "link" => {
-                    let u = num(p, lineno, "a source")? as u32;
-                    let v = num(p, lineno, "a destination")? as u32;
+                    let u = int(p, lineno, "a source")?;
+                    let v = int(p, lineno, "a destination")?;
                     let cap = num(p, lineno, "a capacity")?;
+                    if u == v {
+                        return Err(bad("a link needs distinct endpoints"));
+                    }
                     case.links.push((u, v, cap));
                 }
                 "demand" => {
-                    let s = num(p, lineno, "a source")? as u32;
-                    let t = num(p, lineno, "a destination")? as u32;
+                    let s = int(p, lineno, "a source")?;
+                    let t = int(p, lineno, "a destination")?;
                     let size = num(p, lineno, "a size")?;
+                    if s == t {
+                        return Err(bad("a demand needs distinct endpoints"));
+                    }
+                    if !(size.is_finite() && size > 0.0) {
+                        return Err(bad("a demand size must be positive and finite"));
+                    }
                     case.demands.push((s, t, size));
                 }
                 "matrix" => {
@@ -400,34 +437,30 @@ impl Case {
                     let event = match kind {
                         "noop" => ServeEvent::Noop,
                         "scale" => ServeEvent::DemandScale {
-                            index: num(p, lineno, "a demand index")? as usize,
+                            index: int(p, lineno, "a demand index")?,
                             factor: num(p, lineno, "a factor")?,
                         },
                         "down" => ServeEvent::LinkDown {
-                            edge: EdgeId(num(p, lineno, "an edge id")? as u32),
+                            edge: EdgeId(int(p, lineno, "an edge id")?),
                         },
                         "up" => ServeEvent::LinkUp {
-                            edge: EdgeId(num(p, lineno, "an edge id")? as u32),
+                            edge: EdgeId(int(p, lineno, "an edge id")?),
                         },
                         "cap" => ServeEvent::Capacity {
-                            edge: EdgeId(num(p, lineno, "an edge id")? as u32),
+                            edge: EdgeId(int(p, lineno, "an edge id")?),
                             capacity: num(p, lineno, "a capacity")?,
                         },
                         "matrix" => {
-                            let nums: Vec<f64> = p
-                                .by_ref()
-                                .map(str::parse::<f64>)
-                                .collect::<Result<_, _>>()
-                                .map_err(|_| bad("event matrix needs numbers"))?;
-                            if nums.is_empty() || !nums.len().is_multiple_of(3) {
+                            let mut demands = Vec::new();
+                            while p.clone().next().is_some() {
+                                let s = NodeId(int(p, lineno, "a source")?);
+                                let t = NodeId(int(p, lineno, "a destination")?);
+                                demands.push((s, t, num(p, lineno, "a size")?));
+                            }
+                            if demands.is_empty() {
                                 return Err(bad("event matrix needs src dst size triples"));
                             }
-                            ServeEvent::DemandMatrix {
-                                demands: nums
-                                    .chunks_exact(3)
-                                    .map(|c| (NodeId(c[0] as u32), NodeId(c[1] as u32), c[2]))
-                                    .collect(),
-                            }
+                            ServeEvent::DemandMatrix { demands }
                         }
                         other => return Err(bad(&format!("unknown event kind '{other}'"))),
                     };
@@ -460,21 +493,22 @@ impl Case {
         Ok(case)
     }
 
-    /// Runs every differential stage of the case and reports the outcome.
+    /// Runs every check of the case and reports the outcome.
     ///
-    /// Stages: (1) the full invariant [`Validator`] on the given state, (2)
-    /// a seeded probe/commit differential between the incremental engine and
-    /// from-scratch routing, (3) the heuristic pipeline (HeurOSPF +
-    /// GreedyWPO) with validation of its output, (4) on tiny instances,
-    /// the MILP oracle — optimality sandwich plus a Revised-vs-Tableau LP
-    /// engine differential, (5) the robust multi-matrix differential on
-    /// cases with extra matrices, (6) the failure-sweep differential
-    /// pinning the edge-disable probe against deleted-topology re-routing,
-    /// and (7) the online-serving differential on cases with an event
-    /// stream — every post-event session state must match a from-scratch
-    /// rebuild bitwise, with churn and SLO accounting checked per event.
+    /// The [`Validator`] checks the given state at the case's thread count.
+    /// Then the [`differential`](crate::differential) kinds run, each checked
+    /// at 1 thread and again at the case's thread count when that is above
+    /// 1, which must reproduce the 1-thread trace: `walk` when `incremental`
+    /// is set, `disable` and `sweep`, `serve` on an event stream, `ospf`,
+    /// `wpo` and `joint` when `pipeline` is set, and `reductions` and
+    /// `robust_joint` on extra matrices. A kind reports a failed check by
+    /// panicking, which the fuzzer's shield turns into
+    /// [`CaseOutcome::Panic`]. Last, when `pipeline` is set, JOINT-Heur's
+    /// output state goes through the validator, and on tiny instances the
+    /// MILP oracle runs once (see `run_milp`). The whole run holds the
+    /// differential lock, so no concurrent run moves the thread count.
     pub fn run(&self, vcfg: &ValidatorConfig) -> CaseOutcome {
-        let _threads = ThreadGuard(segrout_par::threads());
+        let _guard = guard();
         segrout_par::set_threads(self.threads);
 
         let built = (|| {
@@ -482,9 +516,10 @@ impl Case {
             let demands = self.demand_list()?;
             let weights = self.weight_setting(&net)?;
             let waypoints = self.waypoint_setting()?;
-            Ok::<_, TeError>((net, demands, weights, waypoints))
+            let set = self.demand_set()?;
+            Ok::<_, TeError>((net, demands, weights, waypoints, set))
         })();
-        let (net, demands, weights, waypoints) = match built {
+        let (net, demands, weights, waypoints, set) = match built {
             Ok(x) => x,
             Err(e) => return CaseOutcome::Error(e.to_string()),
         };
@@ -506,67 +541,19 @@ impl Case {
             Err(e) => return CaseOutcome::Error(e.to_string()),
         }
 
-        // Stage 2: incremental probe/commit differential.
-        if self.incremental && !self.demands.is_empty() {
-            match self.run_incremental_differential(&net, &demands, &weights, &waypoints) {
-                Ok((c, vs)) => {
-                    checks += c;
-                    violations.extend(vs);
-                }
-                Err(e) => return CaseOutcome::Error(e.to_string()),
-            }
-        }
-
-        // Stages 3 + 4: heuristic pipeline, then the MILP oracle on tiny
-        // instances.
-        if self.pipeline && !self.demands.is_empty() {
-            match self.run_pipeline(&net, &demands, &cfg) {
-                Ok((c, vs)) => {
-                    checks += c;
-                    violations.extend(vs);
-                }
-                Err(e) => return CaseOutcome::Error(e.to_string()),
-            }
-        }
-
-        // Stage 5: robust multi-matrix differential (invariants on the given
-        // state, single-matrix reduction, robust pipeline + MILP oracle).
-        if !self.extra_matrices.is_empty() && !self.demands.is_empty() {
-            match self.run_robust(&net, &demands, &weights, &waypoints) {
-                Ok((c, vs)) => {
-                    checks += c;
-                    violations.extend(vs);
-                }
-                Err(e) => return CaseOutcome::Error(e.to_string()),
-            }
-        }
-
-        // Stage 6: failure-sweep differential — every (pattern, scaling)
-        // scenario answered by the edge-disable probe is reproduced from
-        // scratch on the edge-deleted topology. Doubles only on small
-        // topologies; patterns grow quadratically in the link count.
         if !self.demands.is_empty() {
-            let doubles = self.links.len() <= 10;
-            match validate_sweep(&net, &demands, &weights, &waypoints, doubles, &[1.0, 1.25]) {
-                Ok(rep) => {
-                    checks += rep.checks;
-                    violations.extend(rep.violations.into_iter().map(|mut v| {
-                        v.detail = format!("sweep: {}", v.detail);
-                        v
-                    }));
-                }
-                Err(e) => return CaseOutcome::Error(e.to_string()),
+            for (name, kind) in self.kinds() {
+                checks += run_case_kind(name, self, kind);
             }
-        }
-
-        // Stage 7: online-serving differential over the event stream.
-        if !self.events.is_empty() && !self.demands.is_empty() {
-            match self.run_serve_events(&net, &demands, &weights, &waypoints) {
-                Ok((c, vs)) => {
-                    checks += c;
-                    violations.extend(vs);
+            segrout_par::set_threads(self.threads);
+            if self.pipeline {
+                match self.run_milp(&net, &demands, &set, &cfg) {
+                    Ok(rep) => {
+                        checks += rep.checks;
+                        violations.extend(rep.violations);
+                    }
+                    Err(e) => return CaseOutcome::Error(e.to_string()),
                 }
-                Err(e) => return CaseOutcome::Error(e.to_string()),
             }
         }
 
@@ -577,447 +564,63 @@ impl Case {
         }
     }
 
-    /// Online-serving differential: feeds the event stream to a
-    /// [`ServeSession`] and checks, per event, that (a) the response's
-    /// churn equals its weight-diff count and the diff replays the pre-event
-    /// weights onto the post-event weights bit-exactly, (b) error replies
-    /// leave every observable bit untouched, and (c) the session's in-place
-    /// state equals a from-scratch evaluator rebuilt from the session's
-    /// effective capacities, weights, workload, and failure mask. Afterwards
-    /// the session tallies (tier partition, churn total, SLO violations)
-    /// must agree with what the responses reported.
-    fn run_serve_events(
-        &self,
-        net: &Network,
-        demands: &DemandList,
-        weights: &WeightSetting,
-        waypoints: &WaypointSetting,
-    ) -> Result<(usize, Vec<Violation>), TeError> {
-        let cfg = ServeConfig {
-            reopt: segrout_algos::ReoptimizeConfig {
-                ospf: segrout_algos::HeurOspfConfig {
-                    max_weight: 8,
-                    max_passes: 2,
-                    seed: self.seed,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            ..ServeConfig::default()
-        };
-        let slo_ms = cfg.slo_ms;
-        let mut session = ServeSession::new(net, weights, demands.clone(), waypoints.clone(), cfg)?;
-        let mut checks = 0usize;
-        let mut violations = Vec::new();
-        let fail = |step: usize, detail: String| Violation {
-            invariant: "serve-differential",
-            detail: format!("event {step}: {detail}"),
-        };
-        let mut observed_errors = 0u64;
-        let mut observed_slow = 0u64;
-        let mut churn_total = 0u64;
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-
-        for (step, event) in self.events.iter().enumerate() {
-            let pre_weights = bits(session.evaluator().weights());
-            let pre_loads = bits(session.evaluator().loads());
-            let pre_mlu = session.evaluator().mlu().to_bits();
-            let r = session.apply(event);
-            let post_weights = bits(session.evaluator().weights());
-
-            checks += 1;
-            if r.seq != step as u64 + 1 {
-                violations.push(fail(step, format!("seq {} != {}", r.seq, step + 1)));
-            }
-            checks += 1;
-            if r.churn != r.weight_diffs.len() {
-                violations.push(fail(
-                    step,
-                    format!("churn {} != {} diffs", r.churn, r.weight_diffs.len()),
-                ));
-            }
-            churn_total += r.churn as u64;
-
-            // The diff must replay pre -> post exactly, and every entry must
-            // be a genuine change (minimal churn, no padding).
-            checks += 1;
-            let mut replayed = pre_weights.clone();
-            let mut diff_ok = true;
-            for &(e, old, new) in &r.weight_diffs {
-                if e.index() >= replayed.len()
-                    || old.to_bits() != pre_weights[e.index()]
-                    || old.to_bits() == new.to_bits()
-                {
-                    diff_ok = false;
-                    break;
-                }
-                replayed[e.index()] = new.to_bits();
-            }
-            if !diff_ok || replayed != post_weights {
-                violations.push(fail(
-                    step,
-                    format!(
-                        "weight diff does not replay the deployed change: {:?}",
-                        r.weight_diffs
-                    ),
-                ));
-            }
-
-            if r.tier == ServeTier::Error {
-                observed_errors += 1;
-                checks += 1;
-                if post_weights != pre_weights
-                    || bits(session.evaluator().loads()) != pre_loads
-                    || session.evaluator().mlu().to_bits() != pre_mlu
-                {
-                    violations.push(fail(
-                        step,
-                        format!("error reply ({:?}) must leave state untouched", r.error),
-                    ));
-                }
-            }
-            checks += 1;
-            if r.mlu.to_bits() != session.evaluator().mlu().to_bits() {
-                violations.push(fail(step, "response mlu != session mlu".to_string()));
-            }
-
-            // From-scratch oracle: a fresh evaluator on the session's
-            // effective capacities/weights/workload/failure mask.
-            let ev = session.evaluator();
-            let mut b = Network::builder(net.node_count());
-            for (e, u, v) in net.graph().edges() {
-                b.link(u, v, ev.capacities()[e.index()]);
-            }
-            let scratch_net = b.build()?;
-            let cur = WeightSetting::new(&scratch_net, ev.weights().to_vec())?;
-            let failed: Vec<EdgeId> = ev
-                .disabled()
-                .iter()
-                .enumerate()
-                .filter(|(_, &d)| d)
-                .map(|(i, _)| EdgeId(i as u32))
-                .collect();
-            let fresh = IncrementalEvaluator::new_with_failures(
-                &scratch_net,
-                &cur,
-                session.demands(),
-                session.waypoints(),
-                &failed,
-            )?;
-            checks += 1;
-            if bits(ev.loads()) != bits(fresh.loads())
-                || ev.phi().to_bits() != fresh.phi().to_bits()
-                || ev.mlu().to_bits() != fresh.mlu().to_bits()
-            {
-                violations.push(fail(
-                    step,
-                    format!(
-                        "in-place state diverged from scratch rebuild after {event:?}: \
-                         mlu {} vs {}",
-                        ev.mlu(),
-                        fresh.mlu()
-                    ),
-                ));
-            }
-
-            if slo_ms > 0.0 && r.latency_ms > slo_ms {
-                observed_slow += 1;
-            }
+    /// The differential kinds the case runs: `walk` when `incremental` is
+    /// set, `disable` and `sweep`, `serve` on an event stream, the optimizer
+    /// kinds when `pipeline` is set, and the robust kinds on extra matrices.
+    fn kinds(&self) -> Vec<(&'static str, Kind)> {
+        let mut kinds: Vec<(&str, Kind)> = Vec::new();
+        if self.incremental {
+            kinds.push(("walk", walk));
         }
-
-        // Session bookkeeping must agree with the responses.
-        let st = *session.stats();
-        checks += 1;
-        if st.events != self.events.len() as u64 {
-            violations.push(fail(
-                self.events.len(),
-                format!("stats.events {} != {}", st.events, self.events.len()),
-            ));
+        kinds.extend([("disable", disable as Kind), ("sweep", sweep)]);
+        if !self.events.is_empty() {
+            kinds.push(("serve", serve));
         }
-        checks += 1;
-        if st.probe_only + st.local_reopts + st.escalations + st.errors != st.events {
-            violations.push(fail(
-                self.events.len(),
-                format!("tier tallies do not partition the event count: {st:?}"),
-            ));
+        if self.pipeline {
+            kinds.extend([("ospf", ospf as Kind), ("wpo", wpo), ("joint", joint)]);
         }
-        checks += 1;
-        if st.errors != observed_errors {
-            violations.push(fail(
-                self.events.len(),
-                format!(
-                    "stats.errors {} != {observed_errors} error replies",
-                    st.errors
-                ),
-            ));
+        if !self.extra_matrices.is_empty() {
+            kinds.extend([
+                ("reductions", reductions as Kind),
+                ("robust_joint", robust_joint),
+            ]);
         }
-        checks += 1;
-        if st.weight_churn != churn_total {
-            violations.push(fail(
-                self.events.len(),
-                format!("stats.weight_churn {} != {churn_total}", st.weight_churn),
-            ));
-        }
-        checks += 1;
-        if st.slo_violations != observed_slow {
-            violations.push(fail(
-                self.events.len(),
-                format!(
-                    "stats.slo_violations {} != {observed_slow} responses over {slo_ms} ms",
-                    st.slo_violations
-                ),
-            ));
-        }
-        Ok((checks, violations))
+        kinds
     }
 
-    /// Random walk of weight probes; every committed step must leave the
-    /// incremental engine's loads, MLU and Φ bit-identical (integral
-    /// weights) or within tolerance (fractional) of a from-scratch
-    /// evaluation.
-    fn run_incremental_differential(
+    /// JOINT-Heur's output state through the validator, then on tiny
+    /// instances the MILP oracle, once each: the heuristic's MLU must lie
+    /// between the Joint MILP's dual bound and its proven optimum, both LP
+    /// engines must agree on a proven optimum, and on extra matrices
+    /// JOINT-Heur-robust's worst-case MLU must lie the same way against the
+    /// robust Joint MILP. The heuristics search a subset of the MILP's space
+    /// (integer weights up to [`ospf_cfg`]'s 4, at most one waypoint), so a
+    /// proven-optimal MILP can never lose to them, and the dual bound holds
+    /// unconditionally.
+    fn run_milp(
         &self,
         net: &Network,
         demands: &DemandList,
-        weights: &WeightSetting,
-        waypoints: &WaypointSetting,
-    ) -> Result<(usize, Vec<Violation>), TeError> {
-        let mut ev = IncrementalEvaluator::new(net, weights, demands, waypoints)?;
-        let mut cur = weights.clone();
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
-        let mut checks = 0usize;
-        let mut violations = Vec::new();
-        let m = net.edge_count() as u32;
-
-        for step in 0..12usize {
-            let e = EdgeId(rng.gen_range(0..m));
-            let w = f64::from(rng.gen_range(1..=8u32));
-            let probe = ev.probe(e, w)?;
-            if !rng.gen::<bool>() {
-                continue; // discarded probes must not perturb state
-            }
-            ev.commit(probe);
-            cur.set(e, w);
-            let fresh = Router::new(net, &cur).evaluate(demands, waypoints)?;
-            let integral = cur.as_slice().iter().all(|x| x.fract() == 0.0);
-            let scale = 1.0 + fresh.loads.iter().cloned().fold(0.0f64, f64::max);
-            for (idx, (&got, &want)) in ev.loads().iter().zip(&fresh.loads).enumerate() {
-                checks += 1;
-                let ok = if integral {
-                    got.to_bits() == want.to_bits()
-                } else {
-                    (got - want).abs() <= TOL * scale
-                };
-                if !ok {
-                    violations.push(Violation {
-                        invariant: "incremental-differential",
-                        detail: format!(
-                            "step {step}: edge {idx} load {got} != fresh {want} \
-                             after committing w[{}] = {w}",
-                            e.index()
-                        ),
-                    });
-                }
-            }
-            let fresh_phi = fortz_phi(&fresh.loads, net.capacities());
-            for (what, got, want) in [("MLU", ev.mlu(), fresh.mlu), ("Φ", ev.phi(), fresh_phi)] {
-                checks += 1;
-                let ok = if integral {
-                    got.to_bits() == want.to_bits()
-                } else {
-                    (got - want).abs() <= TOL * (1.0 + want)
-                };
-                if !ok {
-                    violations.push(Violation {
-                        invariant: "incremental-differential",
-                        detail: format!("step {step}: {what} {got} != fresh {want}"),
-                    });
-                }
-            }
-        }
-        Ok((checks, violations))
-    }
-
-    /// Robust multi-matrix differential: (a) the full [`validate_robust`]
-    /// invariant suite on the given state, (b) the single-matrix reduction —
-    /// `heur_ospf_robust` on a one-element set must be **bit-identical** to
-    /// the classic `heur_ospf` — and (c) when the pipeline stage is on, the
-    /// robust heuristic pipeline with its output state re-validated, plus on
-    /// tiny instances the robust MILP oracle (optimality sandwich against
-    /// the robust heuristic's worst-case MLU).
-    fn run_robust(
-        &self,
-        net: &Network,
-        demands: &DemandList,
-        weights: &WeightSetting,
-        waypoints: &WaypointSetting,
-    ) -> Result<(usize, Vec<Violation>), TeError> {
-        const MAX_WEIGHT: u32 = 4;
-        let set = self.demand_set()?;
-        let mut checks = 0usize;
-        let mut violations = Vec::new();
-
-        // (a) Invariants on the given state.
-        let rep = validate_robust(net, &set, weights, waypoints)?;
-        checks += rep.checks;
-        violations.extend(rep.violations.into_iter().map(|mut v| {
-            v.detail = format!("robust input: {}", v.detail);
-            v
-        }));
-
-        let ospf = segrout_algos::HeurOspfConfig {
-            max_weight: MAX_WEIGHT,
-            restarts: 1,
-            max_passes: 2,
-            seed: self.seed,
-            ..Default::default()
-        };
-
-        // (b) Single-matrix reduction is bit-identical.
-        let classic = segrout_algos::heur_ospf(net, demands, &ospf);
-        let single = segrout_algos::heur_ospf_robust(
-            net,
-            &DemandSet::single(demands.clone()),
-            RobustObjective::Quantile(1.0),
-            &ospf,
-        );
-        checks += 1;
-        if classic.as_slice() != single.as_slice() {
-            violations.push(Violation {
-                invariant: "robust-reduction",
-                detail: format!(
-                    "heur_ospf_robust on a single-matrix set diverges from \
-                     heur_ospf: {:?} vs {:?}",
-                    single.as_slice(),
-                    classic.as_slice()
-                ),
-            });
-        }
-
-        if !self.pipeline {
-            return Ok((checks, violations));
-        }
-
-        // (c) Robust pipeline; its output state must satisfy the same
-        // invariants.
-        let hw = segrout_algos::heur_ospf_robust(net, &set, RobustObjective::WorstCase, &ospf);
-        let wp = segrout_algos::greedy_wpo_robust(
-            net,
-            &set,
-            &hw,
-            RobustObjective::WorstCase,
-            &segrout_algos::GreedyWpoConfig::default(),
-        )?;
-        let out = evaluate_robust(net, &hw, &set, &wp)?;
-        let rep = validate_robust(net, &set, &hw, &wp)?;
-        checks += rep.checks;
-        violations.extend(rep.violations.into_iter().map(|mut v| {
-            v.detail = format!("robust pipeline output: {}", v.detail);
-            v
-        }));
-
-        let tiny =
-            net.node_count() <= 5 && net.edge_count() <= 12 && (1..=3).contains(&demands.len());
-        if !tiny || set.len() > 4 {
-            return Ok((checks, violations));
-        }
-        let opts = JointMilpOptions {
-            max_weight: MAX_WEIGHT,
-            waypoints: 1,
-            milp: MilpOptions {
-                node_limit: 2000,
-                time_limit: Duration::from_secs(10),
-                engine: self.engine.lp_engine(),
-                ..Default::default()
-            },
-            warm_start: Some((hw.clone(), wp.clone())),
-            ..Default::default()
-        };
-        let milp = match joint_milp_robust(net, &set, RobustObjective::WorstCase, &opts) {
-            Ok(o) => o,
-            Err(TeError::SolverLimit { .. }) => return Ok((checks, violations)),
-            Err(e) => return Err(e),
-        };
-        // Optimality sandwich on the worst-case MLU: a proven-optimal robust
-        // MILP can never lose to the heuristic, and the heuristic can never
-        // beat the dual bound.
-        if milp.status == MilpStatus::Optimal {
-            checks += 1;
-            if milp.mlu > out.worst_mlu() + TOL * (1.0 + out.worst_mlu()) {
-                violations.push(Violation {
-                    invariant: "robust-milp-oracle",
-                    detail: format!(
-                        "optimal robust MILP worst-case MLU {} exceeds robust \
-                         heuristic worst-case MLU {}",
-                        milp.mlu,
-                        out.worst_mlu()
-                    ),
-                });
-            }
-        }
-        checks += 1;
-        if out.worst_mlu() < milp.bound - TOL * (1.0 + milp.bound) {
-            violations.push(Violation {
-                invariant: "robust-milp-oracle",
-                detail: format!(
-                    "robust heuristic worst-case MLU {} beats the robust MILP \
-                     dual bound {}",
-                    out.worst_mlu(),
-                    milp.bound
-                ),
-            });
-        }
-        Ok((checks, violations))
-    }
-
-    /// Runs HeurOSPF + GreedyWPO, validates the result state, and on tiny
-    /// instances sandwiches the heuristic MLU between the MILP incumbent and
-    /// its dual bound, cross-checking both LP engines.
-    fn run_pipeline(
-        &self,
-        net: &Network,
-        demands: &DemandList,
+        set: &DemandSet,
         vcfg: &ValidatorConfig,
-    ) -> Result<(usize, Vec<Violation>), TeError> {
-        const MAX_WEIGHT: u32 = 4;
-        let mut checks = 0usize;
-        let mut violations = Vec::new();
-
-        let ospf = segrout_algos::HeurOspfConfig {
-            max_weight: MAX_WEIGHT,
-            restarts: 1,
-            max_passes: 3,
-            seed: self.seed,
-            ..Default::default()
-        };
-        let hw = segrout_algos::heur_ospf(net, demands, &ospf);
-        let wp = segrout_algos::greedy_wpo(
-            net,
-            demands,
-            &hw,
-            &segrout_algos::GreedyWpoConfig::default(),
-        )?;
-        let report = Router::new(net, &hw).evaluate(demands, &wp)?;
-
+    ) -> Result<ValidationReport, TeError> {
+        let heur = joint_heur(net, demands, &joint_cfg(self.seed))?;
         let mut cfg = vcfg.clone();
         cfg.mcf_lower_bound = false; // already checked on the input state
-        let rep = Validator::new(net, demands, &hw, &wp)
+        let mut rep = Validator::new(net, demands, &heur.weights, &heur.waypoints)
             .with_config(cfg)
             .validate()?;
-        checks += rep.checks;
-        violations.extend(rep.violations.into_iter().map(|mut v| {
+        for v in &mut rep.violations {
             v.detail = format!("pipeline output: {}", v.detail);
-            v
-        }));
+        }
 
         let tiny =
             net.node_count() <= 5 && net.edge_count() <= 12 && (1..=3).contains(&demands.len());
         if !tiny {
-            return Ok((checks, violations));
+            return Ok(rep);
         }
-
-        let milp_opts = |engine: LpEngine| JointMilpOptions {
-            max_weight: MAX_WEIGHT,
+        let options = |engine: LpEngine, warm: &JointHeurResult| JointMilpOptions {
+            max_weight: ospf_cfg(self.seed).max_weight,
             waypoints: 1,
             milp: MilpOptions {
                 node_limit: 2000,
@@ -1025,65 +628,60 @@ impl Case {
                 engine,
                 ..Default::default()
             },
-            warm_start: Some((hw.clone(), wp.clone())),
+            warm_start: Some((warm.weights.clone(), warm.waypoints.clone())),
             ..Default::default()
         };
-        let primary = match joint_milp(net, demands, &milp_opts(self.engine.lp_engine())) {
-            Ok(o) => o,
-            Err(TeError::SolverLimit { .. }) => return Ok((checks, violations)),
-            Err(e) => return Err(e),
+        // A solver limit leaves the sandwich undecided, not failed.
+        let decided = |r: Result<JointMilpOutcome, TeError>| match r {
+            Err(TeError::SolverLimit { .. }) => Ok(None),
+            r => r.map(Some),
         };
+        // Each check flags a comparison that holds, so a NaN reads as no
+        // violation: an unproved dual bound of `-inf` makes
+        // `bound - TOL · (1 + bound)` NaN.
+        let sandwich =
+            |rep: &mut ValidationReport, invariant, milp: &JointMilpOutcome, mlu: f64| {
+                let loses =
+                    milp.status == MilpStatus::Optimal && milp.mlu > mlu + TOL * (1.0 + mlu);
+                rep.check(!loses, invariant, || {
+                    format!("optimal MILP MLU {} exceeds heuristic MLU {mlu}", milp.mlu)
+                });
+                let beats = mlu < milp.bound - TOL * (1.0 + milp.bound);
+                rep.check(!beats, invariant, || {
+                    format!(
+                        "heuristic MLU {mlu} beats the MILP dual bound {}",
+                        milp.bound
+                    )
+                });
+            };
 
-        // The heuristic searches a subset of the MILP's space (integer
-        // weights ≤ MAX_WEIGHT, ≤ 1 waypoint), so a proven-optimal MILP can
-        // never lose to it, and the dual bound holds unconditionally.
-        if primary.status == MilpStatus::Optimal {
-            checks += 1;
-            if primary.mlu > report.mlu + TOL * (1.0 + report.mlu) {
-                violations.push(Violation {
-                    invariant: "milp-oracle",
-                    detail: format!(
-                        "optimal MILP MLU {} exceeds heuristic MLU {}",
-                        primary.mlu, report.mlu
-                    ),
+        let engine = self.engine.lp_engine();
+        if let Some(primary) = decided(joint_milp(net, demands, &options(engine, &heur)))? {
+            sandwich(&mut rep, "milp-oracle", &primary, heur.mlu);
+            let other = match self.engine {
+                EngineChoice::Revised => LpEngine::Tableau,
+                EngineChoice::Tableau => LpEngine::Revised,
+            };
+            let secondary = decided(joint_milp(net, demands, &options(other, &heur)))?;
+            let optimal = |o: &JointMilpOutcome| o.status == MilpStatus::Optimal;
+            if let Some(secondary) = secondary.filter(|s| optimal(s) && optimal(&primary)) {
+                let (a, b) = (primary.mlu, secondary.mlu);
+                let differ = (a - b).abs() > TOL * (1.0 + a);
+                rep.check(!differ, "engine-differential", || {
+                    format!("optimal MLU differs across LP engines: {a} ({engine:?}) vs {b} ({other:?})")
                 });
             }
         }
-        checks += 1;
-        if report.mlu < primary.bound - TOL * (1.0 + primary.bound) {
-            violations.push(Violation {
-                invariant: "milp-oracle",
-                detail: format!(
-                    "heuristic MLU {} beats the MILP dual bound {}",
-                    report.mlu, primary.bound
-                ),
-            });
-        }
 
-        let other_engine = match self.engine {
-            EngineChoice::Revised => LpEngine::Tableau,
-            EngineChoice::Tableau => LpEngine::Revised,
-        };
-        let secondary = match joint_milp(net, demands, &milp_opts(other_engine)) {
-            Ok(o) => o,
-            Err(TeError::SolverLimit { .. }) => return Ok((checks, violations)),
-            Err(e) => return Err(e),
-        };
-        if primary.status == MilpStatus::Optimal && secondary.status == MilpStatus::Optimal {
-            checks += 1;
-            if (primary.mlu - secondary.mlu).abs() > TOL * (1.0 + primary.mlu) {
-                violations.push(Violation {
-                    invariant: "engine-differential",
-                    detail: format!(
-                        "optimal MLU differs across LP engines: {} ({:?}) vs {} ({other_engine:?})",
-                        primary.mlu,
-                        self.engine.lp_engine(),
-                        secondary.mlu
-                    ),
-                });
+        if (2..=4).contains(&set.len()) {
+            let worst = RobustObjective::WorstCase;
+            let robust = joint_heur_robust(net, set, worst, &joint_cfg(self.seed))?;
+            let milp = joint_milp_robust(net, set, worst, &options(engine, &robust));
+            if let Some(milp) = decided(milp)? {
+                sandwich(&mut rep, "robust-milp-oracle", &milp, robust.mlu);
             }
         }
-        Ok((checks, violations))
+        Ok(rep)
     }
 }
 
@@ -1156,6 +754,34 @@ mod tests {
             ("nodes 2\nlink 0 1 5\nweight 3 1", "out of range"),
             ("matrix", "at least one size"),
             ("matrix 1 bad", "matrix needs sizes"),
+            // Once a panic in the network or demand builders, or a silent
+            // truncation of a non-integral or negative field.
+            (
+                "nodes 2\nlink 1 1 5",
+                "line 2: a link needs distinct endpoints",
+            ),
+            (
+                "nodes 2\ndemand 0 0 1",
+                "line 2: a demand needs distinct endpoints",
+            ),
+            (
+                "nodes 2\ndemand 0 1 -5",
+                "line 2: a demand size must be positive",
+            ),
+            (
+                "nodes 2.9",
+                "line 1: a node count must be a non-negative integer",
+            ),
+            (
+                "nodes 2\nlink 0.7 1 5",
+                "line 2: a source must be a non-negative integer",
+            ),
+            ("threads -1", "line 1: a thread count must be"),
+            ("incremental 2", "line 1: needs 0 or 1"),
+            ("event down 1.5", "line 1: an edge id must be"),
+            ("event scale -1 2", "line 1: a demand index must be"),
+            ("event matrix 0 1.5 2", "line 1: a destination must be"),
+            ("event matrix 0 1", "line 1: needs a size"),
             (
                 "nodes 2\nlink 0 1 5\nlink 1 0 5\ndemand 0 1 1\nmatrix 1 2\nweight 0 1\nweight 1 1",
                 "2 sizes for 1 demands",
@@ -1166,6 +792,18 @@ mod tests {
                 err.contains(needle),
                 "'{text}' -> '{err}' missing '{needle}'"
             );
+        }
+    }
+
+    #[test]
+    fn builders_return_errors_for_what_would_panic() {
+        let mut case = diamond_case();
+        case.links[0] = (1, 1, 10.0);
+        assert!(case.network().is_err());
+        for bad in [(0, 0, 1.0), (0, 3, -1.0), (0, 3, f64::NAN)] {
+            let mut case = diamond_case();
+            case.demands[0] = bad;
+            assert!(case.demand_list().is_err(), "{bad:?}");
         }
     }
 

@@ -1,7 +1,9 @@
 //! Seeded differential fuzzer with case shrinking.
 //!
 //! [`fuzz_campaign`] derives one [`Case`] per index from the campaign seed,
-//! runs it under a panic shield, and — when a case fails — **shrinks** it to
+//! runs it ([`Case::run`]: the validator, the case's differential kinds and
+//! the MILP oracle) under a panic shield, which turns a failed kind check
+//! into [`CaseOutcome::Panic`], and — when a case fails — **shrinks** it to
 //! a minimal reproducer by greedily dropping serve events, demands, and
 //! links, rounding weights, clearing waypoints and simplifying execution knobs,
 //! re-running after every mutation and keeping only mutations that preserve
@@ -71,8 +73,8 @@ pub struct FuzzReport {
     pub failures: Vec<FuzzFailure>,
 }
 
-/// Runs a case under a panic shield, mapping unwinds to
-/// [`CaseOutcome::Panic`].
+/// Runs a case under a panic shield, mapping unwinds (a differential kind's
+/// failed check among them) to [`CaseOutcome::Panic`].
 fn run_guarded(case: &Case, vcfg: &ValidatorConfig) -> CaseOutcome {
     match panic::catch_unwind(AssertUnwindSafe(|| case.run(vcfg))) {
         Ok(outcome) => outcome,

@@ -1,8 +1,9 @@
 //! # segrout-check
 //!
 //! The correctness backstop of the `segrout` workspace: a pipeline-wide
-//! **invariant validator** and a seeded **differential fuzzer** with case
-//! shrinking and a replayable regression corpus.
+//! **invariant validator**, the **differential kinds** that pin every fast
+//! path to a from-scratch oracle, and a seeded **differential fuzzer** with
+//! case shrinking and a replayable regression corpus.
 //!
 //! The optimizer stack has three fast paths — the parallel ECMP evaluator,
 //! the incremental evaluation engine, and the warm-started revised simplex —
@@ -16,26 +17,26 @@
 //!   non-negativity, MLU/Φ consistency between `Router`,
 //!   `IncrementalEvaluator` and the parallel path, and heuristic-MLU ≥ MCF
 //!   lower bound.
+//! * [`differential`] is the one checker: scenario kinds (incremental
+//!   probe walks, edge-disable probes and failure sweeps, the serving
+//!   session, the optimizers against their one-matrix reductions and a
+//!   dense reference greedy) that read their starting state from a
+//!   [`Case`], compare every fast path with one oracle (`Router` on a copy
+//!   of the network with the dead edges deleted), and must reproduce their
+//!   1-thread bit trace at every thread count. The six differential test
+//!   suites run them on a fixed table of cases; the fuzzer runs them on
+//!   generated and stored ones.
 //! * [`Case`] is a self-contained fuzz scenario in a line-oriented text
 //!   format (the topology/demand section plus an embedded
 //!   `segrout-config v1` block), replayable from `tests/corpus/*.case`.
+//!   [`Case::run`] runs the validator, the case's kinds, and on tiny
+//!   instances the MILP oracle.
 //! * [`fuzz_campaign`] generates seeded random scenarios (synthetic and
 //!   embedded topologies × demand matrices × weight/waypoint perturbations
 //!   × thread counts × incremental on/off × LP engines × multi-matrix
-//!   demand sets), runs the full pipeline, validates every invariant,
-//!   cross-checks small instances against the MILP oracle, and **shrinks**
-//!   failures (drop demands, contract edges, round weights, drop matrices)
-//!   to minimal reproducers.
-//! * [`validate_robust`] checks a multi-matrix `(Network, DemandSet,
-//!   weights, waypoints)` state: per-matrix MLU/Φ recomputation,
-//!   incremental-engine agreement per matrix, worst-case/quantile
-//!   aggregation identities, and monotonicity of the worst-case envelope.
-//! * [`validate_sweep`] checks the failure-sweep engine: every swept
-//!   `(failure pattern, demand scaling)` scenario is reproduced by a
-//!   from-scratch evaluation of the edge-*deleted* topology (the ground
-//!   truth the edge-disable probe claims to match bit-exactly), disconnect
-//!   classification agrees with true reachability, and the worst-case
-//!   certificate names a bottleneck link that actually attains the MLU.
+//!   demand sets × serve-event streams), runs each, and **shrinks**
+//!   failures (drop events, matrices, demands and links, round weights) to
+//!   minimal reproducers.
 //!
 //! The cheap in-tree complement — `debug_assertions`-gated hooks at the
 //! optimizer commit points — lives in `segrout_core::hooks` so the algorithm
@@ -45,11 +46,10 @@
 #![warn(missing_docs)]
 
 pub mod case;
+pub mod differential;
 pub mod fuzz;
 pub mod validator;
 
 pub use case::{Case, CaseOutcome, EngineChoice};
 pub use fuzz::{fuzz_campaign, FuzzConfig, FuzzFailure, FuzzReport};
-pub use validator::{
-    validate_robust, validate_sweep, ValidationReport, Validator, ValidatorConfig, Violation,
-};
+pub use validator::{ValidationReport, Validator, ValidatorConfig, Violation};

@@ -58,9 +58,10 @@
 //! weights — sums of weights must be exactly representable so that shortest-
 //! path ties classify identically in the repaired and the from-scratch run.
 //! Integral weight vectors (what every optimizer in this workspace emits)
-//! satisfy this; the differential harness's `walk` kind
-//! (`tests/incremental_differential.rs`) enforces `f64::to_bits` equality
-//! across instances, thread counts and random weight-change sequences.
+//! satisfy this; the `walk` kind of `segrout_check::differential` (run by
+//! `tests/incremental_differential.rs` and by the fuzzer) enforces
+//! `f64::to_bits` equality across instances, thread counts and random
+//! weight-change sequences.
 
 use crate::cost::{fortz_phi, max_link_utilization};
 use crate::demand::DemandList;

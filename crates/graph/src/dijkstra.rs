@@ -15,8 +15,8 @@
 //!   pushes into a ring of `w_max + 1` buckets instead of heap sifts;
 //! * the classic `BinaryHeap` for every other weight vector. It is also
 //!   exposed as [`single_target_distances_heap`], the differential
-//!   **oracle** the bucket queue is pinned against (see the differential
-//!   harness's `dag` walks in `tests/hotloop_differential.rs`).
+//!   **oracle** the bucket queue is pinned against (see the `dag` kinds of
+//!   `segrout_check::differential`, run by `tests/hotloop_differential.rs`).
 //!
 //! Integral weights make every finite distance an exact integer far below
 //! 2^53, so both engines compute bit-identical `f64` distance vectors and —

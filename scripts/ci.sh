@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints, rustdoc links, the full test suite
 # under both a serial and a parallel thread count, the differential
-# harness, the fuzz legs, bench smoke runs, and the benchmark's
+# suites, the fuzz bands, bench smoke runs, and the benchmark's
 # per-workload oracle checks.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
@@ -43,10 +43,12 @@ cargo test -q -p segrout-lp --test differential
 echo "==> bench_simplex (writes BENCH_simplex_fast.json)"
 SEGROUT_FAST=1 ./target/release/bench_simplex
 
-# Bounded differential-fuzz smoke leg: a fixed seed keeps it
-# deterministic, --fast skips the MCF lower-bound check so the leg stays
-# around half a minute. Any failure writes a shrunk reproducer that
-# belongs in tests/corpus/.
+# Bounded differential-fuzz smoke leg: every generated case runs the
+# validator and the same differential kinds as the suites below
+# (segrout::check::differential), each checked at 1 thread and rerun at the
+# case's own thread count. A fixed seed keeps it deterministic, --fast
+# skips the MCF lower-bound check. Any failure writes a shrunk reproducer
+# that belongs in tests/corpus/.
 echo "==> segrout fuzz smoke (seed 42, 60 cases, --fast)"
 cargo build --release -q
 ./target/release/segrout fuzz --seed 42 --cases 60 --fast --corpus tests/corpus >/dev/null
@@ -57,14 +59,15 @@ cargo build --release -q
 echo "==> corpus replay"
 cargo test -q --test corpus_replay
 
-# Differential harness (tests/differential/mod.rs, run by the six suites
-# below): incremental probes, edge-disable probes and sweeps, the serving
-# session, the optimizers and the Dijkstra/DAG engines must all match the
-# from-scratch oracle bit for bit, and reproduce the same bit trace at 1,
-# 2, 4 and 8 threads (the harness sets its own thread counts; also part of
-# the workspace runs above, the named leg keeps the gate visible even if
-# test filters change).
-echo "==> differential harness"
+# Differential suites: the kinds of segrout::check::differential on the
+# fixed case table of tests/differential/mod.rs. Incremental probes,
+# edge-disable probes and sweeps, the serving session, the optimizers and
+# the Dijkstra/DAG engines must all match the from-scratch oracle bit for
+# bit, and reproduce the same bit trace at 1, 2, 4 and 8 threads (the
+# suites set their own thread counts; also part of the workspace runs
+# above, the named leg keeps the gate visible even if test filters
+# change).
+echo "==> differential suites"
 cargo test -q --test incremental_differential --test hotloop_differential \
     --test failure_differential --test robust_differential \
     --test serve_differential --test parallel_determinism
@@ -75,14 +78,13 @@ echo "==> robust and serve property suites (SEGROUT_THREADS=1 and =4)"
 SEGROUT_THREADS=1 cargo test -q --test robust_properties --test serve_counters
 SEGROUT_THREADS=4 cargo test -q --test robust_properties --test serve_counters
 
-# Multi-matrix fuzz smoke: a different seed band from the single-matrix
-# leg above, biased toward scenarios carrying 2-6 traffic matrices so the
-# robust validator, the single-matrix-reduction differential and the
-# robust MILP oracle all see traffic on every CI run.
+# Multi-matrix fuzz smoke: a different seed band from the leg above, so
+# the `reductions` and `robust_joint` kinds and the robust MILP oracle see
+# more traffic on every CI run. Each case pins its own thread count and
+# reruns every kind at it, so the ambient SEGROUT_THREADS never reaches a
+# case and one run covers both.
 echo "==> segrout fuzz smoke, multi-matrix band (seed 1042, 60 cases, --fast)"
-SEGROUT_THREADS=1 ./target/release/segrout fuzz --seed 1042 --cases 60 --fast \
-    --corpus tests/corpus >/dev/null
-SEGROUT_THREADS=4 ./target/release/segrout fuzz --seed 1042 --cases 60 --fast \
+./target/release/segrout fuzz --seed 1042 --cases 60 --fast \
     --corpus tests/corpus >/dev/null
 
 # Price-of-robustness record (full numbers live in EXPERIMENTS.md; the
@@ -146,9 +148,9 @@ EOF
 echo "==> serve e2e suite (real binary over stdio)"
 cargo test -q --test serve_e2e
 
-# Serve-event fuzz smoke: a seed band biased toward cases carrying random
-# event streams (no-ops, link flaps, disconnecting failures, out-of-range
-# scalings) so the online-serving differential sees traffic on every run.
+# Serve-event fuzz smoke: a third seed band, so the `serve` kind sees more
+# random event streams (no-ops, link flaps, disconnecting failures,
+# out-of-range scalings) on every run.
 echo "==> segrout fuzz smoke, serve-event band (seed 2042, 60 cases, --fast)"
 ./target/release/segrout fuzz --seed 2042 --cases 60 --fast \
     --corpus tests/corpus >/dev/null

@@ -2,13 +2,14 @@
 //! `IncrementalEvaluator` match the from-scratch oracle bit for bit at 1,
 //! 2, 4 and 8 threads, intact and waypointed, and the HeurOSPF descent does
 //! at least 5× fewer full DAG recomputations than a from-scratch scorer.
-//! The `walk` kind and the oracle live in the differential harness
-//! (`tests/differential/mod.rs`).
+//! The `walk` kind and the oracle live in `segrout::check::differential`;
+//! the case table in `tests/differential/mod.rs`.
 
 mod differential;
 
-use differential::{cases, guard, run_kind, seeded_demands, small_cases, walk, Grid};
+use differential::{cases, detoured, seeded_demands, small_cases};
 use segrout::algos::{heur_ospf, HeurOspfConfig};
+use segrout::check::differential::{guard, run_kind, walk, Grid};
 use segrout::core::{IncrementalEvaluator, WaypointSetting, WeightSetting};
 use segrout::topo::by_name;
 
@@ -16,16 +17,14 @@ use segrout::topo::by_name;
 /// topologies. Germany50's walk is `hotloop_differential`'s.
 #[test]
 fn incremental_matches_scratch_at_1_and_4_threads() {
-    run_kind("walk", Grid::Full, small_cases(), |c, x| walk(c, x, false));
+    run_kind("walk", Grid::Full, small_cases(), walk);
 }
 
 /// `walk` with every demand waypointed through a detour node, so the
 /// segment decomposition runs multi-segment destinations.
 #[test]
 fn waypointed_sequences_match_scratch() {
-    run_kind("waypointed walk", Grid::Full, cases(), |c, x| {
-        walk(c, x, true)
-    });
+    run_kind("waypointed walk", Grid::Full, detoured(cases()), walk);
 }
 
 /// Germany50 HeurOSPF descent: at least 5× fewer full DAG recomputations

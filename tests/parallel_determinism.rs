@@ -2,15 +2,16 @@
 //! weights, GreedyWPO waypoints, JOINT-Heur results and the ECMP
 //! evaluator's loads are bit-identical at 1, 2, 4 and 8 threads. GreedyWPO's
 //! waypoints must also equal a dense reference greedy's at 1 thread, on
-//! as-is and split demands, one and three matrices, budgets 1 and 2. The
-//! optimizer kinds live in the differential harness
-//! (`tests/differential/mod.rs`); Germany50 is left out of the HeurOSPF and
-//! JOINT-Heur runs, which take seconds there in a debug build, and runs
-//! GreedyWPO on its split demands only.
+//! as-is and split demands, one and four matrices, budgets 1 and 2. The
+//! optimizer kinds live in `segrout::check::differential`, the case table
+//! in `tests/differential/mod.rs`; Germany50 is left out of the HeurOSPF
+//! and JOINT-Heur runs, which take seconds there in a debug build, and runs
+//! GreedyWPO on its split demands at budget 1 only.
 
 mod differential;
 
-use differential::{cases, joint, ospf, router, run_kind, small_cases, wpo, Grid};
+use differential::{cases, small_cases};
+use segrout::check::differential::{joint, ospf, router, run_kind, wpo, Grid};
 
 #[test]
 fn heur_ospf_is_thread_count_invariant() {

@@ -3,12 +3,14 @@
 //! identical at 1, 2, 4 and 8 threads with per-matrix MLUs equal to the
 //! oracle's, and the robust Joint MILP is cross-checked against the
 //! classic MILP and per-matrix evaluations. The heuristic kinds live in
-//! the differential harness (`tests/differential/mod.rs`).
+//! `segrout::check::differential`; the case table in
+//! `tests/differential/mod.rs`.
 
 mod differential;
 
-use differential::{
-    bits, guard, intact_oracle, reductions, robust_joint, run_kind, scaled_set, small_cases, Grid,
+use differential::{scaled_set, small_cases};
+use segrout::check::differential::{
+    bits, guard, intact_oracle, reductions, robust_joint, run_kind, Grid,
 };
 use segrout::core::{evaluate_robust, DemandList, DemandSet, Network, NodeId, RobustObjective};
 use segrout::milp::{joint_milp, joint_milp_robust, JointMilpOptions, JointMilpOutcome};

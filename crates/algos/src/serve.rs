@@ -354,18 +354,6 @@ impl<'n> ServeSession<'n> {
     /// Mutates the evaluator (and session workload mirrors) in place.
     /// Every error path returns **before** any state change.
     fn apply_inner(&mut self, event: &ServeEvent) -> Result<(), TeError> {
-        let edge_count = self.net.edge_count();
-        let check_edge = |e: EdgeId| {
-            if e.index() >= edge_count {
-                Err(TeError::DimensionMismatch {
-                    what: "edge id",
-                    expected: edge_count,
-                    actual: e.index(),
-                })
-            } else {
-                Ok(())
-            }
-        };
         match event {
             ServeEvent::Noop => Ok(()),
             ServeEvent::DemandScale { index, factor } => {
@@ -414,17 +402,14 @@ impl<'n> ServeSession<'n> {
                 Ok(())
             }
             ServeEvent::LinkDown { edge } => {
-                check_edge(*edge)?;
                 self.ev.set_link_state(*edge, false)?;
                 Ok(())
             }
             ServeEvent::LinkUp { edge } => {
-                check_edge(*edge)?;
                 self.ev.set_link_state(*edge, true)?;
                 Ok(())
             }
             ServeEvent::Capacity { edge, capacity } => {
-                check_edge(*edge)?;
                 self.ev.set_capacity(*edge, *capacity)?;
                 Ok(())
             }
@@ -580,6 +565,13 @@ mod tests {
             },
             ServeEvent::LinkDown {
                 edge: EdgeId(1_000),
+            },
+            ServeEvent::LinkUp {
+                edge: EdgeId(1_000),
+            },
+            ServeEvent::Capacity {
+                edge: EdgeId(1_000),
+                capacity: 5.0,
             },
             ServeEvent::Capacity {
                 edge: EdgeId(0),

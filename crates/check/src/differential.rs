@@ -39,14 +39,14 @@ use segrout_algos::{
     reoptimize_weights_on, GreedyWpoConfig, HeurOspfConfig, JointHeurConfig, JointHeurResult,
     ReoptimizeConfig, ServeConfig, ServeSession, ServeTier,
 };
-use segrout_core::rng::StdRng;
+use segrout_core::rng::{SliceRandom, StdRng};
 use segrout_core::{
     evaluate_robust, fortz_phi, max_link_utilization, sweep_failures, Demand, DemandList,
     DemandSet, FailureSet, IncrementalEvaluator, Network, RobustObjective, Router, ScenarioOutcome,
     Segment, TeError, WaypointSetting, WeightSetting,
 };
 use segrout_graph::{
-    disable_edge_update, shortest_path_dag, single_target_distances, single_target_distances_heap,
+    shortest_path_dag, single_target_distances, single_target_distances_heap,
     update_shortest_path_dag, Digraph, EdgeId, NodeId, SpDag, SpDagUpdate,
 };
 use std::fmt::Display;
@@ -1118,10 +1118,10 @@ pub fn dag_engines(nets: &[(String, Network)]) {
     }
 }
 
-/// `dag` repairs: weight-repair and masked-repair walks on every network at
-/// frontier caps 8 and `n` (a small cap sends large repairs to the rebuild
-/// fallback, `n` sends every repair through the DAG patch), with at least
-/// one disconnect per network and cap.
+/// `dag` repairs: weight-repair walks and masked walks (links down, then
+/// back up) on every network at frontier caps 8 and `n` (a small cap sends
+/// large repairs to the rebuild fallback, `n` sends every repair through
+/// the DAG patch), with at least one disconnect per network and cap.
 pub fn dag_repairs(nets: &[(String, Network)]) {
     for (label, net) in nets {
         for cap in [8, net.node_count()] {
@@ -1161,12 +1161,16 @@ fn weight_walk(label: &str, net: &Network, cap: usize) {
 }
 
 /// For six fixed targets, disables random on-DAG edges one at a time under a
-/// growing mask, repairing with `disable_edge_update` and comparing with a
-/// from-scratch masked build. Returns how many nodes the walks cut off.
+/// growing mask (each a weight increase to ∞), then re-enables the masked
+/// edges in random order back to the intact topology (each a decrease from
+/// ∞), repairing every step with `update_shortest_path_dag` and comparing
+/// with a from-scratch masked build. Returns how many nodes the walks cut
+/// off.
 fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
     let g = net.graph();
     let m = net.edge_count();
     let mut rng = StdRng::seed_from_u64(0xd15a + m as u64);
+    let mut up_rng = StdRng::seed_from_u64(0x0e4a + m as u64);
     let w = dag_weights(m, 0x5eed + m as u64);
     let mut disconnected = 0;
     for t in g.nodes().take(6) {
@@ -1179,7 +1183,7 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
             }
             let e = EdgeId(on_dag[rng.gen_range(0..on_dag.len())] as u32);
             mask[e.index()] = true;
-            let repaired = disable_edge_update(g, &w, &dag, e, cap, &mask)
+            let repaired = update_shortest_path_dag(g, &w, &dag, e, w[e.index()], cap, &mask)
                 .into_dag()
                 .expect("an on-DAG removal dirties the DAG");
             let ctx = format!("{label} dag cap {cap} masked step {step} target {t:?}");
@@ -1190,6 +1194,16 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
                     disconnected += 1;
                 }
             }
+            dag = repaired;
+        }
+        let mut masked: Vec<usize> = (0..m).filter(|&i| mask[i]).collect();
+        masked.shuffle(&mut up_rng);
+        for (step, e) in masked.into_iter().map(|i| EdgeId(i as u32)).enumerate() {
+            mask[e.index()] = false;
+            let upd = update_shortest_path_dag(g, &w, &dag, e, f64::INFINITY, cap, &mask);
+            let repaired = upd.into_dag().unwrap_or(dag);
+            let ctx = format!("{label} dag cap {cap} re-enable step {step} target {t:?}");
+            assert_same_dag(&repaired, &scratch_dag(g, &w, t, &mask, &ctx), &ctx);
             dag = repaired;
         }
     }

@@ -263,20 +263,7 @@ impl<'n> Router<'n> {
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<LoadReport, TeError> {
-        if waypoints.len() != demands.len() {
-            return Err(TeError::InvalidWaypoints(format!(
-                "waypoint table has {} rows for {} demands",
-                waypoints.len(),
-                demands.len()
-            )));
-        }
-        let mut segments = Vec::with_capacity(demands.len());
-        for (i, d) in demands.iter().enumerate() {
-            for (src, dst, amount) in waypoints.segments_of(i, d) {
-                segments.push(Segment { src, dst, amount });
-            }
-        }
-        let loads = self.loads_for_segments(&segments)?;
+        let loads = self.loads_for_segments(&segments(demands, waypoints)?)?;
         let mlu = max_link_utilization(&loads, self.net.capacities());
         Ok(LoadReport { loads, mlu })
     }
@@ -287,6 +274,29 @@ impl<'n> Router<'n> {
             .evaluate(demands, &WaypointSetting::none(demands.len()))?
             .mlu)
     }
+}
+
+/// The segment decomposition of a workload under a waypoint setting, in
+/// demand order. [`TeError::InvalidWaypoints`] when the waypoint table has
+/// a different row count than the demand list.
+pub(crate) fn segments(
+    demands: &DemandList,
+    waypoints: &WaypointSetting,
+) -> Result<Vec<Segment>, TeError> {
+    if waypoints.len() != demands.len() {
+        return Err(TeError::InvalidWaypoints(format!(
+            "waypoint table has {} rows for {} demands",
+            waypoints.len(),
+            demands.len()
+        )));
+    }
+    let mut segments = Vec::with_capacity(demands.len());
+    for (i, d) in demands.iter().enumerate() {
+        for (src, dst, amount) in waypoints.segments_of(i, d) {
+            segments.push(Segment { src, dst, amount });
+        }
+    }
+    Ok(segments)
 }
 
 /// Groups segments by destination in deterministic (ascending) order,

@@ -340,18 +340,22 @@ pub fn sweep_failures(
         let scaled = scale_demands(demands, scale)?;
         let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
         base_mlu.push(eval.mlu());
-        let outcomes =
-            segrout_par::par_map(set.len(), |p| eval.probe_disable(&set.patterns()[p].dead));
+        // Each worker reduces its probe to the outcome, so the collected
+        // results never hold a probe's repaired DAGs and partials.
+        let outcomes = segrout_par::par_map(set.len(), |p| {
+            let probe = eval.probe_disable(&set.patterns()[p].dead)?;
+            Ok(ScenarioOutcome::Evaluated {
+                mlu: probe.mlu,
+                phi: probe.phi,
+                dirty_dests: probe.dirty_count,
+            })
+        });
         for (p, out) in outcomes.into_iter().enumerate() {
             scen_counter.inc();
             let outcome = match out {
-                Ok(probe) => {
+                Ok(outcome) => {
                     evaluated += 1;
-                    ScenarioOutcome::Evaluated {
-                        mlu: probe.mlu,
-                        phi: probe.phi,
-                        dirty_dests: probe.dirty_count,
-                    }
+                    outcome
                 }
                 Err(TeError::Unroutable { src, dst }) => {
                     disconnects += 1;

@@ -1,7 +1,7 @@
-//! Incremental ECMP re-evaluation for single-edge weight changes — the
-//! engine behind the HeurOSPF candidate loop, which scores every candidate
-//! through it. [`crate::Router`] stays as the from-scratch oracle the tests
-//! and debug commit hooks compare it against.
+//! Incremental ECMP re-evaluation for single-edge changes — the engine
+//! behind the HeurOSPF candidate loop, the failure sweep and the serve
+//! daemon. [`crate::Router`] stays as the from-scratch oracle the tests and
+//! debug commit hooks compare it against.
 //!
 //! The Fortz–Thorup local search asks one question thousands of times per
 //! pass: *"what are Φ / MLU if edge `e`'s weight becomes `w`?"* Answering it
@@ -32,6 +32,15 @@
 //!    subtract-stale/add-new patch would be cheaper still, but `f64`
 //!    addition is not associative — re-folding cached partials is the only
 //!    patch that preserves the bit pattern.)
+//!
+//! These steps are one change path. A weight probe
+//! ([`IncrementalEvaluator::probe`]), a failure probe
+//! ([`IncrementalEvaluator::probe_disable`]) and a link going down or up
+//! ([`IncrementalEvaluator::set_link_state`]) all run the same
+//! per-destination loop, which branches on the change only to classify a
+//! destination: a link going down is a weight increase to ∞ on the edges it
+//! kills, a link coming back up a weight decrease from ∞. Each yields a
+//! [`Probe`], and [`IncrementalEvaluator::commit`] applies any of them.
 //!
 //! The partials live in a `LoadArena`: one flat `|D| · |E|` slab instead
 //! of `|D|` separate `Vec`s, plus a *prefix slab* caching the ascending fold
@@ -66,15 +75,16 @@
 use crate::cost::{fortz_phi, max_link_utilization};
 use crate::demand::DemandList;
 use crate::ecmp::{
-    group_by_destination, propagate_destination, recompute_counter, spread_seeded, Segment,
+    group_by_destination, propagate_destination, recompute_counter, segments, spread_seeded,
+    Segment,
 };
 use crate::error::TeError;
 use crate::network::Network;
 use crate::waypoints::WaypointSetting;
 use crate::weights::WeightSetting;
 use segrout_graph::{
-    disable_edge_update, edge_change_affects_dag, edge_disabled, shortest_path_dag,
-    update_shortest_path_dag, EdgeId, NodeId, SpDag, SpDagUpdate,
+    edge_change_affects_dag, edge_disabled, shortest_path_dag, update_shortest_path_dag, EdgeId,
+    NodeId, SpDag, SpDagUpdate,
 };
 use std::cell::RefCell;
 use std::sync::{Arc, OnceLock};
@@ -82,19 +92,19 @@ use std::sync::{Arc, OnceLock};
 /// Counter handles for the incremental engine, resolved once per process
 /// (probes are the hottest loop in the workspace — no registry lookups).
 struct IncrCounters {
-    /// Speculative probes answered.
+    /// Speculative weight probes answered.
     probes: Arc<segrout_obs::Counter>,
-    /// Destination DAGs found dirty across all probes.
+    /// Destination DAGs found dirty across all changes.
     dirty_dests: Arc<segrout_obs::Counter>,
-    /// Destination DAGs skipped as provably clean across all probes.
+    /// Destination DAGs skipped as provably clean across all changes.
     clean_dests: Arc<segrout_obs::Counter>,
     /// Bounded dynamic-Dijkstra repairs that stayed under the threshold.
     repairs: Arc<segrout_obs::Counter>,
-    /// Probes whose load fold started from a cached prefix row (or from the
-    /// committed totals, for fully clean probes).
+    /// Changes whose load fold started from a cached prefix row (or from
+    /// the committed totals, for fully clean changes).
     arena_reuses: Arc<segrout_obs::Counter>,
-    /// Prefix-slab (re)folds: one at construction, one per commit with dirty
-    /// destinations.
+    /// Prefix-slab (re)folds: one at construction, one per commit or
+    /// workload update with dirty destinations.
     arena_rebuilds: Arc<segrout_obs::Counter>,
     /// Edge-disable (failure-scenario) probes answered.
     disable_probes: Arc<segrout_obs::Counter>,
@@ -160,11 +170,6 @@ impl LoadArena {
     }
 
     #[inline]
-    fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.rows[i * self.stride..(i + 1) * self.stride]
-    }
-
-    #[inline]
     fn prefix_row(&self, i: usize) -> &[f64] {
         &self.prefix[i * self.stride..(i + 1) * self.stride]
     }
@@ -176,6 +181,23 @@ impl LoadArena {
             out.resize(self.stride, 0.0);
         } else {
             out.extend_from_slice(self.prefix_row(self.dests - 1));
+        }
+    }
+
+    /// Overwrites the rows of destinations `dests` (ascending) with the
+    /// consecutive `stride`-wide chunks of `rows`, then refolds the prefix
+    /// slab from the first of them — the one place rows change after
+    /// construction.
+    fn replace_rows(&mut self, dests: impl IntoIterator<Item = usize>, rows: &[f64]) {
+        let s = self.stride;
+        let mut first = None;
+        for (k, i) in dests.into_iter().enumerate() {
+            first.get_or_insert(i);
+            self.rows[i * s..(i + 1) * s].copy_from_slice(&rows[k * s..(k + 1) * s]);
+        }
+        if let Some(first) = first {
+            self.refold_from(first);
+            counters().arena_rebuilds.inc();
         }
     }
 
@@ -199,56 +221,73 @@ impl LoadArena {
     }
 }
 
-thread_local! {
-    /// Per-worker scratch reused across probes: the node-flow propagation
-    /// buffer and the patched weight vector. Probes run on pool workers, so
-    /// thread-locals give each worker one allocation for the whole search
-    /// instead of two per candidate.
-    static SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
-    /// Per-worker disabled-edge mask scratch for [`IncrementalEvaluator::probe_disable`]:
-    /// failure sweeps answer one probe per scenario, so the mask buffer must
-    /// not be reallocated per scenario either.
-    static MASK_SCRATCH: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
+/// Per-worker scratch reused across changes: the node-flow propagation
+/// buffer, the patched weight vector of a weight change and the patched
+/// mask of a link-state change. Probes run on pool workers, so a
+/// thread-local gives each worker its buffers once for the whole search
+/// instead of once per candidate.
+struct Scratch {
+    node_flow: Vec<f64>,
+    weights: Vec<f64>,
+    mask: Vec<bool>,
 }
 
-/// The answer to one edge-disable (failure-scenario) probe: the objective
-/// state the failure would produce. Unlike [`Probe`] it is not committable —
-/// failure sweeps are what-if fans over a fixed base state, and an adopted
-/// failure mask is expressed by constructing a masked evaluator
-/// ([`IncrementalEvaluator::new_with_failures`]) instead.
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            node_flow: Vec::new(),
+            weights: Vec::new(),
+            mask: Vec::new(),
+        })
+    };
+}
+
+/// Widens a disabled-edge mask (empty: nothing disabled) to one flag per
+/// edge and sets the flags of `edges` to `down`.
+fn set_flags(mask: &mut Vec<bool>, edge_count: usize, edges: &[EdgeId], down: bool) {
+    mask.resize(edge_count, false);
+    for e in edges {
+        mask[e.index()] = down;
+    }
+}
+
+/// One edge change the evaluator can score and commit.
 #[derive(Clone, Debug)]
-pub struct DisableProbe {
-    /// The disabled (failed) edges, in probe order.
-    pub dead: Vec<EdgeId>,
-    /// Total per-link loads under the failure (bit-identical to a
-    /// from-scratch evaluation on the edge-deleted topology; failed links
-    /// always carry exactly `0.0`).
+enum Change {
+    /// Edge `e`'s weight becomes `w`.
+    Weight(EdgeId, f64),
+    /// The listed links go down (fail).
+    Down(Vec<EdgeId>),
+    /// A downed link comes back up.
+    Up(EdgeId),
+}
+
+/// How one destination's DAG absorbs a [`Change`].
+enum Fix {
+    /// Provably unaffected.
+    Clean,
+    /// A bounded repair for edge `e` whose old weight is given
+    /// (`f64::INFINITY`: the edge was down).
+    Repair(EdgeId, f64),
+    /// Two or more dead edges on the DAG: a full masked rebuild.
+    Rebuild,
+}
+
+/// The answer to one speculative change: the full objective state it would
+/// produce, plus the repaired per-destination data needed to
+/// [`IncrementalEvaluator::commit`] it in place.
+#[derive(Clone, Debug)]
+pub struct Probe {
+    /// The probed change; `commit` applies it to the weights or the mask.
+    change: Change,
+    /// Total per-link loads under the change (bit-identical to a
+    /// from-scratch evaluation; failed links carry exactly `0.0`).
     pub loads: Vec<f64>,
     /// Fortz–Thorup congestion cost Φ of `loads`.
     pub phi: f64,
     /// Maximum link utilization of `loads`.
     pub mlu: f64,
     /// Number of destinations whose DAG had to be repaired or rebuilt.
-    pub dirty_count: usize,
-}
-
-/// The answer to one speculative probe: the full objective state the weight
-/// change would produce, plus the repaired per-destination data needed to
-/// [`IncrementalEvaluator::commit`] it in place.
-#[derive(Clone, Debug)]
-pub struct Probe {
-    /// The probed edge.
-    pub edge: EdgeId,
-    /// The probed weight.
-    pub weight: f64,
-    /// Total per-link loads under the change (bit-identical to a
-    /// from-scratch evaluation).
-    pub loads: Vec<f64>,
-    /// Fortz–Thorup congestion cost Φ of `loads`.
-    pub phi: f64,
-    /// Maximum link utilization of `loads`.
-    pub mlu: f64,
-    /// Number of destinations whose DAG had to be touched.
     pub dirty_count: usize,
     /// Repaired `(dest index, DAG)` pairs, ascending by index.
     dirty: Vec<(usize, Arc<SpDag>)>,
@@ -359,25 +398,10 @@ impl<'n> IncrementalEvaluator<'n> {
         waypoints: &WaypointSetting,
         failed: &[EdgeId],
     ) -> Result<Self, TeError> {
-        if waypoints.len() != demands.len() {
-            return Err(TeError::InvalidWaypoints(format!(
-                "waypoint table has {} rows for {} demands",
-                waypoints.len(),
-                demands.len()
-            )));
-        }
-        let mut segments = Vec::with_capacity(demands.len());
-        for (i, d) in demands.iter().enumerate() {
-            for (src, dst, amount) in waypoints.segments_of(i, d) {
-                segments.push(Segment { src, dst, amount });
-            }
-        }
+        let segments = segments(demands, waypoints)?;
         let mut disabled = Vec::new();
         if !failed.is_empty() {
-            disabled.resize(net.edge_count(), false);
-            for &e in failed {
-                disabled[e.index()] = true;
-            }
+            set_flags(&mut disabled, net.edge_count(), failed, true);
         }
         Self::for_segments(net, weights, &segments, disabled)
     }
@@ -506,133 +530,238 @@ impl<'n> IncrementalEvaluator<'n> {
         self.dests.len()
     }
 
+    /// [`TeError::DimensionMismatch`] unless `e` is an edge of the network.
+    fn check_edge(&self, e: EdgeId) -> Result<(), TeError> {
+        let edge_count = self.net.edge_count();
+        if e.index() < edge_count {
+            return Ok(());
+        }
+        Err(TeError::DimensionMismatch {
+            what: "edge id",
+            expected: edge_count,
+            actual: e.index(),
+        })
+    }
+
     /// Answers "what are loads/Φ/MLU if edge `e`'s weight becomes `new_w`?"
     /// without mutating the evaluator. Read-only: speculative probes for a
     /// whole candidate neighbourhood can run concurrently against one shared
     /// base state.
     ///
+    /// # Errors
+    /// [`TeError::DimensionMismatch`] when `e` is not an edge of the network.
+    ///
     /// # Panics
     /// Panics if `new_w` is not a positive finite real.
     pub fn probe(&self, e: EdgeId, new_w: f64) -> Result<Probe, TeError> {
+        self.check_edge(e)?;
         assert!(
             new_w.is_finite() && new_w > 0.0,
             "weight must be positive finite"
         );
-        let c = counters();
-        c.probes.inc();
-        SCRATCH.with(|s| {
-            let (node_flow, weights) = &mut *s.borrow_mut();
-            node_flow.resize(self.net.node_count(), 0.0);
-            weights.clear();
-            weights.extend_from_slice(&self.weights);
-            weights[e.index()] = new_w;
-            self.probe_with(e, new_w, weights, node_flow)
-        })
+        counters().probes.inc();
+        self.score(Change::Weight(e, new_w))
     }
 
-    /// Probe body, working on borrowed scratch (`weights` already patched).
-    fn probe_with(
-        &self,
-        e: EdgeId,
-        new_w: f64,
-        weights: &[f64],
-        node_flow: &mut [f64],
-    ) -> Result<Probe, TeError> {
+    /// Answers "what are loads/Φ/MLU if the links in `dead` fail?" without
+    /// mutating the evaluator — the failure-scenario counterpart of
+    /// [`probe`](Self::probe), through the same repair loop. Read-only, so a
+    /// whole [`FailureSet`] sweep can fan scenarios over the `segrout-par`
+    /// pool against one shared base state.
+    ///
+    /// The failed edges are masked out exactly as if deleted: destinations
+    /// whose DAG does not use any dead edge are provably clean and skipped;
+    /// a DAG with one dead edge on it is repaired by
+    /// [`update_shortest_path_dag`] as a weight increase to ∞, one with two
+    /// or more is rebuilt under the mask, and the result is bit-identical to
+    /// a from-scratch evaluation on the edge-deleted topology. A scenario
+    /// that cuts some demand off its destination returns
+    /// [`TeError::Unroutable`] naming a severed `(src, dst)` pair — the
+    /// caller classifies it as disconnected.
+    ///
+    /// Edges already disabled in the base mask are ignored; an empty `dead`
+    /// set reproduces the committed state. Committing the probe takes the
+    /// links down in place, like [`set_link_state`](Self::set_link_state).
+    ///
+    /// # Errors
+    /// [`TeError::DimensionMismatch`] when some dead edge is not an edge of
+    /// the network, and [`TeError::Unroutable`] on a disconnect.
+    ///
+    /// [`FailureSet`]: crate::failure::FailureSet
+    pub fn probe_disable(&self, dead: &[EdgeId]) -> Result<Probe, TeError> {
+        for &e in dead {
+            self.check_edge(e)?;
+        }
+        counters().disable_probes.inc();
+        self.score(Change::Down(dead.to_vec()))
+    }
+
+    /// How destination `dag` absorbs `change`: the per-destination
+    /// classification of the change path.
+    fn fix(&self, change: &Change, dag: &SpDag) -> Fix {
+        let g = self.net.graph();
+        let reweight = |e: EdgeId, old_w: f64, new_w: f64| {
+            let (u, v) = g.endpoints(e);
+            if edge_change_affects_dag(dag, e, u, v, new_w) {
+                Fix::Repair(e, old_w)
+            } else {
+                Fix::Clean
+            }
+        };
+        match *change {
+            Change::Weight(e, w) => {
+                let old_w = self.weights[e.index()];
+                if w == old_w || edge_disabled(&self.disabled, e) {
+                    return Fix::Clean;
+                }
+                reweight(e, old_w, w)
+            }
+            // A link coming back up is a weight decrease from ∞.
+            Change::Up(e) => reweight(e, f64::INFINITY, self.weights[e.index()]),
+            Change::Down(ref dead) => {
+                // Removal never adds tight edges, and an edge masked in the
+                // base state is never on a DAG: dirty iff some dead edge is
+                // on this one.
+                let mut on_dag = dead.iter().filter(|e| dag.edge_on_dag[e.index()]);
+                match (on_dag.next(), on_dag.next()) {
+                    (None, _) => Fix::Clean,
+                    (Some(&e), None) => Fix::Repair(e, self.weights[e.index()]),
+                    _ => Fix::Rebuild,
+                }
+            }
+        }
+    }
+
+    /// Fills `mask` with the base mask, one flag per edge, and sets the
+    /// flags of `edges` to `down`.
+    fn mask_with<'s>(&self, mask: &'s mut Vec<bool>, edges: &[EdgeId], down: bool) -> &'s [bool] {
+        mask.clear();
+        mask.extend_from_slice(&self.disabled);
+        set_flags(mask, self.net.edge_count(), edges, down);
+        mask
+    }
+
+    /// The one change path: scores `change` against the committed state
+    /// without mutating it. Every destination is classified ([`Self::fix`]);
+    /// the dirty ones are repaired or rebuilt under the changed weights and
+    /// mask, re-seeded and re-spread into a partial slab, and the totals are
+    /// folded from the cached prefix.
+    fn score(&self, change: Change) -> Result<Probe, TeError> {
         let c = counters();
         let g = self.net.graph();
-        let (u, v) = g.endpoints(e);
-        let old_w = self.weights[e.index()];
+        let n = self.net.node_count();
         let m = self.net.edge_count();
         let recomputes = recompute_counter();
+        SCRATCH.with(|s| {
+            let Scratch {
+                node_flow,
+                weights,
+                mask,
+            } = &mut *s.borrow_mut();
+            node_flow.resize(n, 0.0);
+            // A weight change patches a copy of the weights and borrows the
+            // base mask; a link-state change patches a copy of the mask and
+            // borrows the base weights.
+            let (weights, mask): (&[f64], &[bool]) = match &change {
+                Change::Weight(e, w) => {
+                    weights.clear();
+                    weights.extend_from_slice(&self.weights);
+                    weights[e.index()] = *w;
+                    (weights, &self.disabled)
+                }
+                Change::Down(dead) => (&self.weights, self.mask_with(mask, dead, true)),
+                Change::Up(e) => (&self.weights, self.mask_with(mask, &[*e], false)),
+            };
 
-        let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
-        let mut dirty_partials: Vec<f64> = Vec::new();
-        if new_w != old_w && !edge_disabled(&self.disabled, e) {
-            // Size the partials slab once: every destination passing the
-            // affectedness test is dirty, since the repair re-runs that
-            // same test and then always returns a new DAG.
+            // Size the partials slab once: every destination the
+            // classification calls dirty gets a new DAG.
             let k = self
                 .dags
                 .iter()
-                .filter(|dag| edge_change_affects_dag(dag, e, u, v, new_w))
+                .filter(|dag| !matches!(self.fix(&change, dag), Fix::Clean))
                 .count();
-            dirty_partials = vec![0.0; k * m];
+            let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::with_capacity(k);
+            let mut dirty_partials = vec![0.0; k * m];
             for (i, dag) in self.dags.iter().enumerate() {
-                if !edge_change_affects_dag(dag, e, u, v, new_w) {
-                    continue;
-                }
-                let repaired = match update_shortest_path_dag(
-                    g,
-                    weights,
-                    dag,
-                    e,
-                    old_w,
-                    self.frontier_cap,
-                    &self.disabled,
-                ) {
-                    SpDagUpdate::Unchanged => continue,
-                    SpDagUpdate::Repaired(d, _) => {
-                        c.repairs.inc();
-                        d
+                let repaired = match self.fix(&change, dag) {
+                    Fix::Clean => continue,
+                    Fix::Repair(e, old_w) => {
+                        let cap = self.frontier_cap;
+                        match update_shortest_path_dag(g, weights, dag, e, old_w, cap, mask) {
+                            SpDagUpdate::Unchanged => continue,
+                            SpDagUpdate::Repaired(d, _) => {
+                                c.repairs.inc();
+                                d
+                            }
+                            SpDagUpdate::Rebuilt(d) => {
+                                recomputes.inc();
+                                d
+                            }
+                        }
                     }
-                    SpDagUpdate::Rebuilt(d) => {
+                    Fix::Rebuild => {
                         recomputes.inc();
-                        d
+                        shortest_path_dag(g, weights, dag.target, mask)
                     }
                 };
+                // Seed from the cached injection fold (bitwise the values
+                // the injection loop produces). Only a failure can sever a
+                // seeded source, which spread_seeded would drop silently; a
+                // lighter edge or a link coming back only adds paths.
+                let seed_row = &self.seeds[i * n..(i + 1) * n];
+                if let Change::Down(_) = change {
+                    for (j, &f) in seed_row.iter().enumerate() {
+                        if f > 0.0 && !repaired.reaches_target(NodeId(j as u32)) {
+                            return Err(TeError::Unroutable {
+                                src: NodeId(j as u32),
+                                dst: self.dests[i],
+                            });
+                        }
+                    }
+                }
                 let base = dirty.len() * m;
-                // Seed from the cached injection fold (bitwise the values the
-                // injection loop produces; reachability was validated at
-                // build time and cannot change under positive finite weights).
-                let n = self.net.node_count();
-                node_flow.copy_from_slice(&self.seeds[i * n..(i + 1) * n]);
-                let partial = &mut dirty_partials[base..base + m];
-                spread_seeded(self.net, &repaired, partial, node_flow);
+                node_flow.copy_from_slice(seed_row);
+                spread_seeded(
+                    self.net,
+                    &repaired,
+                    &mut dirty_partials[base..base + m],
+                    node_flow,
+                );
                 dirty.push((i, Arc::new(repaired)));
             }
             debug_assert_eq!(dirty.len(), k, "affectedness count must be exact");
-        }
-        c.dirty_dests.add(dirty.len() as u64);
-        c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
+            c.dirty_dests.add(dirty.len() as u64);
+            c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
 
-        let mut loads = Vec::with_capacity(m);
-        self.fold_with_dirty(&dirty, &dirty_partials, &mut loads);
-        let phi = fortz_phi(&loads, &self.caps);
-        let mlu = max_link_utilization(&loads, &self.caps);
-        Ok(Probe {
-            edge: e,
-            weight: new_w,
-            dirty_count: dirty.len(),
-            loads,
-            phi,
-            mlu,
-            dirty,
-            dirty_partials,
-            generation: self.generation,
+            let loads = self.fold(&dirty, &dirty_partials);
+            let phi = fortz_phi(&loads, &self.caps);
+            let mlu = max_link_utilization(&loads, &self.caps);
+            Ok(Probe {
+                change,
+                dirty_count: dirty.len(),
+                loads,
+                phi,
+                mlu,
+                dirty,
+                dirty_partials,
+                generation: self.generation,
+            })
         })
     }
 
-    /// Patches the totals for a probe: the fold up to the first dirty
-    /// destination is exactly the cached prefix row (or the committed totals
-    /// when no destination is dirty), so the probe copies it and only
-    /// re-folds the tail — cached partials for clean destinations,
-    /// substituted ones for dirty, in ascending destination order as always.
-    /// This is the single load-fold code path for weight probes and
-    /// edge-disable probes, so both stay bit-identical to scratch.
-    fn fold_with_dirty<T>(
-        &self,
-        dirty: &[(usize, T)],
-        dirty_partials: &[f64],
-        loads: &mut Vec<f64>,
-    ) {
+    /// The totals under a change: the fold up to the first dirty destination
+    /// is exactly the cached prefix row (or the committed totals when no
+    /// destination is dirty), so this copies it and only re-folds the tail —
+    /// cached partials for clean destinations, substituted ones for dirty,
+    /// in ascending destination order as always.
+    fn fold(&self, dirty: &[(usize, Arc<SpDag>)], dirty_partials: &[f64]) -> Vec<f64> {
         let c = counters();
         let m = self.net.edge_count();
-        if dirty.is_empty() {
-            loads.extend_from_slice(&self.loads);
+        let Some(&(first, _)) = dirty.first() else {
             c.arena_reuses.inc();
-            return;
-        }
-        let first = dirty[0].0;
+            return self.loads.clone();
+        };
+        let mut loads = Vec::with_capacity(m);
         if first > 0 {
             loads.extend_from_slice(self.arena.prefix_row(first - 1));
             c.arena_reuses.inc();
@@ -648,157 +777,15 @@ impl<'n> IncrementalEvaluator<'n> {
             } else {
                 self.arena.row(i)
             };
-            add_assign(loads, row);
+            add_assign(&mut loads, row);
         }
+        loads
     }
 
-    /// Answers "what are loads/Φ/MLU if the links in `dead` fail?" without
-    /// mutating the evaluator — the failure-scenario counterpart of
-    /// [`probe`](Self::probe). Read-only, so a whole [`FailureSet`] sweep can
-    /// fan scenarios over the `segrout-par` pool against one shared base
-    /// state.
-    ///
-    /// The failed edges are masked out exactly as if deleted: destinations
-    /// whose DAG does not use any dead edge are provably clean and skipped;
-    /// dirty destinations are repaired with the bounded
-    /// [`disable_edge_update`] (single dead on-DAG edge) or rebuilt under
-    /// the mask, and the result is bit-identical to a from-scratch
-    /// evaluation on the edge-deleted topology. A scenario that cuts some
-    /// demand off its destination returns [`TeError::Unroutable`] naming a
-    /// severed `(src, dst)` pair — the caller classifies it as disconnected.
-    ///
-    /// Edges already disabled in the base mask are ignored; an empty `dead`
-    /// set reproduces the committed state.
-    ///
-    /// [`FailureSet`]: crate::failure::FailureSet
-    pub fn probe_disable(&self, dead: &[EdgeId]) -> Result<DisableProbe, TeError> {
-        let c = counters();
-        c.disable_probes.inc();
-        let g = self.net.graph();
-        let n = self.net.node_count();
-        let m = self.net.edge_count();
-        let recomputes = recompute_counter();
-
-        MASK_SCRATCH.with(|mask_cell| {
-            SCRATCH.with(|s| {
-                let (node_flow, _) = &mut *s.borrow_mut();
-                node_flow.resize(n, 0.0);
-                let mask = &mut *mask_cell.borrow_mut();
-                mask.clear();
-                mask.resize(m, false);
-                if !self.disabled.is_empty() {
-                    mask.copy_from_slice(&self.disabled);
-                }
-                let mut new_dead = 0usize;
-                for &e in dead {
-                    if !mask[e.index()] {
-                        mask[e.index()] = true;
-                        new_dead += 1;
-                    }
-                }
-
-                // Removal never adds tight edges: a destination is dirty iff
-                // some dead edge is on its current DAG. Returns the last such
-                // edge and how many there are.
-                let dead_on_dag = |dag: &SpDag| {
-                    let mut on_dag = None;
-                    let mut on_dag_count = 0usize;
-                    for &e in dead {
-                        if !edge_disabled(&self.disabled, e) && dag.edge_on_dag[e.index()] {
-                            on_dag = Some(e);
-                            on_dag_count += 1;
-                        }
-                    }
-                    (on_dag, on_dag_count)
-                };
-                let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
-                let mut dirty_partials: Vec<f64> = Vec::new();
-                if new_dead > 0 {
-                    // Size the partials slab once for every dirty destination.
-                    let k = self
-                        .dags
-                        .iter()
-                        .filter(|dag| dead_on_dag(dag).1 > 0)
-                        .count();
-                    dirty_partials = vec![0.0; k * m];
-                    for (i, dag) in self.dags.iter().enumerate() {
-                        let repaired = match dead_on_dag(dag) {
-                            (None, _) => continue,
-                            (Some(e), 1) => {
-                                // Bounded dynamic repair under the full mask:
-                                // the other dead edges are off this DAG, so
-                                // `dag` is already correct for the mask
-                                // without `e`.
-                                match disable_edge_update(
-                                    g,
-                                    &self.weights,
-                                    dag,
-                                    e,
-                                    self.frontier_cap,
-                                    mask,
-                                ) {
-                                    SpDagUpdate::Unchanged => {
-                                        unreachable!("on-DAG edge disable cannot be clean")
-                                    }
-                                    SpDagUpdate::Repaired(d, _) => {
-                                        c.repairs.inc();
-                                        d
-                                    }
-                                    SpDagUpdate::Rebuilt(d) => {
-                                        recomputes.inc();
-                                        d
-                                    }
-                                }
-                            }
-                            _ => {
-                                // Two or more dead edges on one DAG (only
-                                // possible for multi-link scenarios): full
-                                // masked rebuild.
-                                recomputes.inc();
-                                shortest_path_dag(g, &self.weights, dag.target, mask)
-                            }
-                        };
-                        // Failures can sever sources — recheck every seeded
-                        // injection before spreading (spread_seeded drops
-                        // flow at unreachable nodes silently).
-                        let seed_row = &self.seeds[i * n..(i + 1) * n];
-                        for (j, &f) in seed_row.iter().enumerate() {
-                            if f > 0.0 && !repaired.reaches_target(NodeId(j as u32)) {
-                                return Err(TeError::Unroutable {
-                                    src: NodeId(j as u32),
-                                    dst: self.dests[i],
-                                });
-                            }
-                        }
-                        let base = dirty.len() * m;
-                        node_flow.copy_from_slice(seed_row);
-                        let partial = &mut dirty_partials[base..base + m];
-                        spread_seeded(self.net, &repaired, partial, node_flow);
-                        dirty.push((i, Arc::new(repaired)));
-                    }
-                    debug_assert_eq!(dirty.len(), k, "dead-edge count must be exact");
-                }
-                c.dirty_dests.add(dirty.len() as u64);
-                c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
-
-                let mut loads = Vec::with_capacity(m);
-                self.fold_with_dirty(&dirty, &dirty_partials, &mut loads);
-                let phi = fortz_phi(&loads, &self.caps);
-                let mlu = max_link_utilization(&loads, &self.caps);
-                Ok(DisableProbe {
-                    dead: dead.to_vec(),
-                    loads,
-                    phi,
-                    mlu,
-                    dirty_count: dirty.len(),
-                })
-            })
-        })
-    }
-
-    /// Applies an accepted probe in place: the probed weight becomes the base
-    /// weight, repaired DAGs and partials replace the stale ones, and the
-    /// cached loads/Φ/MLU move to the probe's values.
+    /// Applies a probe in place — a weight probe's weight becomes the base
+    /// weight, a failure probe's dead links join the base mask — and moves
+    /// the repaired DAGs and partials and the cached loads/Φ/MLU to the
+    /// probe's values.
     ///
     /// # Panics
     /// Panics if the probe was computed against an older committed state
@@ -808,37 +795,20 @@ impl<'n> IncrementalEvaluator<'n> {
             probe.generation, self.generation,
             "probe is stale: it was computed against a previous base state"
         );
-        self.weights[probe.edge.index()] = probe.weight;
         let m = self.net.edge_count();
-        let first_dirty = probe.dirty.first().map(|&(i, _)| i);
-        for (d, (i, dag)) in probe.dirty.into_iter().enumerate() {
-            self.dags[i] = dag;
-            self.arena
-                .row_mut(i)
-                .copy_from_slice(&probe.dirty_partials[d * m..(d + 1) * m]);
+        match probe.change {
+            Change::Weight(e, w) => self.weights[e.index()] = w,
+            Change::Down(dead) => set_flags(&mut self.disabled, m, &dead, true),
+            Change::Up(e) => set_flags(&mut self.disabled, m, &[e], false),
         }
-        if let Some(first) = first_dirty {
-            self.arena.refold_from(first);
-            counters().arena_rebuilds.inc();
+        let rows = probe.dirty.iter().map(|&(i, _)| i);
+        self.arena.replace_rows(rows, &probe.dirty_partials);
+        for (i, dag) in probe.dirty {
+            self.dags[i] = dag;
         }
         self.loads = probe.loads;
         self.phi = probe.phi;
         self.mlu = probe.mlu;
-        self.generation += 1;
-    }
-
-    /// Recomputes the cached totals from the arena (after rows changed) and
-    /// bumps the generation. `first_dirty` is the lowest changed row, if any.
-    fn refold_and_commit(&mut self, first_dirty: Option<usize>) {
-        if let Some(first) = first_dirty {
-            self.arena.refold_from(first);
-            counters().arena_rebuilds.inc();
-        }
-        let mut loads = std::mem::take(&mut self.loads);
-        self.arena.total(&mut loads);
-        self.loads = loads;
-        self.phi = fortz_phi(&self.loads, &self.caps);
-        self.mlu = max_link_utilization(&self.loads, &self.caps);
         self.generation += 1;
     }
 
@@ -851,9 +821,11 @@ impl<'n> IncrementalEvaluator<'n> {
     /// did.
     ///
     /// # Errors
-    /// [`TeError::InvalidCapacity`] when `cap` is not positive finite — the
-    /// evaluator is left untouched.
+    /// [`TeError::DimensionMismatch`] when `e` is not an edge of the network
+    /// and [`TeError::InvalidCapacity`] when `cap` is not positive finite —
+    /// the evaluator is left untouched.
     pub fn set_capacity(&mut self, e: EdgeId, cap: f64) -> Result<bool, TeError> {
+        self.check_edge(e)?;
         if !cap.is_finite() || cap <= 0.0 {
             return Err(TeError::InvalidCapacity {
                 edge: e.index(),
@@ -890,19 +862,7 @@ impl<'n> IncrementalEvaluator<'n> {
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<bool, TeError> {
-        if waypoints.len() != demands.len() {
-            return Err(TeError::InvalidWaypoints(format!(
-                "waypoint table has {} rows for {} demands",
-                waypoints.len(),
-                demands.len()
-            )));
-        }
-        let mut segments = Vec::with_capacity(demands.len());
-        for (i, d) in demands.iter().enumerate() {
-            for (src, dst, amount) in waypoints.segments_of(i, d) {
-                segments.push(Segment { src, dst, amount });
-            }
-        }
+        let segments = segments(demands, waypoints)?;
         let grouped: Vec<(NodeId, Vec<(NodeId, f64)>)> =
             group_by_destination(&segments).into_iter().collect();
         if grouped.len() != self.dests.len()
@@ -943,7 +903,7 @@ impl<'n> IncrementalEvaluator<'n> {
         // build runs per destination, reachability check included.
         let mut new_rows = vec![0.0; dirty.len() * m];
         SCRATCH.with(|s| {
-            let (node_flow, _) = &mut *s.borrow_mut();
+            let node_flow = &mut s.borrow_mut().node_flow;
             for (k, &i) in dirty.iter().enumerate() {
                 node_flow.clear();
                 node_flow.resize(n, 0.0);
@@ -958,12 +918,11 @@ impl<'n> IncrementalEvaluator<'n> {
             Ok::<(), TeError>(())
         })?;
         self.seeds = new_seeds;
-        for (k, &i) in dirty.iter().enumerate() {
-            self.arena
-                .row_mut(i)
-                .copy_from_slice(&new_rows[k * m..(k + 1) * m]);
-        }
-        self.refold_and_commit(dirty.first().copied());
+        self.arena.replace_rows(dirty, &new_rows);
+        self.arena.total(&mut self.loads);
+        self.phi = fortz_phi(&self.loads, &self.caps);
+        self.mlu = max_link_utilization(&self.loads, &self.caps);
+        self.generation += 1;
         Ok(true)
     }
 
@@ -992,140 +951,28 @@ impl<'n> IncrementalEvaluator<'n> {
     /// the event-application path for link-state changes. Returns whether the
     /// state changed (a repeated event is a no-op).
     ///
-    /// Both directions repair only the destinations whose DAG is actually
-    /// affected, exactly as a probe would, and the committed state is
-    /// bit-identical to a fresh evaluator built with the new mask.
+    /// Both directions run the probes' change path and [`commit`](Self::commit)
+    /// its answer: only the destinations whose DAG is actually affected are
+    /// repaired (down as a weight increase to ∞, up as a decrease from ∞),
+    /// and the committed state is bit-identical to a fresh evaluator built
+    /// with the new mask. Neither direction counts as a probe.
     ///
     /// # Errors
-    /// [`TeError::Unroutable`] when taking the link down severs a demand from
-    /// its destination — the evaluator is left untouched.
+    /// [`TeError::DimensionMismatch`] when `e` is not an edge of the network,
+    /// and [`TeError::Unroutable`] when taking the link down severs a demand
+    /// from its destination — the evaluator is left untouched.
     pub fn set_link_state(&mut self, e: EdgeId, up: bool) -> Result<bool, TeError> {
-        if up {
-            self.enable_edge(e)
-        } else {
-            self.disable_edge(e)
-        }
-    }
-
-    fn disable_edge(&mut self, e: EdgeId) -> Result<bool, TeError> {
-        if edge_disabled(&self.disabled, e) {
+        self.check_edge(e)?;
+        if up != edge_disabled(&self.disabled, e) {
             return Ok(false);
         }
-        let g = self.net.graph();
-        let n = self.net.node_count();
-        let m = self.net.edge_count();
-        let c = counters();
-        let recomputes = recompute_counter();
-        let mut mask = if self.disabled.is_empty() {
-            vec![false; m]
+        let change = if up {
+            Change::Up(e)
         } else {
-            self.disabled.clone()
+            Change::Down(vec![e])
         };
-        mask[e.index()] = true;
-
-        let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
-        let mut dirty_partials: Vec<f64> = Vec::new();
-        SCRATCH.with(|s| {
-            let (node_flow, _) = &mut *s.borrow_mut();
-            node_flow.resize(n, 0.0);
-            for (i, dag) in self.dags.iter().enumerate() {
-                // Removal never adds tight edges: dirty iff `e` is on the DAG.
-                if !dag.edge_on_dag[e.index()] {
-                    continue;
-                }
-                let repaired =
-                    match disable_edge_update(g, &self.weights, dag, e, self.frontier_cap, &mask) {
-                        SpDagUpdate::Unchanged => {
-                            unreachable!("on-DAG edge disable cannot be clean")
-                        }
-                        SpDagUpdate::Repaired(d, _) => {
-                            c.repairs.inc();
-                            d
-                        }
-                        SpDagUpdate::Rebuilt(d) => {
-                            recomputes.inc();
-                            d
-                        }
-                    };
-                // The failure can sever sources — validate every seeded
-                // injection before mutating anything.
-                let seed_row = &self.seeds[i * n..(i + 1) * n];
-                for (j, &f) in seed_row.iter().enumerate() {
-                    if f > 0.0 && !repaired.reaches_target(NodeId(j as u32)) {
-                        return Err(TeError::Unroutable {
-                            src: NodeId(j as u32),
-                            dst: self.dests[i],
-                        });
-                    }
-                }
-                let base = dirty_partials.len();
-                dirty_partials.resize(base + m, 0.0);
-                node_flow.copy_from_slice(seed_row);
-                spread_seeded(self.net, &repaired, &mut dirty_partials[base..], node_flow);
-                dirty.push((i, Arc::new(repaired)));
-            }
-            Ok(())
-        })?;
-        self.disabled = mask;
-        let first = dirty.first().map(|&(i, _)| i);
-        for (k, (i, dag)) in dirty.into_iter().enumerate() {
-            self.dags[i] = dag;
-            self.arena
-                .row_mut(i)
-                .copy_from_slice(&dirty_partials[k * m..(k + 1) * m]);
-        }
-        self.refold_and_commit(first);
-        Ok(true)
-    }
-
-    fn enable_edge(&mut self, e: EdgeId) -> Result<bool, TeError> {
-        if !edge_disabled(&self.disabled, e) {
-            return Ok(false);
-        }
-        let g = self.net.graph();
-        let n = self.net.node_count();
-        let m = self.net.edge_count();
-        let recomputes = recompute_counter();
-        let mut mask = self.disabled.clone();
-        mask[e.index()] = false;
-        let (u, v) = g.endpoints(e);
-        let w_e = self.weights[e.index()];
-
-        let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::new();
-        let mut dirty_partials: Vec<f64> = Vec::new();
-        SCRATCH.with(|s| {
-            let (node_flow, _) = &mut *s.borrow_mut();
-            node_flow.resize(n, 0.0);
-            for (i, dag) in self.dags.iter().enumerate() {
-                // Re-enabling `e` is a weight drop from "unusable" to `w_e`:
-                // the DAG moves only if the revived edge reaches the current
-                // distance at its tail (the same affectedness test weight
-                // decreases use; `e` is off the masked DAG by construction).
-                if !edge_change_affects_dag(dag, e, u, v, w_e) {
-                    continue;
-                }
-                // A fresh Dijkstra under the shrunk mask — exactly what a
-                // from-scratch build runs for this destination.
-                recomputes.inc();
-                let rebuilt = shortest_path_dag(g, &self.weights, dag.target, &mask);
-                let base = dirty_partials.len();
-                dirty_partials.resize(base + m, 0.0);
-                // Reachability only improves when a link comes back, so the
-                // build-time validation still covers every seeded source.
-                node_flow.copy_from_slice(&self.seeds[i * n..(i + 1) * n]);
-                spread_seeded(self.net, &rebuilt, &mut dirty_partials[base..], node_flow);
-                dirty.push((i, Arc::new(rebuilt)));
-            }
-        });
-        self.disabled = mask;
-        let first = dirty.first().map(|&(i, _)| i);
-        for (k, (i, dag)) in dirty.into_iter().enumerate() {
-            self.dags[i] = dag;
-            self.arena
-                .row_mut(i)
-                .copy_from_slice(&dirty_partials[k * m..(k + 1) * m]);
-        }
-        self.refold_and_commit(first);
+        let probe = self.score(change)?;
+        self.commit(probe);
         Ok(true)
     }
 }
@@ -1635,6 +1482,36 @@ mod tests {
         )
         .unwrap();
         assert_eq!(eval_bits(&eval), eval_bits(&fresh));
+    }
+
+    #[test]
+    fn out_of_range_edge_ids_error_and_leave_state_untouched() {
+        let net = net();
+        let d = demands();
+        let w = WeightSetting::unit(&net);
+        let mut eval =
+            IncrementalEvaluator::new(&net, &w, &d, &WaypointSetting::none(d.len())).unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let state = |e: &IncrementalEvaluator<'_>| {
+            let flags = e.disabled().to_vec();
+            (eval_bits(e), bits(e.weights()), bits(e.capacities()), flags)
+        };
+        let before = state(&eval);
+        let pending = eval.probe(EdgeId(4), 3.0).unwrap();
+        let bad = EdgeId(5);
+        let want = TeError::DimensionMismatch {
+            what: "edge id",
+            expected: 5,
+            actual: 5,
+        };
+        assert_eq!(eval.probe(bad, 2.0).unwrap_err(), want);
+        assert_eq!(eval.probe_disable(&[EdgeId(0), bad]).unwrap_err(), want);
+        assert_eq!(eval.set_capacity(bad, 2.0).unwrap_err(), want);
+        assert_eq!(eval.set_link_state(bad, false).unwrap_err(), want);
+        assert_eq!(eval.set_link_state(bad, true).unwrap_err(), want);
+        assert_eq!(state(&eval), before);
+        // The generation did not move either: the earlier probe commits.
+        eval.commit(pending);
     }
 
     #[test]

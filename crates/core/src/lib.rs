@@ -50,7 +50,7 @@ pub use failure::{
     sweep_failures, FailurePattern, FailureSet, ScenarioOutcome, ScenarioResult, SweepReport,
     WorstCaseCertificate,
 };
-pub use incremental::{DisableProbe, IncrementalEvaluator, Probe};
+pub use incremental::{IncrementalEvaluator, Probe};
 pub use instance::TeInstance;
 pub use network::Network;
 pub use report::UtilizationReport;

@@ -36,6 +36,9 @@
 //! stay finite (the bucket queue keeps its `[1, MAX_DIAL_WEIGHT]` domain)
 //! and a failure is a mask bit, not a weight perturbation. Nodes cut off by
 //! a failure end at [`INFINITY`], a classified outcome rather than an error.
+//! The one repair entry point, [`update_shortest_path_dag`], still treats a
+//! mask bit like a weight: a link going down is an increase to ∞, and a link
+//! coming back up is a decrease from ∞.
 
 use crate::digraph::{Digraph, EdgeId, NodeId};
 use crate::{approx_eq, EPS};
@@ -688,8 +691,8 @@ fn patch_dag(
     })
 }
 
-/// Result of [`update_shortest_path_dag`]: how a single-edge weight change
-/// was absorbed for one destination.
+/// Result of [`update_shortest_path_dag`]: how a single-edge change (a new
+/// weight or a flipped mask bit) was absorbed for one destination.
 #[derive(Clone, Debug)]
 pub enum SpDagUpdate {
     /// The change cannot alter this destination's DAG (clean destination).
@@ -740,14 +743,24 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
     cand + EPS < du || approx_eq(cand, du)
 }
 
-/// Repairs `prev` (the shortest-path DAG towards `prev.target` under the
-/// *old* weights) after edge `e`'s weight changed from `old_w` to
-/// `weights[e]`, where `weights` is the **new** full weight vector.
+/// Repairs `prev` after one edge changed: edge `e`'s weight moved from
+/// `old_w` to `weights[e]` (`weights` is the **new** full weight vector), or
+/// `e`'s mask bit flipped. This is the one repair entry point; a link-state
+/// change is a weight change at its limit:
 ///
-/// `prev` must have been built under the same mask `disabled` (empty: the
-/// intact topology), and the repair keeps honoring it: skipped relaxations,
-/// masked tight-edge tests, masked fallback rebuild. A weight change on a
-/// disabled edge is a provable no-op and returns [`SpDagUpdate::Unchanged`].
+/// * **Link down** is a weight increase to ∞. `disabled` masks `e`: if `e`
+///   is on `prev` the increase repair runs under the new mask, otherwise
+///   the DAG provably cannot change ([`SpDagUpdate::Unchanged`]), and
+///   `old_w` is not read. Nodes whose every path used `e` end at
+///   [`INFINITY`] and leave `order`, a classified outcome, not an error.
+/// * **Link up** is a weight decrease from ∞: pass `old_w = f64::INFINITY`
+///   with `disabled` no longer masking `e`.
+///
+/// `prev` must have been built under `disabled` with at most `e`'s bit
+/// flipped, or with extra masked edges that are off `prev` (a multi-link
+/// failure whose other dead edges this DAG never used). The repair keeps
+/// honoring the mask: skipped relaxations, masked tight-edge tests, masked
+/// fallback rebuild.
 ///
 /// The repair follows Ramalingam–Reps: identify the affected node set (nodes
 /// whose distance to the target changes), re-run Dijkstra restricted to that
@@ -766,8 +779,8 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 ///
 /// With tie-exact weights (e.g. the integral vectors every optimizer in this
 /// workspace emits) the repaired DAG is **bit-identical** to
-/// [`shortest_path_dag`] on the new weights: both paths compute the exact
-/// distance minima, the patch decides edge membership with the same
+/// [`shortest_path_dag`] on the new weights and mask: both paths compute the
+/// exact distance minima, the patch decides edge membership with the same
 /// predicate on the same inputs as the full scan, and the order is the
 /// unique permutation under the same key (see `patch_dag`).
 pub fn update_shortest_path_dag(
@@ -781,8 +794,14 @@ pub fn update_shortest_path_dag(
 ) -> SpDagUpdate {
     check_mask(g, disabled);
     if edge_disabled(disabled, e) {
-        // A failed link's weight is never read; the DAG cannot change.
-        return SpDagUpdate::Unchanged;
+        // A masked edge's weight is never read. On `prev` it was just taken
+        // down (an increase to ∞); off `prev` no path gets shorter and no
+        // tight edge appears.
+        return if prev.edge_on_dag[e.index()] {
+            repair_increase(g, weights, prev, e, frontier_cap, disabled)
+        } else {
+            SpDagUpdate::Unchanged
+        };
     }
     let (u, v) = g.endpoints(e);
     let new_w = weights[e.index()];
@@ -796,42 +815,6 @@ pub fn update_shortest_path_dag(
     }
 }
 
-/// Repairs `prev` (built with edge `e` still enabled) after `e` is disabled.
-///
-/// Removing an edge can only lengthen paths, so this is the weight-increase
-/// repair pushed to its limit: if `e` is off the DAG the structure provably
-/// cannot change ([`SpDagUpdate::Unchanged`]); if the tail keeps its old
-/// distance through another tight edge the DAG only loses `e` (distances
-/// and topological order carry over verbatim); otherwise the affected set
-/// re-runs restricted Dijkstra under the mask and the DAG is patched as in
-/// [`update_shortest_path_dag`]. Nodes whose every path to the target used
-/// `e` end at [`INFINITY`] and leave `order` — a disconnection is a
-/// classified outcome, not an error.
-///
-/// `disabled` is the **new** mask and must have `disabled[e]` set; `prev`
-/// must have been built under the mask *without* `e`. With tie-exact
-/// weights the result is bit-identical to
-/// [`shortest_path_dag`] under the new mask.
-pub fn disable_edge_update(
-    g: &Digraph,
-    weights: &[f64],
-    prev: &SpDag,
-    e: EdgeId,
-    frontier_cap: usize,
-    disabled: &[bool],
-) -> SpDagUpdate {
-    check_mask(g, disabled);
-    assert!(
-        edge_disabled(disabled, e),
-        "mask must cover the newly disabled edge {e:?}"
-    );
-    if !prev.edge_on_dag[e.index()] {
-        // Off-DAG removal: no path gets shorter, no tight edge appears.
-        return SpDagUpdate::Unchanged;
-    }
-    repair_increase(g, weights, prev, e, frontier_cap, disabled)
-}
-
 /// Weight increase on an on-DAG edge `e = (u, v)`.
 ///
 /// Phase 1 finds the affected set `A` — nodes *all* of whose shortest paths
@@ -840,8 +823,8 @@ pub fn disable_edge_update(
 /// Phase 2 re-runs Dijkstra restricted to `A`, seeded with the best detour
 /// through unaffected neighbours. Nodes outside `A` keep their exact old
 /// distances, so `patch_dag` re-tests only `e` and the edges around `A`.
-/// Work is proportional to the damage, not the graph. Also serves edge
-/// disabling, where `e` is masked out rather than made heavier.
+/// Work is proportional to the damage, not the graph. Also serves a link
+/// going down, where `e` is masked out rather than made heavier.
 fn repair_increase(
     g: &Digraph,
     weights: &[f64],
@@ -961,7 +944,9 @@ fn repair_increase(
     )
 }
 
-/// Weight decrease on `e = (u, v)` that reaches the current distance at `u`.
+/// Weight decrease on `e = (u, v)` that reaches the current distance at `u`,
+/// including a link coming back up (a decrease from ∞, where `dist(u)` may
+/// itself be ∞).
 ///
 /// If the cheaper edge exactly ties `dist(u)` the distances are unchanged and
 /// the DAG only gains `e`. Otherwise the improvement propagates backwards
@@ -1382,22 +1367,23 @@ mod tests {
         assert_eq!(dag.order, vec![NodeId(2)]);
     }
 
-    /// Disables one edge both via [`disable_edge_update`] and from scratch
-    /// under the mask and checks the repaired DAG matches bit-for-bit.
+    /// Takes one edge down and back up through [`update_shortest_path_dag`]
+    /// (an increase to ∞, then a decrease from ∞) and checks each repaired
+    /// DAG against a from-scratch build under the same mask, bit for bit.
     fn check_disable(g: &Digraph, w: &[f64], e: EdgeId, target: NodeId, cap: usize) {
-        let prev = shortest_path_dag(g, w, target, &[]);
+        let intact = shortest_path_dag(g, w, target, &[]);
         let mut disabled = vec![false; g.edge_count()];
         disabled[e.index()] = true;
         let scratch = shortest_path_dag(g, w, target, &disabled);
-        let got = match disable_edge_update(g, w, &prev, e, cap, &disabled) {
-            SpDagUpdate::Unchanged => prev,
-            SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
-        };
-        assert_same_dag(
-            &got,
-            &scratch,
-            &format!("disable e={e:?} target={target:?}"),
-        );
+        let ctx = format!("e={e:?} target={target:?}");
+        let down = update_shortest_path_dag(g, w, &intact, e, w[e.index()], cap, &disabled)
+            .into_dag()
+            .unwrap_or_else(|| intact.clone());
+        assert_same_dag(&down, &scratch, &format!("disable {ctx}"));
+        let up = update_shortest_path_dag(g, w, &down, e, INFINITY, cap, &[])
+            .into_dag()
+            .unwrap_or(down);
+        assert_same_dag(&up, &intact, &format!("re-enable {ctx}"));
     }
 
     #[test]
@@ -1432,7 +1418,7 @@ mod tests {
         check_disable(&g, &w, EdgeId(2), NodeId(3), usize::MAX);
         let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let disabled = vec![false, false, true, false];
-        let upd = disable_edge_update(&g, &w, &prev, EdgeId(2), usize::MAX, &disabled);
+        let upd = update_shortest_path_dag(&g, &w, &prev, EdgeId(2), w[2], usize::MAX, &disabled);
         let dag = upd.into_dag().expect("on-DAG edge must dirty the DAG");
         assert!(!dag.reaches_target(NodeId(2)));
         assert_eq!(dag.dist[1], 5.0); // rerouted over the chord

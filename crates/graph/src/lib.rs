@@ -35,7 +35,7 @@ pub mod traversal;
 
 pub use digraph::{Digraph, EdgeId, NodeId};
 pub use dijkstra::{
-    csr_offsets, disable_edge_update, edge_change_affects_dag, edge_disabled, shortest_path_dag,
+    csr_offsets, edge_change_affects_dag, edge_disabled, shortest_path_dag,
     single_target_distances, single_target_distances_heap, update_shortest_path_dag, SpDag,
     SpDagUpdate, INFINITY, MAX_DIAL_WEIGHT,
 };
@@ -55,11 +55,12 @@ pub const EPS: f64 = 1e-9;
 
 /// Returns `true` when `a` and `b` are equal within [`EPS`] scaled by the
 /// magnitude of the operands (so that comparisons stay meaningful for values
-/// far from 1.0).
+/// far from 1.0). Equal values compare equal; otherwise a non-finite operand
+/// compares unequal (an infinite scale would tolerate any difference).
 #[inline]
 pub fn approx_eq(a: f64, b: f64) -> bool {
     let scale = 1.0_f64.max(a.abs()).max(b.abs());
-    (a - b).abs() <= EPS * scale
+    a == b || (scale.is_finite() && (a - b).abs() <= EPS * scale)
 }
 
 /// Returns `true` when `a` is strictly less than `b` beyond the scaled
@@ -84,6 +85,13 @@ mod tests {
     fn approx_eq_scales_with_magnitude() {
         assert!(approx_eq(1e12, 1e12 + 1.0));
         assert!(!approx_eq(1e12, 1.1e12));
+    }
+
+    #[test]
+    fn approx_eq_is_exact_at_infinity() {
+        assert!(!approx_eq(f64::INFINITY, 5.0));
+        assert!(!approx_eq(5.0, f64::INFINITY));
+        assert!(approx_eq(f64::INFINITY, f64::INFINITY));
     }
 
     #[test]

@@ -102,8 +102,9 @@ test -s BENCH_failsweep_fast.json || { echo "BENCH_failsweep_fast.json missing";
 # Flight-recorder leg: a traced Germany50 optimization must produce a
 # parseable convergence trace, a schema-1 run artifact, a collapsed-stack
 # profile, and telemetry free of undocumented metric names; the artifact
-# must compare clean against itself through `segrout report`.
-echo "==> flight recorder (traced Germany50 run + report + catalog drift check)"
+# must compare clean against itself through `segrout report`. A sweep and
+# a serve stream get the same catalog drift check.
+echo "==> flight recorder (traced Germany50 run + report + catalog drift checks)"
 FR_DIR=$(mktemp -d)
 trap 'rm -rf "$FR_DIR"' EXIT
 ./target/release/segrout optimize --topology Germany50 --algorithm heurospf \
@@ -141,6 +142,19 @@ print(f"flight recorder OK: {n} trace points, {len(stacks)} stack lines")
 EOF
 ./target/release/segrout report "$FR_DIR/run.json" "$FR_DIR/run.json"
 ./target/release/segrout catalog --check "$FR_DIR/metrics.jsonl"
+# The optimize run never emits the sweep.* and serve.* families: drift-check
+# a single+double Abilene sweep and a five-line serve stream (link down,
+# demand, link up, capacity, shutdown) too.
+./target/release/segrout sweep --topology Abilene --doubles \
+    --metrics-out "$FR_DIR/sweep-metrics.jsonl" >/dev/null
+./target/release/segrout catalog --check "$FR_DIR/sweep-metrics.jsonl"
+printf '%s\n' '{"event":"link_down","edge":2}' \
+    '{"event":"demand","index":0,"factor":1.5}' '{"event":"link_up","edge":2}' \
+    '{"event":"capacity","edge":1,"capacity":5000}' '{"event":"shutdown"}' \
+    >"$FR_DIR/events.jsonl"
+./target/release/segrout serve --topology Abilene --events "$FR_DIR/events.jsonl" \
+    --metrics-out "$FR_DIR/serve-metrics.jsonl" >/dev/null 2>&1
+./target/release/segrout catalog --check "$FR_DIR/serve-metrics.jsonl"
 
 # Wire-protocol gate: the real binary over stdio JSONL — well-formed
 # responses, monotone sequence numbers, error replies for malformed,

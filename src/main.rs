@@ -373,7 +373,7 @@ const METRIC_CATALOG: &[(&str, &str, &str)] = &[
     (
         "arena.reuses",
         "counter",
-        "probes whose load fold started from a cached prefix row",
+        "probes and link events whose load fold started from a cached prefix row",
     ),
     ("check.cases", "counter", "fuzz cases executed"),
     (
@@ -448,7 +448,11 @@ const METRIC_CATALOG: &[(&str, &str, &str)] = &[
         "incremental edge-disable (failure-scenario) probes",
     ),
     ("incr.probes", "counter", "incremental single-edge probes"),
-    ("incr.repairs", "counter", "incremental commit repairs"),
+    (
+        "incr.repairs",
+        "counter",
+        "bounded SP-DAG repairs by probes and link events",
+    ),
     (
         "joint.final_mlu",
         "gauge",

@@ -16,7 +16,7 @@ fn distances_and_dags_bit_identical_across_engines() {
     dag_engines(&dag_networks());
 }
 
-/// Weight and masked repair walks at frontier caps 8 and `n`.
+/// Weight repair walks and link down/up walks at frontier caps 8 and `n`.
 #[test]
 fn update_paths_match_forced_heap_scratch() {
     dag_repairs(&dag_networks());

@@ -8,7 +8,7 @@
 use segrout::algos::{reoptimize_weights, HeurOspfConfig, ReoptimizeConfig, ServeConfig};
 use segrout::algos::{ServeEvent, ServeSession, ServeTier};
 use segrout::core::rng::StdRng;
-use segrout::core::{DemandList, NodeId, WaypointSetting, WeightSetting};
+use segrout::core::{DemandList, EdgeId, NodeId, WaypointSetting, WeightSetting};
 use segrout::topo::by_name;
 use std::collections::BTreeSet;
 
@@ -120,4 +120,49 @@ fn one_evaluator_per_search_and_no_rebuilds_per_event() {
         "at most one prefix-slab refold per event"
     );
     assert_eq!(session.stats().events, events);
+
+    // ---- Pin 3: link flaps run the shared change path, not probes. ----
+    // Link events are not probes, and a link coming back up is a bounded
+    // repair (a weight decrease from ∞), not a rebuild per destination.
+    // An infinite reopt ratio keeps every event in the probe tier, so no
+    // search probes either.
+    let mut flaps = ServeSession::new(
+        &net,
+        &result.weights,
+        session.demands().clone(),
+        WaypointSetting::none(n_demands),
+        ServeConfig {
+            reopt_ratio: f64::INFINITY,
+            ..Default::default()
+        },
+    )
+    .expect("session opens");
+    let loads = |s: &ServeSession<'_>| -> Vec<u64> {
+        s.evaluator().loads().iter().map(|x| x.to_bits()).collect()
+    };
+    let intact = loads(&flaps);
+    let probes2 = counter("incr.probes");
+    let disable_probes2 = counter("incr.disable_probes");
+    let (mut up_repairs, mut up_recomputes) = (0, 0);
+    for e in (0..net.edge_count() as u32).map(EdgeId) {
+        if flaps.apply(&ServeEvent::LinkDown { edge: e }).tier == ServeTier::Error {
+            continue; // the failure would cut a demand off: state untouched
+        }
+        let (repairs, recomputes) = (counter("incr.repairs"), counter("ecmp.recomputes"));
+        let r = flaps.apply(&ServeEvent::LinkUp { edge: e });
+        assert_eq!(r.tier, ServeTier::Probe, "link {e:?} up");
+        up_repairs += counter("incr.repairs") - repairs;
+        up_recomputes += counter("ecmp.recomputes") - recomputes;
+    }
+    assert_eq!(loads(&flaps), intact, "every flap must round-trip");
+    assert_eq!(
+        counter("incr.probes"),
+        probes2,
+        "link events are not probes"
+    );
+    assert_eq!(counter("incr.disable_probes"), disable_probes2);
+    assert!(
+        up_repairs > 0 && up_recomputes < up_repairs,
+        "link-ups must mostly repair: {up_repairs} repairs, {up_recomputes} rebuilds"
+    );
 }

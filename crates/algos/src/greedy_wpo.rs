@@ -280,8 +280,9 @@ pub fn greedy_wpo(
 /// set is bit-identical to [`greedy_wpo`].
 ///
 /// # Errors
-/// Fails when the set is misaligned (waypoints are per demand index) or
-/// the initial ECMP routing of some demand is impossible.
+/// Fails when the set is misaligned (waypoints are per demand index), when
+/// a candidate is not a node of the network, or when the initial ECMP
+/// routing of some demand is impossible.
 ///
 /// # Panics
 /// Panics on an empty demand set.
@@ -294,6 +295,9 @@ pub fn greedy_wpo_robust(
 ) -> Result<WaypointSetting, TeError> {
     assert!(!set.is_empty(), "demand set must hold at least one matrix");
     set.require_aligned()?;
+    for &w in cfg.candidates.iter().flatten() {
+        net.check_node(w)?;
+    }
     let _span = segrout_obs::span("greedywpo");
     let k = set.len();
     let candidates_evaluated = segrout_obs::counter("greedywpo.candidates_evaluated");

@@ -378,18 +378,6 @@ impl<'n> ServeSession<'n> {
                 Ok(())
             }
             ServeEvent::DemandMatrix { demands } => {
-                let node_count = self.net.node_count();
-                for &(src, dst, _) in demands {
-                    for n in [src, dst] {
-                        if n.index() >= node_count {
-                            return Err(TeError::DimensionMismatch {
-                                what: "node id",
-                                expected: node_count,
-                                actual: n.index(),
-                            });
-                        }
-                    }
-                }
                 let list: Vec<Demand> = demands
                     .iter()
                     .map(|&(src, dst, size)| Demand { src, dst, size })
@@ -579,6 +567,9 @@ mod tests {
             },
             ServeEvent::DemandMatrix {
                 demands: vec![(NodeId(0), NodeId(1), -3.0)],
+            },
+            ServeEvent::DemandMatrix {
+                demands: vec![(NodeId(0), NodeId(1_000), 1.0)],
             },
         ];
         for (i, ev) in cases.iter().enumerate() {

@@ -18,7 +18,6 @@
 //! | `bench_failsweep` | failure-sweep scenario throughput on Germany50 (`BENCH_failsweep.json`) |
 //! | `bench_robust` | price of robustness over demand sets (`BENCH_robust.json`) |
 //! | `bench_serve` | serve-daemon event latency (`BENCH_serve.json`) |
-//! | `bench_simplex` | branch-and-bound node throughput per LP engine (`BENCH_simplex.json`) |
 //!
 //! Run e.g. `cargo run -p segrout-bench --release --bin fig4`. Binaries
 //! accept `SEGROUT_SEEDS=<k>` to change the number of demand sets

@@ -9,7 +9,6 @@
 //! seed 42
 //! threads 4
 //! incremental 1
-//! engine revised
 //! pipeline 1
 //! nodes 4
 //! link 0 1 100
@@ -33,6 +32,7 @@ use crate::differential::{
     disable, guard, joint, joint_cfg, ospf, ospf_cfg, reductions, robust_joint, run_case_kind,
     serve, sweep, walk, wpo, Kind,
 };
+use crate::lp_oracle;
 use crate::validator::{ValidationReport, Validator, ValidatorConfig, Violation};
 use segrout_algos::{joint_heur, joint_heur_robust, JointHeurResult, ServeEvent};
 use segrout_core::{
@@ -40,37 +40,13 @@ use segrout_core::{
     WeightSetting,
 };
 use segrout_graph::{EdgeId, NodeId};
-use segrout_lp::{LpEngine, MilpOptions, MilpStatus};
-use segrout_milp::{joint_milp, joint_milp_robust, JointMilpOptions, JointMilpOutcome};
+use segrout_lp::{MilpOptions, MilpStatus};
+use segrout_milp::{
+    joint_milp, joint_milp_robust, joint_milp_with, JointMilpOptions, JointMilpOutcome,
+};
 use std::fmt;
 use std::str::{FromStr, SplitWhitespace};
 use std::time::Duration;
-
-/// LP engine selector for the differential dimension of a case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// Bounded-variable revised simplex (production path).
-    Revised,
-    /// Dense two-phase tableau (reference oracle).
-    Tableau,
-}
-
-impl EngineChoice {
-    /// The corresponding `segrout_lp` engine.
-    pub fn lp_engine(self) -> LpEngine {
-        match self {
-            Self::Revised => LpEngine::Revised,
-            Self::Tableau => LpEngine::Tableau,
-        }
-    }
-
-    fn as_str(self) -> &'static str {
-        match self {
-            Self::Revised => "revised",
-            Self::Tableau => "tableau",
-        }
-    }
-}
 
 /// Result of running one case.
 #[derive(Clone, Debug)]
@@ -144,8 +120,6 @@ pub struct Case {
     /// `walk` kind and the validator's evaluator comparison. The optimizers
     /// always score through it.
     pub incremental: bool,
-    /// LP engine used for the MILP-oracle stage.
-    pub engine: EngineChoice,
     /// Whether the optimizer kinds (`ospf`, `wpo`, `joint`) and the MILP
     /// oracle on tiny instances run on top of the state validation.
     pub pipeline: bool,
@@ -302,7 +276,6 @@ impl Case {
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("threads {}\n", self.threads));
         out.push_str(&format!("incremental {}\n", u8::from(self.incremental)));
-        out.push_str(&format!("engine {}\n", self.engine.as_str()));
         out.push_str(&format!("pipeline {}\n", u8::from(self.pipeline)));
         out.push_str(&format!("nodes {}\n", self.nodes));
         for &(u, v, cap) in &self.links {
@@ -373,7 +346,6 @@ impl Case {
             waypoints: Vec::new(),
             threads: 1,
             incremental: true,
-            engine: EngineChoice::Revised,
             pipeline: true,
             seed: 0,
         };
@@ -393,13 +365,6 @@ impl Case {
                 "threads" => case.threads = int(p, lineno, "a thread count")?,
                 "incremental" => case.incremental = flag(p, lineno)?,
                 "pipeline" => case.pipeline = flag(p, lineno)?,
-                "engine" => {
-                    case.engine = match p.next() {
-                        Some("revised") => EngineChoice::Revised,
-                        Some("tableau") => EngineChoice::Tableau,
-                        _ => return Err(bad("engine needs 'revised' or 'tableau'")),
-                    }
-                }
                 "nodes" => case.nodes = int(p, lineno, "a node count")?,
                 "link" => {
                     let u = int(p, lineno, "a source")?;
@@ -590,13 +555,14 @@ impl Case {
 
     /// JOINT-Heur's output state through the validator, then on tiny
     /// instances the MILP oracle, once each: the heuristic's MLU must lie
-    /// between the Joint MILP's dual bound and its proven optimum, both LP
-    /// engines must agree on a proven optimum, and on extra matrices
-    /// JOINT-Heur-robust's worst-case MLU must lie the same way against the
-    /// robust Joint MILP. The heuristics search a subset of the MILP's space
-    /// (integer weights up to [`ospf_cfg`]'s 4, at most one waypoint), so a
-    /// proven-optimal MILP can never lose to them, and the dual bound holds
-    /// unconditionally.
+    /// between the Joint MILP's dual bound and its proven optimum, the same
+    /// MILP solved over the [`lp_oracle`] must agree on a proven optimum,
+    /// and on extra matrices JOINT-Heur-robust's worst-case MLU must lie
+    /// the same way against the robust Joint MILP, which runs on the
+    /// production engine only. The heuristics search a subset of the MILP's
+    /// space (integer weights up to [`ospf_cfg`]'s 4, at most one waypoint),
+    /// so a proven-optimal MILP can never lose to them, and the dual bound
+    /// holds unconditionally.
     fn run_milp(
         &self,
         net: &Network,
@@ -619,13 +585,12 @@ impl Case {
         if !tiny {
             return Ok(rep);
         }
-        let options = |engine: LpEngine, warm: &JointHeurResult| JointMilpOptions {
+        let options = |warm: &JointHeurResult| JointMilpOptions {
             max_weight: ospf_cfg(self.seed).max_weight,
             waypoints: 1,
             milp: MilpOptions {
                 node_limit: 2000,
                 time_limit: Duration::from_secs(10),
-                engine,
                 ..Default::default()
             },
             warm_start: Some((warm.weights.clone(), warm.waypoints.clone())),
@@ -655,20 +620,16 @@ impl Case {
                 });
             };
 
-        let engine = self.engine.lp_engine();
-        if let Some(primary) = decided(joint_milp(net, demands, &options(engine, &heur)))? {
+        let heur_options = options(&heur);
+        if let Some(primary) = decided(joint_milp(net, demands, &heur_options))? {
             sandwich(&mut rep, "milp-oracle", &primary, heur.mlu);
-            let other = match self.engine {
-                EngineChoice::Revised => LpEngine::Tableau,
-                EngineChoice::Tableau => LpEngine::Revised,
-            };
-            let secondary = decided(joint_milp(net, demands, &options(other, &heur)))?;
+            let oracle = joint_milp_with(net, demands, &heur_options, lp_oracle::solve_milp);
             let optimal = |o: &JointMilpOutcome| o.status == MilpStatus::Optimal;
-            if let Some(secondary) = secondary.filter(|s| optimal(s) && optimal(&primary)) {
-                let (a, b) = (primary.mlu, secondary.mlu);
+            if let Some(oracle) = decided(oracle)?.filter(|o| optimal(o) && optimal(&primary)) {
+                let (a, b) = (primary.mlu, oracle.mlu);
                 let differ = (a - b).abs() > TOL * (1.0 + a);
                 rep.check(!differ, "engine-differential", || {
-                    format!("optimal MLU differs across LP engines: {a} ({engine:?}) vs {b} ({other:?})")
+                    format!("optimal MLU differs from the LP oracle's: {a} vs {b}")
                 });
             }
         }
@@ -676,7 +637,7 @@ impl Case {
         if (2..=4).contains(&set.len()) {
             let worst = RobustObjective::WorstCase;
             let robust = joint_heur_robust(net, set, worst, &joint_cfg(self.seed))?;
-            let milp = joint_milp_robust(net, set, worst, &options(engine, &robust));
+            let milp = joint_milp_robust(net, set, worst, &options(&robust));
             if let Some(milp) = decided(milp)? {
                 sandwich(&mut rep, "robust-milp-oracle", &milp, robust.mlu);
             }
@@ -729,7 +690,6 @@ mod tests {
             waypoints: vec![vec![2], vec![]],
             threads: 2,
             incremental: true,
-            engine: EngineChoice::Revised,
             pipeline: true,
             seed: 7,
         }
@@ -749,7 +709,6 @@ mod tests {
         for (text, needle) in [
             ("frobnicate 1", "unknown directive"),
             ("nodes", "node count"),
-            ("engine simplex", "revised"),
             ("link 0 9 1\nnodes 2", "out of range"),
             ("nodes 2\nlink 0 1 5\nweight 3 1", "out of range"),
             ("matrix", "at least one size"),
@@ -837,7 +796,6 @@ mod tests {
             waypoints: vec![vec![]],
             threads: 1,
             incremental: true,
-            engine: EngineChoice::Revised,
             pipeline: false,
             seed: 1,
         };

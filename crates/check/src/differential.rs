@@ -1213,7 +1213,6 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::case::EngineChoice;
 
     /// A bidirected diamond (8 links, so the failure kinds also sweep
     /// doubles) with one demand across it and one extra matrix.
@@ -1229,7 +1228,6 @@ mod tests {
             waypoints: vec![Vec::new(); 2],
             threads: 1,
             incremental: true,
-            engine: EngineChoice::Revised,
             pipeline: true,
             seed: 7,
         }

@@ -10,7 +10,7 @@
 //! the failure. Shrunk reproducers are written to the corpus directory in
 //! the [`Case`] text format so `tests/corpus_replay.rs` pins them forever.
 
-use crate::case::{Case, CaseOutcome, EngineChoice};
+use crate::case::{Case, CaseOutcome};
 use crate::validator::ValidatorConfig;
 use segrout_algos::ServeEvent;
 use segrout_core::rng::StdRng;
@@ -227,6 +227,11 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
         });
     }
 
+    let threads = if rng.gen::<bool>() { 4 } else { 1 };
+    let incremental = rng.gen::<bool>();
+    // Once the case's LP engine: drawn and dropped, so every campaign seed
+    // still generates the cases it always did.
+    let _ = rng.gen::<bool>();
     Case {
         nodes,
         links,
@@ -235,13 +240,8 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
         events,
         weights,
         waypoints,
-        threads: if rng.gen::<bool>() { 4 } else { 1 },
-        incremental: rng.gen::<bool>(),
-        engine: if rng.gen::<bool>() {
-            EngineChoice::Revised
-        } else {
-            EngineChoice::Tableau
-        },
+        threads,
+        incremental,
         pipeline: nodes <= 10,
         seed: rng.next_u64(),
     }

@@ -31,10 +31,14 @@
 //!   `segrout-config v1` block), replayable from `tests/corpus/*.case`.
 //!   [`Case::run`] runs the validator, the case's kinds, and on tiny
 //!   instances the MILP oracle.
+//! * [`lp_oracle`] is the dense two-phase tableau simplex, the oracle the
+//!   revised simplex of `segrout-lp` is checked against: by the LP
+//!   differential suite, and by [`Case::run`] on the Joint MILP of tiny
+//!   instances.
 //! * [`fuzz_campaign`] generates seeded random scenarios (synthetic and
 //!   embedded topologies × demand matrices × weight/waypoint perturbations
-//!   × thread counts × incremental on/off × LP engines × multi-matrix
-//!   demand sets × serve-event streams), runs each, and **shrinks**
+//!   × thread counts × incremental on/off × multi-matrix demand sets ×
+//!   serve-event streams), runs each, and **shrinks**
 //!   failures (drop events, matrices, demands and links, round weights) to
 //!   minimal reproducers.
 //!
@@ -48,8 +52,9 @@
 pub mod case;
 pub mod differential;
 pub mod fuzz;
+pub mod lp_oracle;
 pub mod validator;
 
-pub use case::{Case, CaseOutcome, EngineChoice};
+pub use case::{Case, CaseOutcome};
 pub use fuzz::{fuzz_campaign, FuzzConfig, FuzzFailure, FuzzReport};
 pub use validator::{ValidationReport, Validator, ValidatorConfig, Violation};

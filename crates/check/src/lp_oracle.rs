@@ -1,11 +1,9 @@
-//! Reference dense two-phase tableau simplex.
-//!
-//! This is the original LP engine of this crate, kept verbatim as a
-//! correctness oracle for the bounded-variable revised simplex
-//! ([`crate::revised`]): the differential test suite solves every instance
-//! with both engines and asserts matching status and objective. Select it at
-//! runtime with [`LpEngine::Tableau`](crate::simplex::LpEngine) (e.g. via
-//! `MilpOptions::engine`) — it is *not* used on any hot path by default.
+//! The LP oracle: the dense two-phase tableau simplex that was the first
+//! engine of `segrout-lp`, kept where only tests and `segrout fuzz` reach
+//! it. `tests/lp_differential.rs` checks the revised simplex against it,
+//! and [`Case::run`](crate::Case::run) solves the Joint MILP of tiny
+//! instances over both. [`solve_milp`] is `segrout_lp`'s branch-and-bound
+//! with every node solved cold by [`solve_lp`].
 //!
 //! The implementation follows the textbook tableau method:
 //!
@@ -24,24 +22,40 @@
 //! Pricing is Dantzig (most negative reduced cost) with an automatic switch
 //! to Bland's rule after a stall, which guarantees termination.
 
-use crate::problem::{Cmp, Problem, Sense};
-use crate::simplex::{LpResult, LpStatus};
+use segrout_lp::{
+    solve_milp_with, Cmp, LpResult, LpStatus, MilpOptions, MilpResult, Problem, Sense,
+};
 use std::time::Instant;
 
+/// Feasibility tolerance of the crossing-bounds pre-check.
+const BOUNDS_TOL: f64 = 1e-7;
 /// Reduced-cost optimality tolerance.
 const OPT_TOL: f64 = 1e-7;
 /// Pivot-element tolerance.
 const PIVOT_TOL: f64 = 1e-9;
 
 /// Solves the LP relaxation of `p` under overridden bounds with the dense
-/// reference tableau.
-pub(crate) fn solve(
-    p: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-) -> LpResult {
+/// tableau. Crossing bounds are `Infeasible`, as in `segrout_lp`.
+pub fn solve_lp(p: &Problem, lower: &[f64], upper: &[f64], deadline: Option<Instant>) -> LpResult {
+    assert_eq!(lower.len(), p.num_vars());
+    assert_eq!(upper.len(), p.num_vars());
+    if lower.iter().zip(upper).any(|(l, u)| *l > u + BOUNDS_TOL) {
+        return LpResult {
+            status: LpStatus::Infeasible,
+            objective: 0.0,
+            values: Vec::new(),
+            iterations: 0,
+        };
+    }
     Tableau::build(p, lower, upper, deadline).solve(p, lower)
+}
+
+/// Solves a mixed-integer program with `segrout_lp`'s branch-and-bound,
+/// every node relaxation solved cold by [`solve_lp`].
+pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
+    solve_milp_with(p, options, |p, lower, upper, deadline, _| {
+        (solve_lp(p, lower, upper, deadline), None)
+    })
 }
 
 struct Tableau {
@@ -421,4 +435,32 @@ enum PivotOutcome {
     Optimal,
     Unbounded,
     IterLimit,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::differential::guard;
+    use segrout_obs::counter;
+
+    /// The oracle's search solves every node cold; the production search
+    /// warm-starts its children. `milp.nodes_warm_started` is global, so
+    /// the differential lock keeps a concurrent case run from moving it.
+    #[test]
+    fn only_the_production_search_warm_starts() {
+        let _guard = guard();
+        // max y st 2y <= 7: the root relaxation is 3.5, so B&B branches.
+        let mut p = Problem::new(Sense::Maximize);
+        let y = p.add_int_var("y", 0.0, 100.0, 1.0);
+        p.add_constraint(vec![(y, 2.0)], Cmp::Le, 7.0);
+        let (options, warm) = (MilpOptions::default(), counter("milp.nodes_warm_started"));
+
+        let before = warm.get();
+        let oracle = solve_milp(&p, &options);
+        assert_eq!(warm.get(), before, "the oracle warm-started a node");
+        let production = segrout_lp::solve_milp(&p, &options);
+        assert!(warm.get() > before, "production warm-started no node");
+        assert_eq!(oracle.objective, Some(3.0));
+        assert_eq!(production.objective, Some(3.0));
+    }
 }

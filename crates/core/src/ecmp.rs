@@ -149,6 +149,9 @@ impl<'n> Router<'n> {
     /// Computes per-link loads of the ECMP flow induced by a set of routing
     /// segments. Segments sharing a destination are aggregated into one
     /// propagation pass.
+    ///
+    /// # Panics
+    /// Panics when a segment endpoint is not a node of the network.
     pub fn loads_for_segments(&self, segments: &[Segment]) -> Result<Vec<f64>, TeError> {
         let mut loads = vec![0.0; self.net.edge_count()];
         self.add_segment_loads(segments, &mut loads)?;
@@ -212,6 +215,10 @@ impl<'n> Router<'n> {
     /// # Errors
     /// [`TeError::Unroutable`] when `src` cannot reach `dst`; `out` is then
     /// left as it was.
+    ///
+    /// # Panics
+    /// Panics when `src` or `dst` is not a node of the network; the callers
+    /// range-check their candidates once, outside this inner walk.
     pub fn append_segment_loads(
         &self,
         src: NodeId,
@@ -258,12 +265,14 @@ impl<'n> Router<'n> {
 
     /// Evaluates a full demand list under a waypoint setting, producing loads
     /// and MLU. Use [`WaypointSetting::none`] for pure OSPF/ECMP routing.
+    /// A demand endpoint or waypoint outside the network is a
+    /// [`TeError::DimensionMismatch`].
     pub fn evaluate(
         &self,
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<LoadReport, TeError> {
-        let loads = self.loads_for_segments(&segments(demands, waypoints)?)?;
+        let loads = self.loads_for_segments(&segments(self.net, demands, waypoints)?)?;
         let mlu = max_link_utilization(&loads, self.net.capacities());
         Ok(LoadReport { loads, mlu })
     }
@@ -278,8 +287,11 @@ impl<'n> Router<'n> {
 
 /// The segment decomposition of a workload under a waypoint setting, in
 /// demand order. [`TeError::InvalidWaypoints`] when the waypoint table has
-/// a different row count than the demand list.
+/// a different row count than the demand list, and the
+/// [`Network::check_node`] error when a demand endpoint or a waypoint is not
+/// a node of `net`.
 pub(crate) fn segments(
+    net: &Network,
     demands: &DemandList,
     waypoints: &WaypointSetting,
 ) -> Result<Vec<Segment>, TeError> {
@@ -293,6 +305,8 @@ pub(crate) fn segments(
     let mut segments = Vec::with_capacity(demands.len());
     for (i, d) in demands.iter().enumerate() {
         for (src, dst, amount) in waypoints.segments_of(i, d) {
+            net.check_node(src)?;
+            net.check_node(dst)?;
             segments.push(Segment { src, dst, amount });
         }
     }

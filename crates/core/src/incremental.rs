@@ -398,7 +398,7 @@ impl<'n> IncrementalEvaluator<'n> {
         waypoints: &WaypointSetting,
         failed: &[EdgeId],
     ) -> Result<Self, TeError> {
-        let segments = segments(demands, waypoints)?;
+        let segments = segments(net, demands, waypoints)?;
         let mut disabled = Vec::new();
         if !failed.is_empty() {
             set_flags(&mut disabled, net.edge_count(), failed, true);
@@ -855,14 +855,15 @@ impl<'n> IncrementalEvaluator<'n> {
     ///
     /// # Errors
     /// [`TeError::Unroutable`] when some new segment cannot reach its
-    /// destination, and [`TeError::InvalidWaypoints`] on a row-count mismatch
-    /// — the evaluator is left untouched in both cases.
+    /// destination, [`TeError::InvalidWaypoints`] on a row-count mismatch,
+    /// and [`TeError::DimensionMismatch`] on a node id outside the network
+    /// — the evaluator is left untouched in each case.
     pub fn set_workload(
         &mut self,
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<bool, TeError> {
-        let segments = segments(demands, waypoints)?;
+        let segments = segments(self.net, demands, waypoints)?;
         let grouped: Vec<(NodeId, Vec<(NodeId, f64)>)> =
             group_by_destination(&segments).into_iter().collect();
         if grouped.len() != self.dests.len()

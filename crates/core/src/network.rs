@@ -81,6 +81,24 @@ impl Network {
         self.graph.edge_count()
     }
 
+    /// The range check of a node id passed in by a caller: a demand
+    /// endpoint, a waypoint or a waypoint candidate.
+    ///
+    /// # Errors
+    /// [`TeError::DimensionMismatch`] (`what: "node id"`) unless `v` is a
+    /// node of the network.
+    pub fn check_node(&self, v: NodeId) -> Result<(), TeError> {
+        let node_count = self.node_count();
+        if v.index() < node_count {
+            return Ok(());
+        }
+        Err(TeError::DimensionMismatch {
+            what: "node id",
+            expected: node_count,
+            actual: v.index(),
+        })
+    }
+
     /// Human-readable name of a node.
     #[inline]
     pub fn node_name(&self, v: NodeId) -> &str {

@@ -14,9 +14,8 @@
 
 /// Compact snapshot of a simplex basis, used to warm-start later solves of
 /// the same problem (typically with tightened variable bounds, as in
-/// branch-and-bound). Obtain one from
-/// [`solve_lp_revised`](crate::simplex::solve_lp_revised) and feed it to
-/// [`solve_lp_from_basis`](crate::simplex::solve_lp_from_basis).
+/// branch-and-bound). [`solve_lp_from`](crate::simplex::solve_lp_from)
+/// returns one and takes one back.
 #[derive(Clone, Debug)]
 pub struct Basis {
     /// Basic column per row (columns index structurals then slacks).

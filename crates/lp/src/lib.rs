@@ -6,22 +6,23 @@
 //!
 //! * [`problem`] — model builder: bounded (optionally integer) variables,
 //!   sparse linear constraints, min/max objective.
-//! * [`simplex`] — solve entry points and engine selection. The default
-//!   engine is a **bounded-variable revised simplex** ([`revised`]): both
-//!   variable bounds are handled implicitly (nonbasic-at-lower /
-//!   nonbasic-at-upper), the basis inverse is a product-form eta file with
-//!   periodic refactorization ([`basis`]), pricing is Dantzig with a Bland
-//!   anti-cycling fallback, and the ratio test is a Harris-style two-pass.
-//!   A warm-start API ([`simplex::solve_lp_from_basis`]) re-solves from a
-//!   previous basis snapshot — the branch-and-bound driver uses it to start
-//!   each child from its parent's basis.
-//! * [`reference`](mod@reference) — the original dense two-phase tableau, kept as a
-//!   correctness oracle (select it with [`LpEngine::Tableau`]); the
-//!   differential suite in `crates/lp/tests/` asserts both engines agree.
+//! * [`simplex`] — the two LP solve entry points, over a **bounded-variable
+//!   revised simplex** ([`revised`]): both variable bounds are handled
+//!   implicitly (nonbasic-at-lower / nonbasic-at-upper), the basis inverse
+//!   is a product-form eta file with periodic refactorization ([`basis`]),
+//!   pricing is Dantzig with a Bland anti-cycling fallback, and the ratio
+//!   test is a Harris-style two-pass. [`solve_lp`] solves a problem as
+//!   built; [`solve_lp_from`] takes overridden bounds, a deadline and a
+//!   previous basis snapshot to warm-start from — the branch-and-bound
+//!   driver uses it to start each child from its parent's basis. The dense
+//!   tableau this crate started with is `segrout_check::lp_oracle` now,
+//!   where only tests and `segrout fuzz` reach it.
 //! * [`milp`] — best-bound branch-and-bound over the LP relaxation with
 //!   closest-to-half branching, feasibility-verified incumbents, parent-basis
 //!   warm starts, and node/time limits (mirroring how a commercial solver is
 //!   used with a time limit on the paper's Abilene-scale Joint MILP).
+//!   [`solve_milp_with`] runs the same search over a node solver passed in,
+//!   the seam through which the LP oracle's B&B swaps in the tableau.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,15 +31,11 @@ pub mod basis;
 pub mod lpwrite;
 pub mod milp;
 pub mod problem;
-pub mod reference;
 pub mod revised;
 pub mod simplex;
 
 pub use basis::Basis;
 pub use lpwrite::to_lp_format;
-pub use milp::{solve_milp, MilpOptions, MilpResult, MilpStatus};
+pub use milp::{solve_milp, solve_milp_with, MilpOptions, MilpResult, MilpStatus};
 pub use problem::{Cmp, Problem, Sense, VarId};
-pub use simplex::{
-    solve_lp, solve_lp_from_basis, solve_lp_revised, solve_lp_with_bounds, solve_lp_with_deadline,
-    solve_lp_with_engine, LpEngine, LpResult, LpStatus,
-};
+pub use simplex::{solve_lp, solve_lp_from, LpResult, LpStatus};

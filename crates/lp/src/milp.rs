@@ -17,9 +17,7 @@
 
 use crate::basis::Basis;
 use crate::problem::{Problem, Sense};
-use crate::simplex::{
-    solve_lp_from_basis, solve_lp_revised, solve_lp_with_engine, LpEngine, LpResult, LpStatus,
-};
+use crate::simplex::{solve_lp_from, LpResult, LpStatus};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -45,10 +43,6 @@ pub struct MilpOptions {
     pub warm_start: Option<Vec<f64>>,
     /// Relative optimality gap at which the search stops early.
     pub rel_gap: f64,
-    /// LP engine used for the node relaxations. The default revised engine
-    /// warm-starts every child from its parent's final basis; the tableau
-    /// engine always solves from scratch (kept for differential testing).
-    pub engine: LpEngine,
 }
 
 impl Default for MilpOptions {
@@ -58,7 +52,6 @@ impl Default for MilpOptions {
             time_limit: Duration::from_secs(60),
             warm_start: None,
             rel_gap: 1e-6,
-            engine: LpEngine::default(),
         }
     }
 }
@@ -145,33 +138,32 @@ fn select_branch_var(values: &[f64], integrality: &[bool]) -> Option<(usize, f64
     best.map(|(j, v, _)| (j, v))
 }
 
-/// Dispatches a node relaxation to the configured engine, warm-starting the
-/// revised engine from `basis` when available.
-fn solve_relaxation(
-    p: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-    engine: LpEngine,
-    basis: Option<&Basis>,
-) -> (LpResult, Option<Basis>) {
-    match engine {
-        LpEngine::Revised => match basis {
-            Some(b) => {
-                segrout_obs::counter("milp.nodes_warm_started").inc();
-                solve_lp_from_basis(p, lower, upper, deadline, b)
-            }
-            None => solve_lp_revised(p, lower, upper, deadline),
-        },
-        LpEngine::Tableau => (
-            solve_lp_with_engine(p, lower, upper, deadline, LpEngine::Tableau),
-            None,
-        ),
-    }
+/// Solves a mixed-integer program by branch-and-bound. Every child node
+/// warm-starts the revised simplex from its parent's final basis.
+pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
+    solve_milp_with(p, options, |p, lower, upper, deadline, basis| {
+        if basis.is_some() {
+            segrout_obs::counter("milp.nodes_warm_started").inc();
+        }
+        solve_lp_from(p, lower, upper, deadline, basis)
+    })
 }
 
-/// Solves a mixed-integer program by branch-and-bound.
-pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
+/// [`solve_milp`] with the node solver passed in, so a test can swap it.
+/// `relax` gets the problem, the node's bounds, the search's deadline and
+/// the parent node's basis (`None` at the root, or when the parent's solve
+/// returned none), and returns the relaxation with its final basis, which
+/// both children inherit.
+pub fn solve_milp_with<F>(p: &Problem, options: &MilpOptions, mut relax: F) -> MilpResult
+where
+    F: FnMut(
+        &Problem,
+        &[f64],
+        &[f64],
+        Option<Instant>,
+        Option<&Basis>,
+    ) -> (LpResult, Option<Basis>),
+{
     let start = Instant::now();
     // Every LP solve (including the root) respects the overall time budget,
     // so one huge relaxation cannot overshoot it.
@@ -203,14 +195,7 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
         }
     }
 
-    let (root, root_basis) = solve_relaxation(
-        p,
-        p.lower_bounds(),
-        p.upper_bounds(),
-        deadline,
-        options.engine,
-        None,
-    );
+    let (root, root_basis) = relax(p, p.lower_bounds(), p.upper_bounds(), deadline, None);
     match root.status {
         LpStatus::IterLimit => {
             // Could not even bound the root in time: report the warm-start
@@ -325,15 +310,8 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
         nodes += 1;
         node_counter.inc();
 
-        let (relax, relax_basis) = solve_relaxation(
-            p,
-            &node.lower,
-            &node.upper,
-            deadline,
-            options.engine,
-            node.basis.as_deref(),
-        );
-        match relax.status {
+        let (lp, lp_basis) = relax(p, &node.lower, &node.upper, deadline, node.basis.as_deref());
+        match lp.status {
             LpStatus::Infeasible => continue,
             LpStatus::IterLimit => {
                 // Treat as unexplorable: drop the node (keeps soundness of
@@ -358,12 +336,12 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
             LpStatus::Optimal => {}
         }
         if let Some(inc) = incumbent_obj {
-            if !better(relax.objective, inc) {
+            if !better(lp.objective, inc) {
                 continue; // pruned by bound
             }
         }
 
-        let branch = select_branch_var(&relax.values, p.integrality());
+        let branch = select_branch_var(&lp.values, p.integrality());
         let (j, v) = match branch {
             Some(jv) => jv,
             None => {
@@ -372,7 +350,7 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
                 // integer variable by up to INT_TOL can break a tight
                 // equality row, and an unverified incumbent would both
                 // prune the true optimum and be returned as Optimal.
-                let rounded: Vec<f64> = relax
+                let rounded: Vec<f64> = lp
                     .values
                     .iter()
                     .zip(p.integrality())
@@ -391,8 +369,7 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
                 // near-integral variable so both children exclude the
                 // current relaxation point; the continuous variables then
                 // re-optimize against the pinned integer side.
-                match fallback_branch_var(&relax.values, p.integrality(), &node.lower, &node.upper)
-                {
+                match fallback_branch_var(&lp.values, p.integrality(), &node.lower, &node.upper) {
                     Some(jv) => jv,
                     None => {
                         // Every integer variable is fixed: no split can
@@ -418,12 +395,12 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
         } else {
             (k, k + 1.0)
         };
-        let parent_basis = relax_basis.map(Rc::new);
+        let parent_basis = lp_basis.map(Rc::new);
         if down_ub >= node.lower[j] - INT_TOL {
             let mut up = node.upper.clone();
             up[j] = down_ub;
             heap.push(Node {
-                priority: prio(relax.objective),
+                priority: prio(lp.objective),
                 lower: node.lower.clone(),
                 upper: up,
                 basis: parent_basis.clone(),
@@ -433,7 +410,7 @@ pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
             let mut lo = node.lower.clone();
             lo[j] = up_lb;
             heap.push(Node {
-                priority: prio(relax.objective),
+                priority: prio(lp.objective),
                 lower: lo,
                 upper: node.upper.clone(),
                 basis: parent_basis,
@@ -493,80 +470,58 @@ mod tests {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
     }
 
-    /// Runs a case against B&B over both LP engines.
-    fn for_both(f: impl Fn(LpEngine)) {
-        for engine in [LpEngine::Revised, LpEngine::Tableau] {
-            f(engine);
-        }
-    }
-
-    fn opts(engine: LpEngine) -> MilpOptions {
-        MilpOptions {
-            engine,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn knapsack() {
         // max 8a + 11b + 6c + 4d st 5a + 7b + 4c + 3d <= 14, binary.
         // Optimum: b + c + d = 21 (weight 14).
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            let a = p.add_bin_var("a", 8.0);
-            let b = p.add_bin_var("b", 11.0);
-            let c = p.add_bin_var("c", 6.0);
-            let d = p.add_bin_var("d", 4.0);
-            p.add_constraint(vec![(a, 5.0), (b, 7.0), (c, 4.0), (d, 3.0)], Cmp::Le, 14.0);
-            let r = solve_milp(&p, &opts(engine));
-            assert_eq!(r.status, MilpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective.unwrap(), 21.0);
-            let v = r.values.unwrap();
-            assert_close(v[0], 0.0);
-            assert_close(v[1], 1.0);
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        let a = p.add_bin_var("a", 8.0);
+        let b = p.add_bin_var("b", 11.0);
+        let c = p.add_bin_var("c", 6.0);
+        let d = p.add_bin_var("d", 4.0);
+        p.add_constraint(vec![(a, 5.0), (b, 7.0), (c, 4.0), (d, 3.0)], Cmp::Le, 14.0);
+        let r = solve_milp(&p, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert_close(r.objective.unwrap(), 21.0);
+        let v = r.values.unwrap();
+        assert_close(v[0], 0.0);
+        assert_close(v[1], 1.0);
     }
 
     #[test]
     fn integer_rounding_is_not_lp_rounding() {
         // max y st 2y <= 7 -> LP gives 3.5, MILP must give 3.
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            let y = p.add_int_var("y", 0.0, 100.0, 1.0);
-            p.add_constraint(vec![(y, 2.0)], Cmp::Le, 7.0);
-            let r = solve_milp(&p, &opts(engine));
-            assert_eq!(r.status, MilpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective.unwrap(), 3.0);
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        let y = p.add_int_var("y", 0.0, 100.0, 1.0);
+        p.add_constraint(vec![(y, 2.0)], Cmp::Le, 7.0);
+        let r = solve_milp(&p, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert_close(r.objective.unwrap(), 3.0);
     }
 
     #[test]
     fn infeasible_integer_program() {
         // 0.4 <= x <= 0.6 has no integer point.
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_int_var("x", 0.0, 1.0, 1.0);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 0.4);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Le, 0.6);
-            let r = solve_milp(&p, &opts(engine));
-            assert_eq!(r.status, MilpStatus::Infeasible, "{engine:?}");
-            assert!(r.values.is_none());
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_int_var("x", 0.0, 1.0, 1.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 0.4);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Le, 0.6);
+        let r = solve_milp(&p, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Infeasible);
+        assert!(r.values.is_none());
     }
 
     #[test]
     fn mixed_integer_continuous() {
         // min x + y, x integer, x + 2y >= 5.5, y <= 1.5:
         // x = 3, y = 1.25 -> obj 4.25 (x = 2 forces y > 1.5, infeasible).
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_int_var("x", 0.0, 100.0, 1.0);
-            let y = p.add_var("y", 0.0, 1.5, 1.0);
-            p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Ge, 5.5);
-            let r = solve_milp(&p, &opts(engine));
-            assert_eq!(r.status, MilpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective.unwrap(), 4.25);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_int_var("x", 0.0, 100.0, 1.0);
+        let y = p.add_var("y", 0.0, 1.5, 1.0);
+        p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Ge, 5.5);
+        let r = solve_milp(&p, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert_close(r.objective.unwrap(), 4.25);
     }
 
     #[test]
@@ -597,6 +552,26 @@ mod tests {
         assert_close(r.objective.unwrap(), 0.0);
     }
 
+    /// Regression: a NaN coordinate fails no bound test, so a NaN warm
+    /// start once became an `Optimal` incumbent with objective NaN after 0
+    /// nodes. It must be ignored, and the search must find the optimum.
+    #[test]
+    fn non_finite_warm_start_is_ignored() {
+        // min x + y, x integer in [0, 5], y in [0, 5], x >= 2 -> 2.
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_int_var("x", 0.0, 5.0, 1.0);
+        p.add_var("y", 0.0, 5.0, 1.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
+        let opts = MilpOptions {
+            warm_start: Some(vec![2.0, f64::NAN]),
+            ..Default::default()
+        };
+        let r = solve_milp(&p, &opts);
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert_close(r.objective.unwrap(), 2.0);
+        assert_close(r.bound, 2.0);
+    }
+
     #[test]
     fn node_limit_returns_incumbent() {
         // A problem needing some branching; with node_limit 1 we may only
@@ -619,30 +594,26 @@ mod tests {
 
     #[test]
     fn pure_lp_passes_through() {
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", 1.0, 3.0, 2.0);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
-            let r = solve_milp(&p, &opts(engine));
-            assert_eq!(r.status, MilpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective.unwrap(), 4.0);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", 1.0, 3.0, 2.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
+        let r = solve_milp(&p, &MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert_close(r.objective.unwrap(), 4.0);
     }
 
     #[test]
     fn equality_milp() {
         // x + y = 5, x,y integer, min 3x + y -> x = 0, y = 5, obj 5.
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_int_var("x", 0.0, 10.0, 3.0);
-            let y = p.add_int_var("y", 0.0, 10.0, 1.0);
-            p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 5.0);
-            let r = solve_milp(&p, &opts(engine));
-            assert_close(r.objective.unwrap(), 5.0);
-            let v = r.values.unwrap();
-            assert_close(v[0], 0.0);
-            assert_close(v[1], 5.0);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_int_var("x", 0.0, 10.0, 3.0);
+        let y = p.add_int_var("y", 0.0, 10.0, 1.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 5.0);
+        let r = solve_milp(&p, &MilpOptions::default());
+        assert_close(r.objective.unwrap(), 5.0);
+        let v = r.values.unwrap();
+        assert_close(v[0], 0.0);
+        assert_close(v[1], 5.0);
     }
 
     /// Regression (unsound incumbent): the relaxation optimum is integral
@@ -653,30 +624,28 @@ mod tests {
     #[test]
     fn rounded_incumbent_violating_tight_eq_row_is_rejected() {
         const DELTA: f64 = 9e-7; // below INT_TOL, but 2*DELTA > INC_FEAS_TOL
-        for_both(|engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_int_var("x", 0.0, 1.0, 0.0);
-            let z = p.add_int_var("z", 0.0, 1.0, 0.0);
-            // x + z = 1 and x - z = 1 - 2*DELTA intersect only at the
-            // fractional point (1 - DELTA, DELTA): no integer point exists.
-            p.add_constraint(vec![(x, 1.0), (z, 1.0)], Cmp::Eq, 1.0);
-            p.add_constraint(vec![(x, 1.0), (z, -1.0)], Cmp::Eq, 1.0 - 2.0 * DELTA);
-            let r = solve_milp(&p, &opts(engine));
-            // The LP point (1-DELTA, DELTA) is integral within INT_TOL, and
-            // its rounding (1, 0) violates row 2 by 2*DELTA > 1e-6. Any
-            // returned incumbent must satisfy the problem; here none can.
-            if let Some(v) = &r.values {
-                assert!(
-                    p.is_feasible(v, INC_FEAS_TOL),
-                    "{engine:?}: returned an infeasible incumbent {v:?}"
-                );
-            }
-            assert_ne!(
-                r.status,
-                MilpStatus::Optimal,
-                "{engine:?}: claimed optimality of an infeasible program"
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_int_var("x", 0.0, 1.0, 0.0);
+        let z = p.add_int_var("z", 0.0, 1.0, 0.0);
+        // x + z = 1 and x - z = 1 - 2*DELTA intersect only at the
+        // fractional point (1 - DELTA, DELTA): no integer point exists.
+        p.add_constraint(vec![(x, 1.0), (z, 1.0)], Cmp::Eq, 1.0);
+        p.add_constraint(vec![(x, 1.0), (z, -1.0)], Cmp::Eq, 1.0 - 2.0 * DELTA);
+        let r = solve_milp(&p, &MilpOptions::default());
+        // The LP point (1-DELTA, DELTA) is integral within INT_TOL, and
+        // its rounding (1, 0) violates row 2 by 2*DELTA > 1e-6. Any
+        // returned incumbent must satisfy the problem; here none can.
+        if let Some(v) = &r.values {
+            assert!(
+                p.is_feasible(v, INC_FEAS_TOL),
+                "returned an infeasible incumbent {v:?}"
             );
-        });
+        }
+        assert_ne!(
+            r.status,
+            MilpStatus::Optimal,
+            "claimed optimality of an infeasible program"
+        );
     }
 
     /// Regression (broken branching rule): the old selector required

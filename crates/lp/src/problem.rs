@@ -181,13 +181,15 @@ impl Problem {
 
     /// Checks primal feasibility of a point within tolerance `tol`
     /// (bounds, constraints and integrality). Used by tests and by the
-    /// branch-and-bound incumbent check.
+    /// branch-and-bound incumbent check. A non-finite coordinate is
+    /// infeasible: a NaN fails no comparison, and `+∞` passes a `≥` row
+    /// under an infinite upper bound.
     pub fn is_feasible(&self, x: &[f64], tol: f64) -> bool {
         if x.len() != self.num_vars() {
             return false;
         }
         for (i, &xi) in x.iter().enumerate() {
-            if xi < self.lower[i] - tol || xi > self.upper[i] + tol {
+            if !xi.is_finite() || xi < self.lower[i] - tol || xi > self.upper[i] + tol {
                 return false;
             }
             if self.integer[i] && (xi - xi.round()).abs() > tol {
@@ -237,6 +239,21 @@ mod tests {
         assert!(!p.is_feasible(&[1.0], 1e-9)); // violates constraint
         assert!(!p.is_feasible(&[2.5], 1e-9)); // fractional
         assert!(!p.is_feasible(&[11.0], 1e-9)); // above upper bound
+    }
+
+    #[test]
+    fn non_finite_points_are_infeasible() {
+        // No row sums y, and z's upper bound is infinite: a NaN y and an
+        // infinite z once passed every test.
+        let mut p = Problem::new(Sense::Minimize);
+        p.add_var("y", 0.0, 5.0, 1.0);
+        let z = p.add_var("z", 0.0, f64::INFINITY, 1.0);
+        p.add_constraint(vec![(z, 1.0)], Cmp::Ge, 1.0);
+        assert!(p.is_feasible(&[0.0, 1.0], 1e-6));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!p.is_feasible(&[bad, 1.0], 1e-6), "y = {bad}");
+            assert!(!p.is_feasible(&[0.0, bad], 1e-6), "z = {bad}");
+        }
     }
 
     #[test]

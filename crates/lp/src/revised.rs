@@ -1,7 +1,7 @@
 //! Bounded-variable revised simplex with a product-form basis.
 //!
 //! This is the workhorse LP engine. Compared to the dense reference tableau
-//! (`reference` module) it differs in three structural ways:
+//! (now `segrout_check::lp_oracle`) it differs in three structural ways:
 //!
 //! 1. **Implicit bounds.** Every variable carries `[l, u]` bounds handled by
 //!    nonbasic *states* (at-lower / at-upper) instead of explicit `x ≤ u`

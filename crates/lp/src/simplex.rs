@@ -1,18 +1,13 @@
-//! LP solve entry points and engine selection.
+//! LP solve entry points.
 //!
-//! Two engines solve the same [`Problem`]s:
-//!
-//! * [`LpEngine::Revised`] (default) — the bounded-variable revised simplex
-//!   of [`crate::revised`]: implicit variable bounds, product-form basis
-//!   with periodic refactorization, Harris two-pass ratio test, and a
-//!   warm-start API ([`solve_lp_from_basis`]) used by branch-and-bound.
-//! * [`LpEngine::Tableau`] — the original dense two-phase tableau
-//!   ([`crate::reference`]), kept as a correctness oracle for differential
-//!   testing and as a fallback while the revised engine matures.
-//!
-//! Both engines share the status/result types and the same tolerance
-//! contract (statuses agree and optimal objectives match to `1e-6` across
-//! the differential suite in `crates/lp/tests/differential.rs`).
+//! Both run the bounded-variable revised simplex of [`crate::revised`]:
+//! implicit variable bounds, product-form basis with periodic
+//! refactorization and a Harris two-pass ratio test. [`solve_lp`] solves a
+//! problem under its own bounds; [`solve_lp_from`] takes overridden bounds,
+//! a deadline and a warm-start basis, which is what branch-and-bound needs.
+//! The dense tableau that was the first engine is the LP oracle in
+//! `segrout-check` now, and `tests/lp_differential.rs` checks that the two
+//! agree on status and, to `1e-6`, on optimal objectives.
 
 use crate::basis::Basis;
 use crate::problem::Problem;
@@ -46,16 +41,6 @@ pub struct LpResult {
     pub iterations: usize,
 }
 
-/// Which simplex implementation to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Bounded-variable revised simplex (product-form basis, warm starts).
-    #[default]
-    Revised,
-    /// Dense two-phase reference tableau (correctness oracle).
-    Tableau,
-}
-
 /// Feasibility tolerance for the contradictory-bounds pre-check.
 const BOUNDS_TOL: f64 = 1e-7;
 
@@ -75,95 +60,44 @@ const BOUNDS_TOL: f64 = 1e-7;
 /// assert!((r.objective - 12.0).abs() < 1e-6);
 /// ```
 pub fn solve_lp(p: &Problem) -> LpResult {
-    solve_lp_with_bounds(p, p.lower_bounds(), p.upper_bounds())
+    solve_lp_from(p, p.lower_bounds(), p.upper_bounds(), None, None).0
 }
 
-/// Solves the LP relaxation of `p` under overridden variable bounds — the
-/// entry point used by branch-and-bound nodes.
-pub fn solve_lp_with_bounds(p: &Problem, lower: &[f64], upper: &[f64]) -> LpResult {
-    solve_lp_with_deadline(p, lower, upper, None)
-}
-
-/// Like [`solve_lp_with_bounds`] with a wall-clock deadline: when exceeded,
-/// the solve aborts with [`LpStatus::IterLimit`]. Branch-and-bound uses this
-/// so a single huge relaxation cannot blow through the MILP time limit.
-pub fn solve_lp_with_deadline(
+/// Solves the LP relaxation of `p` under overridden variable bounds, the
+/// entry point of branch-and-bound nodes, and returns the final [`Basis`]
+/// snapshot (when one exists) for warm-starting related solves.
+///
+/// * Past `deadline` the solve aborts with [`LpStatus::IterLimit`], so a
+///   single huge relaxation cannot blow through a MILP time limit.
+/// * With a `basis` (a snapshot of a previous solve of the *same problem*,
+///   typically with different bounds: the branch-and-bound parent/child
+///   pattern) the solve restarts from it, and phase 1 restores feasibility
+///   in a handful of pivots instead of re-deriving the whole basis. It
+///   falls back to a cold start when the snapshot does not fit the problem
+///   or its basis matrix has gone singular.
+/// * Crossing bound overrides short-circuit to [`LpStatus::Infeasible`].
+///
+/// # Panics
+/// Panics when `lower` or `upper` does not hold one bound per variable.
+pub fn solve_lp_from(
     p: &Problem,
     lower: &[f64],
     upper: &[f64],
     deadline: Option<Instant>,
-) -> LpResult {
-    solve_lp_with_engine(p, lower, upper, deadline, LpEngine::default())
-}
-
-/// Solves with an explicit engine choice. [`LpEngine::Tableau`] runs the
-/// dense reference implementation; [`LpEngine::Revised`] the
-/// bounded-variable revised simplex.
-pub fn solve_lp_with_engine(
-    p: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-    engine: LpEngine,
-) -> LpResult {
-    if let Some(r) = contradictory_bounds(p, lower, upper) {
-        return r;
-    }
-    match engine {
-        LpEngine::Revised => crate::revised::solve(p, lower, upper, deadline, None).0,
-        LpEngine::Tableau => crate::reference::solve(p, lower, upper, deadline),
-    }
-}
-
-/// Revised-simplex solve that also returns the final [`Basis`] snapshot
-/// (when one exists), for warm-starting subsequent related solves.
-pub fn solve_lp_revised(
-    p: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
+    basis: Option<&Basis>,
 ) -> (LpResult, Option<Basis>) {
-    if let Some(r) = contradictory_bounds(p, lower, upper) {
-        return (r, None);
-    }
-    crate::revised::solve(p, lower, upper, deadline, None)
-}
-
-/// Warm-started revised-simplex solve: restarts from `basis` (a snapshot of
-/// a previous solve of the *same problem*, typically with different bounds —
-/// the branch-and-bound parent/child pattern). Phase 1 restores feasibility
-/// from the inherited basis in a handful of pivots instead of re-deriving
-/// the whole basis from scratch. Falls back to a cold start when the
-/// snapshot does not fit the problem or its basis matrix has gone singular.
-pub fn solve_lp_from_basis(
-    p: &Problem,
-    lower: &[f64],
-    upper: &[f64],
-    deadline: Option<Instant>,
-    basis: &Basis,
-) -> (LpResult, Option<Basis>) {
-    if let Some(r) = contradictory_bounds(p, lower, upper) {
-        return (r, None);
-    }
-    crate::revised::solve(p, lower, upper, deadline, Some(basis))
-}
-
-/// Shared pre-check: crossing bound overrides short-circuit to `Infeasible`
-/// without touching either engine.
-fn contradictory_bounds(p: &Problem, lower: &[f64], upper: &[f64]) -> Option<LpResult> {
     assert_eq!(lower.len(), p.num_vars());
     assert_eq!(upper.len(), p.num_vars());
-    for i in 0..p.num_vars() {
-        if lower[i] > upper[i] + BOUNDS_TOL {
-            return Some(LpResult {
-                status: LpStatus::Infeasible,
-                objective: 0.0,
-                values: Vec::new(),
-                iterations: 0,
-            });
-        }
+    if lower.iter().zip(upper).any(|(l, u)| *l > u + BOUNDS_TOL) {
+        let infeasible = LpResult {
+            status: LpStatus::Infeasible,
+            objective: 0.0,
+            values: Vec::new(),
+            iterations: 0,
+        };
+        return (infeasible, None);
     }
-    None
+    crate::revised::solve(p, lower, upper, deadline, basis)
 }
 
 #[cfg(test)]
@@ -171,194 +105,156 @@ mod tests {
     use super::*;
     use crate::problem::{Cmp, Problem, Sense};
 
-    const ENGINES: [LpEngine; 2] = [LpEngine::Revised, LpEngine::Tableau];
-
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "{a} != {b}");
-    }
-
-    /// Runs a case against both engines.
-    fn for_both(f: impl Fn(&dyn Fn(&Problem) -> LpResult, LpEngine)) {
-        for engine in ENGINES {
-            let solve = move |p: &Problem| -> LpResult {
-                solve_lp_with_engine(p, p.lower_bounds(), p.upper_bounds(), None, engine)
-            };
-            f(&solve, engine);
-        }
     }
 
     #[test]
     fn textbook_maximization() {
         // max 3x + 2y st x + y <= 4, x + 3y <= 6, x,y >= 0 -> (4, 0), obj 12.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-            let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
-            p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-            p.add_constraint(vec![(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective, 12.0);
-            assert_close(r.values[0], 4.0);
-            assert_close(r.values[1], 0.0);
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
+        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+        p.add_constraint(vec![(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, 12.0);
+        assert_close(r.values[0], 4.0);
+        assert_close(r.values[1], 0.0);
     }
 
     #[test]
     fn minimization_with_ge_rows() {
         // min 2x + 3y st x + y >= 10, x >= 2, y >= 3 -> x=7, y=3, obj 23.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", 2.0, f64::INFINITY, 2.0);
-            let y = p.add_var("y", 3.0, f64::INFINITY, 3.0);
-            p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective, 23.0);
-            assert_close(r.values[0], 7.0);
-            assert_close(r.values[1], 3.0);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", 2.0, f64::INFINITY, 2.0);
+        let y = p.add_var("y", 3.0, f64::INFINITY, 3.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, 23.0);
+        assert_close(r.values[0], 7.0);
+        assert_close(r.values[1], 3.0);
     }
 
     #[test]
     fn equality_constraints() {
         // min x + y st x + 2y = 4, x - y = 1 -> x = 2, y = 1, obj 3.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-            let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
-            p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Eq, 4.0);
-            p.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.values[0], 2.0);
-            assert_close(r.values[1], 1.0);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Eq, 4.0);
+        p.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.values[0], 2.0);
+        assert_close(r.values[1], 1.0);
     }
 
     #[test]
     fn detects_infeasible() {
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Le, 1.0);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
-            assert_eq!(solve(&p).status, LpStatus::Infeasible, "{engine:?}");
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Le, 1.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
+        assert_eq!(solve_lp(&p).status, LpStatus::Infeasible);
     }
 
     #[test]
     fn detects_unbounded() {
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-            let y = p.add_var("y", 0.0, f64::INFINITY, 0.0);
-            p.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
-            assert_eq!(solve(&p).status, LpStatus::Unbounded, "{engine:?}");
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = p.add_var("y", 0.0, f64::INFINITY, 0.0);
+        p.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
+        assert_eq!(solve_lp(&p).status, LpStatus::Unbounded);
     }
 
     #[test]
     fn upper_bounds_are_respected() {
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            let x = p.add_var("x", 0.0, 2.5, 1.0);
-            let y = p.add_var("y", 0.0, 1.0, 1.0);
-            p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 10.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective, 3.5);
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 2.5, 1.0);
+        let y = p.add_var("y", 0.0, 1.0, 1.0);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 10.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, 3.5);
     }
 
     #[test]
     fn negative_lower_bounds() {
         // min x st x >= -5 with x <= -2 -> x = -5.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let x = p.add_var("x", -5.0, f64::INFINITY, 1.0);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Le, -2.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.values[0], -5.0);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let x = p.add_var("x", -5.0, f64::INFINITY, 1.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Le, -2.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.values[0], -5.0);
     }
 
     #[test]
     fn degenerate_problem_terminates() {
         // Highly degenerate: many redundant constraints through the optimum.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-            let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
-            for k in 1..8 {
-                p.add_constraint(vec![(x, 1.0), (y, k as f64)], Cmp::Le, 1.0 + k as f64);
-            }
-            p.add_constraint(vec![(x, 1.0)], Cmp::Le, 2.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            // The k=1 row x + y <= 2 binds: optimum value 2 (e.g. at (2, 0)).
-            assert_close(r.objective, 2.0);
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        for k in 1..8 {
+            p.add_constraint(vec![(x, 1.0), (y, k as f64)], Cmp::Le, 1.0 + k as f64);
+        }
+        p.add_constraint(vec![(x, 1.0)], Cmp::Le, 2.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        // The k=1 row x + y <= 2 binds: optimum value 2 (e.g. at (2, 0)).
+        assert_close(r.objective, 2.0);
     }
 
     #[test]
     fn min_mlu_toy_flow_lp() {
         // Two parallel links (cap 3 and 1), route 2 units, minimise MLU:
         // min t st f1 + f2 = 2, f1 <= 3t, f2 <= t -> t = 0.5, f1 = 1.5.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            let t = p.add_var("t", 0.0, f64::INFINITY, 1.0);
-            let f1 = p.add_var("f1", 0.0, f64::INFINITY, 0.0);
-            let f2 = p.add_var("f2", 0.0, f64::INFINITY, 0.0);
-            p.add_constraint(vec![(f1, 1.0), (f2, 1.0)], Cmp::Eq, 2.0);
-            p.add_constraint(vec![(f1, 1.0), (t, -3.0)], Cmp::Le, 0.0);
-            p.add_constraint(vec![(f2, 1.0), (t, -1.0)], Cmp::Le, 0.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective, 0.5);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        let t = p.add_var("t", 0.0, f64::INFINITY, 1.0);
+        let f1 = p.add_var("f1", 0.0, f64::INFINITY, 0.0);
+        let f2 = p.add_var("f2", 0.0, f64::INFINITY, 0.0);
+        p.add_constraint(vec![(f1, 1.0), (f2, 1.0)], Cmp::Eq, 2.0);
+        p.add_constraint(vec![(f1, 1.0), (t, -3.0)], Cmp::Le, 0.0);
+        p.add_constraint(vec![(f2, 1.0), (t, -1.0)], Cmp::Le, 0.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, 0.5);
     }
 
     #[test]
     fn bound_overrides_for_branching() {
-        for engine in ENGINES {
-            let mut p = Problem::new(Sense::Maximize);
-            let x = p.add_var("x", 0.0, 10.0, 1.0);
-            p.add_constraint(vec![(x, 1.0)], Cmp::Le, 7.3);
-            // Branch x <= 7.
-            let r = solve_lp_with_engine(&p, &[0.0], &[7.0], None, engine);
-            assert_close(r.objective, 7.0);
-            // Branch x >= 8 is infeasible against x <= 7.3.
-            let r = solve_lp_with_engine(&p, &[8.0], &[10.0], None, engine);
-            assert_eq!(r.status, LpStatus::Infeasible, "{engine:?}");
-            // Contradictory bound override short-circuits.
-            let r = solve_lp_with_engine(&p, &[5.0], &[4.0], None, engine);
-            assert_eq!(r.status, LpStatus::Infeasible, "{engine:?}");
-        }
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var("x", 0.0, 10.0, 1.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Le, 7.3);
+        let solve = |lower: &[f64], upper: &[f64]| solve_lp_from(&p, lower, upper, None, None).0;
+        // Branch x <= 7.
+        assert_close(solve(&[0.0], &[7.0]).objective, 7.0);
+        // Branch x >= 8 is infeasible against x <= 7.3.
+        assert_eq!(solve(&[8.0], &[10.0]).status, LpStatus::Infeasible);
+        // Contradictory bound override short-circuits.
+        assert_eq!(solve(&[5.0], &[4.0]).status, LpStatus::Infeasible);
     }
 
     #[test]
     fn zero_constraint_problem() {
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Minimize);
-            p.add_var("x", 1.0, 2.0, 3.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective, 3.0);
-        });
+        let mut p = Problem::new(Sense::Minimize);
+        p.add_var("x", 1.0, 2.0, 3.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, 3.0);
     }
 
     #[test]
     fn zero_constraint_maximize_flips_to_upper() {
         // With no rows the optimum is a pure bound-flip exercise.
-        for_both(|solve, engine| {
-            let mut p = Problem::new(Sense::Maximize);
-            p.add_var("x", 1.0, 2.0, 3.0);
-            let r = solve(&p);
-            assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
-            assert_close(r.objective, 6.0);
-        });
+        let mut p = Problem::new(Sense::Maximize);
+        p.add_var("x", 1.0, 2.0, 3.0);
+        let r = solve_lp(&p);
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert_close(r.objective, 6.0);
     }
 
     #[test]
@@ -370,14 +266,14 @@ mod tests {
         let y = p.add_var("y", 0.0, 10.0, 2.0);
         p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Le, 14.0);
         p.add_constraint(vec![(x, 3.0), (y, 1.0)], Cmp::Le, 18.0);
-        let (root, basis) = solve_lp_revised(&p, p.lower_bounds(), p.upper_bounds(), None);
+        let (root, basis) = solve_lp_from(&p, p.lower_bounds(), p.upper_bounds(), None, None);
         assert_eq!(root.status, LpStatus::Optimal);
         let basis = basis.expect("optimal solve yields a basis");
 
         let lower = [0.0, 0.0];
         let upper = [3.0, 10.0]; // tighten x <= 3 (a branching move)
-        let (warm, _) = solve_lp_from_basis(&p, &lower, &upper, None, &basis);
-        let cold = solve_lp_with_bounds(&p, &lower, &upper);
+        let (warm, _) = solve_lp_from(&p, &lower, &upper, None, Some(&basis));
+        let (cold, _) = solve_lp_from(&p, &lower, &upper, None, None);
         assert_eq!(warm.status, LpStatus::Optimal);
         assert_close(warm.objective, cold.objective);
         assert_close(warm.values[0], 3.0);
@@ -387,20 +283,25 @@ mod tests {
     fn warm_start_with_mismatched_basis_falls_back() {
         let mut small = Problem::new(Sense::Maximize);
         small.add_var("x", 0.0, 1.0, 1.0);
-        let (_, small_basis) =
-            solve_lp_revised(&small, small.lower_bounds(), small.upper_bounds(), None);
+        let (_, small_basis) = solve_lp_from(
+            &small,
+            small.lower_bounds(),
+            small.upper_bounds(),
+            None,
+            None,
+        );
         let small_basis = small_basis.expect("basis");
 
         let mut big = Problem::new(Sense::Maximize);
         let x = big.add_var("x", 0.0, 4.0, 3.0);
         let y = big.add_var("y", 0.0, f64::INFINITY, 2.0);
         big.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
-        let (r, _) = solve_lp_from_basis(
+        let (r, _) = solve_lp_from(
             &big,
             big.lower_bounds(),
             big.upper_bounds(),
             None,
-            &small_basis,
+            Some(&small_basis),
         );
         assert_eq!(r.status, LpStatus::Optimal);
         assert_close(r.objective, 12.0);

@@ -53,7 +53,7 @@ use segrout_core::{
     DemandList, DemandSet, Network, NodeId, RobustObjective, Router, TeError, WaypointSetting,
     WeightSetting,
 };
-use segrout_lp::{solve_milp, Cmp, MilpOptions, MilpStatus, Problem, Sense, VarId};
+use segrout_lp::{solve_milp, Cmp, MilpOptions, MilpResult, MilpStatus, Problem, Sense, VarId};
 use std::collections::HashMap;
 
 /// Options for the Joint MILP.
@@ -124,18 +124,37 @@ struct DestBlock {
 ///
 /// # Errors
 /// Returns [`TeError::Unroutable`] when the model is proven infeasible
-/// (some demand pair is disconnected) and [`TeError::SolverLimit`] when the
-/// search hit its node/time limit without finding any incumbent.
+/// (some demand pair is disconnected), [`TeError::SolverLimit`] when the
+/// search hit its node/time limit without finding any incumbent, and
+/// [`TeError::DimensionMismatch`] when a waypoint candidate is not a node
+/// of the network.
 pub fn joint_milp(
     net: &Network,
     demands: &DemandList,
     options: &JointMilpOptions,
 ) -> Result<JointMilpOutcome, TeError> {
-    joint_milp_robust(
+    joint_milp_with(net, demands, options, solve_milp)
+}
+
+/// [`joint_milp`] with the MILP solver passed in: it builds the Joint model
+/// and hands it, with the branch-and-bound options, to `solve`, so a test
+/// can run the same model through another solver (the LP oracle of
+/// `segrout-check`).
+///
+/// # Errors
+/// As [`joint_milp`].
+pub fn joint_milp_with(
+    net: &Network,
+    demands: &DemandList,
+    options: &JointMilpOptions,
+    solve: impl FnOnce(&Problem, &MilpOptions) -> MilpResult,
+) -> Result<JointMilpOutcome, TeError> {
+    solve_joint(
         net,
         &DemandSet::single(demands.clone()),
         RobustObjective::WorstCase,
         options,
+        solve,
     )
 }
 
@@ -149,8 +168,10 @@ pub fn joint_milp(
 ///
 /// # Errors
 /// Returns [`TeError::Unroutable`] when the model is proven infeasible,
-/// [`TeError::SolverLimit`] on a limit abort without incumbent, and
-/// [`TeError::InvalidWaypoints`] for misaligned sets.
+/// [`TeError::SolverLimit`] on a limit abort without incumbent,
+/// [`TeError::InvalidWaypoints`] for misaligned sets, and
+/// [`TeError::DimensionMismatch`] when a waypoint candidate is not a node
+/// of the network.
 ///
 /// # Panics
 /// Panics on an empty set, a non-worst-case objective (`Quantile(q)` with
@@ -160,6 +181,18 @@ pub fn joint_milp_robust(
     set: &DemandSet,
     robust: RobustObjective,
     options: &JointMilpOptions,
+) -> Result<JointMilpOutcome, TeError> {
+    solve_joint(net, set, robust, options, solve_milp)
+}
+
+/// Builds the (robust) Joint model, solves it with `solve` and decodes the
+/// result: the body of [`joint_milp_robust`] and [`joint_milp_with`].
+fn solve_joint(
+    net: &Network,
+    set: &DemandSet,
+    robust: RobustObjective,
+    options: &JointMilpOptions,
+    solve: impl FnOnce(&Problem, &MilpOptions) -> MilpResult,
 ) -> Result<JointMilpOutcome, TeError> {
     assert!(options.waypoints <= 1, "only W <= 1 is modelled");
     assert!(options.max_weight >= 1);
@@ -189,6 +222,9 @@ pub fn joint_milp_robust(
             .clone()
             .unwrap_or_else(|| all_nodes.clone())
     };
+    for &w in &candidates {
+        net.check_node(w)?;
+    }
 
     // Commodity destinations: demand targets plus waypoint candidates.
     let mut dests: Vec<NodeId> = Vec::new();
@@ -381,7 +417,7 @@ pub fn joint_milp_robust(
         ..options.milp.clone()
     };
 
-    let result = solve_milp(&p, &milp_opts);
+    let result = solve(&p, &milp_opts);
     let Some(values) = result.values else {
         // No incumbent: only a proven-infeasible model means a disconnected
         // pair; a limit abort without an incumbent is a solver failure.
@@ -682,6 +718,27 @@ mod tests {
         let lwo = lwo_ilp(&net, &d, &fast_opts()).unwrap();
         assert!(joint.mlu <= lwo.mlu + 1e-6);
         assert!((joint.mlu - 1.0).abs() < 1e-6, "even split is optimal");
+    }
+
+    /// `joint_milp_with` hands its model to `solve` exactly once and decodes
+    /// what comes back: a stub's `Infeasible` is a disconnected pair.
+    #[test]
+    fn joint_milp_with_solves_through_the_given_solver() {
+        let (net, d) = instance1_m3();
+        let calls = std::cell::Cell::new(0);
+        let r = joint_milp_with(&net, &d, &fast_opts(), |p, _| {
+            calls.set(calls.get() + 1);
+            assert!(p.num_vars() > 0);
+            MilpResult {
+                status: MilpStatus::Infeasible,
+                objective: None,
+                values: None,
+                bound: f64::INFINITY,
+                nodes: 1,
+            }
+        });
+        assert_eq!(calls.get(), 1);
+        assert!(matches!(r, Err(TeError::Unroutable { .. })), "{r:?}");
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub mod opt_lp;
 pub mod wpo_ilp;
 
 pub use joint::{
-    joint_milp, joint_milp_robust, lwo_ilp, lwo_ilp_robust, JointMilpOptions, JointMilpOutcome,
+    joint_milp, joint_milp_robust, joint_milp_with, lwo_ilp, lwo_ilp_robust, JointMilpOptions,
+    JointMilpOutcome,
 };
 pub use opt_lp::{max_concurrent_lp, opt_mlu_lp, OptLpOutcome};
 pub use wpo_ilp::{wpo_ilp, WpoIlpOptions, WpoIlpOutcome};

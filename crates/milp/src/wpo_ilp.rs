@@ -51,7 +51,8 @@ pub struct WpoIlpOutcome {
 /// budget of one waypoint per demand.
 ///
 /// # Errors
-/// Fails when some demand cannot be routed at all under the given weights.
+/// Fails when a candidate is not a node of the network, or when some demand
+/// cannot be routed at all under the given weights.
 pub fn wpo_ilp(
     net: &Network,
     demands: &DemandList,
@@ -61,6 +62,9 @@ pub fn wpo_ilp(
     let router = Router::new(net, weights);
     let all_nodes: Vec<NodeId> = net.graph().nodes().collect();
     let candidates: &[NodeId] = options.candidates.as_deref().unwrap_or(&all_nodes);
+    for &w in candidates {
+        net.check_node(w)?;
+    }
 
     // Precompute the load vector of every (demand, option) pair.
     // Option index 0 = direct; k >= 1 = waypoint candidates[k-1].

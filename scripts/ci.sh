@@ -31,17 +31,12 @@ SEGROUT_THREADS=4 cargo test -q --workspace
 echo "==> cargo build --release -p segrout-bench"
 cargo build --release -q -p segrout-bench
 
-# The LP engine differential suite (revised simplex vs reference tableau)
-# in isolation — it is part of the workspace runs above, but this leg
-# keeps a named gate on solver agreement even if test filters change.
-echo "==> LP differential suite (revised vs tableau)"
-cargo test -q -p segrout-lp --test differential
-
-# Smoke-run the B&B node-throughput record (full numbers live in
-# EXPERIMENTS.md; the smoke run checks the bench path and that both
-# engines still agree on the benchmark MILPs).
-echo "==> bench_simplex (writes BENCH_simplex_fast.json)"
-SEGROUT_FAST=1 ./target/release/bench_simplex
+# The LP differential suite (the revised simplex against the dense
+# tableau of segrout::check::lp_oracle) in isolation — it is part of the
+# workspace runs above, but this leg keeps a named gate on solver
+# agreement even if test filters change.
+echo "==> LP differential suite (revised vs the tableau oracle)"
+cargo test -q --test lp_differential
 
 # Bounded differential-fuzz smoke leg: every generated case runs the
 # validator and the same differential kinds as the suites below

@@ -13,7 +13,7 @@
 #![allow(dead_code)] // each suite uses only its own slice of the table
 
 use segrout::algos::ServeEvent;
-use segrout::check::{Case, EngineChoice};
+use segrout::check::Case;
 use segrout::core::rng::StdRng;
 use segrout::core::{DemandList, DemandSet, EdgeId, Network, NodeId};
 use segrout::instances::{instance1, instance3, instance5};
@@ -109,7 +109,6 @@ fn entry(label: &str, net: &Network, demands: &DemandList) -> (String, Case) {
         waypoints: vec![Vec::new(); demands.len()],
         threads: 1,
         incremental: true,
-        engine: EngineChoice::Revised,
         pipeline: true,
         seed: 0xd15ea5e,
     };

@@ -1,5 +1,6 @@
-//! Differential test suite: the bounded-variable revised simplex against the
-//! dense reference tableau on seeded random LPs and MILPs.
+//! Differential test suite: the bounded-variable revised simplex of
+//! `segrout-lp` against the dense tableau of
+//! [`segrout::check::lp_oracle`] on seeded random LPs and MILPs.
 //!
 //! Both engines must agree on the *status* of every instance and, when
 //! optimal, on the *objective* within `1e-6` (optimal vertices may differ —
@@ -8,10 +9,10 @@
 //! primal-feasible). Instances are drawn from the vendored xoshiro PRNG so
 //! every run replays the identical suite.
 
+use segrout::check::lp_oracle;
 use segrout_core::rng::StdRng;
 use segrout_lp::{
-    solve_lp_with_engine, solve_milp, Cmp, LpEngine, LpStatus, MilpOptions, MilpStatus, Problem,
-    Sense,
+    solve_lp_from, solve_milp, Cmp, LpResult, LpStatus, MilpOptions, MilpStatus, Problem, Sense,
 };
 
 const OBJ_TOL: f64 = 1e-6;
@@ -73,22 +74,15 @@ fn random_lp(rng: &mut StdRng, integer: bool) -> Problem {
     p
 }
 
+/// The oracle's solve of `p` under its own bounds.
+fn tableau(p: &Problem) -> LpResult {
+    lp_oracle::solve_lp(p, p.lower_bounds(), p.upper_bounds(), None)
+}
+
 /// One differential LP comparison; returns the joint status for tallying.
 fn compare_lp(p: &Problem, seed: u64) -> LpStatus {
-    let rev = solve_lp_with_engine(
-        p,
-        p.lower_bounds(),
-        p.upper_bounds(),
-        None,
-        LpEngine::Revised,
-    );
-    let tab = solve_lp_with_engine(
-        p,
-        p.lower_bounds(),
-        p.upper_bounds(),
-        None,
-        LpEngine::Tableau,
-    );
+    let rev = segrout_lp::solve_lp(p);
+    let tab = tableau(p);
     assert_eq!(
         rev.status, tab.status,
         "seed {seed}: engines disagree on status\n{p:?}"
@@ -136,13 +130,12 @@ fn random_milps_agree_across_engines() {
     for seed in 0..60u64 {
         let mut rng = StdRng::seed_from_u64(0x314C_5000 + seed);
         let p = random_lp(&mut rng, true);
-        let opts = |engine| MilpOptions {
-            engine,
+        let opts = MilpOptions {
             node_limit: 50_000,
             ..Default::default()
         };
-        let rev = solve_milp(&p, &opts(LpEngine::Revised));
-        let tab = solve_milp(&p, &opts(LpEngine::Tableau));
+        let rev = solve_milp(&p, &opts);
+        let tab = lp_oracle::solve_milp(&p, &opts);
         assert_eq!(
             rev.status, tab.status,
             "seed {seed}: MILP engines disagree on status\n{p:?}"
@@ -169,28 +162,30 @@ fn random_milps_agree_across_engines() {
 /// Both engines must terminate (via the Bland switch) at the optimum 0.05.
 #[test]
 fn beale_cycling_example_terminates() {
-    for engine in [LpEngine::Revised, LpEngine::Tableau] {
-        let mut p = Problem::new(Sense::Minimize);
-        let x1 = p.add_var("x1", 0.0, f64::INFINITY, -0.75);
-        let x2 = p.add_var("x2", 0.0, f64::INFINITY, 150.0);
-        let x3 = p.add_var("x3", 0.0, f64::INFINITY, -0.02);
-        let x4 = p.add_var("x4", 0.0, f64::INFINITY, 6.0);
-        p.add_constraint(
-            vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
-            Cmp::Le,
-            0.0,
-        );
-        p.add_constraint(
-            vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
-            Cmp::Le,
-            0.0,
-        );
-        p.add_constraint(vec![(x3, 1.0)], Cmp::Le, 1.0);
-        let r = solve_lp_with_engine(&p, p.lower_bounds(), p.upper_bounds(), None, engine);
-        assert_eq!(r.status, LpStatus::Optimal, "{engine:?}");
+    let mut p = Problem::new(Sense::Minimize);
+    let x1 = p.add_var("x1", 0.0, f64::INFINITY, -0.75);
+    let x2 = p.add_var("x2", 0.0, f64::INFINITY, 150.0);
+    let x3 = p.add_var("x3", 0.0, f64::INFINITY, -0.02);
+    let x4 = p.add_var("x4", 0.0, f64::INFINITY, 6.0);
+    p.add_constraint(
+        vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
+        Cmp::Le,
+        0.0,
+    );
+    p.add_constraint(
+        vec![(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
+        Cmp::Le,
+        0.0,
+    );
+    p.add_constraint(vec![(x3, 1.0)], Cmp::Le, 1.0);
+    for (engine, r) in [
+        ("revised", segrout_lp::solve_lp(&p)),
+        ("tableau", tableau(&p)),
+    ] {
+        assert_eq!(r.status, LpStatus::Optimal, "{engine}");
         assert!(
             (r.objective - (-0.05)).abs() < 1e-6,
-            "{engine:?}: objective {}",
+            "{engine}: objective {}",
             r.objective
         );
     }
@@ -203,8 +198,7 @@ fn warm_starts_agree_with_cold_solves() {
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xAB1E_0000 + seed);
         let p = random_lp(&mut rng, false);
-        let (root, basis) =
-            segrout_lp::solve_lp_revised(&p, p.lower_bounds(), p.upper_bounds(), None);
+        let (root, basis) = solve_lp_from(&p, p.lower_bounds(), p.upper_bounds(), None, None);
         let (Some(basis), LpStatus::Optimal) = (basis, root.status) else {
             continue;
         };
@@ -222,8 +216,8 @@ fn warm_starts_agree_with_cold_solves() {
                 v.ceil()
             };
         }
-        let (warm, _) = segrout_lp::solve_lp_from_basis(&p, &lower, &upper, None, &basis);
-        let cold = solve_lp_with_engine(&p, &lower, &upper, None, LpEngine::Tableau);
+        let (warm, _) = solve_lp_from(&p, &lower, &upper, None, Some(&basis));
+        let cold = lp_oracle::solve_lp(&p, &lower, &upper, None);
         assert_eq!(
             warm.status, cold.status,
             "seed {seed}: warm vs cold status\n{p:?}"

@@ -44,4 +44,7 @@ pub use reopt::{
     reoptimize_joint, reoptimize_unconstrained, reoptimize_weights, reoptimize_weights_on,
     round_deployed, weight_distance, EvaluatorReopt, ReoptimizeConfig, ReoptimizeResult,
 };
-pub use serve::{ServeConfig, ServeEvent, ServeResponse, ServeSession, ServeStats, ServeTier};
+pub use serve::{
+    parse_event, serve_stream, ServeConfig, ServeEvent, ServeResponse, ServeSession, ServeStats,
+    ServeTier, MAX_EVENT_LINE,
+};

@@ -31,12 +31,18 @@
 //! from rendering/equality), and event application routes through the same
 //! propagation kernels as a from-scratch build, so replaying an event log
 //! yields bit-identical state at any thread count.
+//!
+//! The JSONL wire protocol lives here too: [`parse_event`] reads one input
+//! line, and [`serve_stream`] feeds a whole stream through a session, one
+//! response line per event line, with lines capped at [`MAX_EVENT_LINE`].
 
 use crate::reopt::{reoptimize_weights_on, round_deployed, ReoptimizeConfig};
 use segrout_core::{
     Demand, DemandList, EdgeId, IncrementalEvaluator, Network, NodeId, TeError, WaypointSetting,
     WeightSetting,
 };
+use segrout_obs::Json;
+use std::io::{BufRead, Write};
 
 /// One event on the serving input stream.
 #[derive(Clone, Debug, PartialEq)]
@@ -480,6 +486,167 @@ impl<'n> ServeSession<'n> {
     }
 }
 
+/// Longest event line [`serve_stream`] reads, newline excluded. The largest
+/// line the daemon's own traffic models produce, a `matrix` event carrying
+/// Ta2's default `mcf` demands, is about 1.3 MB.
+pub const MAX_EVENT_LINE: usize = 16 << 20;
+
+/// Reads the next line of `input` into `buf`, newline included; `Ok(false)`
+/// at end of input. `buf` is reused across lines and grows to the longest
+/// line read. A line longer than [`MAX_EVENT_LINE`] is discarded through
+/// its newline and leaves `buf` empty, its memory released.
+fn read_event_line<R: BufRead>(input: &mut R, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    use std::io::Read;
+    buf.clear();
+    let cap = MAX_EVENT_LINE as u64 + 1;
+    let n = input.by_ref().take(cap).read_until(b'\n', buf)?;
+    if n as u64 == cap && buf.last() != Some(&b'\n') {
+        *buf = Vec::new();
+        input.skip_until(b'\n')?;
+    }
+    Ok(n > 0)
+}
+
+/// Feeds one JSONL event stream through the session, writing one response
+/// line per input line. Returns `true` when a shutdown event arrived.
+/// Blank lines are skipped; a line that is not UTF-8, is longer than
+/// [`MAX_EVENT_LINE`] or is not a valid event gets an error reply.
+///
+/// # Errors
+/// An I/O error on either stream.
+pub fn serve_stream<R: BufRead, W: Write>(
+    session: &mut ServeSession<'_>,
+    mut input: R,
+    out: &mut W,
+) -> Result<bool, String> {
+    let mut buf = Vec::new();
+    while read_event_line(&mut input, &mut buf).map_err(|e| format!("event stream: {e}"))? {
+        // Only a line past the cap leaves the buffer empty.
+        let parsed = if buf.is_empty() {
+            Err(format!("event line longer than {MAX_EVENT_LINE} bytes"))
+        } else {
+            match std::str::from_utf8(&buf).map(str::trim) {
+                Ok("") => continue,
+                Ok(line) => parse_event(line),
+                Err(_) => Err("event line is not valid UTF-8".to_string()),
+            }
+        };
+        let response = match parsed {
+            Ok(None) => {
+                // Shutdown is a control line, not an event: it gets an ack,
+                // consumes no sequence number, and stops the daemon.
+                let bye = Json::obj([
+                    ("type", Json::from("bye")),
+                    ("events", Json::from(session.stats().events)),
+                ]);
+                writeln!(out, "{}", bye.render()).map_err(|e| format!("response stream: {e}"))?;
+                out.flush().map_err(|e| format!("response stream: {e}"))?;
+                return Ok(true);
+            }
+            Ok(Some(event)) => session.apply(&event),
+            Err(reason) => session.reject(&reason),
+        };
+        writeln!(out, "{}", render_response(&response))
+            .map_err(|e| format!("response stream: {e}"))?;
+        // The daemon is interactive: every answer must reach the peer now,
+        // not at buffer-boundary time.
+        out.flush().map_err(|e| format!("response stream: {e}"))?;
+    }
+    Ok(false)
+}
+
+/// Parses one JSONL input line into a [`ServeEvent`]. `Ok(None)` is the
+/// shutdown control line; `Err` is a malformed line the session will
+/// reject (with the reason echoed in the error reply).
+///
+/// # Errors
+/// A line that is not JSON, names no or an unknown event type, or has a
+/// missing or mistyped field.
+pub fn parse_event(line: &str) -> Result<Option<ServeEvent>, String> {
+    let rec = Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+    let kind = rec["event"]
+        .as_str()
+        .ok_or("missing or non-string 'event' field")?;
+    let uint_field = |name: &str| -> Result<u32, String> {
+        rec[name]
+            .as_i64()
+            .and_then(|i| u32::try_from(i).ok())
+            .ok_or_else(|| format!("'{name}' must be a non-negative integer"))
+    };
+    let float_field = |name: &str| -> Result<f64, String> {
+        rec[name]
+            .as_f64()
+            .ok_or_else(|| format!("'{name}' must be a number"))
+    };
+    match kind {
+        "noop" => Ok(Some(ServeEvent::Noop)),
+        "shutdown" => Ok(None),
+        "demand" => Ok(Some(ServeEvent::DemandScale {
+            index: uint_field("index")? as usize,
+            factor: float_field("factor")?,
+        })),
+        "matrix" => {
+            let entries = rec["demands"]
+                .as_arr()
+                .ok_or("'demands' must be an array of [src, dst, size] triples")?;
+            let mut demands = Vec::with_capacity(entries.len());
+            for (i, entry) in entries.iter().enumerate() {
+                let triple = entry
+                    .as_arr()
+                    .filter(|t| t.len() == 3)
+                    .ok_or_else(|| format!("demands[{i}] must be [src, dst, size]"))?;
+                let node = |j: usize| {
+                    triple[j]
+                        .as_i64()
+                        .and_then(|x| u32::try_from(x).ok())
+                        .ok_or_else(|| format!("demands[{i}][{j}] must be a node id"))
+                };
+                let size = triple[2]
+                    .as_f64()
+                    .ok_or_else(|| format!("demands[{i}][2] must be a number"))?;
+                demands.push((NodeId(node(0)?), NodeId(node(1)?), size));
+            }
+            Ok(Some(ServeEvent::DemandMatrix { demands }))
+        }
+        "link_down" => Ok(Some(ServeEvent::LinkDown {
+            edge: EdgeId(uint_field("edge")?),
+        })),
+        "link_up" => Ok(Some(ServeEvent::LinkUp {
+            edge: EdgeId(uint_field("edge")?),
+        })),
+        "capacity" => Ok(Some(ServeEvent::Capacity {
+            edge: EdgeId(uint_field("edge")?),
+            capacity: float_field("capacity")?,
+        })),
+        other => Err(format!("unknown event type '{other}'")),
+    }
+}
+
+/// Renders a [`ServeResponse`] as one protocol line. Latency is excluded:
+/// it is the one nondeterministic field, and the protocol stream must be
+/// byte-identical across replays of the same event log.
+fn render_response(r: &ServeResponse) -> String {
+    let diffs = Json::arr(
+        r.weight_diffs
+            .iter()
+            .map(|&(e, old, new)| Json::arr([Json::from(e.0), Json::from(old), Json::from(new)])),
+    );
+    let mut fields = vec![
+        ("type", Json::from("serve")),
+        ("seq", Json::from(r.seq)),
+        ("tier", Json::from(r.tier.as_str())),
+        ("mlu", Json::from(r.mlu)),
+        ("phi", Json::from(r.phi)),
+        ("churn", Json::from(r.churn)),
+        ("evaluations", Json::from(r.evaluations)),
+        ("weight_diffs", diffs),
+    ];
+    if let Some(e) = &r.error {
+        fields.push(("error", Json::from(e.as_str())));
+    }
+    Json::obj(fields).render()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,5 +873,183 @@ mod tests {
             st.events,
             "every event lands in exactly one tier"
         );
+    }
+
+    #[test]
+    fn parse_event_reads_every_kind() {
+        let cases = [
+            (r#"{"event":"noop"}"#, Some(ServeEvent::Noop)),
+            (r#"{"event":"shutdown"}"#, None),
+            (
+                r#"{"event":"demand","index":3,"factor":1.5}"#,
+                Some(ServeEvent::DemandScale {
+                    index: 3,
+                    factor: 1.5,
+                }),
+            ),
+            (
+                r#"{"event":"matrix","demands":[[0,2,3.5],[2,0,1]]}"#,
+                Some(ServeEvent::DemandMatrix {
+                    demands: vec![(NodeId(0), NodeId(2), 3.5), (NodeId(2), NodeId(0), 1.0)],
+                }),
+            ),
+            (
+                r#"{"event":"link_down","edge":4}"#,
+                Some(ServeEvent::LinkDown { edge: EdgeId(4) }),
+            ),
+            (
+                r#"{"event":"link_up","edge":4}"#,
+                Some(ServeEvent::LinkUp { edge: EdgeId(4) }),
+            ),
+            (
+                r#"{"event":"capacity","edge":1,"capacity":4000}"#,
+                Some(ServeEvent::Capacity {
+                    edge: EdgeId(1),
+                    capacity: 4000.0,
+                }),
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse_event(line), Ok(want), "{line}");
+        }
+    }
+
+    #[test]
+    fn parse_event_names_the_malformed_field() {
+        for (line, reason) in [
+            ("not json", "invalid JSON"),
+            (r#"{"index":3}"#, "missing or non-string 'event' field"),
+            (r#"{"event":7}"#, "missing or non-string 'event' field"),
+            (r#"{"event":"mystery"}"#, "unknown event type 'mystery'"),
+            (
+                r#"{"event":"demand","index":-1,"factor":2}"#,
+                "'index' must be a non-negative integer",
+            ),
+            (
+                r#"{"event":"demand","index":0,"factor":"x"}"#,
+                "'factor' must be a number",
+            ),
+            (
+                r#"{"event":"link_down","edge":1.5}"#,
+                "'edge' must be a non-negative integer",
+            ),
+            (
+                r#"{"event":"link_up"}"#,
+                "'edge' must be a non-negative integer",
+            ),
+            (
+                r#"{"event":"capacity","edge":1,"capacity":null}"#,
+                "'capacity' must be a number",
+            ),
+            (
+                r#"{"event":"matrix","demands":7}"#,
+                "'demands' must be an array",
+            ),
+            (
+                r#"{"event":"matrix","demands":[[0,1,2],[0,1]]}"#,
+                "demands[1] must be [src, dst, size]",
+            ),
+            (
+                r#"{"event":"matrix","demands":[[0,-1,2]]}"#,
+                "demands[0][1] must be a node id",
+            ),
+            (
+                r#"{"event":"matrix","demands":[[0,1,"big"]]}"#,
+                "demands[0][2] must be a number",
+            ),
+        ] {
+            match parse_event(line) {
+                Err(e) => assert!(e.contains(reason), "{line}: {e:?} lacks {reason:?}"),
+                Ok(ev) => panic!("{line} parsed as {ev:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn render_response_reports_error_on_error_replies_only() {
+        let net = ring_net();
+        let mut s = session(&net);
+        let served = Json::parse(&render_response(&s.apply(&ServeEvent::Noop))).unwrap();
+        assert_eq!(served["type"], "serve");
+        assert_eq!(served["seq"].as_i64(), Some(1));
+        assert_eq!(served["tier"], "none");
+        assert_eq!(served["error"], Json::Null);
+        let rejected = Json::parse(&render_response(&s.reject("bad line"))).unwrap();
+        assert_eq!(rejected["seq"].as_i64(), Some(2));
+        assert_eq!(rejected["tier"], "error");
+        assert_eq!(rejected["error"], "bad line");
+    }
+
+    /// Runs `input` through [`serve_stream`] on a fresh session; returns the
+    /// shutdown flag, the parsed response lines and the session's `seq`.
+    fn stream(input: &[u8]) -> (bool, Vec<Json>, u64) {
+        let net = ring_net();
+        let mut s = session(&net);
+        let mut out = Vec::new();
+        let shutdown = serve_stream(&mut s, input, &mut out).expect("in-memory streams");
+        let text = String::from_utf8(out).expect("responses are UTF-8");
+        let lines = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        (shutdown, lines, s.seq())
+    }
+
+    #[test]
+    fn serve_stream_skips_blank_lines_and_acks_shutdown_without_a_seq() {
+        let noop = r#"{"event":"noop"}"#;
+        let input = format!("\n{noop}\n   \n{noop}\n{{\"event\":\"shutdown\"}}\n{noop}\n");
+        let (shutdown, lines, seq) = stream(input.as_bytes());
+        assert!(shutdown);
+        assert_eq!(lines.len(), 3, "two replies and the ack; nothing after it");
+        assert_eq!(lines[0]["seq"].as_i64(), Some(1));
+        assert_eq!(lines[1]["seq"].as_i64(), Some(2));
+        assert_eq!(lines[2]["type"], "bye");
+        assert_eq!(lines[2]["events"].as_i64(), Some(2));
+        assert_eq!(seq, 2);
+
+        let (shutdown, lines, _) = stream(format!("{noop}\n").as_bytes());
+        assert!(!shutdown, "end of input is not a shutdown");
+        assert_eq!(lines.len(), 1);
+    }
+
+    #[test]
+    fn serve_stream_answers_oversized_and_non_utf8_lines_and_goes_on() {
+        let noop = "{\"event\":\"noop\"}\n";
+        let oversized = [&b"x".repeat(MAX_EVENT_LINE + 1)[..], b"\n", noop.as_bytes()].concat();
+        let not_utf8 = [noop.as_bytes(), b"\xff\xfe\n", noop.as_bytes()].concat();
+        for (input, bad, reason) in [
+            (oversized, 0, "event line longer than"),
+            (not_utf8, 1, "event line is not valid UTF-8"),
+        ] {
+            let (shutdown, lines, seq) = stream(&input);
+            assert!(!shutdown);
+            assert_eq!(seq, lines.len() as u64, "every line uses one seq");
+            for (i, rec) in lines.iter().enumerate() {
+                assert_eq!(rec["seq"].as_i64(), Some(i as i64 + 1));
+                if i == bad {
+                    assert_eq!(rec["tier"], "error");
+                    assert!(rec["error"].as_str().unwrap().contains(reason), "{rec:?}");
+                } else {
+                    assert_eq!(rec["tier"], "none", "line {i} is served");
+                }
+            }
+        }
+    }
+
+    /// Lines up to the cap come back whole, a longer one is discarded
+    /// through its newline, and the next line reads normally.
+    #[test]
+    fn event_lines_past_the_cap_are_discarded() {
+        let fits = "x".repeat(MAX_EVENT_LINE);
+        let input = format!("{fits}\n{fits}y\nnext\ntail");
+        let mut input = std::io::BufReader::new(input.as_bytes());
+        let mut buf = Vec::new();
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert_eq!(buf.len(), MAX_EVENT_LINE + 1, "the line and its newline");
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert!(buf.is_empty(), "an oversized line leaves no bytes");
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert_eq!(buf, b"next\n");
+        assert!(read_event_line(&mut input, &mut buf).unwrap());
+        assert_eq!(buf, b"tail", "a last line without a newline still counts");
+        assert!(!read_event_line(&mut input, &mut buf).unwrap());
     }
 }

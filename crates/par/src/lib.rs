@@ -37,8 +37,9 @@
 //! ## Observability
 //!
 //! The pool feeds the `segrout-obs` registry: `par.tasks` (chunks executed,
-//! flushed once per batch participation — the per-worker batched-counter
-//! pattern), `par.batches` (parallel batches started),
+//! added once per batch by its caller after the last chunk completes, so a
+//! read after `par_map` returns sees them all), `par.batches` (parallel
+//! batches started),
 //! `par.steal_or_queue_wait` (milliseconds workers spend parked waiting for
 //! work) and the `time.par.batch` span histogram. The serial inline path
 //! records nothing, so `SEGROUT_THREADS=1` runs carry zero overhead.
@@ -146,14 +147,12 @@ unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
 impl Batch {
-    /// Claims and executes chunks until the range is exhausted. Returns the
-    /// number of chunks this participant executed.
-    fn run(&self) -> u64 {
-        let mut chunks = 0u64;
+    /// Claims and executes chunks until the range is exhausted.
+    fn run(&self) {
         loop {
             let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
             if start >= self.n {
-                return chunks;
+                return;
             }
             let end = (start + self.chunk).min(self.n);
             // SAFETY: `start < n` proves the owning `par_map` has not
@@ -167,7 +166,6 @@ impl Batch {
                 let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
                 slot.get_or_insert(payload);
             }
-            chunks += 1;
             // AcqRel: result writes above happen-before the caller's
             // Acquire load of `completed` (panicked chunks count as
             // completed so the caller always wakes).
@@ -188,7 +186,7 @@ struct Pool {
     job_ready: Condvar,
     /// Number of worker threads spawned so far (grown on demand).
     spawned: Mutex<usize>,
-    /// `par.tasks`: chunks executed, flushed per batch participation.
+    /// `par.tasks`: chunks executed, added by each batch's caller.
     tasks: Arc<Counter>,
     /// `par.batches`: parallel batches started.
     batches: Arc<Counter>,
@@ -223,7 +221,7 @@ impl Pool {
         }
     }
 
-    /// A worker: pop a batch job, drain chunks, flush counters, repeat.
+    /// A worker: pop a batch job, drain chunks, repeat.
     fn worker_loop(&'static self) {
         loop {
             let job = {
@@ -237,12 +235,7 @@ impl Pool {
                     self.wait.observe(parked.elapsed().as_secs_f64() * 1e3);
                 }
             };
-            let chunks = job.run();
-            if chunks > 0 {
-                // Per-worker batched merge into the global registry: one
-                // atomic add per batch participation, not per chunk.
-                self.tasks.add(chunks);
-            }
+            job.run();
         }
     }
 }
@@ -378,10 +371,7 @@ where
 
     // The caller drains chunks like any worker — this is what makes nested
     // batches deadlock-free: progress never depends on queue service.
-    let chunks = batch.run();
-    if chunks > 0 {
-        pool.tasks.add(chunks);
-    }
+    batch.run();
 
     // Wait for chunks claimed (and still running) on workers.
     {
@@ -390,6 +380,8 @@ where
             guard = batch.done.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
     }
+    // Every chunk ran exactly once, a panicked one included.
+    pool.tasks.add(n_chunks as u64);
 
     let payload = batch.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
     if let Some(payload) = payload {

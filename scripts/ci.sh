@@ -124,6 +124,9 @@ art = json.load(open(os.path.join(d, "run.json")))
 assert art["type"] == "run" and art["schema"] == 1, "bad run artifact header"
 for key in ("command", "seed", "wall_ms", "provenance", "metrics", "trace"):
     assert key in art, f"run.json lacks {key}"
+# It records what ran: the seed and the resolved names.
+assert art["seed"] == 42, art["seed"]
+assert art["topology"] == "Germany50" and art["algorithm"] == "heurospf", art
 assert art["provenance"]["host_cpus"] >= 1
 assert len(art["trace"]) == n, "artifact trace disagrees with trace.jsonl"
 # Collapsed stacks: "path;frames <integer self weight>" per line.
@@ -139,10 +142,19 @@ EOF
 ./target/release/segrout catalog --check "$FR_DIR/metrics.jsonl"
 # The optimize run never emits the sweep.* and serve.* families: drift-check
 # a single+double Abilene sweep and a five-line serve stream (link down,
-# demand, link up, capacity, shutdown) too.
+# demand, link up, capacity, shutdown) too. The sweep's run artifact must
+# record the default seed it ran with and the topology.
 ./target/release/segrout sweep --topology Abilene --doubles \
-    --metrics-out "$FR_DIR/sweep-metrics.jsonl" >/dev/null
+    --metrics-out "$FR_DIR/sweep-metrics.jsonl" \
+    --run-out "$FR_DIR/sweep-run.json" >/dev/null
 ./target/release/segrout catalog --check "$FR_DIR/sweep-metrics.jsonl"
+python3 - "$FR_DIR/sweep-run.json" <<'EOF'
+import json, sys
+art = json.load(open(sys.argv[1]))
+assert art["command"] == "sweep", art["command"]
+assert art["seed"] == 1 and art["topology"] == "Abilene", art
+print("sweep run artifact OK")
+EOF
 printf '%s\n' '{"event":"link_down","edge":2}' \
     '{"event":"demand","index":0,"factor":1.5}' '{"event":"link_up","edge":2}' \
     '{"event":"capacity","edge":1,"capacity":5000}' '{"event":"shutdown"}' \

@@ -10,15 +10,15 @@
 //! ```
 
 use segrout::algos::{
-    greedy_wpo, greedy_wpo_robust, heur_ospf, heur_ospf_failure_robust, heur_ospf_robust,
-    joint_heur, joint_heur_robust, GreedyWpoConfig, HeurOspfConfig, JointHeurConfig, ServeConfig,
-    ServeEvent, ServeResponse, ServeSession,
+    greedy_wpo_robust, heur_ospf_failure_robust, heur_ospf_robust, joint_heur_robust, serve_stream,
+    GreedyWpoConfig, HeurOspfConfig, JointHeurConfig, ServeConfig, ServeSession,
 };
 use segrout::core::{
-    evaluate_robust, sweep_failures, EdgeId, FailureSet, Network, NodeId, RobustObjective, Router,
-    TeError, UtilizationReport, WaypointSetting, WeightSetting,
+    evaluate_robust, sweep_failures, DemandList, DemandSet, FailureSet, Network, RobustObjective,
+    Router, TeError, UtilizationReport, WaypointSetting, WeightSetting,
 };
 use segrout::instances::{instance1, instance2, instance3, instance4, instance5, PaperInstance};
+use segrout::obs::Json;
 use segrout::topo::{by_name, parse_graphml, parse_sndlib_xml, TOPOLOGY_NAMES};
 use segrout::traffic::{
     diurnal_set, drifting_set, gravity, gravity_perturbation_set, mcf_synthetic, TrafficConfig,
@@ -26,19 +26,17 @@ use segrout::traffic::{
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, args)) = args.split_first() else {
         usage();
         return ExitCode::FAILURE;
     };
-    let Some(accepted) = command_flags(cmd) else {
-        eprintln!("error: unknown command '{cmd}'");
-        usage();
-        return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(cmd, &accepted, &args[1..]) {
+    // Only a malformed command line earns the usage banner; a bad value or
+    // a failed run prints just its error.
+    let flags = match Flags::parse(cmd, args) {
         Ok(flags) => flags,
         Err(e) => {
             eprintln!("error: {e}");
@@ -51,9 +49,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if cmd == "report" {
-        // Comparison verdicts get their own exit code (2 = regression) and
-        // never print the usage banner.
-        return match cmd_report(&args[1..], &flags) {
+        // Comparison verdicts get their own exit code (2 = regression).
+        return match cmd_report(&flags) {
             Ok(false) => ExitCode::SUCCESS,
             Ok(true) => ExitCode::from(2),
             Err(e) => {
@@ -63,7 +60,7 @@ fn main() -> ExitCode {
         };
     }
     let result = match cmd.as_str() {
-        "topo" => cmd_topo(&args[1..]),
+        "topo" => cmd_topo(&flags),
         "optimize" => cmd_optimize(&flags),
         "serve" => cmd_serve(&flags),
         "sweep" => cmd_sweep(&flags),
@@ -71,16 +68,16 @@ fn main() -> ExitCode {
         "parse" => cmd_parse(&flags),
         "fuzz" => cmd_fuzz(&flags),
         "catalog" => cmd_catalog(&flags),
-        // `command_flags` has rejected every other command.
+        // `Flags::parse` has rejected every other command.
         _ => {
             usage();
-            Ok(())
+            Ok(Run::default())
         }
     };
     // Flight-recorder artifacts (trace, collapsed-stack profile, run.json)
     // are written for successful runs only — a failed command has nothing
     // worth archiving and its artifact would shadow the previous good one.
-    let result = result.and_then(|()| finish_flight_recorder(cmd, &flags));
+    let result = result.and_then(|run| finish_flight_recorder(cmd, &flags, &run));
     // Final telemetry: metric records go to the JSONL sink (the stderr
     // pretty-printer ignores records), then everything is flushed.
     segrout::obs::dump_metrics();
@@ -88,7 +85,6 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            usage();
             ExitCode::FAILURE
         }
     }
@@ -165,35 +161,29 @@ OBSERVABILITY (any command):
 }
 
 /// Applies the global `--log-level`, `--metrics-out` and `--threads` flags.
-fn init_observability(flags: &HashMap<String, String>) -> Result<(), String> {
+fn init_observability(flags: &Flags) -> Result<(), String> {
     // Pin the telemetry epoch now: `elapsed_us` starts its clock at the
     // first observability call, and with the recorder off that could
     // otherwise be as late as artifact-write time (wall_ms ~ 0).
     let _ = segrout::obs::elapsed_us();
-    if let Some(level) = flags.get("log-level") {
-        let parsed = level
-            .parse::<segrout::obs::Level>()
-            .map_err(|e| format!("--log-level: {e}"))?;
-        segrout::obs::set_level(parsed);
+    let level = flags.get("log-level", |_| true, "error, warn, info, debug or trace")?;
+    let threads = flags.get("threads", |&n: &usize| n > 0, "a positive integer")?;
+    if let Some(level) = level {
+        segrout::obs::set_level(level);
     }
-    if let Some(path) = flags.get("metrics-out") {
+    if let Some(path) = flags.value("metrics-out") {
         segrout::obs::init_jsonl(std::path::Path::new(path))
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
-    if let Some(n) = flags.get("threads") {
-        let n: usize = n
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--threads: expected a positive integer")?;
+    if let Some(n) = threads {
         segrout::par::set_threads(n);
     }
     // Flight recorder: requesting an output file turns the recorder on; the
     // files themselves are written by `finish_flight_recorder`.
-    if flags.contains_key("trace-out") {
+    if flags.has("trace-out") {
         segrout::obs::set_trace_enabled(true);
     }
-    if flags.contains_key("profile-out") {
+    if flags.has("profile-out") {
         segrout::obs::set_profiling(true);
     }
     // Record the effective thread count in the run-summary table and in the
@@ -205,6 +195,10 @@ fn init_observability(flags: &HashMap<String, String>) -> Result<(), String> {
 /// Flags that take no value: present means on. Every other flag is
 /// followed by its value.
 const BOOLEAN_FLAGS: [&str; 3] = ["doubles", "fast", "no-shrink"];
+
+/// Flag pairs that each pick the same input: a command line gives at most
+/// one flag of each pair.
+const EXCLUSIVE_FLAGS: [(&str, &str); 2] = [("events", "listen"), ("sndlib", "graphml")];
 
 /// The flags command `cmd` accepts, space-separated: its own and the
 /// global ones. `None` for an unknown command.
@@ -227,68 +221,102 @@ fn command_flags(cmd: &str) -> Option<String> {
     ))
 }
 
-/// Parses `--name value` pairs and the value-less [`BOOLEAN_FLAGS`] (stored
-/// as `"true"`). A flag not in `accepted` (see [`command_flags`]) is a
-/// usage error naming it and `cmd`; so is a flag that needs a value but
-/// ends the line or is followed by another `--flag`.
-fn parse_flags(
-    cmd: &str,
-    accepted: &str,
-    args: &[String],
-) -> Result<HashMap<String, String>, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(name) = args[i].strip_prefix("--") else {
-            i += 1;
-            continue;
-        };
-        if !accepted.split_whitespace().any(|f| f == name) {
-            return Err(format!("unknown flag --{name} for '{cmd}'"));
-        }
-        if BOOLEAN_FLAGS.contains(&name) {
-            flags.insert(name.to_string(), "true".to_string());
-            i += 1;
-        } else {
-            let value = args
-                .get(i + 1)
-                .filter(|v| !v.starts_with("--"))
-                .ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_string(), value.clone());
-            i += 2;
-        }
-    }
-    Ok(flags)
+/// One command's arguments: flag values by name (a [`BOOLEAN_FLAGS`] flag
+/// stores `"true"`) and the positional arguments in order.
+struct Flags {
+    values: HashMap<String, String>,
+    positionals: Vec<String>,
 }
 
-/// Tokens that are not `--flag` names or their values, in order. Mirrors the
-/// consumption rule of `parse_flags`, which has already rejected a missing
-/// value: a boolean flag stands alone, any other flag consumes one value.
-fn positionals(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].strip_prefix("--") {
-            Some(name) if BOOLEAN_FLAGS.contains(&name) => i += 1,
-            Some(_) => i += 2,
-            None => {
-                out.push(args[i].clone());
-                i += 1;
+impl Flags {
+    /// Scans the arguments after command `cmd`. Every malformed command
+    /// line is an error here, before any work: an unknown command, a flag
+    /// not in [`command_flags`], a flag that needs a value but ends the
+    /// line or is followed by another `--flag`, a flag given twice, both
+    /// flags of an [`EXCLUSIVE_FLAGS`] pair, and a positional argument to
+    /// any command but `topo` and `report`.
+    fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
+        let accepted = command_flags(cmd).ok_or_else(|| format!("unknown command '{cmd}'"))?;
+        let mut flags = Flags {
+            values: HashMap::new(),
+            positionals: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                if !matches!(cmd, "topo" | "report") {
+                    return Err(format!("unexpected argument '{arg}' for '{cmd}'"));
+                }
+                flags.positionals.push(arg.clone());
+                continue;
+            };
+            if !accepted.split_whitespace().any(|f| f == name) {
+                return Err(format!("unknown flag --{name} for '{cmd}'"));
+            }
+            let value = if BOOLEAN_FLAGS.contains(&name) {
+                "true"
+            } else {
+                args.next()
+                    .map(String::as_str)
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("--{name} needs a value"))?
+            };
+            if flags.values.insert(name.into(), value.into()).is_some() {
+                return Err(format!("--{name} given more than once"));
             }
         }
+        for (a, b) in EXCLUSIVE_FLAGS {
+            if flags.has(a) && flags.has(b) {
+                return Err(format!("--{a} and --{b} cannot be used together"));
+            }
+        }
+        Ok(flags)
     }
-    out
+
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values.get(name).map(String::as_str)
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.values.contains_key(name)
+    }
+
+    /// The value of `--name` as a `T`, `None` when the flag is absent. A
+    /// value that does not parse or fails `ok` is an error naming the flag,
+    /// the value and what was `expected`.
+    fn get<T: FromStr>(
+        &self,
+        name: &str,
+        ok: impl Fn(&T) -> bool,
+        expected: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.value(name) else {
+            return Ok(None);
+        };
+        match v.parse() {
+            Ok(x) if ok(&x) => Ok(Some(x)),
+            _ => Err(format!("--{name} {v}: expected {expected}")),
+        }
+    }
+}
+
+/// What a command ran, for its run artifact: the effective seed and the
+/// resolved names.
+#[derive(Default)]
+struct Run {
+    seed: Option<u64>,
+    fields: Vec<(&'static str, Json)>,
 }
 
 /// Writes the requested flight-recorder outputs: the convergence trace, the
 /// collapsed-stack profile (plus its table on stdout), and the run artifact.
-fn finish_flight_recorder(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(path) = flags.get("trace-out") {
+fn finish_flight_recorder(cmd: &str, flags: &Flags, run: &Run) -> Result<(), String> {
+    if let Some(path) = flags.value("trace-out") {
         let n = segrout::obs::write_trace_jsonl(Path::new(path))
             .map_err(|e| format!("--trace-out {path}: {e}"))?;
         eprintln!("trace: {n} points written to {path}");
     }
-    if let Some(path) = flags.get("profile-out") {
+    if let Some(path) = flags.value("profile-out") {
         segrout::obs::write_collapsed_stacks(Path::new(path))
             .map_err(|e| format!("--profile-out {path}: {e}"))?;
         println!("\ncall-tree profile:\n{}", segrout::obs::profile_table());
@@ -297,27 +325,10 @@ fn finish_flight_recorder(cmd: &str, flags: &HashMap<String, String>) -> Result<
     // Every optimize run leaves a run.json behind unless told not to; other
     // commands write an artifact only on request.
     let run_out = flags
-        .get("run-out")
-        .cloned()
-        .or_else(|| (cmd == "optimize").then(|| "run.json".to_string()));
-    if let Some(path) = run_out.filter(|p| p != "none") {
-        let seed = flags.get("seed").and_then(|s| s.parse::<u64>().ok());
-        let mut extra: Vec<(&str, segrout::obs::Json)> = Vec::new();
-        for key in ["topology", "algorithm", "traffic"] {
-            if cmd == "optimize" || cmd == "serve" {
-                let default = match key {
-                    "topology" => "Abilene",
-                    // The daemon's default initial configuration comes from
-                    // the weight search alone (waypoints arrive later).
-                    "algorithm" if cmd == "serve" => "heurospf",
-                    "algorithm" => "joint",
-                    _ => "mcf",
-                };
-                let value = flags.get(key).map(String::as_str).unwrap_or(default);
-                extra.push((key, segrout::obs::Json::from(value)));
-            }
-        }
-        segrout::obs::write_run_artifact(Path::new(&path), cmd, seed, &extra)
+        .value("run-out")
+        .or((cmd == "optimize").then_some("run.json"));
+    if let Some(path) = run_out.filter(|&p| p != "none") {
+        segrout::obs::write_run_artifact(Path::new(path), cmd, run.seed, &run.fields)
             .map_err(|e| format!("--run-out {path}: {e}"))?;
         eprintln!("run artifact written to {path}");
     }
@@ -326,12 +337,11 @@ fn finish_flight_recorder(cmd: &str, flags: &HashMap<String, String>) -> Result<
 
 /// `segrout report <old> <new>`: compares two run artifacts or JSONL
 /// telemetry files. Returns whether any statistic regressed.
-fn cmd_report(args: &[String], flags: &HashMap<String, String>) -> Result<bool, String> {
-    let pos = positionals(args);
-    let [old_path, new_path] = pos.as_slice() else {
+fn cmd_report(flags: &Flags) -> Result<bool, String> {
+    let [old_path, new_path] = flags.positionals.as_slice() else {
         return Err(format!(
             "report needs exactly two files (run.json artifacts or JSONL traces), got {}",
-            pos.len()
+            flags.positionals.len()
         ));
     };
     let mut t = segrout::obs::Thresholds::default();
@@ -340,12 +350,9 @@ fn cmd_report(args: &[String], flags: &HashMap<String, String>) -> Result<bool, 
         ("time-tol", &mut t.time_tol),
         ("count-tol", &mut t.count_tol),
     ] {
-        if let Some(v) = flags.get(key) {
-            *slot = v
-                .parse()
-                .ok()
-                .filter(|x: &f64| x.is_finite() && *x >= 0.0)
-                .ok_or_else(|| format!("--{key}: expected a non-negative number"))?;
+        let ok = |x: &f64| x.is_finite() && *x >= 0.0;
+        if let Some(v) = flags.get(key, ok, "a non-negative number")? {
+            *slot = v;
         }
     }
     let old = segrout::obs::load_run_stats(Path::new(old_path))?;
@@ -612,8 +619,8 @@ const SPAN_CATALOG: &[&str] = &[
     "sweep",
 ];
 
-fn cmd_catalog(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(path) = flags.get("check") {
+fn cmd_catalog(flags: &Flags) -> Result<Run, String> {
+    if let Some(path) = flags.value("check") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let mut unknown: Vec<String> = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -647,7 +654,7 @@ fn cmd_catalog(flags: &HashMap<String, String>) -> Result<(), String> {
             ));
         }
         println!("catalog check passed: every metric in {path} is documented");
-        return Ok(());
+        return Ok(Run::default());
     }
     println!("{:<34} {:<10} description", "metric", "kind");
     for (name, kind, desc) in METRIC_CATALOG {
@@ -656,10 +663,11 @@ fn cmd_catalog(flags: &HashMap<String, String>) -> Result<(), String> {
     for span in SPAN_CATALOG {
         println!("time.{span:<29} histogram  wall-time of the '{span}' span (ms)");
     }
-    Ok(())
+    Ok(Run::default())
 }
 
-fn cmd_topo(args: &[String]) -> Result<(), String> {
+fn cmd_topo(flags: &Flags) -> Result<Run, String> {
+    let args = &flags.positionals;
     match args.first().map(String::as_str) {
         Some("list") => {
             for name in TOPOLOGY_NAMES {
@@ -670,7 +678,7 @@ fn cmd_topo(args: &[String]) -> Result<(), String> {
                     net.edge_count()
                 );
             }
-            Ok(())
+            Ok(Run::default())
         }
         Some("show") => {
             let name = args.get(1).ok_or("topo show needs a name")?;
@@ -685,13 +693,139 @@ fn cmd_topo(args: &[String]) -> Result<(), String> {
                     net.capacity(e)
                 );
             }
-            Ok(())
+            Ok(Run::default())
         }
         _ => Err("topo subcommands: list, show <name>".into()),
     }
 }
 
-fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
+/// What optimize, sweep and serve share, read from the flags before any
+/// work starts: the network, the traffic model and its settings, the
+/// algorithm, and the weight-search settings.
+struct Setup {
+    topology: String,
+    net: Network,
+    traffic: String,
+    cfg: TrafficConfig,
+    algorithm: String,
+    ospf: HeurOspfConfig,
+}
+
+impl Setup {
+    /// `algorithms` are the `--algorithm` names the command accepts, its
+    /// default first.
+    fn new(flags: &Flags, algorithms: &[&str]) -> Result<Self, String> {
+        let seed = flags.get("seed", |_| true, "a non-negative integer")?;
+        let pairs = flags.get(
+            "pairs",
+            |p: &f64| *p > 0.0 && *p <= 1.0,
+            "a fraction in (0, 1]",
+        )?;
+        let cfg = TrafficConfig {
+            seed: seed.unwrap_or(1),
+            pair_fraction: pairs.unwrap_or(0.2),
+            ..Default::default()
+        };
+        let mut ospf = HeurOspfConfig {
+            seed: cfg.seed,
+            ..Default::default()
+        };
+        if let Some(r) = flags.get("restarts", |_| true, "a non-negative integer")? {
+            ospf.restarts = r;
+        }
+        if let Some(p) = flags.get("passes", |&n: &usize| n > 0, "a positive integer")? {
+            ospf.max_passes = p;
+        }
+        let traffic = flags.value("traffic").unwrap_or("mcf");
+        if !matches!(traffic, "mcf" | "gravity") {
+            return Err(format!("--traffic {traffic}: expected mcf or gravity"));
+        }
+        let algorithm = flags.value("algorithm").unwrap_or(algorithms[0]);
+        if !algorithms.contains(&algorithm) {
+            let expected = algorithms.join(", ");
+            return Err(format!("--algorithm {algorithm}: expected {expected}"));
+        }
+        let topology = flags.value("topology").unwrap_or("Abilene");
+        let net = by_name(topology).ok_or_else(|| format!("unknown topology '{topology}'"))?;
+        Ok(Self {
+            topology: topology.into(),
+            net,
+            traffic: traffic.into(),
+            cfg,
+            algorithm: algorithm.into(),
+            ospf,
+        })
+    }
+
+    /// The single traffic matrix of `--traffic`.
+    fn demands(&self) -> Result<DemandList, String> {
+        match self.traffic.as_str() {
+            "gravity" => gravity(&self.net, &self.cfg),
+            _ => mcf_synthetic(&self.net, &self.cfg),
+        }
+        .map_err(|e| e.to_string())
+    }
+
+    /// The configuration to evaluate: the `--load`ed one, or what the
+    /// algorithm finds for `set` under `robust`. A single matrix is a set
+    /// of one under [`RobustObjective::WorstCase`], which is what
+    /// `heur_ospf`, `greedy_wpo` and `joint_heur` run.
+    fn configuration(
+        &self,
+        flags: &Flags,
+        set: &DemandSet,
+        robust: RobustObjective,
+    ) -> Result<(WeightSetting, WaypointSetting), String> {
+        let net = &self.net;
+        if let Some(path) = flags.value("load") {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            return segrout::core::read_config(net, set.matrix(0), &text)
+                .map_err(|e| e.to_string());
+        }
+        let _span = segrout::obs::span("optimize");
+        let none = WaypointSetting::none(set.pair_count());
+        Ok(match self.algorithm.as_str() {
+            "unit" => (WeightSetting::unit(net), none),
+            "invcap" => (WeightSetting::inverse_capacity(net), none),
+            "heurospf" => (heur_ospf_robust(net, set, robust, &self.ospf), none),
+            "greedywpo" => {
+                let w = WeightSetting::inverse_capacity(net);
+                let wp = greedy_wpo_robust(net, set, &w, robust, &GreedyWpoConfig::default())
+                    .map_err(|e| e.to_string())?;
+                (w, wp)
+            }
+            "joint" => {
+                let cfg = JointHeurConfig {
+                    ospf: self.ospf.clone(),
+                    ..Default::default()
+                };
+                let r = joint_heur_robust(net, set, robust, &cfg).map_err(|e| e.to_string())?;
+                (r.weights, r.waypoints)
+            }
+            other => return Err(format!("unknown algorithm '{other}'")),
+        })
+    }
+
+    /// The run-artifact record: the seed and the resolved names.
+    fn run(&self) -> Run {
+        Run {
+            seed: Some(self.cfg.seed),
+            fields: vec![
+                ("topology", Json::from(self.topology.as_str())),
+                ("algorithm", Json::from(self.algorithm.as_str())),
+                ("traffic", Json::from(self.traffic.as_str())),
+            ],
+        }
+    }
+}
+
+/// `segrout optimize`: optimizes one configuration and reports it. With
+/// `--demand-set <kind>[:K]` (robust multi-matrix mode) the configuration
+/// is optimized for the `--robust` objective over a set of matrices from
+/// one of the `segrout-traffic` set generators, and the report is per
+/// matrix; without it the single `--traffic` matrix is a set of one and
+/// `--robust` is ignored.
+fn cmd_optimize(flags: &Flags) -> Result<Run, String> {
     // Pre-register the core metric catalog so every run reports the same
     // names (zero-valued when a stage did not execute).
     for name in [
@@ -722,75 +856,111 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     segrout::obs::series("heurospf.mlu_trajectory");
 
-    let topo_name = flags
-        .get("topology")
-        .map(String::as_str)
-        .unwrap_or("Abilene");
-    let net = by_name(topo_name).ok_or_else(|| format!("unknown topology '{topo_name}'"))?;
-    let cfg = traffic_config(flags)?;
-    if let Some(spec) = flags.get("demand-set") {
-        return cmd_optimize_robust(flags, &net, topo_name, &cfg, spec);
-    }
-    let demands = match flags.get("traffic").map(String::as_str).unwrap_or("mcf") {
-        "mcf" => mcf_synthetic(&net, &cfg),
-        "gravity" => gravity(&net, &cfg),
-        other => return Err(format!("unknown traffic model '{other}'")),
-    }
-    .map_err(|e| e.to_string())?;
-    println!(
-        "{topo_name}: {} nodes, {} links; {} demands totalling {:.1}",
-        net.node_count(),
-        net.edge_count(),
-        demands.len(),
-        demands.total_size()
-    );
-
-    let algorithm = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("joint");
-    let ospf = ospf_config(flags, cfg.seed)?;
-    let (weights, waypoints) = if let Some(path) = flags.get("load") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        segrout::core::read_config(&net, &demands, &text).map_err(|e| e.to_string())?
+    let setup = Setup::new(flags, &["joint", "unit", "invcap", "heurospf", "greedywpo"])?;
+    let top = flags
+        .get("top", |_| true, "a non-negative integer")?
+        .unwrap_or(5);
+    let (net, topo_name) = (&setup.net, &setup.topology);
+    let (set, robust) = if let Some(spec) = flags.value("demand-set") {
+        segrout::obs::counter("robust.matrix_evals");
+        let (kind, count) = match spec.split_once(':') {
+            Some((k, c)) => (
+                k,
+                c.parse::<usize>()
+                    .ok()
+                    .filter(|&n| n >= 1)
+                    .ok_or_else(|| format!("--demand-set {spec}: matrix count must be >= 1"))?,
+            ),
+            None => (spec, 4),
+        };
+        let robust = flags
+            .value("robust")
+            .map(RobustObjective::parse)
+            .transpose()?
+            .unwrap_or(RobustObjective::WorstCase);
+        let set = match kind {
+            "diurnal" => diurnal_set(net, &setup.cfg, count, 0.6),
+            "perturb" => gravity_perturbation_set(net, &setup.cfg, count, 0.4),
+            "drift" => drifting_set(net, &setup.cfg, count, 0.3),
+            other => {
+                return Err(format!(
+                    "unknown demand-set kind '{other}' (expected diurnal, perturb or drift)"
+                ))
+            }
+        }
+        .map_err(|e| e.to_string())?;
+        segrout::obs::gauge("robust.matrices").set(set.len() as f64);
+        println!(
+            "{topo_name}: {} nodes, {} links; {} '{kind}' matrices x {} pairs \
+             (objective: {robust:?})",
+            net.node_count(),
+            net.edge_count(),
+            set.len(),
+            set.pair_count()
+        );
+        (set, Some(robust))
     } else {
-        let _span = segrout::obs::span("optimize");
-        run_algorithm(&net, &demands, algorithm, &ospf)?
+        let demands = setup.demands()?;
+        println!(
+            "{topo_name}: {} nodes, {} links; {} demands totalling {:.1}",
+            net.node_count(),
+            net.edge_count(),
+            demands.len(),
+            demands.total_size()
+        );
+        (DemandSet::single(demands), None)
     };
-    if let Some(path) = flags.get("save") {
-        let text = segrout::core::write_config(&net, &weights, &waypoints);
+
+    let objective = robust.unwrap_or(RobustObjective::WorstCase);
+    let (weights, waypoints) = setup.configuration(flags, &set, objective)?;
+    if let Some(path) = flags.value("save") {
+        let text = segrout::core::write_config(net, &weights, &waypoints);
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
         println!("configuration saved to {path}");
     }
-    let router = Router::new(&net, &weights);
-    let report = router
-        .evaluate(&demands, &waypoints)
-        .map_err(|e| e.to_string())?;
-    println!("algorithm: {algorithm}");
-    println!("MLU: {:.4}", report.mlu);
-    let with_wp = (0..demands.len())
+    let rep = evaluate_robust(net, &weights, &set, &waypoints).map_err(|e| e.to_string())?;
+    println!("algorithm: {}", setup.algorithm);
+    let mlu = if robust.is_some() {
+        println!("\nper-matrix evaluation:");
+        let mlu_series = segrout::obs::series("robust.matrix_mlu");
+        for (k, (name, _)) in set.iter().enumerate() {
+            println!(
+                "  {name:<8} MLU {:>8.4}   Phi {:>12.4}",
+                rep.mlus[k], rep.phis[k]
+            );
+            mlu_series.push(rep.mlus[k]);
+            segrout::obs::trace_point("robust.matrix", k as u64, rep.phis[k], rep.mlus[k]);
+        }
+        let objective_mlu = rep.aggregate_mlu(objective);
+        println!("objective MLU: {objective_mlu:.4}");
+        println!("worst-case MLU: {:.4}", rep.worst_mlu());
+        segrout::obs::gauge("robust.worst_mlu").set(rep.worst_mlu());
+        segrout::obs::gauge("robust.objective_mlu").set(objective_mlu);
+        objective_mlu
+    } else {
+        println!("MLU: {:.4}", rep.mlus[0]);
+        rep.mlus[0]
+    };
+    let with_wp = (0..set.pair_count())
         .filter(|&i| !waypoints.get(i).is_empty())
         .count();
     if with_wp > 0 {
-        println!("waypointed demands: {with_wp}/{}", demands.len());
+        println!("waypointed demands: {with_wp}/{}", set.pair_count());
     }
-    let top: usize = flags
-        .get("top")
-        .map(|s| s.parse().map_err(|_| "bad --top"))
-        .transpose()?
-        .unwrap_or(5);
-    let util = UtilizationReport::new(&net, &report.loads);
-    println!("\nhottest links:\n{}", util.format_top(&net, top));
-    segrout::obs::gauge("run.mlu").set(report.mlu);
+    if robust.is_none() {
+        let util = UtilizationReport::new(net, &rep.reports[0].loads);
+        println!("\nhottest links:\n{}", util.format_top(net, top));
+    }
+    segrout::obs::gauge("run.mlu").set(mlu);
     println!("\nrun summary:\n{}", segrout::obs::summary_table());
-    Ok(())
+    Ok(setup.run())
 }
 
 /// `segrout sweep`: enumerates link-failure scenarios, evaluates each one
 /// through the edge-disable probe engine, and prints the MLU distribution
 /// plus the worst-case certificate. `--sweep-out` writes the full
 /// per-scenario record as a schema'd JSON artifact.
-fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
     // Pre-register the sweep metric catalog so every run reports the same
     // names (zero-valued when nothing fired).
     for name in [
@@ -803,21 +973,17 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
     ] {
         segrout::obs::counter(name);
     }
-    let topo_name = flags
-        .get("topology")
-        .map(String::as_str)
-        .unwrap_or("Abilene");
-    let net = by_name(topo_name).ok_or_else(|| format!("unknown topology '{topo_name}'"))?;
-    let cfg = traffic_config(flags)?;
-    let demands = match flags.get("traffic").map(String::as_str).unwrap_or("mcf") {
-        "mcf" => mcf_synthetic(&net, &cfg),
-        "gravity" => gravity(&net, &cfg),
-        other => return Err(format!("unknown traffic model '{other}'")),
-    }
-    .map_err(|e| e.to_string())?;
-
-    let doubles = flags.contains_key("doubles");
-    let scalings: Vec<f64> = match flags.get("scalings") {
+    let algorithms = [
+        "heurospf",
+        "unit",
+        "invcap",
+        "greedywpo",
+        "joint",
+        "failrobust",
+    ];
+    let setup = Setup::new(flags, &algorithms)?;
+    let doubles = flags.has("doubles");
+    let scalings: Vec<f64> = match flags.value("scalings") {
         Some(spec) => spec
             .split(',')
             .map(|s| {
@@ -831,11 +997,14 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         None => vec![1.0],
     };
     let robust = flags
-        .get("robust")
-        .map(|s| RobustObjective::parse(s))
+        .value("robust")
+        .map(RobustObjective::parse)
         .transpose()?
         .unwrap_or(RobustObjective::WorstCase);
-    let set = FailureSet::enumerate(&net, doubles);
+    let (net, topo_name, algorithm) = (&setup.net, &setup.topology, &setup.algorithm);
+    let single = DemandSet::single(setup.demands()?);
+    let demands = single.matrix(0);
+    let set = FailureSet::enumerate(net, doubles);
     println!(
         "{topo_name}: {} nodes, {} directed links ({} undirected); {} demands totalling {:.1}",
         net.node_count(),
@@ -856,26 +1025,19 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         set.len() * scalings.len()
     );
 
-    let algorithm = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("heurospf");
-    let ospf = ospf_config(flags, cfg.seed)?;
-    let (weights, waypoints) = {
+    let (weights, waypoints) = if algorithm == "failrobust" {
         let _span = segrout::obs::span("optimize");
-        if algorithm == "failrobust" {
-            let w = heur_ospf_failure_robust(&net, &demands, &set, robust, &ospf);
-            (w, WaypointSetting::none(demands.len()))
-        } else {
-            run_algorithm(&net, &demands, algorithm, &ospf)?
-        }
+        let w = heur_ospf_failure_robust(net, demands, &set, robust, &setup.ospf);
+        (w, WaypointSetting::none(demands.len()))
+    } else {
+        setup.configuration(flags, &single, RobustObjective::WorstCase)?
     };
     println!("algorithm: {algorithm}");
 
     let rep = {
         let _span = segrout::obs::span("sweep");
-        let spec = flags.get("scalings").map_or("1.0", String::as_str);
-        sweep_failures(&net, &weights, &demands, &waypoints, &set, &scalings).map_err(
+        let spec = flags.value("scalings").unwrap_or("1.0");
+        sweep_failures(net, &weights, demands, &waypoints, &set, &scalings).map_err(
             |e| match e {
                 // The generated demands are valid, so only a scaling can break one.
                 TeError::InvalidDemand { .. } => format!("--scalings {spec}: {e}"),
@@ -910,7 +1072,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         let (u, v) = net.graph().endpoints(w.bottleneck);
         println!(
             "\nworst case: fail {{{}}} @ x{:.2} -> MLU {:.4}",
-            set.pattern_label(&net, w.pattern),
+            set.pattern_label(net, w.pattern),
             w.scale,
             w.mlu
         );
@@ -923,13 +1085,13 @@ fn cmd_sweep(flags: &HashMap<String, String>) -> Result<(), String> {
         );
         segrout::obs::gauge("run.mlu").set(w.mlu);
     }
-    if let Some(path) = flags.get("sweep-out") {
-        let artifact = sweep_artifact(&net, topo_name, algorithm, &set, &rep);
+    if let Some(path) = flags.value("sweep-out") {
+        let artifact = sweep_artifact(net, topo_name, algorithm, &set, &rep);
         std::fs::write(path, artifact.render()).map_err(|e| format!("{path}: {e}"))?;
         println!("\nsweep artifact written to {path}");
     }
     println!("\nrun summary:\n{}", segrout::obs::summary_table());
-    Ok(())
+    Ok(setup.run())
 }
 
 /// Renders a [`segrout::core::SweepReport`] as the schema'd sweep artifact
@@ -1010,208 +1172,14 @@ fn sweep_artifact(
     ]))
 }
 
-/// Shared `--seed`/`--pairs` parsing for the commands that generate traffic.
-fn traffic_config(flags: &HashMap<String, String>) -> Result<TrafficConfig, String> {
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
-        .unwrap_or(1);
-    let pair_fraction = match flags.get("pairs") {
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|p: &f64| *p > 0.0 && *p <= 1.0)
-            .ok_or_else(|| format!("--pairs {s}: expected a fraction in (0, 1]"))?,
-        None => 0.2,
-    };
-    Ok(TrafficConfig {
-        seed,
-        pair_fraction,
-        ..Default::default()
-    })
-}
-
-/// Shared `--restarts`/`--passes` parsing for the weight-search stages.
-fn ospf_config(flags: &HashMap<String, String>, seed: u64) -> Result<HeurOspfConfig, String> {
-    let mut ospf = HeurOspfConfig {
-        seed,
-        ..Default::default()
-    };
-    if let Some(r) = flags.get("restarts") {
-        ospf.restarts = r.parse().map_err(|_| "bad --restarts")?;
-    }
-    if let Some(p) = flags.get("passes") {
-        ospf.max_passes = p
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--passes: expected a positive integer")?;
-    }
-    Ok(ospf)
-}
-
-/// `segrout optimize --demand-set <kind>[:K]`: robust multi-matrix mode.
-/// Builds a demand set from one of the `segrout-traffic` set generators,
-/// optimizes one configuration for the `--robust` objective over every
-/// matrix, and reports per-matrix and aggregate results.
-fn cmd_optimize_robust(
-    flags: &HashMap<String, String>,
-    net: &Network,
-    topo_name: &str,
-    cfg: &TrafficConfig,
-    spec: &str,
-) -> Result<(), String> {
-    segrout::obs::counter("robust.matrix_evals");
-    let (kind, count) = match spec.split_once(':') {
-        Some((k, c)) => (
-            k,
-            c.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| format!("--demand-set {spec}: matrix count must be >= 1"))?,
-        ),
-        None => (spec, 4),
-    };
-    let set = match kind {
-        "diurnal" => diurnal_set(net, cfg, count, 0.6),
-        "perturb" => gravity_perturbation_set(net, cfg, count, 0.4),
-        "drift" => drifting_set(net, cfg, count, 0.3),
-        other => {
-            return Err(format!(
-                "unknown demand-set kind '{other}' (expected diurnal, perturb or drift)"
-            ))
-        }
-    }
-    .map_err(|e| e.to_string())?;
-    let robust = flags
-        .get("robust")
-        .map(|s| RobustObjective::parse(s))
-        .transpose()?
-        .unwrap_or(RobustObjective::WorstCase);
-    segrout::obs::gauge("robust.matrices").set(set.len() as f64);
-    println!(
-        "{topo_name}: {} nodes, {} links; {} '{kind}' matrices x {} pairs \
-         (objective: {robust:?})",
-        net.node_count(),
-        net.edge_count(),
-        set.len(),
-        set.pair_count()
-    );
-
-    let algorithm = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("joint");
-    let seed = cfg.seed;
-    let ospf = ospf_config(flags, seed)?;
-    let none = WaypointSetting::none(set.pair_count());
-    let (weights, waypoints) = if let Some(path) = flags.get("load") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        segrout::core::read_config(net, set.matrix(0), &text).map_err(|e| e.to_string())?
-    } else {
-        let _span = segrout::obs::span("optimize");
-        match algorithm {
-            "unit" => (WeightSetting::unit(net), none),
-            "invcap" => (WeightSetting::inverse_capacity(net), none),
-            "heurospf" => (heur_ospf_robust(net, &set, robust, &ospf), none),
-            "greedywpo" => {
-                let w = WeightSetting::inverse_capacity(net);
-                let wp = greedy_wpo_robust(net, &set, &w, robust, &GreedyWpoConfig::default())
-                    .map_err(|e| e.to_string())?;
-                (w, wp)
-            }
-            "joint" => {
-                let r = joint_heur_robust(
-                    net,
-                    &set,
-                    robust,
-                    &JointHeurConfig {
-                        ospf: ospf.clone(),
-                        ..Default::default()
-                    },
-                )
-                .map_err(|e| e.to_string())?;
-                (r.weights, r.waypoints)
-            }
-            other => return Err(format!("unknown algorithm '{other}'")),
-        }
-    };
-    if let Some(path) = flags.get("save") {
-        let text = segrout::core::write_config(net, &weights, &waypoints);
-        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-        println!("configuration saved to {path}");
-    }
-
-    let rep = evaluate_robust(net, &weights, &set, &waypoints).map_err(|e| e.to_string())?;
-    let objective_mlu = rep.aggregate_mlu(robust);
-    println!("algorithm: {algorithm}");
-    println!("\nper-matrix evaluation:");
-    let mlu_series = segrout::obs::series("robust.matrix_mlu");
-    for (k, (name, _)) in set.iter().enumerate() {
-        println!(
-            "  {name:<8} MLU {:>8.4}   Phi {:>12.4}",
-            rep.mlus[k], rep.phis[k]
-        );
-        mlu_series.push(rep.mlus[k]);
-        segrout::obs::trace_point("robust.matrix", k as u64, rep.phis[k], rep.mlus[k]);
-    }
-    println!("objective MLU: {objective_mlu:.4}");
-    println!("worst-case MLU: {:.4}", rep.worst_mlu());
-    let with_wp = (0..set.pair_count())
-        .filter(|&i| !waypoints.get(i).is_empty())
-        .count();
-    if with_wp > 0 {
-        println!("waypointed demands: {with_wp}/{}", set.pair_count());
-    }
-    segrout::obs::gauge("robust.worst_mlu").set(rep.worst_mlu());
-    segrout::obs::gauge("robust.objective_mlu").set(objective_mlu);
-    segrout::obs::gauge("run.mlu").set(objective_mlu);
-    println!("\nrun summary:\n{}", segrout::obs::summary_table());
-    Ok(())
-}
-
-fn run_algorithm(
-    net: &Network,
-    demands: &segrout::core::DemandList,
-    algorithm: &str,
-    ospf: &HeurOspfConfig,
-) -> Result<(WeightSetting, WaypointSetting), String> {
-    let none = WaypointSetting::none(demands.len());
-    match algorithm {
-        "unit" => Ok((WeightSetting::unit(net), none)),
-        "invcap" => Ok((WeightSetting::inverse_capacity(net), none)),
-        "heurospf" => Ok((heur_ospf(net, demands, ospf), none)),
-        "greedywpo" => {
-            let w = WeightSetting::inverse_capacity(net);
-            let wp = greedy_wpo(net, demands, &w, &GreedyWpoConfig::default())
-                .map_err(|e| e.to_string())?;
-            Ok((w, wp))
-        }
-        "joint" => {
-            let r = joint_heur(
-                net,
-                demands,
-                &JointHeurConfig {
-                    ospf: ospf.clone(),
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| e.to_string())?;
-            Ok((r.weights, r.waypoints))
-        }
-        other => Err(format!("unknown algorithm '{other}'")),
-    }
-}
-
 /// `segrout serve`: the online reoptimization daemon. Optimizes an initial
 /// configuration, opens a [`ServeSession`] (one live incremental evaluator,
 /// never rebuilt), and answers a JSONL event stream — stdin by default,
 /// `--events <file>` for replay, `--listen <addr>` for TCP. stdout carries
-/// exactly one JSON response per input line (the protocol); all human
-/// output goes to stderr, so replaying the same event log twice produces
-/// byte-identical response streams.
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
+/// exactly one JSON response per input line (the protocol of
+/// `segrout::algos::serve`); all human output goes to stderr, so replaying
+/// the same event log twice produces byte-identical response streams.
+fn cmd_serve(flags: &Flags) -> Result<Run, String> {
     // Pre-register the serving metric catalog so every run reports the same
     // names (zero-valued when a tier never fired).
     for name in [
@@ -1238,77 +1206,47 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let latency = segrout::obs::histogram("serve.latency_ms", segrout::obs::latency_bounds_ms());
     segrout::obs::gauge("serve.mlu");
 
-    let topo_name = flags
-        .get("topology")
-        .map(String::as_str)
-        .unwrap_or("Abilene");
-    let net = by_name(topo_name).ok_or_else(|| format!("unknown topology '{topo_name}'"))?;
-    let cfg = traffic_config(flags)?;
-    let demands = match flags.get("traffic").map(String::as_str).unwrap_or("mcf") {
-        "mcf" => mcf_synthetic(&net, &cfg),
-        "gravity" => gravity(&net, &cfg),
-        other => return Err(format!("unknown traffic model '{other}'")),
-    }
-    .map_err(|e| e.to_string())?;
-
-    let algorithm = flags
-        .get("algorithm")
-        .map(String::as_str)
-        .unwrap_or("heurospf");
-    let ospf = ospf_config(flags, cfg.seed)?;
-    let (weights, waypoints) = if let Some(path) = flags.get("load") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        segrout::core::read_config(&net, &demands, &text).map_err(|e| e.to_string())?
-    } else {
-        let _span = segrout::obs::span("optimize");
-        run_algorithm(&net, &demands, algorithm, &ospf)?
-    };
-
+    let setup = Setup::new(flags, &["heurospf", "unit", "invcap", "greedywpo", "joint"])?;
     let mut scfg = ServeConfig::default();
-    scfg.reopt.ospf = ospf;
-    if let Some(b) = flags.get("budget") {
-        scfg.reopt.max_weight_changes = b
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or("--budget: expected a positive integer")?;
+    scfg.reopt.ospf = setup.ospf.clone();
+    if let Some(b) = flags.get("budget", |&n: &usize| n > 0, "a positive integer")? {
+        scfg.reopt.max_weight_changes = b;
     }
-    if let Some(s) = flags.get("slo-ms") {
-        scfg.slo_ms = s
-            .parse()
-            .ok()
-            .filter(|x: &f64| x.is_finite())
-            .ok_or("--slo-ms: expected a number (0 disables)")?;
+    if let Some(s) = flags.get("slo-ms", |x: &f64| x.is_finite(), "a number (0 disables)")? {
+        scfg.slo_ms = s;
     }
     for (key, slot) in [
         ("reopt-ratio", &mut scfg.reopt_ratio as &mut f64),
         ("escalate-ratio", &mut scfg.escalate_ratio),
     ] {
-        if let Some(v) = flags.get(key) {
-            *slot = v
-                .parse()
-                .ok()
-                .filter(|x: &f64| x.is_finite() && *x >= 1.0)
-                .ok_or_else(|| format!("--{key}: expected a number >= 1"))?;
+        let ok = |x: &f64| x.is_finite() && *x >= 1.0;
+        if let Some(v) = flags.get(key, ok, "a number >= 1")? {
+            *slot = v;
         }
     }
 
+    let net = &setup.net;
+    let single = DemandSet::single(setup.demands()?);
+    let (weights, waypoints) = setup.configuration(flags, &single, RobustObjective::WorstCase)?;
+    let demands = single.matrix(0).clone();
     let n_demands = demands.len();
-    let mut session = ServeSession::new(&net, &weights, demands, waypoints, scfg)
+    let mut session = ServeSession::new(net, &weights, demands, waypoints, scfg)
         .map_err(|e| format!("cannot open serving session: {e}"))?;
     eprintln!(
-        "serve: {topo_name} ({} nodes, {} links), {n_demands} demands; \
-         initial {algorithm} MLU {:.4}; budget {} weight change(s)/reopt, SLO {} ms",
+        "serve: {} ({} nodes, {} links), {n_demands} demands; \
+         initial {} MLU {:.4}; budget {} weight change(s)/reopt, SLO {} ms",
+        setup.topology,
         net.node_count(),
         net.edge_count(),
+        setup.algorithm,
         session.evaluator().mlu(),
         session.config().reopt.max_weight_changes,
         session.config().slo_ms,
     );
 
-    if let Some(addr) = flags.get("listen") {
+    if let Some(addr) = flags.value("listen") {
         serve_tcp(addr, &mut session)?;
-    } else if let Some(path) = flags.get("events") {
+    } else if let Some(path) = flags.value("events") {
         let file = std::fs::File::open(path).map_err(|e| format!("--events {path}: {e}"))?;
         let mut out = std::io::stdout().lock();
         serve_stream(&mut session, std::io::BufReader::new(file), &mut out)?;
@@ -1333,73 +1271,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     segrout::obs::gauge("run.mlu").set(session.evaluator().mlu());
     eprintln!("\nrun summary:\n{}", segrout::obs::summary_table());
-    Ok(())
-}
-
-/// Longest event line `segrout serve` reads, newline excluded. The largest
-/// line the daemon's own traffic models produce, a `matrix` event carrying
-/// Ta2's default `mcf` demands, is about 1.3 MB.
-const MAX_EVENT_LINE: usize = 16 << 20;
-
-/// Reads the next line of `input` into `buf`, newline included; `Ok(false)`
-/// at end of input. `buf` is reused across lines and grows to the longest
-/// line read. A line longer than [`MAX_EVENT_LINE`] is discarded through
-/// its newline and leaves `buf` empty, its memory released.
-fn read_event_line<R: std::io::BufRead>(input: &mut R, buf: &mut Vec<u8>) -> std::io::Result<bool> {
-    use std::io::{BufRead, Read};
-    buf.clear();
-    let cap = MAX_EVENT_LINE as u64 + 1;
-    let n = input.by_ref().take(cap).read_until(b'\n', buf)?;
-    if n as u64 == cap && buf.last() != Some(&b'\n') {
-        *buf = Vec::new();
-        input.skip_until(b'\n')?;
-    }
-    Ok(n > 0)
-}
-
-/// Feeds one JSONL event stream through the session, writing one response
-/// line per input line. Returns `true` when a shutdown event arrived.
-fn serve_stream<R: std::io::BufRead, W: std::io::Write>(
-    session: &mut ServeSession<'_>,
-    mut input: R,
-    out: &mut W,
-) -> Result<bool, String> {
-    let mut buf = Vec::new();
-    while read_event_line(&mut input, &mut buf).map_err(|e| format!("event stream: {e}"))? {
-        // Only a line past the cap leaves the buffer empty.
-        let parsed = if buf.is_empty() {
-            Err(format!("event line longer than {MAX_EVENT_LINE} bytes"))
-        } else {
-            let line = std::str::from_utf8(&buf)
-                .map_err(|_| "event stream: stream did not contain valid UTF-8")?
-                .trim();
-            if line.is_empty() {
-                continue;
-            }
-            parse_event(line)
-        };
-        let response = match parsed {
-            Ok(None) => {
-                // Shutdown is a control line, not an event: it gets an ack,
-                // consumes no sequence number, and stops the daemon.
-                let bye = segrout::obs::Json::obj([
-                    ("type", segrout::obs::Json::from("bye")),
-                    ("events", segrout::obs::Json::from(session.stats().events)),
-                ]);
-                writeln!(out, "{}", bye.render()).map_err(|e| format!("response stream: {e}"))?;
-                out.flush().map_err(|e| format!("response stream: {e}"))?;
-                return Ok(true);
-            }
-            Ok(Some(event)) => session.apply(&event),
-            Err(reason) => session.reject(&reason),
-        };
-        writeln!(out, "{}", render_response(&response))
-            .map_err(|e| format!("response stream: {e}"))?;
-        // The daemon is interactive: every answer must reach the peer now,
-        // not at buffer-boundary time.
-        out.flush().map_err(|e| format!("response stream: {e}"))?;
-    }
-    Ok(false)
+    Ok(setup.run())
 }
 
 /// Accepts TCP connections one at a time, serving each until it closes;
@@ -1430,105 +1302,12 @@ fn serve_tcp(addr: &str, session: &mut ServeSession<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses one JSONL input line into a [`ServeEvent`]. `Ok(None)` is the
-/// shutdown control line; `Err` is a malformed line the session will
-/// reject (with the reason echoed in the error reply).
-fn parse_event(line: &str) -> Result<Option<ServeEvent>, String> {
-    let rec = segrout::obs::Json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let kind = rec["event"]
-        .as_str()
-        .ok_or("missing or non-string 'event' field")?;
-    let uint_field = |name: &str| -> Result<u32, String> {
-        rec[name]
-            .as_i64()
-            .and_then(|i| u32::try_from(i).ok())
-            .ok_or_else(|| format!("'{name}' must be a non-negative integer"))
-    };
-    let float_field = |name: &str| -> Result<f64, String> {
-        rec[name]
-            .as_f64()
-            .ok_or_else(|| format!("'{name}' must be a number"))
-    };
-    match kind {
-        "noop" => Ok(Some(ServeEvent::Noop)),
-        "shutdown" => Ok(None),
-        "demand" => Ok(Some(ServeEvent::DemandScale {
-            index: uint_field("index")? as usize,
-            factor: float_field("factor")?,
-        })),
-        "matrix" => {
-            let entries = rec["demands"]
-                .as_arr()
-                .ok_or("'demands' must be an array of [src, dst, size] triples")?;
-            let mut demands = Vec::with_capacity(entries.len());
-            for (i, entry) in entries.iter().enumerate() {
-                let triple = entry
-                    .as_arr()
-                    .filter(|t| t.len() == 3)
-                    .ok_or_else(|| format!("demands[{i}] must be [src, dst, size]"))?;
-                let node = |j: usize| {
-                    triple[j]
-                        .as_i64()
-                        .and_then(|x| u32::try_from(x).ok())
-                        .ok_or_else(|| format!("demands[{i}][{j}] must be a node id"))
-                };
-                let size = triple[2]
-                    .as_f64()
-                    .ok_or_else(|| format!("demands[{i}][2] must be a number"))?;
-                demands.push((NodeId(node(0)?), NodeId(node(1)?), size));
-            }
-            Ok(Some(ServeEvent::DemandMatrix { demands }))
-        }
-        "link_down" => Ok(Some(ServeEvent::LinkDown {
-            edge: EdgeId(uint_field("edge")?),
-        })),
-        "link_up" => Ok(Some(ServeEvent::LinkUp {
-            edge: EdgeId(uint_field("edge")?),
-        })),
-        "capacity" => Ok(Some(ServeEvent::Capacity {
-            edge: EdgeId(uint_field("edge")?),
-            capacity: float_field("capacity")?,
-        })),
-        other => Err(format!("unknown event type '{other}'")),
-    }
-}
-
-/// Renders a [`ServeResponse`] as one protocol line. Latency is excluded:
-/// it is the one nondeterministic field, and the protocol stream must be
-/// byte-identical across replays of the same event log.
-fn render_response(r: &ServeResponse) -> String {
-    use segrout::obs::Json;
-    let diffs = Json::arr(
-        r.weight_diffs
-            .iter()
-            .map(|&(e, old, new)| Json::arr([Json::from(e.0), Json::from(old), Json::from(new)])),
-    );
-    let mut fields = vec![
-        ("type", Json::from("serve")),
-        ("seq", Json::from(r.seq)),
-        ("tier", Json::from(r.tier.as_str())),
-        ("mlu", Json::from(r.mlu)),
-        ("phi", Json::from(r.phi)),
-        ("churn", Json::from(r.churn)),
-        ("evaluations", Json::from(r.evaluations)),
-        ("weight_diffs", diffs),
-    ];
-    if let Some(e) = &r.error {
-        fields.push(("error", Json::from(e.as_str())));
-    }
-    Json::obj(fields).render()
-}
-
-fn cmd_gaps(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_gaps(flags: &Flags) -> Result<Run, String> {
     let which: u32 = flags
-        .get("instance")
-        .ok_or("gaps needs --instance")?
-        .parse()
-        .map_err(|_| "bad --instance")?;
-    let m: usize = flags
-        .get("m")
-        .map(|s| s.parse().map_err(|_| "bad --m"))
-        .transpose()?
+        .get("instance", |_| true, "1, 2, 3, 4 or 5")?
+        .ok_or("gaps needs --instance")?;
+    let m = flags
+        .get("m", |_| true, "a non-negative integer")?
         .unwrap_or(8);
     let (build, min_m): (fn(usize) -> PaperInstance, usize) = match which {
         1 => (instance1, 2),
@@ -1568,34 +1347,30 @@ fn cmd_gaps(flags: &HashMap<String, String>) -> Result<(), String> {
         apx.es_flow_value,
         apx.achieved_ratio()
     );
-    Ok(())
+    Ok(Run::default())
 }
 
-fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_fuzz(flags: &Flags) -> Result<Run, String> {
     // The fuzzer's own metric catalog, pre-registered so every campaign
     // reports the same names.
     for name in ["check.cases", "check.violations", "check.shrink_steps"] {
         segrout::obs::counter(name);
     }
-    let seed: u64 = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed"))
-        .transpose()?
+    let seed = flags
+        .get("seed", |_| true, "a non-negative integer")?
         .unwrap_or(42);
-    let cases: usize = flags
-        .get("cases")
-        .map(|s| s.parse().map_err(|_| "bad --cases"))
-        .transpose()?
+    let cases = flags
+        .get("cases", |_| true, "a non-negative integer")?
         .unwrap_or(500);
     let mut validator = segrout::check::ValidatorConfig::default();
-    if flags.contains_key("fast") {
+    if flags.has("fast") {
         validator.mcf_lower_bound = false;
     }
     let cfg = segrout::check::FuzzConfig {
         seed,
         cases,
-        shrink: !flags.contains_key("no-shrink"),
-        corpus_dir: flags.get("corpus").map(std::path::PathBuf::from),
+        shrink: !flags.has("no-shrink"),
+        corpus_dir: flags.value("corpus").map(std::path::PathBuf::from),
         validator,
     };
 
@@ -1623,18 +1398,21 @@ fn cmd_fuzz(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     println!("\nrun summary:\n{}", segrout::obs::summary_table());
     if report.failures.is_empty() {
-        Ok(())
+        Ok(Run {
+            seed: Some(seed),
+            fields: Vec::new(),
+        })
     } else {
         Err(format!("{} failing case(s)", report.failures.len()))
     }
 }
 
-fn cmd_parse(flags: &HashMap<String, String>) -> Result<(), String> {
-    let (net, demands) = if let Some(path) = flags.get("sndlib") {
+fn cmd_parse(flags: &Flags) -> Result<Run, String> {
+    let (net, demands) = if let Some(path) = flags.value("sndlib") {
         let xml = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let (n, d) = parse_sndlib_xml(&xml).map_err(|e| e.to_string())?;
         (n, d)
-    } else if let Some(path) = flags.get("graphml") {
+    } else if let Some(path) = flags.value("graphml") {
         let xml = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         (
             parse_graphml(&xml, 1000.0).map_err(|e| e.to_string())?,
@@ -1655,61 +1433,5 @@ fn cmd_parse(flags: &HashMap<String, String>) -> Result<(), String> {
             d.total_size()
         );
     }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use segrout::obs::Json;
-
-    /// The largest event line the daemon's own traffic models produce — a
-    /// `matrix` event carrying Ta2's demands under the serve defaults
-    /// (`--traffic mcf --seed 1 --pairs 0.2`) — fits under the line cap and
-    /// parses back to the full matrix.
-    #[test]
-    fn ta2_default_matrix_event_fits_under_the_line_cap() {
-        let net = by_name("Ta2").expect("embedded topology");
-        let cfg = TrafficConfig {
-            seed: 1,
-            pair_fraction: 0.2,
-            ..Default::default()
-        };
-        let demands = mcf_synthetic(&net, &cfg).expect("Ta2 demands");
-        let rows = demands
-            .iter()
-            .map(|d| Json::arr([Json::from(d.src.0), Json::from(d.dst.0), Json::from(d.size)]));
-        let line = Json::obj([
-            ("event", Json::from("matrix")),
-            ("demands", Json::arr(rows)),
-        ])
-        .render();
-        assert!(line.len() > 1_000_000, "{} bytes", line.len());
-        assert!(line.len() <= MAX_EVENT_LINE, "{} bytes", line.len());
-        match parse_event(&line) {
-            Ok(Some(ServeEvent::DemandMatrix { demands: parsed })) => {
-                assert_eq!(parsed.len(), demands.len());
-            }
-            other => panic!("matrix event did not parse back: {other:?}"),
-        }
-    }
-
-    /// Lines up to the cap come back whole, a longer one is discarded
-    /// through its newline, and the next line reads normally.
-    #[test]
-    fn event_lines_past_the_cap_are_discarded() {
-        let fits = "x".repeat(MAX_EVENT_LINE);
-        let input = format!("{fits}\n{fits}y\nnext\ntail");
-        let mut input = std::io::BufReader::new(input.as_bytes());
-        let mut buf = Vec::new();
-        assert!(read_event_line(&mut input, &mut buf).unwrap());
-        assert_eq!(buf.len(), MAX_EVENT_LINE + 1, "the line and its newline");
-        assert!(read_event_line(&mut input, &mut buf).unwrap());
-        assert!(buf.is_empty(), "an oversized line leaves no bytes");
-        assert!(read_event_line(&mut input, &mut buf).unwrap());
-        assert_eq!(buf, b"next\n");
-        assert!(read_event_line(&mut input, &mut buf).unwrap());
-        assert_eq!(buf, b"tail", "a last line without a newline still counts");
-        assert!(!read_event_line(&mut input, &mut buf).unwrap());
-    }
+    Ok(Run::default())
 }

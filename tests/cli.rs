@@ -16,10 +16,13 @@ fn segrout(args: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn topo_list_shows_all_embedded_networks() {
-    let (ok, stdout, _) = segrout(&["topo", "list"]);
-    assert!(ok);
-    for name in ["Abilene", "Germany50", "Ta2"] {
-        assert!(stdout.contains(name), "missing {name} in:\n{stdout}");
+    // A global flag may come before the subcommand.
+    for args in [&["topo", "list"][..], &["topo", "--threads", "1", "list"]] {
+        let (ok, stdout, stderr) = segrout(args);
+        assert!(ok, "{args:?}: {stderr}");
+        for name in ["Abilene", "Germany50", "Ta2"] {
+            assert!(stdout.contains(name), "missing {name} in:\n{stdout}");
+        }
     }
 }
 
@@ -409,6 +412,10 @@ fn unknown_topology_fails_cleanly() {
     let (ok, _, stderr) = segrout(&["optimize", "--topology", "NoSuchNet"]);
     assert!(!ok);
     assert!(stderr.contains("unknown topology"));
+    assert!(
+        !stderr.contains("USAGE"),
+        "a bad value is no usage error: {stderr}"
+    );
 }
 
 #[test]
@@ -475,9 +482,88 @@ fn out_of_range_values_are_errors_naming_the_value() {
         (&["optimize", "--pairs", "5"][..], "--pairs 5"),
         (&["serve", "--pairs", "0"][..], "--pairs 0"),
         (&["sweep", "--pairs", "1.5"][..], "--pairs 1.5"),
+        (&["optimize", "--seed", "x"][..], "--seed x"),
+        (&["optimize", "--restarts", "-1"][..], "--restarts -1"),
+        (&["optimize", "--passes", "0"][..], "--passes 0"),
+        (&["optimize", "--top", "x"][..], "--top x"),
+        (&["optimize", "--algorithm", "best"][..], "--algorithm best"),
+        (&["serve", "--budget", "0"][..], "--budget 0"),
+        (&["fuzz", "--cases", "x"][..], "--cases x"),
+        (&["gaps", "--instance", "x"][..], "--instance x"),
     ] {
-        let (code, _, stderr) = segrout_code(args);
+        let (code, stdout, stderr) = segrout_code(args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(value), "{args:?}: {stderr}");
+        assert!(!stderr.contains("USAGE"), "{args:?}: {stderr}");
+        // Every value is checked before any work starts; only a scaling
+        // that overflows a generated demand shows up while sweeping.
+        if value != "--scalings 1e308" {
+            assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+        }
     }
+}
+
+#[test]
+fn malformed_command_lines_are_usage_errors() {
+    let dir = tmp_dir("malformed");
+    let metrics = dir.join("metrics.jsonl");
+    let _ = std::fs::remove_file(&metrics);
+    for (args, message) in [
+        (
+            &["optimize", "Germany50"][..],
+            "unexpected argument 'Germany50' for 'optimize'",
+        ),
+        (
+            &["sweep", "Germany50"][..],
+            "unexpected argument 'Germany50' for 'sweep'",
+        ),
+        (
+            &["optimize", "--seed", "1", "--seed", "2"][..],
+            "--seed given more than once",
+        ),
+        (
+            &["serve", "--events", "e.jsonl", "--listen", "127.0.0.1:0"][..],
+            "--events and --listen cannot be used together",
+        ),
+        (
+            &["parse", "--sndlib", "a.xml", "--graphml", "b.xml"][..],
+            "--sndlib and --graphml cannot be used together",
+        ),
+    ] {
+        let mut args = args.to_vec();
+        args.extend(["--metrics-out", metrics.to_str().unwrap()]);
+        let (code, stdout, stderr) = segrout_code(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+        assert!(stdout.is_empty(), "{args:?} printed:\n{stdout}");
+        assert!(!metrics.exists(), "{args:?}: an output file was opened");
+    }
+}
+
+#[test]
+fn run_artifact_records_what_ran() {
+    let dir = tmp_dir("run-artifact");
+    let run = |args: &[&str], name: &str| {
+        let path = dir.join(name);
+        let mut args = args.to_vec();
+        args.extend(["--run-out", path.to_str().unwrap()]);
+        let (ok, stdout, stderr) = segrout(&args);
+        assert!(ok, "{args:?}: {stdout}\n{stderr}");
+        segrout::obs::Json::parse(&std::fs::read_to_string(&path).unwrap())
+            .expect("run artifact parses")
+    };
+    // No --seed: the artifact records the seed the command ran with.
+    let art = run(&["optimize", "--algorithm", "unit"], "optimize.json");
+    assert_eq!(art["seed"].as_i64(), Some(1));
+    assert_eq!(art["topology"], "Abilene");
+    assert_eq!(art["algorithm"], "unit");
+    assert_eq!(art["traffic"], "mcf");
+    let art = run(&["sweep", "--restarts", "0", "--passes", "1"], "sweep.json");
+    assert_eq!(art["command"], "sweep");
+    assert_eq!(art["seed"].as_i64(), Some(1));
+    assert_eq!(art["topology"], "Abilene");
+    assert_eq!(art["algorithm"], "heurospf");
+    let art = run(&["fuzz", "--cases", "1", "--fast"], "fuzz.json");
+    assert_eq!(art["seed"].as_i64(), Some(42));
 }

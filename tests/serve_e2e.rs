@@ -4,7 +4,8 @@
 //! malformed events, hostile nesting and oversized lines, a shutdown ack,
 //! and byte-identical response streams when the same event log is
 //! replayed. Over `--listen`, a peer that drops its connection must not
-//! take the daemon down.
+//! take the daemon down. The largest event the daemon's own traffic models
+//! can produce must fit under the line cap.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -13,7 +14,7 @@ use std::time::Duration;
 
 /// Runs `segrout serve` with the given extra args, feeding `input` on
 /// stdin; returns (stdout, stderr, success).
-fn run_serve(input: &str, extra: &[&str]) -> (String, String, bool) {
+fn run_serve(input: impl AsRef<[u8]>, extra: &[&str]) -> (String, String, bool) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_segrout"));
     cmd.arg("serve")
         .args(["--topology", "Abilene", "--restarts", "0", "--passes", "2"])
@@ -26,7 +27,7 @@ fn run_serve(input: &str, extra: &[&str]) -> (String, String, bool) {
         .stdin
         .take()
         .expect("piped")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("stdin accepts the event log");
     let out = child.wait_with_output().expect("binary exits");
     (
@@ -137,9 +138,9 @@ fn event_file_replay_matches_stdin() {
 /// Feeds `hostile` then a well-formed event and checks the daemon answers
 /// both in order: an error reply naming `reason` at seq 1, then the event
 /// at seq 2.
-fn assert_rejected_then_served(hostile: &str, reason: &str) {
-    let input = format!("{hostile}\n{{\"event\":\"demand\",\"index\":3,\"factor\":1.5}}\n");
-    let (stdout, stderr, ok) = run_serve(&input, &[]);
+fn assert_rejected_then_served(hostile: &[u8], reason: &str) {
+    let served = b"\n{\"event\":\"demand\",\"index\":3,\"factor\":1.5}\n";
+    let (stdout, stderr, ok) = run_serve([hostile, served].concat(), &[]);
     assert!(ok, "serve must exit cleanly; stderr:\n{stderr}");
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines.len(), 2, "stdout:\n{stdout}");
@@ -159,13 +160,51 @@ fn assert_rejected_then_served(hostile: &str, reason: &str) {
 
 #[test]
 fn deeply_nested_line_gets_an_error_reply() {
-    assert_rejected_then_served(&"[".repeat(300_000), "nesting deeper than");
+    assert_rejected_then_served("[".repeat(300_000).as_bytes(), "nesting deeper than");
 }
 
 #[test]
 fn oversized_line_gets_an_error_reply() {
     // 32 MiB before the newline: twice the daemon's line cap.
-    assert_rejected_then_served(&"x".repeat(32 << 20), "event line longer than");
+    assert_rejected_then_served("x".repeat(32 << 20).as_bytes(), "event line longer than");
+}
+
+#[test]
+fn non_utf8_line_gets_an_error_reply() {
+    assert_rejected_then_served(b"\xff\xfe", "event line is not valid UTF-8");
+}
+
+/// The largest event line the daemon's own traffic models produce — a
+/// `matrix` event carrying Ta2's demands under the serve defaults
+/// (`--traffic mcf --seed 1 --pairs 0.2`) — fits under the line cap and
+/// parses back to the full matrix.
+#[test]
+fn ta2_default_matrix_event_fits_under_the_line_cap() {
+    use segrout::algos::{parse_event, ServeEvent, MAX_EVENT_LINE};
+    use segrout::obs::Json;
+    let net = segrout::topo::by_name("Ta2").expect("embedded topology");
+    let cfg = segrout::traffic::TrafficConfig {
+        seed: 1,
+        pair_fraction: 0.2,
+        ..Default::default()
+    };
+    let demands = segrout::traffic::mcf_synthetic(&net, &cfg).expect("Ta2 demands");
+    let rows = demands
+        .iter()
+        .map(|d| Json::arr([Json::from(d.src.0), Json::from(d.dst.0), Json::from(d.size)]));
+    let line = Json::obj([
+        ("event", Json::from("matrix")),
+        ("demands", Json::arr(rows)),
+    ])
+    .render();
+    assert!(line.len() > 1_000_000, "{} bytes", line.len());
+    assert!(line.len() <= MAX_EVENT_LINE, "{} bytes", line.len());
+    match parse_event(&line) {
+        Ok(Some(ServeEvent::DemandMatrix { demands: parsed })) => {
+            assert_eq!(parsed.len(), demands.len());
+        }
+        other => panic!("matrix event did not parse back: {other:?}"),
+    }
 }
 
 #[test]

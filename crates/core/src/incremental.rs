@@ -7,31 +7,47 @@
 //! pass: *"what are Φ / MLU if edge `e`'s weight becomes `w`?"* Answering it
 //! from scratch costs one Dijkstra plus one load propagation **per
 //! destination**, even though a single-edge change leaves most shortest-path
-//! DAGs untouched. [`IncrementalEvaluator`] maintains, for a base weight
-//! vector, every per-destination SP-DAG *and* a per-destination decomposition
-//! of the link-load vector, and answers probes in three steps:
+//! DAGs untouched, and most of a touched DAG's flow where it was.
+//! [`IncrementalEvaluator`] maintains, for a base weight vector, every
+//! per-destination SP-DAG, every destination's node flows *and* a
+//! per-destination decomposition of the link-load vector, and answers
+//! probes in three steps whose cost follows the damage a change does, not
+//! the size of the graph:
 //!
 //! 1. **Affected-destination test** — destination `t` is *dirty* only if the
 //!    changed edge can alter `t`'s DAG: a weight increase on an edge that is
 //!    on the DAG, or a decrease that reaches the current distance at the
 //!    edge's tail ([`segrout_graph::edge_change_affects_dag`]). Everything
 //!    else is provably clean and is skipped entirely.
-//! 2. **Bounded DAG repair** — dirty destinations are repaired with a
-//!    Ramalingam–Reps-style dynamic Dijkstra update
-//!    ([`segrout_graph::update_shortest_path_dag`]) whose work is
-//!    proportional to the set of nodes whose distance actually changes; when
-//!    that set exceeds the *fallback threshold* (`frontier_cap`, default
-//!    half the node count) a full per-destination Dijkstra runs instead.
-//! 3. **Load patching** — each dirty destination's load partial is
-//!    re-propagated over its repaired DAG; the total load vector is then
-//!    re-summed from the per-destination partials **in ascending destination
-//!    order**. Clean destinations contribute their cached partials, so no
-//!    propagation runs for them — but the summation order is exactly the one
-//!    the from-scratch evaluator uses, which keeps every load, Φ and MLU
-//!    value **bit-identical** to [`crate::Router`] at any thread count. (A
+//! 2. **Bounded repair into a diff** — dirty destinations are repaired with
+//!    a Ramalingam–Reps-style dynamic Dijkstra update
+//!    ([`segrout_graph::DagRepair`]) in per-thread, epoch-stamped scratch.
+//!    It leaves a diff: the nodes whose distance moved, with their new
+//!    distances, as an overlay on the committed DAG, which answers whether
+//!    an edge is on the repaired DAG by re-testing only the edges the
+//!    change can flip. When the moved set exceeds the *fallback threshold*
+//!    (`frontier_cap`, default half the node count), or two dead edges sit
+//!    on one DAG, a full per-destination Dijkstra produces the diff
+//!    instead. A probe builds no DAG: only
+//!    [`IncrementalEvaluator::commit`] turns the accepted change's diffs
+//!    into DAGs ([`segrout_graph::patch_dag`]).
+//! 3. **Sparse re-spread and column fold** — from the diff, only the nodes
+//!    whose flow can change are re-spread: the moved nodes that carry flow
+//!    and both ends of every flipped edge whose tail carries flow seed a
+//!    worklist, processed in the repaired DAG's topological order. Each
+//!    re-accumulates its seed plus its in-edges' shares in exactly the
+//!    order the full propagation adds them, and a node passes the change on
+//!    to its next hops only if it carries flow and its flow, next hops or
+//!    position changed. The changed
+//!    node flows and load partials are kept as `(index, value)` pairs; the
+//!    probe's total loads are the committed totals with only the touched
+//!    edges' columns re-summed, **in ascending destination order** with the
+//!    probe's values substituted — exactly the operation sequence of the
+//!    from-scratch evaluator, which keeps every load, Φ and MLU value
+//!    **bit-identical** to [`crate::Router`] at any thread count. (A
 //!    subtract-stale/add-new patch would be cheaper still, but `f64`
-//!    addition is not associative — re-folding cached partials is the only
-//!    patch that preserves the bit pattern.)
+//!    addition is not associative — re-summing a column is the only patch
+//!    that preserves the bit pattern.)
 //!
 //! These steps are one change path. A weight probe
 //! ([`IncrementalEvaluator::probe`]), a failure probe
@@ -40,17 +56,20 @@
 //! per-destination loop, which branches on the change only to classify a
 //! destination: a link going down is a weight increase to ∞ on the edges it
 //! kills, a link coming back up a weight decrease from ∞. Each yields a
-//! [`Probe`], and [`IncrementalEvaluator::commit`] applies any of them.
+//! [`Probe`], and [`IncrementalEvaluator::commit`] applies any of them: it
+//! patches the changed DAGs, writes the changed partials and node flows,
+//! and takes the totals, Φ and MLU from the probe, which already holds the
+//! exact fold.
 //!
-//! The partials live in a `LoadArena`: one flat `|D| · |E|` slab instead
-//! of `|D|` separate `Vec`s, plus a *prefix slab* caching the ascending fold
-//! up to every destination. A probe whose first dirty destination is `i`
-//! starts from a straight copy of prefix row `i - 1` and only folds rows
-//! `i..` — bit-safe, because the skipped prefix **is** the identical `f64`
-//! operation sequence, just cached from the last commit (no reassociation
-//! happens). A fully clean probe is a single copy of the committed totals.
-//! The re-fold itself is a branch-free add over two contiguous `f64` slices
-//! the compiler can autovectorize.
+//! The partials live in a `LoadArena`: one flat `|E| · |D|` slab stored
+//! edge-major, so edge `e`'s partials under every destination form one
+//! contiguous column and a re-sum walks it without striding. Every column
+//! is its own ascending fold over destinations (the router adds
+//! per-destination vectors elementwise), so re-summing the touched columns
+//! and copying the others from the committed totals is bit-safe. Next to
+//! the injection seeds, an `n × |D|` slab caches every destination's node
+//! flows — what the propagation leaves behind — so the re-spread reads the
+//! flows it does not recompute.
 //!
 //! An evaluator built with failed links keeps them as a disabled-edge mask
 //! through every build, repair and probe
@@ -61,7 +80,9 @@
 //! Probes borrow the evaluator read-only, so a speculative candidate
 //! neighbourhood can be scored in parallel on the `segrout-par` pool against
 //! one shared base state; the accepted candidate is then applied in place
-//! with [`IncrementalEvaluator::commit`].
+//! with [`IncrementalEvaluator::commit`]. Once a worker's scratch has grown
+//! to the graph, a probe allocates a fixed handful of buffers whatever the
+//! number of dirty destinations (`tests/probe_allocs.rs` pins this).
 //!
 //! Bit-identity of the repaired DAGs additionally relies on tie-exact
 //! weights — sums of weights must be exactly representable so that shortest-
@@ -75,18 +96,19 @@
 use crate::cost::{fortz_phi, max_link_utilization};
 use crate::demand::DemandList;
 use crate::ecmp::{
-    group_by_destination, propagate_destination, recompute_counter, segments, spread_seeded,
-    Segment,
+    group_by_destination, propagate_destination, recompute_counter, segments, Segment,
 };
 use crate::error::TeError;
 use crate::network::Network;
 use crate::waypoints::WaypointSetting;
 use crate::weights::WeightSetting;
 use segrout_graph::{
-    edge_change_affects_dag, edge_disabled, shortest_path_dag, update_shortest_path_dag, EdgeId,
-    NodeId, SpDag, SpDagUpdate,
+    edge_change_affects_dag, edge_disabled, order_cmp, patch_dag, shortest_path_dag, DagRepair,
+    EdgeId, NodeId, RepairOutcome, SpDag, EPS,
 };
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 /// Counter handles for the incremental engine, resolved once per process
@@ -100,11 +122,10 @@ struct IncrCounters {
     clean_dests: Arc<segrout_obs::Counter>,
     /// Bounded dynamic-Dijkstra repairs that stayed under the threshold.
     repairs: Arc<segrout_obs::Counter>,
-    /// Changes whose load fold started from a cached prefix row (or from
-    /// the committed totals, for fully clean changes).
+    /// Changes whose load fold reused the committed totals of the columns
+    /// they left untouched (every scored change and workload update).
     arena_reuses: Arc<segrout_obs::Counter>,
-    /// Prefix-slab (re)folds: one at construction, one per commit or
-    /// workload update with dirty destinations.
+    /// Full refolds of every column: one per construction or rebuild.
     arena_rebuilds: Arc<segrout_obs::Counter>,
     /// Edge-disable (failure-scenario) probes answered.
     disable_probes: Arc<segrout_obs::Counter>,
@@ -123,123 +144,244 @@ fn counters() -> &'static IncrCounters {
     })
 }
 
-/// Branch-free elementwise `out[j] += row[j]` over two contiguous slices —
-/// the single accumulation kernel every load fold in this module uses, so
-/// the operation sequence (and therefore every bit) is shared.
-#[inline]
-fn add_assign(out: &mut [f64], row: &[f64]) {
-    debug_assert_eq!(out.len(), row.len());
-    for (slot, &x) in out.iter_mut().zip(row) {
-        *slot += x;
-    }
-}
-
-/// Flat per-destination load storage: all `|D|` link-load partials in one
-/// contiguous `|D| · stride` slab, plus a prefix slab whose row `i` caches
-/// the ascending-order fold of rows `0..=i`.
-///
-/// Both slabs are allocated once and reused across every probe and commit —
-/// no per-candidate allocation, and the prefix rows let probes skip the
-/// clean head of the fold entirely (see module docs for why that preserves
-/// bit-identity).
+/// Flat per-destination load storage, edge-major: column `e` holds edge
+/// `e`'s partial under each of the `|D|` destinations, ascending, so a
+/// column's fold walks one contiguous run.
 struct LoadArena {
-    stride: usize,
     dests: usize,
-    rows: Vec<f64>,
-    prefix: Vec<f64>,
+    cols: Vec<f64>,
 }
 
 impl LoadArena {
-    /// Takes ownership of the concatenated per-destination rows and computes
-    /// the prefix slab.
-    fn new(stride: usize, dests: usize, rows: Vec<f64>) -> Self {
-        debug_assert_eq!(rows.len(), stride * dests);
-        let mut arena = Self {
-            stride,
-            dests,
-            rows,
-            prefix: vec![0.0; stride * dests],
-        };
-        arena.refold_from(0);
-        arena
-    }
-
+    /// The slab index of edge `e`'s partial under destination `i`.
     #[inline]
-    fn row(&self, i: usize) -> &[f64] {
-        &self.rows[i * self.stride..(i + 1) * self.stride]
+    fn at(&self, e: EdgeId, i: usize) -> usize {
+        e.index() * self.dests + i
     }
+}
 
-    #[inline]
-    fn prefix_row(&self, i: usize) -> &[f64] {
-        &self.prefix[i * self.stride..(i + 1) * self.stride]
-    }
+/// How many load columns one fold sums side by side.
+const LANES: usize = 8;
 
-    /// The committed totals: the fold over all rows (zeros if no rows).
-    fn total(&self, out: &mut Vec<f64>) {
-        out.clear();
-        if self.dests == 0 {
-            out.resize(self.stride, 0.0);
-        } else {
-            out.extend_from_slice(self.prefix_row(self.dests - 1));
+/// The ascending sums `0.0 + p_0 + p_1 + …` of up to [`LANES`] load
+/// columns, given interleaved (`lanes[i * LANES + c]` is column `c`'s
+/// partial under destination `i`): the router's fold over destinations,
+/// one column per edge. Each lane is its own chain, added in its own
+/// order; the lanes only run side by side, which lets them vectorize and
+/// overlap without reassociating any sum.
+fn fold_lanes(lanes: &[f64]) -> [f64; LANES] {
+    let mut acc = [0.0; LANES];
+    for row in lanes.chunks_exact(LANES) {
+        for (sum, &x) in acc.iter_mut().zip(row) {
+            *sum += x;
         }
     }
+    acc
+}
 
-    /// Overwrites the rows of destinations `dests` (ascending) with the
-    /// consecutive `stride`-wide chunks of `rows`, then refolds the prefix
-    /// slab from the first of them — the one place rows change after
-    /// construction.
-    fn replace_rows(&mut self, dests: impl IntoIterator<Item = usize>, rows: &[f64]) {
-        let s = self.stride;
-        let mut first = None;
-        for (k, i) in dests.into_iter().enumerate() {
-            first.get_or_insert(i);
-            self.rows[i * s..(i + 1) * s].copy_from_slice(&rows[k * s..(k + 1) * s]);
+/// The load columns one change touches, gathered for its fold. A column is
+/// copied in the first time the change writes one of its partials,
+/// interleaved [`LANES`] to a block as [`fold_lanes`] reads them; every new
+/// partial is then written over its copy. A per-edge stamp finds a
+/// column's copy, so the partials need no sorting.
+#[derive(Default)]
+struct Columns {
+    epoch: u32,
+    slot_at: Vec<u32>,
+    slot: Vec<u32>,
+    /// The gathered columns' edges, by slot.
+    edges: Vec<EdgeId>,
+    /// Block `b` holds slots `b * LANES..`: `lanes[b * d * LANES + i *
+    /// LANES + c]` is slot `b * LANES + c`'s partial under destination `i`.
+    lanes: Vec<f64>,
+}
+
+impl Columns {
+    fn begin(&mut self, edge_count: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slot_at.fill(0);
+            self.epoch = 1;
         }
-        if let Some(first) = first {
-            self.refold_from(first);
-            counters().arena_rebuilds.inc();
+        if self.slot_at.len() < edge_count {
+            self.slot_at.resize(edge_count, 0);
+            self.slot.resize(edge_count, 0);
         }
+        self.edges.clear();
+        self.lanes.clear();
     }
 
-    /// Recomputes prefix rows `first..` after rows changed. Row `i` is the
-    /// copy of row `i - 1`'s prefix plus row `i` — exactly the operation
-    /// sequence of a from-zero ascending fold (the copy stands in for the
-    /// fold's partial sum, which it is).
-    fn refold_from(&mut self, first: usize) {
-        let s = self.stride;
-        for i in first..self.dests {
-            if i == 0 {
-                self.prefix[..s].copy_from_slice(&self.rows[..s]);
-            } else {
-                self.prefix.copy_within((i - 1) * s..i * s, i * s);
-                add_assign(
-                    &mut self.prefix[i * s..(i + 1) * s],
-                    &self.rows[i * s..(i + 1) * s],
-                );
+    /// The slot of column `e`, gathering the column on first use.
+    fn slot(&mut self, arena: &LoadArena, e: EdgeId) -> usize {
+        let d = arena.dests;
+        if self.slot_at[e.index()] != self.epoch {
+            let s = self.edges.len();
+            self.slot_at[e.index()] = self.epoch;
+            self.slot[e.index()] = s as u32;
+            self.edges.push(e);
+            if s.is_multiple_of(LANES) {
+                self.lanes.resize(self.lanes.len() + d * LANES, 0.0);
+            }
+            let block = &mut self.lanes[(s / LANES) * d * LANES..];
+            let column = &arena.cols[e.index() * d..(e.index() + 1) * d];
+            for (slot, &x) in block[s % LANES..].iter_mut().step_by(LANES).zip(column) {
+                *slot = x;
+            }
+        }
+        self.slot[e.index()] as usize
+    }
+
+    /// Substitutes `x` for edge `e`'s partial under destination `i`.
+    fn write(&mut self, arena: &LoadArena, e: EdgeId, i: usize, x: f64) {
+        let s = self.slot(arena, e);
+        self.lanes[((s / LANES) * arena.dests + i) * LANES + s % LANES] = x;
+    }
+
+    /// Writes the fold of every gathered column into `loads`.
+    fn fold_into(&self, d: usize, loads: &mut [f64]) {
+        let blocks = self.lanes.chunks(d.max(1) * LANES);
+        for (block, edges) in blocks.zip(self.edges.chunks(LANES)) {
+            for (e, sum) in edges.iter().zip(fold_lanes(block)) {
+                loads[e.index()] = sum;
             }
         }
     }
 }
 
-/// Per-worker scratch reused across changes: the node-flow propagation
-/// buffer, the patched weight vector of a weight change and the patched
-/// mask of a link-state change. Probes run on pool workers, so a
-/// thread-local gives each worker its buffers once for the whole search
-/// instead of once per candidate.
-struct Scratch {
+/// A probe's sparse answer against the committed state: the repaired
+/// destinations' moved nodes and the changed node flows and load partials.
+/// Scored in per-thread scratch and copied into the [`Probe`] at its exact
+/// size.
+#[derive(Clone, Debug, Default)]
+struct Diff {
+    /// Per repaired destination: its index and the end of its run in
+    /// `moved`.
+    dags: Vec<(usize, usize)>,
+    /// Moved nodes with their new distances, destination after destination.
+    moved: Vec<(NodeId, f64)>,
+    /// Changed node flows: `(flow-slab index, new flow)`.
+    flows: Vec<(usize, f64)>,
+    /// Changed load partials: `(edge, destination index, new partial)`.
+    partials: Vec<(EdgeId, u32, f64)>,
+}
+
+impl Diff {
+    fn clear(&mut self) {
+        self.dags.clear();
+        self.moved.clear();
+        self.flows.clear();
+        self.partials.clear();
+    }
+}
+
+/// Per-thread scratch of the sparse re-spread, stamped per destination: a
+/// node's slot counts only under the current stamp, so no O(n) clear runs.
+#[derive(Default)]
+struct Spread {
+    epoch: u32,
+    /// Nodes put on the worklist (popped or not).
+    queued_at: Vec<u32>,
+    /// Re-spread nodes: their new flow and the share each of their next
+    /// hops receives (0 when they do not split).
+    done_at: Vec<u32>,
+    flow: Vec<f64>,
+    share: Vec<f64>,
+    /// The worklist, keyed by repaired order: a non-negative distance's bit
+    /// pattern orders like its value, so the max-heap pops the largest
+    /// distance first and, on ties, the lowest node id — [`order_cmp`]
+    /// order.
+    heap: BinaryHeap<(u64, Reverse<u32>)>,
+    /// One node's in-edges on the repaired DAG: `(tail key, edge, share)`.
+    tails: Vec<((f64, NodeId), EdgeId, f64)>,
+    /// The full re-spread: the repaired order, the moved nodes still
+    /// reaching the target by key, the node flows and the repaired edge
+    /// set.
+    order: Vec<NodeId>,
+    back: Vec<(f64, NodeId)>,
     node_flow: Vec<f64>,
+    edge_on: Vec<bool>,
+    /// One node's out-edges that are on the old or the repaired DAG, with
+    /// both flags.
+    outs: Vec<(EdgeId, NodeId, bool, bool)>,
+}
+
+impl Spread {
+    fn begin(&mut self, n: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.queued_at.fill(0);
+            self.done_at.fill(0);
+            self.epoch = 1;
+        }
+        if self.queued_at.len() < n {
+            self.queued_at.resize(n, 0);
+            self.done_at.resize(n, 0);
+            self.flow.resize(n, 0.0);
+            self.share.resize(n, 0.0);
+        }
+        self.heap.clear();
+    }
+
+    #[inline]
+    fn push(&mut self, (d, v): (f64, NodeId)) {
+        let slot = &mut self.queued_at[v.index()];
+        if *slot != self.epoch {
+            *slot = self.epoch;
+            self.heap.push((d.to_bits(), Reverse(v.0)));
+        }
+    }
+
+    /// `v`'s new flow and share, if `v` was re-spread.
+    #[inline]
+    fn settled(&self, v: NodeId) -> Option<(f64, f64)> {
+        let i = v.index();
+        (self.done_at[i] == self.epoch).then(|| (self.flow[i], self.share[i]))
+    }
+
+    #[inline]
+    fn settle(&mut self, v: NodeId, flow: f64, share: f64) {
+        self.done_at[v.index()] = self.epoch;
+        self.flow[v.index()] = flow;
+        self.share[v.index()] = share;
+    }
+}
+
+/// What a node with `flow` and `next_hops` next hops sends over each of
+/// them: the propagation's `flow / next_hops`, or nothing at or below `EPS`
+/// (the target has no next hops).
+fn share(flow: f64, next_hops: usize) -> f64 {
+    if flow > EPS && next_hops > 0 {
+        flow / next_hops as f64
+    } else {
+        0.0
+    }
+}
+
+/// The new weights and mask a change is scored under, and the edges whose
+/// weight or mask bit it sets.
+struct Changed<'a> {
+    weights: &'a [f64],
+    mask: &'a [bool],
+    edges: &'a [EdgeId],
+}
+
+/// Per-worker scratch reused across changes: the patched weight vector of
+/// a weight change, the patched mask of a link-state change, the repair
+/// and re-spread scratch and the probe's diff under construction. Probes
+/// run on pool workers, so a thread-local gives each worker its buffers
+/// once for the whole search instead of once per candidate.
+#[derive(Default)]
+struct Scratch {
     weights: Vec<f64>,
     mask: Vec<bool>,
+    repair: DagRepair,
+    spread: Spread,
+    columns: Columns,
+    diff: Diff,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = const {
-        RefCell::new(Scratch {
-            node_flow: Vec::new(),
-            weights: Vec::new(),
-            mask: Vec::new(),
-        })
-    };
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Widens a disabled-edge mask (empty: nothing disabled) to one flag per
@@ -262,6 +404,16 @@ enum Change {
     Up(EdgeId),
 }
 
+impl Change {
+    /// The edges whose weight or mask bit the change sets.
+    fn edges(&self) -> &[EdgeId] {
+        match self {
+            Change::Weight(e, _) | Change::Up(e) => std::slice::from_ref(e),
+            Change::Down(dead) => dead,
+        }
+    }
+}
+
 /// How one destination's DAG absorbs a [`Change`].
 enum Fix {
     /// Provably unaffected.
@@ -269,12 +421,12 @@ enum Fix {
     /// A bounded repair for edge `e` whose old weight is given
     /// (`f64::INFINITY`: the edge was down).
     Repair(EdgeId, f64),
-    /// Two or more dead edges on the DAG: a full masked rebuild.
+    /// Two or more dead edges on the DAG: a full masked Dijkstra.
     Rebuild,
 }
 
 /// The answer to one speculative change: the full objective state it would
-/// produce, plus the repaired per-destination data needed to
+/// produce, plus the sparse diff needed to
 /// [`IncrementalEvaluator::commit`] it in place.
 #[derive(Clone, Debug)]
 pub struct Probe {
@@ -289,12 +441,8 @@ pub struct Probe {
     pub mlu: f64,
     /// Number of destinations whose DAG had to be repaired or rebuilt.
     pub dirty_count: usize,
-    /// Repaired `(dest index, DAG)` pairs, ascending by index.
-    dirty: Vec<(usize, Arc<SpDag>)>,
-    /// Repaired load partials, one `edge_count` chunk per `dirty` entry, in
-    /// the same order — a single contiguous slab instead of one `Vec` per
-    /// dirty destination.
-    dirty_partials: Vec<f64>,
+    /// The repaired DAGs, node flows and partials, as a diff.
+    diff: Diff,
     /// Base-state generation this probe was computed against.
     generation: u64,
 }
@@ -349,13 +497,15 @@ pub struct IncrementalEvaluator<'n> {
     /// Flat `n × dests` slab of pre-folded injection seeds: row `i` is
     /// `node_flow` after seeding destination `i`'s injections. Injections
     /// and reachability are weight-independent (validated once at build), so
-    /// probes seed propagation with a row copy instead of re-folding a few
-    /// hundred injections per dirty destination.
+    /// the re-spread reads a node's seed instead of re-folding injections.
     seeds: Vec<f64>,
+    /// Flat `n × dests` slab of node flows: row `i` is what propagating
+    /// destination `i` leaves in `node_flow` (seed plus inflow per node).
+    flows: Vec<f64>,
     /// Current SP-DAG per destination.
-    dags: Vec<Arc<SpDag>>,
-    /// Per-destination link-load partials and their prefix folds, in flat
-    /// slabs; `loads` is the fold over all rows.
+    dags: Vec<SpDag>,
+    /// Per-destination link-load partials, edge-major; `loads` is the fold
+    /// of every column.
     arena: LoadArena,
     /// Effective link capacities. Initialized from the network; capacity
     /// events ([`set_capacity`](Self::set_capacity)) override entries here so
@@ -419,40 +569,48 @@ impl<'n> IncrementalEvaluator<'n> {
             group_by_destination(segments).into_iter().collect();
         let n = net.node_count();
         let m = net.edge_count();
+        let d = grouped.len();
 
         // Full build: one Dijkstra + one propagation per destination, fanned
         // out on the pool (pure per-destination work, summed on the caller).
         let recomputes = recompute_counter();
-        let built = segrout_par::par_map(grouped.len(), |i| {
+        let built = segrout_par::par_map(d, |i| {
             let (t, injections) = &grouped[i];
             recomputes.inc();
-            let dag = Arc::new(shortest_path_dag(net.graph(), &weights, *t, &disabled));
+            let dag = shortest_path_dag(net.graph(), &weights, *t, &disabled);
             let mut partial = vec![0.0; m];
             let mut node_flow = vec![0.0; n];
-            propagate_destination(net, &dag, injections, &mut partial, &mut node_flow)
-                .map(|()| (dag, partial))
+            propagate_destination(net, &dag, injections, &mut partial, &mut node_flow)?;
+            Ok::<_, TeError>((dag, partial, node_flow))
         });
 
-        let mut dests = Vec::with_capacity(grouped.len());
-        let mut seeds = vec![0.0; grouped.len() * n];
-        let mut dags = Vec::with_capacity(grouped.len());
-        let mut rows = Vec::with_capacity(grouped.len() * m);
+        let mut dests = Vec::with_capacity(d);
+        let mut seeds = vec![0.0; d * n];
+        let mut flows = vec![0.0; d * n];
+        let mut dags = Vec::with_capacity(d);
+        let mut arena = LoadArena {
+            dests: d,
+            cols: vec![0.0; m * d],
+        };
+        let mut loads = vec![0.0; m];
         for ((i, (t, inj)), b) in grouped.into_iter().enumerate().zip(built) {
-            let (dag, partial) = b?;
+            let (dag, partial, node_flow) = b?;
             // The same fold the router's injection loop performs, cached.
             let seed_row = &mut seeds[i * n..(i + 1) * n];
             for &(s, amount) in &inj {
                 seed_row[s.index()] += amount;
             }
+            flows[i * n..(i + 1) * n].copy_from_slice(&node_flow);
+            // Every column's ascending fold, advanced one destination at a
+            // time as the router sums its per-destination vectors.
+            for (e, (total, &x)) in loads.iter_mut().zip(&partial).enumerate() {
+                *total += x;
+                arena.cols[e * d + i] = x;
+            }
             dests.push(t);
             dags.push(dag);
-            rows.extend_from_slice(&partial);
         }
-
-        let arena = LoadArena::new(m, dests.len(), rows);
         counters().arena_rebuilds.inc();
-        let mut loads = Vec::with_capacity(m);
-        arena.total(&mut loads);
         let caps = net.capacities().to_vec();
         let phi = fortz_phi(&loads, &caps);
         let mlu = max_link_utilization(&loads, &caps);
@@ -462,6 +620,7 @@ impl<'n> IncrementalEvaluator<'n> {
             disabled,
             dests,
             seeds,
+            flows,
             dags,
             arena,
             caps,
@@ -475,7 +634,8 @@ impl<'n> IncrementalEvaluator<'n> {
 
     /// Overrides the repair-frontier fallback threshold (number of affected
     /// nodes above which a dirty destination is rebuilt from scratch).
-    pub fn with_frontier_cap(mut self, cap: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_frontier_cap(mut self, cap: usize) -> Self {
         self.frontier_cap = cap.max(1);
         self
     }
@@ -571,12 +731,12 @@ impl<'n> IncrementalEvaluator<'n> {
     ///
     /// The failed edges are masked out exactly as if deleted: destinations
     /// whose DAG does not use any dead edge are provably clean and skipped;
-    /// a DAG with one dead edge on it is repaired by
-    /// [`update_shortest_path_dag`] as a weight increase to ∞, one with two
-    /// or more is rebuilt under the mask, and the result is bit-identical to
-    /// a from-scratch evaluation on the edge-deleted topology. A scenario
-    /// that cuts some demand off its destination returns
-    /// [`TeError::Unroutable`] naming a severed `(src, dst)` pair — the
+    /// a DAG with one dead edge on it is repaired by a bounded repair (a
+    /// weight increase to ∞), one with two or more by a full Dijkstra under
+    /// the mask, and the result is bit-identical to a from-scratch
+    /// evaluation on the edge-deleted topology. A scenario that cuts some
+    /// demand off its destination returns [`TeError::Unroutable`] naming
+    /// the lowest severed source of the lowest severed destination — the
     /// caller classifies it as disconnected.
     ///
     /// Edges already disabled in the base mask are ignored; an empty `dead`
@@ -643,22 +803,23 @@ impl<'n> IncrementalEvaluator<'n> {
 
     /// The one change path: scores `change` against the committed state
     /// without mutating it. Every destination is classified ([`Self::fix`]);
-    /// the dirty ones are repaired or rebuilt under the changed weights and
-    /// mask, re-seeded and re-spread into a partial slab, and the totals are
-    /// folded from the cached prefix.
+    /// the dirty ones are diffed under the changed weights and mask and
+    /// re-spread where their flow can change, and the touched columns are
+    /// re-summed.
     fn score(&self, change: Change) -> Result<Probe, TeError> {
         let c = counters();
         let g = self.net.graph();
         let n = self.net.node_count();
-        let m = self.net.edge_count();
         let recomputes = recompute_counter();
         SCRATCH.with(|s| {
             let Scratch {
-                node_flow,
                 weights,
                 mask,
+                repair,
+                spread,
+                columns,
+                diff,
             } = &mut *s.borrow_mut();
-            node_flow.resize(n, 0.0);
             // A weight change patches a copy of the weights and borrows the
             // base mask; a link-state change patches a copy of the mask and
             // borrows the base weights.
@@ -673,119 +834,327 @@ impl<'n> IncrementalEvaluator<'n> {
                 Change::Up(e) => (&self.weights, self.mask_with(mask, &[*e], false)),
             };
 
-            // Size the partials slab once: every destination the
-            // classification calls dirty gets a new DAG.
-            let k = self
-                .dags
-                .iter()
-                .filter(|dag| !matches!(self.fix(&change, dag), Fix::Clean))
-                .count();
-            let mut dirty: Vec<(usize, Arc<SpDag>)> = Vec::with_capacity(k);
-            let mut dirty_partials = vec![0.0; k * m];
+            diff.clear();
+            let mut dirty_count = 0;
             for (i, dag) in self.dags.iter().enumerate() {
-                let repaired = match self.fix(&change, dag) {
+                // A bounded repair moves few nodes and is re-spread where
+                // flow can change; a full Dijkstra may move most of them
+                // and is re-spread in full.
+                let bounded = match self.fix(&change, dag) {
                     Fix::Clean => continue,
                     Fix::Repair(e, old_w) => {
                         let cap = self.frontier_cap;
-                        match update_shortest_path_dag(g, weights, dag, e, old_w, cap, mask) {
-                            SpDagUpdate::Unchanged => continue,
-                            SpDagUpdate::Repaired(d, _) => {
+                        match repair.repair(g, weights, dag, e, old_w, cap, mask) {
+                            RepairOutcome::Unchanged => continue,
+                            RepairOutcome::Repaired(_) => {
                                 c.repairs.inc();
-                                d
+                                true
                             }
-                            SpDagUpdate::Rebuilt(d) => {
+                            RepairOutcome::Rebuilt => {
                                 recomputes.inc();
-                                d
+                                false
                             }
                         }
                     }
                     Fix::Rebuild => {
                         recomputes.inc();
-                        shortest_path_dag(g, weights, dag.target, mask)
+                        repair.rebuild(g, weights, dag, change.edges(), mask);
+                        false
                     }
                 };
-                // Seed from the cached injection fold (bitwise the values
-                // the injection loop produces). Only a failure can sever a
-                // seeded source, which spread_seeded would drop silently; a
-                // lighter edge or a link coming back only adds paths.
-                let seed_row = &self.seeds[i * n..(i + 1) * n];
+                dirty_count += 1;
+                // Only a failure can cut a seeded source off, which the
+                // spread would drop silently; a lighter edge or a link
+                // coming back only adds paths. A node cut off has moved to
+                // ∞, so the moved nodes are the only candidates.
                 if let Change::Down(_) = change {
-                    for (j, &f) in seed_row.iter().enumerate() {
-                        if f > 0.0 && !repaired.reaches_target(NodeId(j as u32)) {
-                            return Err(TeError::Unroutable {
-                                src: NodeId(j as u32),
-                                dst: self.dests[i],
-                            });
-                        }
+                    let seed_row = &self.seeds[i * n..(i + 1) * n];
+                    let cut = repair
+                        .moved()
+                        .iter()
+                        .filter(|&&(v, d)| d == f64::INFINITY && seed_row[v.index()] > 0.0);
+                    if let Some(&(src, _)) = cut.min_by_key(|&&(v, _)| v) {
+                        return Err(TeError::Unroutable {
+                            src,
+                            dst: self.dests[i],
+                        });
                     }
                 }
-                let base = dirty.len() * m;
-                node_flow.copy_from_slice(seed_row);
-                spread_seeded(
-                    self.net,
-                    &repaired,
-                    &mut dirty_partials[base..base + m],
-                    node_flow,
-                );
-                dirty.push((i, Arc::new(repaired)));
+                diff.moved.extend_from_slice(repair.moved());
+                diff.dags.push((i, diff.moved.len()));
+                let changed = Changed {
+                    weights,
+                    mask,
+                    edges: change.edges(),
+                };
+                if bounded {
+                    self.respread(i, dag, repair, &changed, spread, diff);
+                } else {
+                    self.respread_all(i, dag, repair, &changed, spread, diff);
+                }
             }
-            debug_assert_eq!(dirty.len(), k, "affectedness count must be exact");
-            c.dirty_dests.add(dirty.len() as u64);
-            c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
+            c.dirty_dests.add(dirty_count as u64);
+            c.clean_dests.add((self.dests.len() - dirty_count) as u64);
 
-            let loads = self.fold(&dirty, &dirty_partials);
+            let loads = self.fold(&diff.partials, columns);
             let phi = fortz_phi(&loads, &self.caps);
             let mlu = max_link_utilization(&loads, &self.caps);
             Ok(Probe {
                 change,
-                dirty_count: dirty.len(),
+                dirty_count,
                 loads,
                 phi,
                 mlu,
-                dirty,
-                dirty_partials,
+                diff: diff.clone(),
                 generation: self.generation,
             })
         })
     }
 
-    /// The totals under a change: the fold up to the first dirty destination
-    /// is exactly the cached prefix row (or the committed totals when no
-    /// destination is dirty), so this copies it and only re-folds the tail —
-    /// cached partials for clean destinations, substituted ones for dirty,
-    /// in ascending destination order as always.
-    fn fold(&self, dirty: &[(usize, Arc<SpDag>)], dirty_partials: &[f64]) -> Vec<f64> {
-        let c = counters();
-        let m = self.net.edge_count();
-        let Some(&(first, _)) = dirty.first() else {
-            c.arena_reuses.inc();
-            return self.loads.clone();
+    /// Re-spreads destination `i`'s flow over the DAG that `repair` diffs
+    /// against `prev`, visiting only the nodes whose flow can change, and
+    /// appends the changed node flows and partials to `out`.
+    ///
+    /// A node's inflow is its seed plus the shares of its in-edges, added
+    /// in the order of the full propagation ([`crate::ecmp`]'s
+    /// `spread_seeded`): tails in DAG order, each tail's next hops by
+    /// ascending edge id. A node contributes a share to a next hop only if
+    /// its flow exceeds `EPS`. So a node's flow can change only if one of
+    /// its contributing tails changed share, position or next hops, or an
+    /// in-edge from a tail with flow flipped; and its partials only if its
+    /// flow or next hops changed. The worklist starts with the moved nodes
+    /// that carry flow and both ends of every flipped edge whose tail
+    /// carries flow (a flip lies on a changed edge or next to a moved
+    /// node), and is processed in the repaired order (decreasing new
+    /// distance, then ascending id; cut-off nodes first). A processed node
+    /// re-accumulates its inflow, sorted by (tail key, edge id), and passes
+    /// the change to its repaired next hops — which come later in that
+    /// order — only if it carries flow before or after and its flow, next
+    /// hops or position changed. Every other node keeps its inflow
+    /// sequence, hence its flow, its shares and its partials, bit for bit.
+    /// A partial is `0.0 + share`, which is `share`, so old partials are
+    /// recomputed from the cached flows rather than read from the arena.
+    fn respread(
+        &self,
+        i: usize,
+        prev: &SpDag,
+        repair: &DagRepair,
+        changed: &Changed<'_>,
+        sp: &mut Spread,
+        out: &mut Diff,
+    ) {
+        let g = self.net.graph();
+        let n = self.net.node_count();
+        let seeds = &self.seeds[i * n..(i + 1) * n];
+        let flows = &self.flows[i * n..(i + 1) * n];
+        let key = |v: NodeId| (repair.dist(prev, v), v);
+        let moved = |v: NodeId| key(v).0.to_bits() != prev.dist[v.index()].to_bits();
+        let on = |e: EdgeId, a: NodeId, b: NodeId| {
+            repair.on_dag(changed.weights, changed.mask, prev, e, (a, b))
         };
-        let mut loads = Vec::with_capacity(m);
-        if first > 0 {
-            loads.extend_from_slice(self.arena.prefix_row(first - 1));
-            c.arena_reuses.inc();
-        } else {
-            loads.resize(m, 0.0);
+        let carries = |v: NodeId| flows[v.index()] > EPS;
+        sp.begin(n);
+        for &e in changed.edges {
+            let (a, b) = g.endpoints(e);
+            if carries(a) && on(e, a, b) != prev.edge_on_dag[e.index()] {
+                sp.push(key(a));
+                sp.push(key(b));
+            }
         }
-        let mut next_dirty = 0usize;
-        for i in first..self.dests.len() {
-            let row = if next_dirty < dirty.len() && dirty[next_dirty].0 == i {
-                let chunk = &dirty_partials[next_dirty * m..(next_dirty + 1) * m];
-                next_dirty += 1;
-                chunk
-            } else {
-                self.arena.row(i)
-            };
-            add_assign(&mut loads, row);
+        for &(x, _) in repair.moved() {
+            if carries(x) {
+                // A next hop lost over an edge that left the DAG may come
+                // earlier in the repaired order; one kept or gained comes
+                // later and is reached from `x`.
+                sp.push(key(x));
+                for &e in g.out_edges(x) {
+                    let h = g.dst(e);
+                    if prev.edge_on_dag[e.index()] && !on(e, x, h) {
+                        sp.push(key(h));
+                    }
+                }
+            }
+            // A tail that moved and carries flow is seeded above.
+            for &e in g.in_edges(x) {
+                let u = g.src(e);
+                if carries(u) && !moved(u) && on(e, u, x) != prev.edge_on_dag[e.index()] {
+                    sp.push(key(u));
+                    sp.push(key(x));
+                }
+            }
         }
+        while let Some((dv, Reverse(v))) = sp.heap.pop() {
+            let (dv, v) = (f64::from_bits(dv), NodeId(v));
+            sp.tails.clear();
+            for &e in g.in_edges(v) {
+                let u = g.src(e);
+                let settled = sp.settled(u);
+                let f = settled.map_or(flows[u.index()], |(f, _)| f);
+                if f > EPS && on(e, u, v) {
+                    let s = settled.map_or_else(|| share(f, prev.split_degree(u)), |(_, s)| s);
+                    sp.tails.push((key(u), e, s));
+                }
+            }
+            sp.tails
+                .sort_unstable_by(|a, b| order_cmp(a.0, b.0).then(a.1.cmp(&b.1)));
+            let mut f = seeds[v.index()];
+            for &(_, _, s) in &sp.tails {
+                f += s;
+            }
+            let old = flows[v.index()];
+
+            sp.outs.clear();
+            let mut deg = 0;
+            for &e in g.out_edges(v) {
+                let h = g.dst(e);
+                let (was, now) = (prev.edge_on_dag[e.index()], on(e, v, h));
+                if was || now {
+                    sp.outs.push((e, h, was, now));
+                    deg += usize::from(now);
+                }
+            }
+            let new_share = share(f, deg);
+            sp.settle(v, f, new_share);
+            let flow_changed = f.to_bits() != old.to_bits();
+            if flow_changed {
+                out.flows.push((i * n + v.index(), f));
+            }
+            let row_flipped = sp.outs.iter().any(|&(_, _, was, now)| was != now);
+            if !(flow_changed || row_flipped || dv.to_bits() != prev.dist[v.index()].to_bits())
+                || (f <= EPS && old <= EPS)
+            {
+                continue;
+            }
+            let old_share = share(old, prev.split_degree(v));
+            for k in 0..sp.outs.len() {
+                let (e, h, was, now) = sp.outs[k];
+                let x = if now { new_share } else { 0.0 };
+                let y = if was { old_share } else { 0.0 };
+                if x.to_bits() != y.to_bits() {
+                    out.partials.push((e, i as u32, x));
+                }
+                if now {
+                    sp.push(key(h));
+                }
+            }
+        }
+    }
+
+    /// Re-spreads destination `i`'s flow over the whole DAG that `repair`
+    /// diffs against `prev`, for a diff from a full Dijkstra, which may
+    /// move most nodes: the propagation itself, over the repaired order and
+    /// next hops read through [`DagRepair::on_dag`], then a comparison of
+    /// every node's flow and partials with the cached ones. The operation
+    /// sequence is the full propagation's (`spread_seeded`), so the flows
+    /// and partials are bit-equal to it.
+    fn respread_all(
+        &self,
+        i: usize,
+        prev: &SpDag,
+        repair: &DagRepair,
+        changed: &Changed<'_>,
+        sp: &mut Spread,
+        out: &mut Diff,
+    ) {
+        let g = self.net.graph();
+        let n = self.net.node_count();
+        let t = prev.target;
+        let seeds = &self.seeds[i * n..(i + 1) * n];
+        let flows = &self.flows[i * n..(i + 1) * n];
+        // The repaired edge set, each edge tested once.
+        sp.edge_on.clear();
+        sp.edge_on.extend(
+            g.edges()
+                .map(|(e, a, b)| repair.on_dag(changed.weights, changed.mask, prev, e, (a, b))),
+        );
+        let on = |e: EdgeId| sp.edge_on[e.index()];
+        // The repaired order: the unmoved nodes keep their relative order,
+        // and the moved ones still reaching the target merge in by key.
+        sp.order.clear();
+        sp.back.clear();
+        let moved = repair.moved().iter().filter(|&&(_, d)| d.is_finite());
+        sp.back.extend(moved.map(|&(x, d)| (d, x)));
+        sp.back.sort_unstable_by(|&a, &b| order_cmp(a, b));
+        let mut back = sp.back.iter().peekable();
+        for &v in &prev.order {
+            let key = (repair.dist(prev, v), v);
+            if key.0.to_bits() != prev.dist[v.index()].to_bits() {
+                continue;
+            }
+            while let Some(&(_, x)) = back.next_if(|&&k| order_cmp(k, key).is_lt()) {
+                sp.order.push(x);
+            }
+            sp.order.push(v);
+        }
+        sp.order.extend(back.map(|&(_, x)| x));
+
+        sp.node_flow.clear();
+        sp.node_flow.extend_from_slice(seeds);
+        for &v in &sp.order {
+            let f = sp.node_flow[v.index()];
+            if f <= EPS || v == t {
+                continue;
+            }
+            let outs = g.out_edges(v).iter().filter(|&&e| on(e));
+            let share = f / outs.clone().count() as f64;
+            for &e in outs {
+                sp.node_flow[g.dst(e).index()] += share;
+            }
+        }
+        for v in g.nodes() {
+            let (f, old) = (sp.node_flow[v.index()], flows[v.index()]);
+            if f.to_bits() != old.to_bits() {
+                out.flows.push((i * n + v.index(), f));
+            }
+            if f <= EPS && old <= EPS {
+                continue;
+            }
+            let deg = g.out_edges(v).iter().filter(|&&e| on(e)).count();
+            let (new_share, old_share) = (share(f, deg), share(old, prev.split_degree(v)));
+            for &e in g.out_edges(v) {
+                let x = if on(e) { new_share } else { 0.0 };
+                let y = if prev.edge_on_dag[e.index()] {
+                    old_share
+                } else {
+                    0.0
+                };
+                if x.to_bits() != y.to_bits() {
+                    out.partials.push((e, i as u32, x));
+                }
+            }
+        }
+    }
+
+    /// The totals under a change: the committed totals, with each column
+    /// that has changed partials re-summed in ascending destination order
+    /// with the new values substituted ([`Columns`]).
+    fn fold(&self, partials: &[(EdgeId, u32, f64)], columns: &mut Columns) -> Vec<f64> {
+        counters().arena_reuses.inc();
+        columns.begin(self.net.edge_count());
+        for &(e, i, x) in partials {
+            columns.write(&self.arena, e, i as usize, x);
+        }
+        let mut loads = self.loads.clone();
+        columns.fold_into(self.arena.dests, &mut loads);
         loads
     }
 
+    /// Writes a diff's partials and node flows into the committed slabs.
+    fn apply_entries(&mut self, partials: &[(EdgeId, u32, f64)], flows: &[(usize, f64)]) {
+        for &(e, i, x) in partials {
+            let k = self.arena.at(e, i as usize);
+            self.arena.cols[k] = x;
+        }
+        for &(k, f) in flows {
+            self.flows[k] = f;
+        }
+    }
+
     /// Applies a probe in place — a weight probe's weight becomes the base
-    /// weight, a failure probe's dead links join the base mask — and moves
-    /// the repaired DAGs and partials and the cached loads/Φ/MLU to the
-    /// probe's values.
+    /// weight, a failure probe's dead links join the base mask — patching
+    /// the changed DAGs from the probe's diffs ([`patch_dag`]), writing its
+    /// changed partials and node flows, and moving the cached loads/Φ/MLU
+    /// to the probe's values.
     ///
     /// # Panics
     /// Panics if the probe was computed against an older committed state
@@ -795,17 +1164,22 @@ impl<'n> IncrementalEvaluator<'n> {
             probe.generation, self.generation,
             "probe is stale: it was computed against a previous base state"
         );
+        let g = self.net.graph();
         let m = self.net.edge_count();
-        match probe.change {
-            Change::Weight(e, w) => self.weights[e.index()] = w,
-            Change::Down(dead) => set_flags(&mut self.disabled, m, &dead, true),
-            Change::Up(e) => set_flags(&mut self.disabled, m, &[e], false),
+        match &probe.change {
+            Change::Weight(e, w) => self.weights[e.index()] = *w,
+            Change::Down(dead) => set_flags(&mut self.disabled, m, dead, true),
+            Change::Up(e) => set_flags(&mut self.disabled, m, &[*e], false),
         }
-        let rows = probe.dirty.iter().map(|&(i, _)| i);
-        self.arena.replace_rows(rows, &probe.dirty_partials);
-        for (i, dag) in probe.dirty {
-            self.dags[i] = dag;
+        let diff = probe.diff;
+        let mut from = 0;
+        for &(dest, end) in &diff.dags {
+            let moved = &diff.moved[from..end];
+            let (w, mask, prev) = (&self.weights, &self.disabled, &self.dags[dest]);
+            self.dags[dest] = patch_dag(g, w, mask, prev, moved, probe.change.edges());
+            from = end;
         }
+        self.apply_entries(&diff.partials, &diff.flows);
         self.loads = probe.loads;
         self.phi = probe.phi;
         self.mlu = probe.mlu;
@@ -847,11 +1221,11 @@ impl<'n> IncrementalEvaluator<'n> {
     ///
     /// When the new workload routes to the same destination set, only the
     /// destinations whose injection seeds actually changed are re-propagated
-    /// (over their unchanged DAGs — weights did not move), and the load fold
-    /// is repaired from the first changed row. When the destination set
-    /// differs, the evaluator rebuilds in place with the full construction
-    /// path. Either way the resulting state is bit-identical to a fresh
-    /// evaluator built on the new workload.
+    /// (over their unchanged DAGs — weights did not move), which refills
+    /// their node flows, and only the columns whose partials changed are
+    /// re-summed. When the destination set differs, the evaluator rebuilds
+    /// in place with the full construction path. Either way the resulting
+    /// state is bit-identical to a fresh evaluator built on the new workload.
     ///
     /// # Errors
     /// [`TeError::Unroutable`] when some new segment cannot reach its
@@ -902,25 +1276,30 @@ impl<'n> IncrementalEvaluator<'n> {
         // source may be unreachable, and an error must leave the evaluator
         // untouched. `propagate_destination` is the exact function a fresh
         // build runs per destination, reachability check included.
-        let mut new_rows = vec![0.0; dirty.len() * m];
-        SCRATCH.with(|s| {
-            let node_flow = &mut s.borrow_mut().node_flow;
-            for (k, &i) in dirty.iter().enumerate() {
-                node_flow.clear();
-                node_flow.resize(n, 0.0);
-                propagate_destination(
-                    self.net,
-                    &self.dags[i],
-                    &grouped[i].1,
-                    &mut new_rows[k * m..(k + 1) * m],
-                    node_flow,
-                )?;
+        let mut row = vec![0.0; m];
+        let mut node_flow = vec![0.0; n];
+        let (mut partials, mut flows) = (Vec::new(), Vec::new());
+        for &i in &dirty {
+            row.fill(0.0);
+            node_flow.fill(0.0);
+            propagate_destination(
+                self.net,
+                &self.dags[i],
+                &grouped[i].1,
+                &mut row,
+                &mut node_flow,
+            )?;
+            for (e, &x) in row.iter().enumerate() {
+                let e = EdgeId(e as u32);
+                if x.to_bits() != self.arena.cols[self.arena.at(e, i)].to_bits() {
+                    partials.push((e, i as u32, x));
+                }
             }
-            Ok::<(), TeError>(())
-        })?;
+            flows.extend(node_flow.iter().enumerate().map(|(v, &f)| (i * n + v, f)));
+        }
+        self.loads = self.fold(&partials, &mut Columns::default());
+        self.apply_entries(&partials, &flows);
         self.seeds = new_seeds;
-        self.arena.replace_rows(dirty, &new_rows);
-        self.arena.total(&mut self.loads);
         self.phi = fortz_phi(&self.loads, &self.caps);
         self.mlu = max_link_utilization(&self.loads, &self.caps);
         self.generation += 1;
@@ -937,6 +1316,7 @@ impl<'n> IncrementalEvaluator<'n> {
         let fresh = Self::for_segments(self.net, &w, segments, self.disabled.clone())?;
         self.dests = fresh.dests;
         self.seeds = fresh.seeds;
+        self.flows = fresh.flows;
         self.dags = fresh.dags;
         self.arena = fresh.arena;
         self.loads = fresh.loads;
@@ -1536,5 +1916,259 @@ mod tests {
             );
             eval.commit(probe);
         }
+    }
+
+    /// Loads, Φ and MLU bits.
+    type Bits = (Vec<u64>, u64, u64);
+
+    fn bits_of(loads: &[f64], caps: &[f64]) -> Bits {
+        (
+            loads.iter().map(|x| x.to_bits()).collect(),
+            fortz_phi(loads, caps).to_bits(),
+            max_link_utilization(loads, caps).to_bits(),
+        )
+    }
+
+    /// The from-scratch oracle: `Router` on a copy of `net` with the `dead`
+    /// edges deleted, its loads mapped back by edge id (dead edges carry
+    /// exactly `0.0`).
+    fn oracle(net: &Network, w: &[f64], d: &DemandList, dead: &[EdgeId]) -> Bits {
+        let mut b = Network::builder(net.node_count());
+        let (mut kept, mut ids) = (Vec::new(), Vec::new());
+        for (e, u, v) in net.graph().edges() {
+            if !dead.contains(&e) {
+                b.link(u, v, net.capacity(e));
+                kept.push(w[e.index()]);
+                ids.push(e);
+            }
+        }
+        let copy = b.build().unwrap();
+        let r = Router::new(&copy, &WeightSetting::new(&copy, kept).unwrap())
+            .evaluate(d, &WaypointSetting::none(d.len()))
+            .expect("oracle routes");
+        let mut loads = vec![0.0; net.edge_count()];
+        for (k, e) in ids.into_iter().enumerate() {
+            loads[e.index()] = r.loads[k];
+        }
+        bits_of(&loads, net.capacities())
+    }
+
+    /// One step of [`walk`].
+    enum Step {
+        /// Probe and commit a new weight.
+        W(u32, f64),
+        /// Probe and commit a failure of the listed edges.
+        Down(&'static [u32]),
+        /// Bring a failed edge back up.
+        Up(u32),
+    }
+
+    /// Runs `steps` from weights `w`, checking every probe and every
+    /// committed state against the oracle bit for bit.
+    fn walk(net: &Network, w: &[f64], d: &DemandList, steps: &[Step], cap: Option<usize>) {
+        let mut w = w.to_vec();
+        let ws = WeightSetting::new(net, w.clone()).unwrap();
+        let mut eval = IncrementalEvaluator::new(net, &ws, d, &WaypointSetting::none(d.len()))
+            .expect("routable");
+        if let Some(cap) = cap {
+            eval = eval.with_frontier_cap(cap);
+        }
+        let mut dead: Vec<EdgeId> = Vec::new();
+        assert_eq!(eval_bits(&eval), oracle(net, &w, d, &dead), "construction");
+        for (k, step) in steps.iter().enumerate() {
+            match *step {
+                Step::W(e, nw) => {
+                    let p = eval.probe(EdgeId(e), nw).unwrap();
+                    w[e as usize] = nw;
+                    let want = oracle(net, &w, d, &dead);
+                    assert_eq!(bits_of(&p.loads, net.capacities()), want, "step {k}: probe");
+                    assert_eq!((p.phi.to_bits(), p.mlu.to_bits()), (want.1, want.2));
+                    eval.commit(p);
+                }
+                Step::Down(es) => {
+                    let es: Vec<EdgeId> = es.iter().map(|&e| EdgeId(e)).collect();
+                    let p = eval.probe_disable(&es).unwrap();
+                    dead.extend(es);
+                    let want = oracle(net, &w, d, &dead);
+                    assert_eq!(bits_of(&p.loads, net.capacities()), want, "step {k}: probe");
+                    assert_eq!((p.phi.to_bits(), p.mlu.to_bits()), (want.1, want.2));
+                    eval.commit(p);
+                }
+                Step::Up(e) => {
+                    assert!(eval.set_link_state(EdgeId(e), true).unwrap());
+                    dead.retain(|&x| x != EdgeId(e));
+                }
+            }
+            assert_eq!(
+                eval_bits(&eval),
+                oracle(net, &w, d, &dead),
+                "step {k}: committed"
+            );
+        }
+    }
+
+    fn build(nodes: usize, links: &[(u32, u32)]) -> Network {
+        let mut b = Network::builder(nodes);
+        for &(u, v) in links {
+            b.link(NodeId(u), NodeId(v), 1.0);
+        }
+        b.build().unwrap()
+    }
+
+    fn demand_list(pairs: &[(u32, u32, f64)]) -> DemandList {
+        let mut d = DemandList::new();
+        for &(s, t, x) in pairs {
+            d.push(NodeId(s), NodeId(t), x);
+        }
+        d
+    }
+
+    #[test]
+    fn respread_handles_parallel_equal_weight_edges() {
+        // e0 and e1 are parallel 0 -> 1: node 1 takes two shares from the
+        // same tail, added in edge-id order.
+        let net = build(4, &[(0, 1), (0, 1), (1, 3), (0, 2), (2, 3), (2, 1)]);
+        let d = demand_list(&[(0, 3, 3.0), (2, 3, 1.0), (0, 1, 0.7)]);
+        let steps = [
+            Step::W(3, 3.0),
+            Step::W(1, 2.0),
+            Step::W(1, 1.0),
+            Step::W(0, 5.0),
+            Step::Down(&[1]),
+            Step::Up(1),
+            Step::W(5, 2.0),
+            Step::W(0, 1.0),
+        ];
+        walk(&net, &[1.0; 6], &d, &steps, None);
+    }
+
+    #[test]
+    fn respread_handles_flow_at_or_below_eps() {
+        // 1.5e-9 splits at node 0 into two 7.5e-10 halves, at or below EPS:
+        // nodes 1 and 2 carry flow that goes no further until a probe
+        // sends it all one way.
+        let net = build(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
+        let d = demand_list(&[(0, 3, 1.5e-9), (1, 3, 1.0)]);
+        let steps = [
+            Step::W(2, 3.0),
+            Step::W(2, 1.0),
+            Step::W(0, 2.0),
+            Step::Down(&[2]),
+            Step::Up(2),
+        ];
+        walk(&net, &[1.0; 4], &d, &steps, None);
+    }
+
+    #[test]
+    fn respread_orders_moved_ties_by_node_id() {
+        // Nodes 1 and 2 feed node 3. Node 2 starts farther from 4, so
+        // node 3 sums 0.3 + 0.2 + 0.1 = 0.6; lowering e1 ties node 2 with
+        // node 1, the lower id goes first and the sum is 0.3 + 0.1 + 0.2,
+        // one ulp above 0.6. Raising it again restores the first order.
+        let net = build(5, &[(1, 3), (2, 3), (3, 4), (0, 1), (0, 2)]);
+        let d = demand_list(&[(1, 4, 0.1), (2, 4, 0.2), (3, 4, 0.3)]);
+        let w = [1.0, 2.0, 1.0, 1.0, 1.0];
+        walk(
+            &net,
+            &w,
+            &d,
+            &[Step::W(1, 1.0), Step::W(1, 3.0), Step::W(0, 2.0)],
+            None,
+        );
+    }
+
+    #[test]
+    fn respread_handles_moved_nodes_without_flow() {
+        // Node 4 sends nothing; moving it changes no flow, but its edges
+        // flip on and off the DAG.
+        let net = build(5, &[(0, 1), (1, 3), (0, 2), (2, 3), (4, 1), (4, 2)]);
+        let d = demand_list(&[(0, 3, 2.0)]);
+        let steps = [
+            Step::W(4, 3.0),
+            Step::W(5, 5.0),
+            Step::W(4, 1.0),
+            Step::W(1, 4.0),
+        ];
+        walk(&net, &[1.0; 6], &d, &steps, None);
+    }
+
+    #[test]
+    fn failure_cuts_off_a_node_without_demand() {
+        // Node 2 has no demand of its own but carries half of 0 -> 3; once
+        // 2 -> 3 fails it cannot reach 3, which is no error, and 0 sends
+        // everything over node 1.
+        let net = build(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
+        let d = demand_list(&[(0, 3, 2.0), (1, 3, 0.5)]);
+        walk(&net, &[1.0; 4], &d, &[Step::Down(&[3]), Step::Up(3)], None);
+    }
+
+    #[test]
+    fn two_dead_edges_on_one_dag_rebuild_exactly() {
+        // e1 and e4 both lie on destination 3's DAG: the probe rebuilds it
+        // with a full Dijkstra under the mask.
+        let net = net();
+        let d = demand_list(&[(0, 3, 2.0), (2, 3, 0.25)]);
+        walk(
+            &net,
+            &[1.0; 5],
+            &d,
+            &[Step::Down(&[1, 4]), Step::Up(4), Step::Up(1)],
+            None,
+        );
+    }
+
+    #[test]
+    fn frontier_fallback_stays_bit_identical() {
+        // A cap of one affected node sends every repair that moves more
+        // than one node to the full-Dijkstra diff and the full re-spread.
+        let net = build(
+            6,
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 5),
+                (0, 3),
+                (3, 4),
+                (4, 5),
+                (1, 4),
+                (0, 5),
+            ],
+        );
+        let d = demand_list(&[(0, 5, 3.0), (1, 5, 1.0), (3, 5, 0.5), (0, 2, 0.25)]);
+        let steps = [
+            Step::W(7, 9.0),
+            Step::W(2, 4.0),
+            Step::W(2, 1.0),
+            Step::Down(&[2]),
+            Step::Up(2),
+            Step::Down(&[6, 7]),
+            Step::W(0, 3.0),
+        ];
+        walk(&net, &[1.0; 8], &d, &steps, Some(1));
+        walk(&net, &[1.0; 8], &d, &steps, None);
+    }
+
+    #[test]
+    fn unroutable_names_the_lowest_cut_source_of_the_lowest_destination() {
+        // 3 -> 4 is the only way into 4, so failing it cuts sources 2 and
+        // 1 of destination 4. The repair finds 2 first (its edge into 3 has
+        // the lower id) and the demand list names 2 first; the error still
+        // names source 1. Destination 5 also loses source 0 (5 is reached
+        // only over 4), but 5 comes after 4.
+        let net = build(6, &[(2, 3), (1, 3), (0, 3), (3, 4), (4, 5)]);
+        let d = demand_list(&[(2, 4, 1.0), (1, 4, 1.0), (0, 5, 1.0)]);
+        let w = WeightSetting::unit(&net);
+        let mut eval =
+            IncrementalEvaluator::new(&net, &w, &d, &WaypointSetting::none(d.len())).unwrap();
+        let before = eval_bits(&eval);
+        let pending = eval.probe(EdgeId(0), 2.0).unwrap();
+        let want = TeError::Unroutable {
+            src: NodeId(1),
+            dst: NodeId(4),
+        };
+        assert_eq!(eval.probe_disable(&[EdgeId(3)]).unwrap_err(), want);
+        assert_eq!(eval.set_link_state(EdgeId(3), false).unwrap_err(), want);
+        assert_eq!(eval_bits(&eval), before);
+        eval.commit(pending);
     }
 }

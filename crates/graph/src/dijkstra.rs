@@ -169,7 +169,8 @@ fn dial_run<const MASKED: bool>(
     wmax: u32,
     target: NodeId,
     disabled: &[bool],
-) -> Vec<f64> {
+    out: &mut Vec<f64>,
+) {
     let n = g.node_count();
     let ring_len = wmax as usize + 1;
     DIAL.with(|s| {
@@ -223,10 +224,12 @@ fn dial_run<const MASKED: bool>(
         runs_counter.inc();
         bucket_counter.add(bucket_ops);
 
-        dist_int
-            .iter()
-            .map(|&d| if d == u32::MAX { INFINITY } else { d as f64 })
-            .collect()
+        out.clear();
+        out.extend(
+            dist_int
+                .iter()
+                .map(|&d| if d == u32::MAX { INFINITY } else { d as f64 }),
+        );
     })
 }
 
@@ -237,9 +240,11 @@ fn heap_run<const MASKED: bool>(
     weights: &[f64],
     target: NodeId,
     disabled: &[bool],
-) -> Vec<f64> {
+    dist: &mut Vec<f64>,
+) {
     let n = g.node_count();
-    let mut dist = vec![INFINITY; n];
+    dist.clear();
+    dist.resize(n, INFINITY);
     let mut done = vec![false; n];
     let mut heap = BinaryHeap::with_capacity(n);
     dist[target.index()] = 0.0;
@@ -273,7 +278,6 @@ fn heap_run<const MASKED: bool>(
     let (relax_counter, runs_counter, _) = counters();
     relax_counter.add(relaxations);
     runs_counter.inc();
-    dist
 }
 
 fn check_weights(g: &Digraph, weights: &[f64]) {
@@ -311,12 +315,28 @@ pub fn single_target_distances(
     target: NodeId,
     disabled: &[bool],
 ) -> Vec<f64> {
+    let mut dist = Vec::new();
+    distances_into(g, weights, target, disabled, &mut dist);
+    dist
+}
+
+/// [`single_target_distances`] into a caller-owned buffer, so a repair's
+/// full-Dijkstra fallback reuses one slab instead of allocating per run.
+fn distances_into(
+    g: &Digraph,
+    weights: &[f64],
+    target: NodeId,
+    disabled: &[bool],
+    dist: &mut Vec<f64>,
+) {
     check_weights(g, weights);
     check_mask(g, disabled);
     match dial_weight_domain(g.node_count(), weights) {
-        Some(wmax) if disabled.is_empty() => dial_run::<false>(g, weights, wmax, target, disabled),
-        Some(wmax) => dial_run::<true>(g, weights, wmax, target, disabled),
-        None => heap_engine(g, weights, target, disabled),
+        Some(wmax) if disabled.is_empty() => {
+            dial_run::<false>(g, weights, wmax, target, disabled, dist)
+        }
+        Some(wmax) => dial_run::<true>(g, weights, wmax, target, disabled, dist),
+        None => heap_engine(g, weights, target, disabled, dist),
     }
 }
 
@@ -330,15 +350,23 @@ pub fn single_target_distances_heap(
 ) -> Vec<f64> {
     check_weights(g, weights);
     check_mask(g, disabled);
-    heap_engine(g, weights, target, disabled)
+    let mut dist = Vec::new();
+    heap_engine(g, weights, target, disabled, &mut dist);
+    dist
 }
 
 /// Picks the `BinaryHeap` instantiation for the mask.
-fn heap_engine(g: &Digraph, weights: &[f64], target: NodeId, disabled: &[bool]) -> Vec<f64> {
+fn heap_engine(
+    g: &Digraph,
+    weights: &[f64],
+    target: NodeId,
+    disabled: &[bool],
+    dist: &mut Vec<f64>,
+) {
     if disabled.is_empty() {
-        heap_run::<false>(g, weights, target, disabled)
+        heap_run::<false>(g, weights, target, disabled, dist)
     } else {
-        heap_run::<true>(g, weights, target, disabled)
+        heap_run::<true>(g, weights, target, disabled, dist)
     }
 }
 
@@ -434,13 +462,13 @@ pub fn shortest_path_dag(g: &Digraph, weights: &[f64], target: NodeId, disabled:
 /// Per-thread scratch for [`dag_from_dist`] and [`patch_dag`]: the
 /// tight-edge list, the per-node counters and the patch's row and order
 /// edits are pure build intermediates, so they live in reusable slabs
-/// instead of being reallocated on every probe repair.
+/// instead of being reallocated on every commit.
 struct DagScratch {
     /// `(tail, edge)` pairs of tight edges, in ascending edge-id order.
     tight: Vec<(u32, EdgeId)>,
     /// Out-degree counts, then reused as the CSR fill cursor.
     counts: Vec<u32>,
-    /// Tails of the edges whose on-DAG flag the patch flipped.
+    /// Tails of the edges whose on-DAG flag the patch flips.
     dirty_rows: Vec<u32>,
     /// Positions in the old order of the nodes the patch moves out.
     removed: Vec<usize>,
@@ -458,36 +486,30 @@ thread_local! {
             inserted: Vec::new(),
         })
     };
+    /// The repair scratch behind [`update_shortest_path_dag`].
+    static REPAIR: RefCell<DagRepair> = const { RefCell::new(DagRepair::new()) };
 }
 
 /// The tight-edge predicate: `e = (u, v)` lies on the DAG iff it is enabled,
 /// both ends reach the target and `dist(u) = w(e) + dist(v)` within the
-/// scaled tolerance of [`approx_eq`]. The full scan and the repair patch
-/// both decide membership through this one function.
+/// scaled tolerance of [`approx_eq`]. The full scan, the patch and the
+/// repair's per-edge query all decide membership through this one function.
 #[inline]
-fn is_tight(
-    weights: &[f64],
-    dist: &[f64],
-    disabled: &[bool],
-    e: EdgeId,
-    u: NodeId,
-    v: NodeId,
-) -> bool {
-    if edge_disabled(disabled, e) {
-        return false;
-    }
-    let du = dist[u.index()];
-    let dv = dist[v.index()];
-    du.is_finite() && dv.is_finite() && approx_eq(du, weights[e.index()] + dv)
+fn is_tight(weights: &[f64], disabled: &[bool], e: EdgeId, du: f64, dv: f64) -> bool {
+    !edge_disabled(disabled, e)
+        && du.is_finite()
+        && dv.is_finite()
+        && approx_eq(du, weights[e.index()] + dv)
 }
 
 /// Compares `(distance, node)` order keys: decreasing distance, then
-/// ascending node id. A strict total order over finite non-negative
-/// distances, where `total_cmp` agrees bit-for-bit with the IEEE
-/// `partial_cmp`, so `order` is the unique permutation of the reachable
-/// nodes sorted by it.
+/// ascending node id. A strict total order over non-negative distances
+/// (∞ first), where `total_cmp` agrees bit-for-bit with the IEEE
+/// `partial_cmp`, so [`SpDag::order`] is the unique permutation of the
+/// reachable nodes sorted by it. Flow propagation visits nodes in this
+/// order, so it also fixes the order in which a node's inflow is summed.
 #[inline]
-fn order_cmp((da, a): (f64, NodeId), (db, b): (f64, NodeId)) -> Ordering {
+pub fn order_cmp((da, a): (f64, NodeId), (db, b): (f64, NodeId)) -> Ordering {
     db.total_cmp(&da).then_with(|| a.0.cmp(&b.0))
 }
 
@@ -499,7 +521,7 @@ fn order_cmp((da, a): (f64, NodeId), (db, b): (f64, NodeId)) -> Ordering {
 /// the same order, so each CSR row lists its tail's tight out-edges by
 /// ascending edge id. The order is a full sort under [`order_cmp`].
 /// Repairs do not come through here: [`patch_dag`] derives the same
-/// `SpDag` from the previous one.
+/// `SpDag` from the previous one and a repair's diff.
 fn dag_from_dist(
     g: &Digraph,
     weights: &[f64],
@@ -516,7 +538,7 @@ fn dag_from_dist(
         counts.clear();
         counts.resize(n, 0);
         for (e, u, v) in g.edges() {
-            if is_tight(weights, &dist, disabled, e, u, v) {
+            if is_tight(weights, disabled, e, dist[u.index()], dist[v.index()]) {
                 edge_on_dag[e.index()] = true;
                 tight.push((u.0, e));
                 counts[u.index()] += 1;
@@ -546,21 +568,25 @@ fn dag_from_dist(
     })
 }
 
-/// Derives a repaired DAG from `prev` instead of rebuilding it: the result
-/// is byte-identical to [`dag_from_dist`] on the same `dist`, at a cost
-/// proportional to the repair rather than to the graph.
+/// The apply half of a repair: derives the repaired DAG from `prev` and a
+/// repair's moved nodes ([`DagRepair::moved`]) instead of rebuilding it.
+/// The result is byte-identical to [`shortest_path_dag`] under the new
+/// weights and mask, at a cost proportional to the repair plus the copies
+/// of `prev`'s slabs.
 ///
-/// Preconditions, which every repair in this module meets: `prev` is the
-/// DAG of `prev.dist` under the old weights and mask; `dist` differs from
-/// `prev.dist` only at nodes listed in `moved`; and the new weights and
-/// mask differ from the old ones only at edge `changed`, or at edges off
-/// `prev` that the new mask disables.
+/// Preconditions, which every [`DagRepair`] diff meets: `prev` is the DAG
+/// of `prev.dist` under the old weights and mask; `moved` lists each node
+/// whose distance changed once, with its new distance; and the new
+/// `weights` and mask `disabled` differ from the old ones only at the
+/// `changed` edges, or at edges off `prev` that the new mask disables.
 ///
-/// * **Edge set.** The tight predicate ([`is_tight`]) of an edge reads its
-///   weight, its mask bit and the distances of its two ends. Only
-///   `changed` and the edges incident to a moved node can see different
-///   inputs, so only they are re-tested; every other edge keeps its flag.
-///   (A newly masked edge off `prev` was not tight and stays not tight.)
+/// * **Edge set.** The tight predicate (`is_tight`) of an edge reads its
+///   weight, its mask bit and the distances of its two ends. Only the
+///   `changed` edges and the edges incident to a moved node can see
+///   different inputs, so only they are re-tested; every other edge keeps
+///   its flag. (A newly masked edge off `prev` was not tight and stays not
+///   tight.) [`DagRepair::on_dag`] answers the same question for one edge
+///   without building anything.
 /// * **CSR rows.** A row lists its tail's on-DAG out-edges by ascending
 ///   edge id. Rows whose tail has no flipped edge are copied from `prev`;
 ///   the others are re-read from `g.out_edges`, which is in ascending edge
@@ -572,16 +598,19 @@ fn dag_from_dist(
 ///   search on the old keys finds where each moved node was and where its
 ///   new key falls among the nodes that stayed, so the unmoved runs are
 ///   copied in blocks.
-fn patch_dag(
+pub fn patch_dag(
     g: &Digraph,
     weights: &[f64],
-    prev: &SpDag,
-    dist: Vec<f64>,
-    changed: EdgeId,
-    moved: &[NodeId],
     disabled: &[bool],
+    prev: &SpDag,
+    moved: &[(NodeId, f64)],
+    changed: &[EdgeId],
 ) -> SpDag {
     let n = g.node_count();
+    let mut dist = prev.dist.clone();
+    for &(x, d) in moved {
+        dist[x.index()] = d;
+    }
     let mut edge_on_dag = prev.edge_on_dag.clone();
 
     DAG_SCRATCH.with(|s| {
@@ -597,18 +626,17 @@ fn patch_dag(
         // twice is a no-op the second time.
         let mut retest = |e: EdgeId| {
             let (a, b) = g.endpoints(e);
-            let tight = is_tight(weights, &dist, disabled, e, a, b);
+            let tight = is_tight(weights, disabled, e, dist[a.index()], dist[b.index()]);
             if tight != edge_on_dag[e.index()] {
                 edge_on_dag[e.index()] = tight;
                 dirty_rows.push(a.0);
             }
         };
-        retest(changed);
-        for &x in moved {
-            for &e in g.out_edges(x) {
-                retest(e);
-            }
-            for &e in g.in_edges(x) {
+        for &e in changed {
+            retest(e);
+        }
+        for &(x, _) in moved {
+            for &e in g.out_edges(x).iter().chain(g.in_edges(x)) {
                 retest(e);
             }
         }
@@ -640,10 +668,9 @@ fn patch_dag(
         copy_clean(&mut dag_start, &mut dag_edges, next, n);
         dag_start.push(dag_edges.len() as u32);
 
-        // A listed node whose distance came back bit-equal keeps its place.
-        // The others leave `prev.order` and, if they still reach the target,
-        // go back in before the first old key above their new key (only
-        // nodes that stayed count: the moved ones are skipped anyway).
+        // Moved nodes leave `prev.order` and, if they still reach the
+        // target, go back in before the first old key above their new key
+        // (only nodes that stayed count: the moved ones are skipped anyway).
         let old_key = |v: NodeId| (prev.dist[v.index()], v);
         let new_key = |v: NodeId| (dist[v.index()], v);
         let rank = |k| {
@@ -652,12 +679,8 @@ fn patch_dag(
         };
         removed.clear();
         inserted.clear();
-        for &x in moved {
-            let (old, new) = (prev.dist[x.index()], dist[x.index()]);
-            if old.to_bits() == new.to_bits() {
-                continue;
-            }
-            if old.is_finite() {
+        for &(x, new) in moved {
+            if prev.dist[x.index()].is_finite() {
                 removed.push(rank(old_key(x)));
             }
             if new.is_finite() {
@@ -745,8 +768,11 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 
 /// Repairs `prev` after one edge changed: edge `e`'s weight moved from
 /// `old_w` to `weights[e]` (`weights` is the **new** full weight vector), or
-/// `e`'s mask bit flipped. This is the one repair entry point; a link-state
-/// change is a weight change at its limit:
+/// `e`'s mask bit flipped. This is the one repair entry point: a
+/// [`DagRepair::repair`] diff followed by [`patch_dag`], the two halves the
+/// incremental evaluator runs apart (the diff when it scores a change, the
+/// patch only when it commits one). A link-state change is a weight change
+/// at its limit:
 ///
 /// * **Link down** is a weight increase to ∞. `disabled` masks `e`: if `e`
 ///   is on `prev` the increase repair runs under the new mask, otherwise
@@ -760,29 +786,14 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
 /// flipped, or with extra masked edges that are off `prev` (a multi-link
 /// failure whose other dead edges this DAG never used). The repair keeps
 /// honoring the mask: skipped relaxations, masked tight-edge tests, masked
-/// fallback rebuild.
-///
-/// The repair follows Ramalingam–Reps: identify the affected node set (nodes
-/// whose distance to the target changes), re-run Dijkstra restricted to that
-/// set seeded from its unaffected fringe, then **patch** `prev` into the new
-/// DAG: re-test only `e` and the edges incident to the moved nodes, copy the
-/// CSR rows of tails with no flipped edge, and merge the moved nodes into the
-/// old topological order. The distance work and the DAG work are both
-/// proportional to the damage, not to the graph. When the affected set
-/// exceeds `frontier_cap` nodes the bounded repair is abandoned and a full
-/// per-destination Dijkstra runs instead ([`SpDagUpdate::Rebuilt`]).
-///
-/// The restricted re-runs keep the `BinaryHeap`: repair frontiers are capped
-/// at a few dozen nodes, where a heap beats allocating a distance-spanning
-/// bucket ring. (Full rebuilds go through [`shortest_path_dag`] and get the
-/// bucket queue.)
+/// fallback Dijkstra.
 ///
 /// With tie-exact weights (e.g. the integral vectors every optimizer in this
 /// workspace emits) the repaired DAG is **bit-identical** to
 /// [`shortest_path_dag`] on the new weights and mask: both paths compute the
 /// exact distance minima, the patch decides edge membership with the same
 /// predicate on the same inputs as the full scan, and the order is the
-/// unique permutation under the same key (see `patch_dag`).
+/// unique permutation under the same key (see [`patch_dag`]).
 pub fn update_shortest_path_dag(
     g: &Digraph,
     weights: &[f64],
@@ -792,231 +803,455 @@ pub fn update_shortest_path_dag(
     frontier_cap: usize,
     disabled: &[bool],
 ) -> SpDagUpdate {
-    check_mask(g, disabled);
-    if edge_disabled(disabled, e) {
-        // A masked edge's weight is never read. On `prev` it was just taken
-        // down (an increase to ∞); off `prev` no path gets shorter and no
-        // tight edge appears.
-        return if prev.edge_on_dag[e.index()] {
-            repair_increase(g, weights, prev, e, frontier_cap, disabled)
+    REPAIR.with(|r| {
+        let r = &mut *r.borrow_mut();
+        let outcome = r.repair(g, weights, prev, e, old_w, frontier_cap, disabled);
+        let patched = || patch_dag(g, weights, disabled, prev, r.moved(), &[e]);
+        match outcome {
+            RepairOutcome::Unchanged => SpDagUpdate::Unchanged,
+            RepairOutcome::Repaired(touched) => SpDagUpdate::Repaired(patched(), touched),
+            RepairOutcome::Rebuilt => SpDagUpdate::Rebuilt(patched()),
+        }
+    })
+}
+
+/// How [`DagRepair::repair`] absorbed a single-edge change.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RepairOutcome {
+    /// The change cannot alter the DAG; the diff is empty.
+    Unchanged,
+    /// A bounded dynamic-Dijkstra update touching the given number of nodes
+    /// produced the diff.
+    Repaired(usize),
+    /// The affected set exceeded the frontier cap; a full Dijkstra produced
+    /// the diff.
+    Rebuilt,
+}
+
+/// The diff half of a repair and its reusable scratch: after
+/// [`repair`](Self::repair) or [`rebuild`](Self::rebuild) it holds the
+/// repaired distances as an overlay on the previous DAG's and the nodes
+/// that moved, and answers whether an edge is on the repaired DAG
+/// ([`on_dag`](Self::on_dag)). [`patch_dag`] turns a diff into the repaired
+/// [`SpDag`]; the incremental evaluator reads the diff directly and builds
+/// DAGs only for the changes it commits.
+///
+/// Every per-node and per-edge slot carries the stamp of the repair that
+/// wrote it and counts as unset under any other stamp, so a repair starts
+/// with no O(n) clear, no copy of the previous distances and, once the
+/// slabs have grown to the graph, no allocation. Support counts are read
+/// lazily from the previous DAG's CSR offsets.
+#[derive(Default)]
+pub struct DagRepair {
+    /// Stamp of the current repair (0 is never current).
+    epoch: u32,
+    /// Distance overlay: `dist[v]` is `v`'s repaired distance where
+    /// `dist_at[v]` is current, the previous DAG's elsewhere.
+    dist_at: Vec<u32>,
+    dist: Vec<f64>,
+    /// Affected (increase) or improved (decrease) mark.
+    mark_at: Vec<u32>,
+    /// Settled mark of the increase repair's restricted Dijkstra.
+    done_at: Vec<u32>,
+    /// Remaining DAG out-edges still justifying a node's old distance.
+    support_at: Vec<u32>,
+    support: Vec<u32>,
+    /// Changed mark per edge: the edges whose weight or mask bit differs
+    /// from the previous DAG's state.
+    changed_at: Vec<u32>,
+    /// Marked nodes in discovery order (the increase repair's BFS queue).
+    touched: Vec<NodeId>,
+    /// Nodes whose distance changed bits, with the new distance.
+    moved: Vec<(NodeId, f64)>,
+    heap: BinaryHeap<HeapEntry>,
+    /// Distance slab of the full-Dijkstra fallback.
+    full: Vec<f64>,
+}
+
+impl DagRepair {
+    /// Empty scratch; the slabs grow to the graph on first use.
+    pub const fn new() -> Self {
+        Self {
+            epoch: 0,
+            dist_at: Vec::new(),
+            dist: Vec::new(),
+            mark_at: Vec::new(),
+            done_at: Vec::new(),
+            support_at: Vec::new(),
+            support: Vec::new(),
+            changed_at: Vec::new(),
+            touched: Vec::new(),
+            moved: Vec::new(),
+            heap: BinaryHeap::new(),
+            full: Vec::new(),
+        }
+    }
+
+    /// Starts a new diff: bumps the stamp (clearing every slot only when it
+    /// wraps) and grows the slabs to the graph.
+    fn begin(&mut self, n: usize, m: usize) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            for stamps in [
+                &mut self.dist_at,
+                &mut self.mark_at,
+                &mut self.done_at,
+                &mut self.support_at,
+                &mut self.changed_at,
+            ] {
+                stamps.fill(0);
+            }
+            self.epoch = 1;
+        }
+        if self.dist_at.len() < n {
+            self.dist_at.resize(n, 0);
+            self.dist.resize(n, 0.0);
+            self.mark_at.resize(n, 0);
+            self.done_at.resize(n, 0);
+            self.support_at.resize(n, 0);
+            self.support.resize(n, 0);
+        }
+        if self.changed_at.len() < m {
+            self.changed_at.resize(m, 0);
+        }
+        self.touched.clear();
+        self.moved.clear();
+        self.heap.clear();
+    }
+
+    /// Starts a new diff for a change of the `changed` edges.
+    fn begin_change(&mut self, g: &Digraph, changed: &[EdgeId]) {
+        self.begin(g.node_count(), g.edge_count());
+        for e in changed {
+            self.changed_at[e.index()] = self.epoch;
+        }
+    }
+
+    /// `v`'s distance after the last repair against `prev`.
+    #[inline]
+    pub fn dist(&self, prev: &SpDag, v: NodeId) -> f64 {
+        if self.dist_at[v.index()] == self.epoch {
+            self.dist[v.index()]
         } else {
-            SpDagUpdate::Unchanged
-        };
-    }
-    let (u, v) = g.endpoints(e);
-    let new_w = weights[e.index()];
-    if new_w == old_w || !edge_change_affects_dag(prev, e, u, v, new_w) {
-        return SpDagUpdate::Unchanged;
-    }
-    if new_w > old_w {
-        repair_increase(g, weights, prev, e, frontier_cap, disabled)
-    } else {
-        repair_decrease(g, weights, prev, e, u, v, frontier_cap, disabled)
-    }
-}
-
-/// Weight increase on an on-DAG edge `e = (u, v)`.
-///
-/// Phase 1 finds the affected set `A` — nodes *all* of whose shortest paths
-/// used `e` — by support counting over the old DAG: `u` loses `e`'s support;
-/// a node joins `A` when every one of its DAG out-edges leads into `A`.
-/// Phase 2 re-runs Dijkstra restricted to `A`, seeded with the best detour
-/// through unaffected neighbours. Nodes outside `A` keep their exact old
-/// distances, so `patch_dag` re-tests only `e` and the edges around `A`.
-/// Work is proportional to the damage, not the graph. Also serves a link
-/// going down, where `e` is masked out rather than made heavier.
-fn repair_increase(
-    g: &Digraph,
-    weights: &[f64],
-    prev: &SpDag,
-    e: EdgeId,
-    frontier_cap: usize,
-    disabled: &[bool],
-) -> SpDagUpdate {
-    let n = g.node_count();
-    let u = g.src(e);
-    // Remaining old-distance support per node: DAG out-edges still justified.
-    // Read straight off the CSR offsets — row width = out-degree on the DAG.
-    let mut support: Vec<usize> = prev
-        .dag_start
-        .windows(2)
-        .map(|w| (w[1] - w[0]) as usize)
-        .collect();
-    let mut affected = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-
-    // `e` no longer provides u's old distance (its weight strictly grew).
-    support[u.index()] -= 1;
-    if support[u.index()] == 0 {
-        affected[u.index()] = true;
-        queue.push_back(u);
-    } else {
-        // u keeps its distance through another tight edge; the DAG only
-        // loses edge `e`. No node moves, so the patch re-tests `e` alone
-        // and the topological order carries over verbatim.
-        let repaired = patch_dag(g, weights, prev, prev.dist.clone(), e, &[], disabled);
-        return SpDagUpdate::Repaired(repaired, 0);
-    }
-
-    let mut affected_nodes: Vec<NodeId> = Vec::new();
-    while let Some(x) = queue.pop_front() {
-        affected_nodes.push(x);
-        if affected_nodes.len() > frontier_cap {
-            return SpDagUpdate::Rebuilt(shortest_path_dag(g, weights, prev.target, disabled));
-        }
-        for &ein in g.in_edges(x) {
-            if !prev.edge_on_dag[ein.index()] {
-                continue;
-            }
-            let p = g.src(ein);
-            if affected[p.index()] {
-                continue;
-            }
-            support[p.index()] -= 1;
-            if support[p.index()] == 0 {
-                affected[p.index()] = true;
-                queue.push_back(p);
-            }
+            prev.dist[v.index()]
         }
     }
 
-    // Phase 2: Dijkstra restricted to the affected set. Seeds are the best
-    // candidates through *unaffected* out-neighbours (including `e` itself
-    // at its new weight); edges between affected nodes relax as their heads
-    // settle, exactly like the full algorithm.
-    let mut dist = prev.dist.clone();
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(affected_nodes.len());
-    for &a in &affected_nodes {
-        dist[a.index()] = INFINITY;
+    #[inline]
+    fn set_dist(&mut self, v: NodeId, d: f64) {
+        self.dist_at[v.index()] = self.epoch;
+        self.dist[v.index()] = d;
     }
-    for &a in &affected_nodes {
-        let mut best = INFINITY;
-        for &eo in g.out_edges(a) {
-            if edge_disabled(disabled, eo) {
-                continue;
-            }
-            let h = g.dst(eo);
-            if affected[h.index()] || !dist[h.index()].is_finite() {
-                continue;
-            }
-            let cand = weights[eo.index()] + dist[h.index()];
-            if cand + EPS < best {
-                best = cand;
-            }
+
+    /// Whether edge `e = (a, b)` is on the DAG after the last repair
+    /// against `prev`, under the new `weights` and mask `disabled` the
+    /// repair ran with. An edge that did not change and touches no node
+    /// the repair wrote sees its old inputs and keeps `prev`'s flag; any
+    /// other edge is re-tested against the repaired distances, as
+    /// [`patch_dag`] does. The caller passes `e`'s endpoints, which it
+    /// holds wherever it walks adjacency lists.
+    #[inline]
+    pub fn on_dag(
+        &self,
+        weights: &[f64],
+        disabled: &[bool],
+        prev: &SpDag,
+        e: EdgeId,
+        (a, b): (NodeId, NodeId),
+    ) -> bool {
+        let written = |v: NodeId| self.dist_at[v.index()] == self.epoch;
+        if !written(a) && !written(b) && self.changed_at[e.index()] != self.epoch {
+            return prev.edge_on_dag[e.index()];
         }
-        if best.is_finite() {
-            dist[a.index()] = best;
-            heap.push(HeapEntry {
-                dist: best,
-                node: a,
-            });
-        }
+        is_tight(weights, disabled, e, self.dist(prev, a), self.dist(prev, b))
     }
-    while let Some(HeapEntry { dist: d, node: x }) = heap.pop() {
-        if done[x.index()] || !affected[x.index()] {
-            continue;
+
+    /// The nodes whose distance the last repair changed, each once with its
+    /// new distance ([`INFINITY`]: cut off from the target).
+    #[inline]
+    pub fn moved(&self) -> &[(NodeId, f64)] {
+        &self.moved
+    }
+
+    #[inline]
+    fn marked(&self, v: NodeId) -> bool {
+        self.mark_at[v.index()] == self.epoch
+    }
+
+    #[inline]
+    fn mark(&mut self, v: NodeId) {
+        self.mark_at[v.index()] = self.epoch;
+        self.touched.push(v);
+    }
+
+    /// Takes one justifying out-edge from `v`'s support and returns what is
+    /// left; an unset slot starts at `v`'s out-degree on `prev`.
+    #[inline]
+    fn drop_support(&mut self, prev: &SpDag, v: NodeId) -> u32 {
+        let i = v.index();
+        if self.support_at[i] != self.epoch {
+            self.support_at[i] = self.epoch;
+            self.support[i] = prev.split_degree(v) as u32;
         }
-        if d > dist[x.index()] {
-            continue; // stale entry
+        self.support[i] -= 1;
+        self.support[i]
+    }
+
+    /// Diffs `prev` against the DAG after one edge changed, with the
+    /// contract of [`update_shortest_path_dag`] (which is this followed by
+    /// [`patch_dag`]). The distance work is proportional to the set of
+    /// nodes whose distance changes; above `frontier_cap` of them the
+    /// bounded repair is abandoned for a full Dijkstra
+    /// ([`RepairOutcome::Rebuilt`]).
+    ///
+    /// The repair follows Ramalingam–Reps: identify the affected node set,
+    /// re-run Dijkstra restricted to it (a `BinaryHeap`: repair frontiers
+    /// are small, where a heap beats a distance-spanning bucket ring), and
+    /// keep the nodes whose distance changed bits as
+    /// [`moved`](Self::moved). No edge is re-tested here: the edge set is
+    /// derived where it is read ([`on_dag`](Self::on_dag), [`patch_dag`]).
+    #[allow(clippy::too_many_arguments)] // mirrors update_shortest_path_dag
+    pub fn repair(
+        &mut self,
+        g: &Digraph,
+        weights: &[f64],
+        prev: &SpDag,
+        e: EdgeId,
+        old_w: f64,
+        frontier_cap: usize,
+        disabled: &[bool],
+    ) -> RepairOutcome {
+        check_mask(g, disabled);
+        self.begin_change(g, &[e]);
+        if edge_disabled(disabled, e) {
+            // A masked edge's weight is never read. On `prev` it was just
+            // taken down (an increase to ∞); off `prev` no path gets shorter
+            // and no tight edge appears.
+            return if prev.edge_on_dag[e.index()] {
+                self.increase(g, weights, prev, e, frontier_cap, disabled)
+            } else {
+                RepairOutcome::Unchanged
+            };
         }
-        done[x.index()] = true;
-        for &ein in g.in_edges(x) {
-            if edge_disabled(disabled, ein) {
-                continue;
-            }
-            let p = g.src(ein);
-            if !affected[p.index()] || done[p.index()] {
-                continue;
-            }
-            let nd = d + weights[ein.index()];
-            if nd + EPS < dist[p.index()] {
-                dist[p.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: p });
-            }
+        let (u, v) = g.endpoints(e);
+        let new_w = weights[e.index()];
+        if new_w == old_w || !edge_change_affects_dag(prev, e, u, v, new_w) {
+            return RepairOutcome::Unchanged;
+        }
+        if new_w > old_w {
+            self.increase(g, weights, prev, e, frontier_cap, disabled)
+        } else {
+            self.decrease(g, weights, prev, e, u, v, frontier_cap, disabled)
         }
     }
 
-    let touched = affected_nodes.len();
-    SpDagUpdate::Repaired(
-        patch_dag(g, weights, prev, dist, e, &affected_nodes, disabled),
-        touched,
-    )
-}
-
-/// Weight decrease on `e = (u, v)` that reaches the current distance at `u`,
-/// including a link coming back up (a decrease from ∞, where `dist(u)` may
-/// itself be ∞).
-///
-/// If the cheaper edge exactly ties `dist(u)` the distances are unchanged and
-/// the DAG only gains `e`. Otherwise the improvement propagates backwards
-/// from `u` with a Dijkstra-like frontier over strictly improving nodes —
-/// the classical decrease-only dynamic SSSP, whose work is bounded by the
-/// set of nodes that actually get closer — and `patch_dag` re-tests only
-/// `e` and the edges around those nodes.
-#[allow(clippy::too_many_arguments)] // internal repair kernel: one flat argument list keeps the hot path alloc-free
-fn repair_decrease(
-    g: &Digraph,
-    weights: &[f64],
-    prev: &SpDag,
-    e: EdgeId,
-    u: NodeId,
-    v: NodeId,
-    frontier_cap: usize,
-    disabled: &[bool],
-) -> SpDagUpdate {
-    let cand = weights[e.index()] + prev.dist[v.index()];
-    let du = prev.dist[u.index()];
-    if cand + EPS >= du {
-        // New tie at u: distances hold (so the order carries over), edge e
-        // joins the DAG.
-        let repaired = patch_dag(g, weights, prev, prev.dist.clone(), e, &[], disabled);
-        return SpDagUpdate::Repaired(repaired, 0);
+    /// Diffs `prev` against a full Dijkstra under the new weights and mask,
+    /// for a change too structural for one bounded repair (several dead
+    /// edges on one DAG). `changed` lists every edge whose weight or mask
+    /// bit differs from `prev`'s state.
+    pub fn rebuild(
+        &mut self,
+        g: &Digraph,
+        weights: &[f64],
+        prev: &SpDag,
+        changed: &[EdgeId],
+        disabled: &[bool],
+    ) {
+        check_mask(g, disabled);
+        self.full_diff(g, weights, prev, changed, disabled);
     }
 
-    let mut dist = prev.dist.clone();
-    let mut improved = vec![false; g.node_count()];
-    let mut improved_nodes = vec![u];
-    let mut heap = BinaryHeap::new();
-    dist[u.index()] = cand;
-    improved[u.index()] = true;
-    heap.push(HeapEntry {
-        dist: cand,
-        node: u,
-    });
-    while let Some(HeapEntry { dist: d, node: x }) = heap.pop() {
-        if d > dist[x.index()] {
-            continue; // superseded by a better improvement
-        }
-        for &ein in g.in_edges(x) {
-            if edge_disabled(disabled, ein) {
-                continue;
+    /// The full-Dijkstra diff: a fresh stamp drops whatever an abandoned
+    /// bounded repair wrote, and every node whose distance changed bits
+    /// moves.
+    fn full_diff(
+        &mut self,
+        g: &Digraph,
+        weights: &[f64],
+        prev: &SpDag,
+        changed: &[EdgeId],
+        disabled: &[bool],
+    ) -> RepairOutcome {
+        self.begin_change(g, changed);
+        let mut full = std::mem::take(&mut self.full);
+        distances_into(g, weights, prev.target, disabled, &mut full);
+        for (i, (&d, &old)) in full.iter().zip(&prev.dist).enumerate() {
+            if d.to_bits() != old.to_bits() {
+                self.set_dist(NodeId(i as u32), d);
+                self.moved.push((NodeId(i as u32), d));
             }
-            let p = g.src(ein);
-            let nd = d + weights[ein.index()];
-            if nd + EPS < dist[p.index()] {
-                dist[p.index()] = nd;
-                if !improved[p.index()] {
-                    improved[p.index()] = true;
-                    improved_nodes.push(p);
-                    if improved_nodes.len() > frontier_cap {
-                        return SpDagUpdate::Rebuilt(shortest_path_dag(
-                            g,
-                            weights,
-                            prev.target,
-                            disabled,
-                        ));
-                    }
+        }
+        self.full = full;
+        RepairOutcome::Rebuilt
+    }
+
+    /// Closes a bounded repair: the touched nodes whose distance changed
+    /// bits move.
+    fn finish(&mut self, prev: &SpDag) -> RepairOutcome {
+        for k in 0..self.touched.len() {
+            let x = self.touched[k];
+            let d = self.dist(prev, x);
+            if d.to_bits() != prev.dist[x.index()].to_bits() {
+                self.moved.push((x, d));
+            }
+        }
+        RepairOutcome::Repaired(self.touched.len())
+    }
+
+    /// Weight increase on an on-DAG edge `e = (u, v)`, or `e` going down.
+    ///
+    /// Phase 1 finds the affected set `A` — nodes *all* of whose shortest
+    /// paths used `e` — by support counting over the old DAG: `u` loses
+    /// `e`'s support; a node joins `A` when every one of its DAG out-edges
+    /// leads into `A`. If `u` keeps support, no node moves and only `e`
+    /// leaves the DAG. Phase 2 re-runs Dijkstra restricted to `A`, seeded with the
+    /// best detour through unaffected neighbours. Nodes outside `A` keep
+    /// their exact old distances.
+    fn increase(
+        &mut self,
+        g: &Digraph,
+        weights: &[f64],
+        prev: &SpDag,
+        e: EdgeId,
+        frontier_cap: usize,
+        disabled: &[bool],
+    ) -> RepairOutcome {
+        let u = g.src(e);
+        // `e` no longer provides u's old distance (its weight strictly grew).
+        if self.drop_support(prev, u) > 0 {
+            return self.finish(prev);
+        }
+        self.mark(u);
+        let mut head = 0;
+        while head < self.touched.len() {
+            let x = self.touched[head];
+            head += 1;
+            if head > frontier_cap {
+                return self.full_diff(g, weights, prev, &[e], disabled);
+            }
+            for &ein in g.in_edges(x) {
+                if !prev.edge_on_dag[ein.index()] {
+                    continue;
                 }
-                heap.push(HeapEntry { dist: nd, node: p });
+                let p = g.src(ein);
+                if !self.marked(p) && self.drop_support(prev, p) == 0 {
+                    self.mark(p);
+                }
             }
         }
+
+        // Phase 2: Dijkstra restricted to the affected set. Seeds are the
+        // best candidates through *unaffected* out-neighbours (including `e`
+        // itself at its new weight); edges between affected nodes relax as
+        // their heads settle, exactly like the full algorithm.
+        for k in 0..self.touched.len() {
+            let a = self.touched[k];
+            self.set_dist(a, INFINITY);
+        }
+        for k in 0..self.touched.len() {
+            let a = self.touched[k];
+            let mut best = INFINITY;
+            for &eo in g.out_edges(a) {
+                if edge_disabled(disabled, eo) {
+                    continue;
+                }
+                let h = g.dst(eo);
+                let dh = self.dist(prev, h);
+                if self.marked(h) || !dh.is_finite() {
+                    continue;
+                }
+                let cand = weights[eo.index()] + dh;
+                if cand + EPS < best {
+                    best = cand;
+                }
+            }
+            if best.is_finite() {
+                self.set_dist(a, best);
+                self.heap.push(HeapEntry {
+                    dist: best,
+                    node: a,
+                });
+            }
+        }
+        while let Some(HeapEntry { dist: d, node: x }) = self.heap.pop() {
+            let done = self.done_at[x.index()] == self.epoch;
+            if done || !self.marked(x) || d > self.dist(prev, x) {
+                continue; // settled, unaffected, or a stale entry
+            }
+            self.done_at[x.index()] = self.epoch;
+            for &ein in g.in_edges(x) {
+                if edge_disabled(disabled, ein) {
+                    continue;
+                }
+                let p = g.src(ein);
+                if !self.marked(p) || self.done_at[p.index()] == self.epoch {
+                    continue;
+                }
+                let nd = d + weights[ein.index()];
+                if nd + EPS < self.dist(prev, p) {
+                    self.set_dist(p, nd);
+                    self.heap.push(HeapEntry { dist: nd, node: p });
+                }
+            }
+        }
+        self.finish(prev)
     }
-    let touched = improved_nodes.len();
-    SpDagUpdate::Repaired(
-        patch_dag(g, weights, prev, dist, e, &improved_nodes, disabled),
-        touched,
-    )
+
+    /// Weight decrease on `e = (u, v)` that reaches the current distance at
+    /// `u`, including a link coming back up (a decrease from ∞, where
+    /// `dist(u)` may itself be ∞).
+    ///
+    /// If the cheaper edge exactly ties `dist(u)` the distances are
+    /// unchanged and only `e` joins the DAG. Otherwise the improvement
+    /// propagates backwards from `u` with a Dijkstra-like frontier over
+    /// strictly improving nodes — the classical decrease-only dynamic SSSP,
+    /// whose work is bounded by the set of nodes that actually get closer.
+    #[allow(clippy::too_many_arguments)] // internal repair kernel: one flat argument list
+    fn decrease(
+        &mut self,
+        g: &Digraph,
+        weights: &[f64],
+        prev: &SpDag,
+        e: EdgeId,
+        u: NodeId,
+        v: NodeId,
+        frontier_cap: usize,
+        disabled: &[bool],
+    ) -> RepairOutcome {
+        let cand = weights[e.index()] + prev.dist[v.index()];
+        if cand + EPS >= prev.dist[u.index()] {
+            return self.finish(prev);
+        }
+        self.set_dist(u, cand);
+        self.mark(u);
+        self.heap.push(HeapEntry {
+            dist: cand,
+            node: u,
+        });
+        while let Some(HeapEntry { dist: d, node: x }) = self.heap.pop() {
+            if d > self.dist(prev, x) {
+                continue; // superseded by a better improvement
+            }
+            for &ein in g.in_edges(x) {
+                if edge_disabled(disabled, ein) {
+                    continue;
+                }
+                let p = g.src(ein);
+                let nd = d + weights[ein.index()];
+                if nd + EPS < self.dist(prev, p) {
+                    self.set_dist(p, nd);
+                    if !self.marked(p) {
+                        self.mark(p);
+                        if self.touched.len() > frontier_cap {
+                            return self.full_diff(g, weights, prev, &[e], disabled);
+                        }
+                    }
+                    self.heap.push(HeapEntry { dist: nd, node: p });
+                }
+            }
+        }
+        self.finish(prev)
+    }
 }
 
 #[cfg(test)]
@@ -1222,16 +1457,70 @@ mod tests {
         let mut w_new = w_old.to_vec();
         w_new[e.index()] = new_w;
         let scratch = shortest_path_dag(g, &w_new, target, &[]);
+        let ctx = format!("e={e:?} {}->{} target={target:?}", w_old[e.index()], new_w);
+        check_diff(
+            g,
+            &w_new,
+            &prev,
+            e,
+            w_old[e.index()],
+            cap,
+            &[],
+            &scratch,
+            &ctx,
+        );
         let upd = update_shortest_path_dag(g, &w_new, &prev, e, w_old[e.index()], cap, &[]);
         let got = match upd {
             SpDagUpdate::Unchanged => prev,
             SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
         };
-        assert_same_dag(
-            &got,
-            &scratch,
-            &format!("e={e:?} {}->{} target={target:?}", w_old[e.index()], new_w),
-        );
+        assert_same_dag(&got, &scratch, &ctx);
+    }
+
+    /// The diff half alone, against the from-scratch DAG `want`: every
+    /// node the diff lists as moved changed distance (to exactly the new
+    /// one), every other node kept it bit for bit, and the per-edge query
+    /// answers the new edge set without a DAG being built.
+    #[allow(clippy::too_many_arguments)]
+    fn check_diff(
+        g: &Digraph,
+        w: &[f64],
+        prev: &SpDag,
+        e: EdgeId,
+        old_w: f64,
+        cap: usize,
+        disabled: &[bool],
+        want: &SpDag,
+        ctx: &str,
+    ) {
+        let mut r = DagRepair::new();
+        if r.repair(g, w, prev, e, old_w, cap, disabled) == RepairOutcome::Unchanged {
+            return;
+        }
+        let mut moved = vec![false; g.node_count()];
+        for &(x, d) in r.moved() {
+            assert!(!moved[x.index()], "{ctx}: {x:?} listed twice");
+            moved[x.index()] = true;
+            assert_eq!(d.to_bits(), want.dist[x.index()].to_bits(), "{ctx}: {x:?}");
+            assert_ne!(d.to_bits(), prev.dist[x.index()].to_bits(), "{ctx}: {x:?}");
+        }
+        for v in g.nodes() {
+            assert_eq!(
+                r.dist(prev, v).to_bits(),
+                want.dist[v.index()].to_bits(),
+                "{ctx}"
+            );
+            if !moved[v.index()] {
+                assert_eq!(
+                    prev.dist[v.index()].to_bits(),
+                    want.dist[v.index()].to_bits()
+                );
+            }
+        }
+        for e in g.edge_ids() {
+            let on = r.on_dag(w, disabled, prev, e, g.endpoints(e));
+            assert_eq!(on, want.edge_on_dag[e.index()], "{ctx}: on_dag({e:?})");
+        }
     }
 
     #[test]
@@ -1376,6 +1665,17 @@ mod tests {
         disabled[e.index()] = true;
         let scratch = shortest_path_dag(g, w, target, &disabled);
         let ctx = format!("e={e:?} target={target:?}");
+        check_diff(
+            g,
+            w,
+            &intact,
+            e,
+            w[e.index()],
+            cap,
+            &disabled,
+            &scratch,
+            &ctx,
+        );
         let down = update_shortest_path_dag(g, w, &intact, e, w[e.index()], cap, &disabled)
             .into_dag()
             .unwrap_or_else(|| intact.clone());

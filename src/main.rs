@@ -28,6 +28,61 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 
+/// Prints to stdout like `print!`, through the CLI's one stdout writer.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        std::io::Write::write_fmt(&mut Stdout::lock(), format_args!($($arg)*))
+            .unwrap_or_else(|e| stdout_failed(e))
+    };
+}
+
+/// Prints a line to stdout like `println!`, through the CLI's one stdout
+/// writer.
+macro_rules! outln {
+    () => {
+        out!("\n")
+    };
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// The CLI's one stdout writer, over a lock on stdout. A reader that went
+/// away (a closed pipe, as in `segrout topo list | head -1`) ends the
+/// process quietly with exit 0, since no one is left to read the rest; any
+/// other write error ends it with an error and exit 1. `print!` would
+/// panic on either.
+struct Stdout(std::io::StdoutLock<'static>);
+
+impl Stdout {
+    fn lock() -> Self {
+        Self(std::io::stdout().lock())
+    }
+}
+
+impl std::io::Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self.0.write(buf) {
+            Err(e) if e.kind() != std::io::ErrorKind::Interrupted => stdout_failed(e),
+            r => r,
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush().or_else(|e| stdout_failed(e))
+    }
+}
+
+/// Ends the process after a failed write to stdout: quietly on a closed
+/// pipe, with an error otherwise.
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing to stdout: {e}");
+    std::process::exit(1)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, args)) = args.split_first() else {
@@ -319,7 +374,7 @@ fn finish_flight_recorder(cmd: &str, flags: &Flags, run: &Run) -> Result<(), Str
     if let Some(path) = flags.value("profile-out") {
         segrout::obs::write_collapsed_stacks(Path::new(path))
             .map_err(|e| format!("--profile-out {path}: {e}"))?;
-        println!("\ncall-tree profile:\n{}", segrout::obs::profile_table());
+        outln!("\ncall-tree profile:\n{}", segrout::obs::profile_table());
         eprintln!("profile: collapsed stacks written to {path}");
     }
     // Every optimize run leaves a run.json behind unless told not to; other
@@ -358,12 +413,12 @@ fn cmd_report(flags: &Flags) -> Result<bool, String> {
     let old = segrout::obs::load_run_stats(Path::new(old_path))?;
     let new = segrout::obs::load_run_stats(Path::new(new_path))?;
     let rows = segrout::obs::compare(&old, &new, t);
-    print!("{}", segrout::obs::render_table(&old, &new, &rows));
+    out!("{}", segrout::obs::render_table(&old, &new, &rows));
     let regressed = segrout::obs::any_regressed(&rows);
     if regressed {
         eprintln!("verdict: REGRESSED");
     } else {
-        println!("verdict: OK");
+        outln!("verdict: OK");
     }
     Ok(regressed)
 }
@@ -375,12 +430,12 @@ const METRIC_CATALOG: &[(&str, &str, &str)] = &[
     (
         "arena.rebuilds",
         "counter",
-        "load-arena prefix-slab (re)folds: construction + dirty commits",
+        "full load-arena refolds of every column: evaluator construction",
     ),
     (
         "arena.reuses",
         "counter",
-        "probes and link events whose load fold started from a cached prefix row",
+        "changes whose load fold reused the committed totals of untouched columns",
     ),
     ("check.cases", "counter", "fuzz cases executed"),
     (
@@ -653,15 +708,15 @@ fn cmd_catalog(flags: &Flags) -> Result<Run, String> {
                 unknown.join(", ")
             ));
         }
-        println!("catalog check passed: every metric in {path} is documented");
+        outln!("catalog check passed: every metric in {path} is documented");
         return Ok(Run::default());
     }
-    println!("{:<34} {:<10} description", "metric", "kind");
+    outln!("{:<34} {:<10} description", "metric", "kind");
     for (name, kind, desc) in METRIC_CATALOG {
-        println!("{name:<34} {kind:<10} {desc}");
+        outln!("{name:<34} {kind:<10} {desc}");
     }
     for span in SPAN_CATALOG {
-        println!("time.{span:<29} histogram  wall-time of the '{span}' span (ms)");
+        outln!("time.{span:<29} histogram  wall-time of the '{span}' span (ms)");
     }
     Ok(Run::default())
 }
@@ -672,7 +727,7 @@ fn cmd_topo(flags: &Flags) -> Result<Run, String> {
         Some("list") => {
             for name in TOPOLOGY_NAMES {
                 let net = by_name(name).ok_or("embedded topology missing")?;
-                println!(
+                outln!(
                     "{name:<14} {:>3} nodes, {:>3} directed links",
                     net.node_count(),
                     net.edge_count()
@@ -683,10 +738,10 @@ fn cmd_topo(flags: &Flags) -> Result<Run, String> {
         Some("show") => {
             let name = args.get(1).ok_or("topo show needs a name")?;
             let net = by_name(name).ok_or_else(|| format!("unknown topology '{name}'"))?;
-            println!("{name}:");
-            print!("{}", segrout::topo::topology_stats(&net));
+            outln!("{name}:");
+            out!("{}", segrout::topo::topology_stats(&net));
             for (e, u, v) in net.graph().edges() {
-                println!(
+                outln!(
                     "  {} -> {}  {:.0} Mbit/s",
                     net.node_name(u),
                     net.node_name(v),
@@ -890,7 +945,7 @@ fn cmd_optimize(flags: &Flags) -> Result<Run, String> {
         }
         .map_err(|e| e.to_string())?;
         segrout::obs::gauge("robust.matrices").set(set.len() as f64);
-        println!(
+        outln!(
             "{topo_name}: {} nodes, {} links; {} '{kind}' matrices x {} pairs \
              (objective: {robust:?})",
             net.node_count(),
@@ -901,7 +956,7 @@ fn cmd_optimize(flags: &Flags) -> Result<Run, String> {
         (set, Some(robust))
     } else {
         let demands = setup.demands()?;
-        println!(
+        outln!(
             "{topo_name}: {} nodes, {} links; {} demands totalling {:.1}",
             net.node_count(),
             net.edge_count(),
@@ -916,44 +971,60 @@ fn cmd_optimize(flags: &Flags) -> Result<Run, String> {
     if let Some(path) = flags.value("save") {
         let text = segrout::core::write_config(net, &weights, &waypoints);
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-        println!("configuration saved to {path}");
+        outln!("configuration saved to {path}");
     }
     let rep = evaluate_robust(net, &weights, &set, &waypoints).map_err(|e| e.to_string())?;
-    println!("algorithm: {}", setup.algorithm);
+    outln!("algorithm: {}", setup.algorithm);
     let mlu = if robust.is_some() {
-        println!("\nper-matrix evaluation:");
+        outln!("\nper-matrix evaluation:");
         let mlu_series = segrout::obs::series("robust.matrix_mlu");
         for (k, (name, _)) in set.iter().enumerate() {
-            println!(
+            outln!(
                 "  {name:<8} MLU {:>8.4}   Phi {:>12.4}",
-                rep.mlus[k], rep.phis[k]
+                rep.mlus[k],
+                rep.phis[k]
             );
             mlu_series.push(rep.mlus[k]);
             segrout::obs::trace_point("robust.matrix", k as u64, rep.phis[k], rep.mlus[k]);
         }
         let objective_mlu = rep.aggregate_mlu(objective);
-        println!("objective MLU: {objective_mlu:.4}");
-        println!("worst-case MLU: {:.4}", rep.worst_mlu());
+        outln!("objective MLU: {objective_mlu:.4}");
+        outln!("worst-case MLU: {:.4}", rep.worst_mlu());
         segrout::obs::gauge("robust.worst_mlu").set(rep.worst_mlu());
         segrout::obs::gauge("robust.objective_mlu").set(objective_mlu);
         objective_mlu
     } else {
-        println!("MLU: {:.4}", rep.mlus[0]);
+        outln!("MLU: {:.4}", rep.mlus[0]);
         rep.mlus[0]
     };
     let with_wp = (0..set.pair_count())
         .filter(|&i| !waypoints.get(i).is_empty())
         .count();
     if with_wp > 0 {
-        println!("waypointed demands: {with_wp}/{}", set.pair_count());
+        outln!("waypointed demands: {with_wp}/{}", set.pair_count());
     }
     if robust.is_none() {
         let util = UtilizationReport::new(net, &rep.reports[0].loads);
-        println!("\nhottest links:\n{}", util.format_top(net, top));
+        outln!("\nhottest links:\n{}", util.format_top(net, top));
     }
     segrout::obs::gauge("run.mlu").set(mlu);
-    println!("\nrun summary:\n{}", segrout::obs::summary_table());
-    Ok(setup.run())
+    outln!("\nrun summary:\n{}", segrout::obs::summary_table());
+    let mut run = setup.run();
+    if let (Some(spec), Some(robust)) = (flags.value("demand-set"), robust) {
+        // The set replaced the single `--traffic` matrix, which never ran.
+        run.fields.retain(|&(name, _)| name != "traffic");
+        run.fields.push(("demand_set", Json::from(spec)));
+        run.fields.push(("robust", Json::from(robust_name(robust))));
+    }
+    Ok(run)
+}
+
+/// The `--robust` spelling of an objective: `worst` or `q<value>`.
+fn robust_name(robust: RobustObjective) -> String {
+    match robust {
+        RobustObjective::WorstCase => "worst".into(),
+        RobustObjective::Quantile(q) => format!("q{q}"),
+    }
 }
 
 /// `segrout sweep`: enumerates link-failure scenarios, evaluates each one
@@ -1005,7 +1076,7 @@ fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
     let single = DemandSet::single(setup.demands()?);
     let demands = single.matrix(0);
     let set = FailureSet::enumerate(net, doubles);
-    println!(
+    outln!(
         "{topo_name}: {} nodes, {} directed links ({} undirected); {} demands totalling {:.1}",
         net.node_count(),
         net.edge_count(),
@@ -1013,7 +1084,7 @@ fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
         demands.len(),
         demands.total_size()
     );
-    println!(
+    outln!(
         "failure set: {} patterns ({}) x {} scaling(s) = {} scenarios",
         set.len(),
         if doubles {
@@ -1032,7 +1103,7 @@ fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
     } else {
         setup.configuration(flags, &single, RobustObjective::WorstCase)?
     };
-    println!("algorithm: {algorithm}");
+    outln!("algorithm: {algorithm}");
 
     let rep = {
         let _span = segrout::obs::span("sweep");
@@ -1046,16 +1117,18 @@ fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
         )?
     };
     for (i, &s) in rep.scalings.iter().enumerate() {
-        println!("intact MLU @ x{s:<5.2} = {:.4}", rep.base_mlu[i]);
+        outln!("intact MLU @ x{s:<5.2} = {:.4}", rep.base_mlu[i]);
     }
-    println!(
+    outln!(
         "\n{} scenarios: {} evaluated, {} disconnecting",
-        rep.scenarios, rep.evaluated, rep.disconnects
+        rep.scenarios,
+        rep.evaluated,
+        rep.disconnects
     );
     let dist = rep.mlu_distribution();
     if !dist.is_empty() {
         let q = |p: f64| RobustObjective::Quantile(p).aggregate(&dist);
-        println!(
+        outln!(
             "failure MLU distribution: min {:.4}  p50 {:.4}  p90 {:.4}  p99 {:.4}  max {:.4}",
             dist[0],
             q(0.5),
@@ -1063,20 +1136,20 @@ fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
             q(0.99),
             dist[dist.len() - 1]
         );
-        println!(
+        outln!(
             "objective ({robust:?}) MLU: {:.4}",
             rep.aggregate_mlu(robust).expect("non-empty distribution")
         );
     }
     if let Some(w) = &rep.worst {
         let (u, v) = net.graph().endpoints(w.bottleneck);
-        println!(
+        outln!(
             "\nworst case: fail {{{}}} @ x{:.2} -> MLU {:.4}",
             set.pattern_label(net, w.pattern),
             w.scale,
             w.mlu
         );
-        println!(
+        outln!(
             "  bottleneck {} -> {}: load {:.1} / capacity {:.1}",
             net.node_name(u),
             net.node_name(v),
@@ -1088,9 +1161,9 @@ fn cmd_sweep(flags: &Flags) -> Result<Run, String> {
     if let Some(path) = flags.value("sweep-out") {
         let artifact = sweep_artifact(net, topo_name, algorithm, &set, &rep);
         std::fs::write(path, artifact.render()).map_err(|e| format!("{path}: {e}"))?;
-        println!("\nsweep artifact written to {path}");
+        outln!("\nsweep artifact written to {path}");
     }
-    println!("\nrun summary:\n{}", segrout::obs::summary_table());
+    outln!("\nrun summary:\n{}", segrout::obs::summary_table());
     Ok(setup.run())
 }
 
@@ -1248,12 +1321,14 @@ fn cmd_serve(flags: &Flags) -> Result<Run, String> {
         serve_tcp(addr, &mut session)?;
     } else if let Some(path) = flags.value("events") {
         let file = std::fs::File::open(path).map_err(|e| format!("--events {path}: {e}"))?;
-        let mut out = std::io::stdout().lock();
-        serve_stream(&mut session, std::io::BufReader::new(file), &mut out)?;
+        serve_stream(
+            &mut session,
+            std::io::BufReader::new(file),
+            &mut Stdout::lock(),
+        )?;
     } else {
         let stdin = std::io::stdin().lock();
-        let mut out = std::io::stdout().lock();
-        serve_stream(&mut session, stdin, &mut out)?;
+        serve_stream(&mut session, stdin, &mut Stdout::lock())?;
     }
 
     let st = *session.stats();
@@ -1326,22 +1401,22 @@ fn cmd_gaps(flags: &Flags) -> Result<Run, String> {
         .evaluate(&inst.demands, &inst.joint_waypoints)
         .map_err(|e| e.to_string())?
         .mlu;
-    println!(
+    outln!(
         "TE-Instance {which} (m = {m}): {} nodes, {} links, {} demands (D = {:.3})",
         inst.network.node_count(),
         inst.network.edge_count(),
         inst.demands.len(),
         inst.demands.total_size()
     );
-    println!("Joint (constructive lemma setting): MLU = {joint:.4}");
+    outln!("Joint (constructive lemma setting): MLU = {joint:.4}");
     // A quick LWO reference point via the unit setting and LWO-APX.
     let unit = Router::new(&inst.network, &WeightSetting::unit(&inst.network))
         .mlu(&inst.demands)
         .map_err(|e| e.to_string())?;
-    println!("unit weights (no waypoints):        MLU = {unit:.4}");
+    outln!("unit weights (no waypoints):        MLU = {unit:.4}");
     let apx = segrout::algos::lwo_apx(&inst.network, inst.source, inst.target)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "LWO-APX: |f*| = {:.4}, ES-flow = {:.4} (ratio {:.3})",
         apx.max_flow_value,
         apx.es_flow_value,
@@ -1374,11 +1449,11 @@ fn cmd_fuzz(flags: &Flags) -> Result<Run, String> {
         validator,
     };
 
-    println!("fuzzing: {cases} cases from seed {seed} ...");
+    outln!("fuzzing: {cases} cases from seed {seed} ...");
     let start = std::time::Instant::now();
     let report = segrout::check::fuzz_campaign(&cfg);
     let secs = start.elapsed().as_secs_f64();
-    println!(
+    outln!(
         "{} cases in {secs:.1}s ({:.1} cases/s): {} checks, {} benign errors, {} failures",
         report.cases,
         report.cases as f64 / secs.max(1e-9),
@@ -1387,16 +1462,18 @@ fn cmd_fuzz(flags: &Flags) -> Result<Run, String> {
         report.failures.len()
     );
     for f in &report.failures {
-        println!(
+        outln!(
             "\ncase {} (shrunk in {} steps): {}",
-            f.index, f.shrink_steps, f.outcome
+            f.index,
+            f.shrink_steps,
+            f.outcome
         );
         match &f.corpus_path {
-            Some(p) => println!("reproducer written to {}", p.display()),
-            None => println!("reproducer:\n{}", f.case.to_text()),
+            Some(p) => outln!("reproducer written to {}", p.display()),
+            None => outln!("reproducer:\n{}", f.case.to_text()),
         }
     }
-    println!("\nrun summary:\n{}", segrout::obs::summary_table());
+    outln!("\nrun summary:\n{}", segrout::obs::summary_table());
     if report.failures.is_empty() {
         Ok(Run {
             seed: Some(seed),
@@ -1421,13 +1498,13 @@ fn cmd_parse(flags: &Flags) -> Result<Run, String> {
     } else {
         return Err("parse needs --sndlib <file> or --graphml <file>".into());
     };
-    println!(
+    outln!(
         "parsed: {} nodes, {} directed links",
         net.node_count(),
         net.edge_count()
     );
     if let Some(d) = demands {
-        println!(
+        outln!(
             "demand matrix: {} entries totalling {:.1}",
             d.len(),
             d.total_size()

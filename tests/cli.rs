@@ -26,6 +26,26 @@ fn topo_list_shows_all_embedded_networks() {
     }
 }
 
+/// A reader that is gone before the output is written (as in
+/// `segrout topo list | head -1`) ends the command quietly: the pipe's read
+/// end is closed before the binary starts, so its first write fails.
+#[test]
+fn closed_stdout_ends_quietly() {
+    for args in [&["topo", "list"][..], &["catalog"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_segrout"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+    }
+}
+
 #[test]
 fn topo_show_prints_stats_and_links() {
     let (ok, stdout, _) = segrout(&["topo", "show", "Abilene"]);

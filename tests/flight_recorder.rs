@@ -133,3 +133,44 @@ fn tracing_does_not_change_optimizer_output() {
         "profiling changed the optimizer result"
     );
 }
+
+/// A robust `optimize` records what ran in its run artifact: the demand
+/// set as given and the objective, and no `traffic`, whose single matrix
+/// the set replaced.
+#[test]
+fn robust_run_artifact_records_the_demand_set_and_objective() {
+    let dir = std::env::temp_dir().join("segrout-flight-recorder");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("rs.json");
+    let args = [
+        "optimize",
+        "--demand-set",
+        "diurnal:2",
+        "--algorithm",
+        "unit",
+        "--robust",
+        "q0.5",
+        "--run-out",
+        path.to_str().unwrap(),
+    ];
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_segrout"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let art = segrout::obs::Json::parse(&std::fs::read_to_string(&path).unwrap())
+        .expect("run artifact parses");
+    assert_eq!(art["command"], "optimize");
+    assert_eq!(art["algorithm"], "unit");
+    assert_eq!(art["demand_set"], "diurnal:2");
+    assert_eq!(art["robust"], "q0.5");
+    assert!(
+        art.get("traffic").is_none(),
+        "the unused --traffic default is recorded: {}",
+        art.render()
+    );
+}

@@ -64,7 +64,8 @@ fn one_evaluator_per_search_and_no_rebuilds_per_event() {
     );
     assert!(
         d_reuses > 0,
-        "probes must fold from the cached prefix slab ({d_reuses} reuses, {d_evals} evals)"
+        "probes must reuse the committed totals of the columns they leave untouched \
+         ({d_reuses} reuses, {d_evals} evals)"
     );
     // Building the one evaluator costs `dests` full per-destination
     // evaluations; after that, probes repair instead of recomputing (a
@@ -117,7 +118,7 @@ fn one_evaluator_per_search_and_no_rebuilds_per_event() {
     );
     assert!(
         counter("arena.rebuilds") - rebuilds1 <= events,
-        "at most one prefix-slab refold per event"
+        "at most one full load-arena refold per event"
     );
     assert_eq!(session.stats().events, events);
 

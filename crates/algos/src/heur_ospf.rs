@@ -8,24 +8,26 @@
 //! objective. A hash set of visited weight vectors avoids re-evaluating
 //! settings, and a no-improvement full pass ends a descent.
 //!
-//! Each link's candidate neighbourhood is scored **speculatively in
-//! parallel** on the `segrout-par` pool, then the first improving candidate
-//! in fixed candidate order is accepted. Candidate generation, visited-set
-//! filtering, and the accepting reduction all run serially on the caller, so
-//! the search is bit-identical at any thread count.
+//! The descent (`Descent`) is the crate's only local search: the budgeted
+//! re-solve of [`crate::reopt`], which `segrout serve` runs on its local and
+//! escalate tiers, is one descent from the deployed weights under a change
+//! budget. One offline/online constant (`Mode`) is all that differs: the
+//! offline search scores a link's neighbourhood **speculatively in
+//! parallel** on the `segrout-par` pool and accepts the first improving
+//! candidate in candidate order; the online re-solve drops the halve and
+//! double moves and probes one candidate at a time. Candidates, the visited
+//! set and the accepting reduction stay serial on the caller, so the search
+//! is bit-identical at any thread count.
 //!
-//! Candidate scoring goes through the **incremental evaluation engine**
-//! ([`segrout_core::IncrementalEvaluator`]): probes borrow the shared base
-//! state read-only and repair only the destinations whose shortest-path DAG
-//! the single-edge change can touch; the accepted move is committed in
-//! place. Probe answers are bit-identical to a from-scratch [`Router`]
-//! evaluation (pinned by the `walk` kind of `segrout_check::differential`,
-//! which `tests/incremental_differential.rs` and the fuzzer run, and by the
-//! debug-build commit hooks), so the search takes the trajectory a
-//! from-scratch scorer would, at a fraction of the work. Building a
-//! descent's evaluators is one full evaluation, which also scores its
-//! start: the inverse-capacity start is evaluated once, and restart 0
-//! descends from the evaluators that scored it.
+//! Candidates are scored by the **incremental evaluation engine**
+//! ([`segrout_core::IncrementalEvaluator`]): probes borrow the base state
+//! read-only and repair only the destinations whose shortest-path DAG the
+//! change can touch, and the accepted move is committed in place. Probe
+//! answers are bit-identical to a from-scratch [`Router`] evaluation
+//! (pinned by the `walk` kind of `segrout_check::differential` and by the
+//! debug-build commit hooks); `tests/descent_pins.rs` pins the trajectory
+//! itself. A descent's evaluators are built with one full evaluation, which
+//! also scores its start, so the inverse-capacity start costs one.
 //!
 //! [`Router`]: segrout_core::Router
 //!
@@ -44,8 +46,8 @@
 
 use segrout_core::rng::{SliceRandom, StdRng};
 use segrout_core::{
-    DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator, Network, RobustObjective,
-    WaypointSetting, WeightSetting,
+    DemandList, DemandSet, EdgeId, FailureSet, IncrementalEvaluator, Network, Probe,
+    RobustObjective, WaypointSetting, WeightSetting,
 };
 use segrout_obs::{event, Level};
 use std::collections::HashSet;
@@ -89,7 +91,7 @@ impl Default for HeurOspfConfig {
 
 /// Objective value: a lexicographic pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
-struct Score(f64, f64);
+pub(crate) struct Score(f64, f64);
 
 impl Score {
     /// The MLU component of the lexicographic pair.
@@ -108,6 +110,8 @@ impl Score {
         }
     }
 
+    /// Strict lexicographic improvement, each component by more than a
+    /// relative `1e-9`.
     fn better_than(&self, other: &Score) -> bool {
         const REL: f64 = 1e-9;
         let tol0 = REL * (1.0 + other.0.abs());
@@ -255,7 +259,7 @@ pub fn heur_ospf_robust(
     );
     assert!(!set.is_empty(), "demand set must hold at least one matrix");
     let _span = segrout_obs::span("heurospf");
-    descend(
+    restarts(
         net,
         cfg,
         robust,
@@ -344,7 +348,7 @@ pub fn heur_ospf_failure_robust<'n>(
         }
         Some(evs)
     };
-    descend(net, cfg, robust, k, build, |cur, evs| {
+    restarts(net, cfg, robust, k, build, |cur, evs| {
         // Commit-point hook: each scenario's repaired state must equal a
         // from-scratch masked evaluation of the accepted weights.
         let ws = WeightSetting::new(net, cur.iter().map(|&x| f64::from(x)).collect())
@@ -353,30 +357,25 @@ pub fn heur_ospf_failure_robust<'n>(
             let fresh = IncrementalEvaluator::new_with_failures(net, &ws, demands, &wp, dead)
                 .expect("surviving scenarios stay routable under any weights");
             assert_eq!(
-                fresh.mlu().to_bits(),
-                ev.mlu().to_bits(),
-                "committed failure-scenario state diverged from scratch"
-            );
-            assert_eq!(
-                fresh.phi().to_bits(),
-                ev.phi().to_bits(),
+                (fresh.mlu().to_bits(), fresh.phi().to_bits()),
+                (ev.mlu().to_bits(), ev.phi().to_bits()),
                 "committed failure-scenario state diverged from scratch"
             );
         }
     })
 }
 
-/// The shared first-improvement descent: restarts, shuffled link scans, and
-/// the speculative `(candidate × scenario)` probe grid, generic over what a
-/// "scenario" is. [`heur_ospf_robust`] instantiates it with one incremental
-/// evaluator per traffic matrix; [`heur_ospf_failure_robust`] with one per
-/// failure scenario.
+/// HeurOSPF's restart loop: the inverse-capacity start, then `cfg.restarts`
+/// random starts, each descended once by an offline [`Descent`] without a
+/// budget. Generic over what a "scenario" is: [`heur_ospf_robust`] builds
+/// one incremental evaluator per traffic matrix, [`heur_ospf_failure_robust`]
+/// one per failure scenario.
 ///
 /// `build` constructs the per-scenario evaluators for a weight vector
 /// (`None` ⇒ some scenario is unroutable ⇒ an infinite score no move can
 /// improve), and `debug_check` asserts commit consistency of every
 /// evaluator after an accepted move (invoked in debug builds only).
-fn descend<'n, B, C>(
+fn restarts<'n, B, C>(
     net: &'n Network,
     cfg: &HeurOspfConfig,
     robust: RobustObjective,
@@ -395,12 +394,13 @@ where
     let iterations = segrout_obs::counter("heurospf.iterations");
     let matrix_evals = (k > 1).then(|| segrout_obs::counter("robust.matrix_evals"));
     let trajectory = segrout_obs::series("heurospf.mlu_trajectory");
+    let objective = cfg.objective;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let m = net.edge_count();
 
     let mut best: Vec<u32> = inverse_capacity_start(net, cfg.max_weight);
     let start_evaluators = build(&best);
-    let mut best_score = evaluators_score(start_evaluators.as_deref(), robust, cfg.objective);
+    let mut best_score = evaluators_score(start_evaluators.as_deref(), robust, objective);
     iterations.inc();
     // Local evaluation count for the flight recorder (the global counter is
     // shared across concurrent runs in one process); `trace_best` gates the
@@ -408,30 +408,31 @@ where
     // monotone across restarts. Tracing never feeds back into the search.
     let mut total_evals: u64 = 1;
     let mut trace_best = best_score;
-    segrout_obs::trace_point(
-        "heurospf.start",
-        total_evals,
-        best_score.phi(cfg.objective),
-        best_score.mlu(cfg.objective),
-    );
-    trajectory.push(best_score.mlu(cfg.objective));
+    let (phi0, mlu0) = (best_score.phi(objective), best_score.mlu(objective));
+    segrout_obs::trace_point("heurospf.start", total_evals, phi0, mlu0);
+    trajectory.push(mlu0);
     event!(
         Level::Debug,
         "heurospf.start",
         edges = m,
         matrices = k,
         restarts = cfg.restarts,
-        start_mlu = best_score.mlu(cfg.objective),
+        start_mlu = mlu0,
     );
 
+    let search = Descent {
+        cfg,
+        mode: Mode::Offline,
+        robust,
+        budget: None,
+    };
     // Restart 0 descends from the evaluators that scored the start, so the
     // start costs one evaluation.
     let mut start_evaluators = Some(start_evaluators);
     for restart in 0..=cfg.restarts {
         // The evaluators own the descent's base state (weights, per-dest
         // DAGs and load partials, Φ/MLU per matrix); construction is one
-        // full evaluation per matrix, so their aggregated score is the
-        // restart's starting score.
+        // full evaluation per matrix.
         let (mut cur, mut evaluators) = match start_evaluators.take() {
             Some(evs) => (best.clone(), evs),
             None => {
@@ -442,182 +443,255 @@ where
                 (cur, evs)
             }
         };
-        let mut cur_score = evaluators_score(evaluators.as_deref(), robust, cfg.objective);
         event!(
             Level::Debug,
             "heurospf.restart",
             restart = restart,
-            mlu = cur_score.mlu(cfg.objective),
+            mlu = evaluators_score(evaluators.as_deref(), robust, objective).mlu(objective),
         );
-        let mut visited = VisitedSet::default();
-        visited.insert(&cur);
-
-        let mut edge_order: Vec<usize> = (0..m).collect();
-        for pass in 0..cfg.max_passes {
-            let mut improved = false;
-            // Batched locally and flushed once per pass so the hot candidate
-            // loop pays no atomic traffic.
-            let mut pass_evals: u64 = 0;
-            edge_order.shuffle(&mut rng);
-            for &e in &edge_order {
-                let old = cur[e];
-                // Candidate moves: small steps, halving/doubling, extremes,
-                // and one random value — a cheap but diverse neighbourhood.
-                // Computed before any evaluation so the RNG stream is
-                // independent of how the neighbourhood is scheduled.
-                let candidates = [
-                    old.saturating_sub(1).max(1),
-                    (old + 1).min(cfg.max_weight),
-                    (old / 2).max(1),
-                    (old * 2).min(cfg.max_weight),
-                    1,
-                    cfg.max_weight,
-                    rng.gen_range(1..=cfg.max_weight),
-                ];
-                // Filter against the visited set serially, in candidate
-                // order (set membership must not depend on scheduling).
-                let mut fresh: Vec<u32> = Vec::with_capacity(candidates.len());
-                for &cand in &candidates {
-                    if cand == old {
-                        continue;
-                    }
-                    cur[e] = cand;
-                    let is_new = visited.insert(&cur);
-                    cur[e] = old;
-                    if is_new {
-                        fresh.push(cand);
-                    }
+        let evs = evaluators.as_deref_mut();
+        let (cur_score, evals) = search.run(&mut rng, evs, &mut cur, |step| match step {
+            Step::Accept(cur, edge, score, evals, evs) => {
+                if cfg!(debug_assertions) {
+                    debug_check(cur, evs);
                 }
-                pass_evals += fresh.len() as u64;
-                // Unroutable weights score ∞, and so does every candidate
-                // (routability does not depend on the weights): the pass
-                // rejects the neighbourhood without probing it.
-                let Some(evs) = evaluators.as_mut() else {
-                    continue;
-                };
-                // Score the whole neighbourhood speculatively on the pool,
-                // then accept the first improving candidate *in candidate
-                // order* — the ordered (score, index) reduction that keeps
-                // the search bit-identical at any thread count. Probes
-                // borrow the base state read-only: each one repairs only the
-                // destinations the single-edge change can affect, then
-                // re-sums the cached load partials — no full ECMP
-                // evaluation, no weight vector clone. The fan-out covers the
-                // full (candidate × matrix) grid, candidate-major, so
-                // candidate `ci`'s probes live at `[ci·K, ci·K+K)`.
-                let ev_refs: &[IncrementalEvaluator] = evs;
-                let eid = segrout_core::EdgeId(e as u32);
-                let tasks: Vec<(usize, usize)> = fresh
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(ci, _)| (0..k).map(move |mi| (ci, mi)))
-                    .collect();
-                let mut probes = segrout_par::par_map_slice(&tasks, |_, &(ci, mi)| {
-                    ev_refs[mi].probe(eid, f64::from(fresh[ci])).ok()
-                });
-                for (idx, &cand) in fresh.iter().enumerate() {
-                    let group = &probes[idx * k..(idx + 1) * k];
-                    let s = if group.iter().all(Option::is_some) {
-                        let mut phis = Vec::with_capacity(k);
-                        let mut mlus = Vec::with_capacity(k);
-                        for p in group.iter().flatten() {
-                            phis.push(p.phi);
-                            mlus.push(p.mlu);
-                        }
-                        score_from(
-                            robust.aggregate(&phis),
-                            robust.aggregate(&mlus),
-                            cfg.objective,
-                        )
-                    } else {
-                        Score(f64::INFINITY, f64::INFINITY)
-                    };
-                    if s.better_than(&cur_score) {
-                        for (mi, ev) in evs.iter_mut().enumerate() {
-                            let p = probes[idx * k + mi]
-                                .take()
-                                .expect("an infinite score never improves");
-                            ev.commit(p);
-                        }
-                        cur[e] = cand;
-                        cur_score = s;
-                        improved = true;
-                        if cfg!(debug_assertions) {
-                            debug_check(&cur, evs);
-                        }
-                        trajectory.push(cur_score.mlu(cfg.objective));
-                        if segrout_obs::trace_enabled() && cur_score.better_than(&trace_best) {
-                            trace_best = cur_score;
+                let (phi, mlu) = (score.phi(objective), score.mlu(objective));
+                trajectory.push(mlu);
+                if segrout_obs::trace_enabled() && score.better_than(&trace_best) {
+                    trace_best = score;
+                    segrout_obs::trace_point("heurospf.accept", total_evals + evals, phi, mlu);
+                    // Robust runs also record the accepted move's per-matrix
+                    // state (`iter` is the matrix index within the set).
+                    if k > 1 {
+                        for (mi, ev) in evs.iter().enumerate() {
                             segrout_obs::trace_point(
-                                "heurospf.accept",
-                                total_evals + pass_evals,
-                                cur_score.phi(cfg.objective),
-                                cur_score.mlu(cfg.objective),
+                                "robust.matrix",
+                                mi as u64,
+                                ev.phi(),
+                                ev.mlu(),
                             );
-                            // Robust runs also record the accepted move's
-                            // per-matrix state (`iter` is the matrix index
-                            // within the set).
-                            if k > 1 {
-                                for (mi, ev) in evs.iter().enumerate() {
-                                    segrout_obs::trace_point(
-                                        "robust.matrix",
-                                        mi as u64,
-                                        ev.phi(),
-                                        ev.mlu(),
-                                    );
-                                }
-                            }
                         }
-                        event!(
-                            Level::Trace,
-                            "heurospf.accept",
-                            edge = e,
-                            weight = cand,
-                            mlu = cur_score.mlu(cfg.objective),
-                        );
-                        break; // first improvement: keep cand
                     }
                 }
+                event!(
+                    Level::Trace,
+                    "heurospf.accept",
+                    edge = edge,
+                    weight = cur[edge],
+                    mlu = mlu
+                );
             }
-            iterations.add(pass_evals);
-            if let Some(ctr) = &matrix_evals {
-                ctr.add(pass_evals * k as u64);
+            Step::Pass(pass, evals, improved, score) => {
+                // Flushed once per pass so the hot candidate loop pays no
+                // atomic traffic.
+                iterations.add(evals);
+                if let Some(ctr) = &matrix_evals {
+                    ctr.add(evals * k as u64);
+                }
+                event!(
+                    Level::Debug,
+                    "heurospf.pass",
+                    restart = restart,
+                    pass = pass,
+                    evals = evals,
+                    improved = improved,
+                    mlu = score.mlu(objective),
+                );
             }
-            total_evals += pass_evals;
-            event!(
-                Level::Debug,
-                "heurospf.pass",
-                restart = restart,
-                pass = pass,
-                evals = pass_evals,
-                improved = improved,
-                mlu = cur_score.mlu(cfg.objective),
-            );
-            if !improved {
-                break;
-            }
-        }
+        });
+        total_evals += evals;
         if cur_score.better_than(&best_score) {
             best_score = cur_score;
             best = cur;
         }
     }
 
-    segrout_obs::gauge("heurospf.best_mlu").set(best_score.mlu(cfg.objective));
-    segrout_obs::trace_point(
-        "heurospf.done",
-        total_evals,
-        best_score.phi(cfg.objective),
-        best_score.mlu(cfg.objective),
-    );
+    let (phi, mlu) = (best_score.phi(objective), best_score.mlu(objective));
+    segrout_obs::gauge("heurospf.best_mlu").set(mlu);
+    segrout_obs::trace_point("heurospf.done", total_evals, phi, mlu);
     event!(
         Level::Info,
         "heurospf.done",
         evals = iterations.get(),
-        best_mlu = best_score.mlu(cfg.objective),
+        best_mlu = mlu
     );
     WeightSetting::new(net, best.iter().map(|&x| x as f64).collect())
         .expect("integer weights in range are always valid")
+}
+
+/// Which caller a [`Descent`] serves. The constant fixes the neighbourhood
+/// and how many candidates are scored together; nothing else differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// HeurOSPF: seven moves per link (±1, halve, double, 1, max, random),
+    /// all fresh ones scored as one speculative `(candidate × scenario)`
+    /// grid on the pool.
+    Offline,
+    /// The re-solve on the serving path: the same moves without halve and
+    /// double, scored one at a time up to the first improvement, so an
+    /// event pays for no probe past the accepted one.
+    Online,
+}
+
+/// What a [`Descent`] reports; each caller records it under its own
+/// telemetry names, and the engine reads nothing back.
+pub(crate) enum Step<'a, 'n> {
+    /// `Accept(cur, edge, score, evals, evs)`: a move was committed to every
+    /// evaluator, `cur[edge]` holds the new weight, and `evals` counts the
+    /// candidates scored so far.
+    Accept(&'a [u32], usize, Score, u64, &'a [IncrementalEvaluator<'n>]),
+    /// `Pass(pass, evals, improved, score)`: a pass ended, having scored
+    /// `evals` candidates.
+    Pass(usize, u64, bool, Score),
+}
+
+/// One Fortz–Thorup first-improvement descent, the crate's only local
+/// search: HeurOSPF runs it once per restart, and the budgeted re-solve
+/// (`reoptimize_weights_on`) once from the evaluator's committed weights.
+pub(crate) struct Descent<'a> {
+    /// Weight range, pass cut-off and objective.
+    pub(crate) cfg: &'a HeurOspfConfig,
+    pub(crate) mode: Mode,
+    /// How per-scenario `(Φ, MLU)` fold into one score.
+    pub(crate) robust: RobustObjective,
+    /// A change budget `(base, max_changes)`: at most `max_changes` links
+    /// may differ from `base`.
+    pub(crate) budget: Option<(&'a [u32], usize)>,
+}
+
+impl Descent<'_> {
+    /// Descends from the integer weights `cur`, on which `evs` sit (one
+    /// evaluator per scenario; `None` when a scenario is unroutable). Each
+    /// pass scans the links in shuffled order and commits a link's first
+    /// candidate, skipping vectors this descent already visited, that is
+    /// [`Score::better_than`] the incumbent; a pass with no move, or
+    /// `cfg.max_passes`, ends it. Once a budget is spent, links at their
+    /// base weight are skipped before their random draw. Candidates are
+    /// drawn before any is scored and each one scored counts an evaluation
+    /// (each fresh one, unprobed, under `None`), so the RNG stream and the
+    /// counts do not depend on the thread count. Returns the final score
+    /// and the evaluations; `cur` and `evs` end on the final weights.
+    pub(crate) fn run<'n>(
+        &self,
+        rng: &mut StdRng,
+        mut evs: Option<&mut [IncrementalEvaluator<'n>]>,
+        cur: &mut [u32],
+        mut watch: impl FnMut(Step<'_, 'n>),
+    ) -> (Score, u64) {
+        let (objective, max) = (self.cfg.objective, self.cfg.max_weight);
+        let mut score = evaluators_score(evs.as_deref(), self.robust, objective);
+        let mut evals: u64 = 0;
+        let mut diverged = self.budget.map_or(0, |(base, _)| {
+            cur.iter().zip(base).filter(|(c, b)| c != b).count()
+        });
+        let mut visited = VisitedSet::default();
+        visited.insert(cur);
+        let mut edge_order: Vec<usize> = (0..cur.len()).collect();
+        let (mut cands, mut fresh) = (Vec::with_capacity(7), Vec::with_capacity(7));
+        for pass in 0..self.cfg.max_passes {
+            let mut improved = false;
+            let pass_start = evals;
+            edge_order.shuffle(rng);
+            for &e in &edge_order {
+                let old = cur[e];
+                if let Some((base, max_changes)) = self.budget {
+                    if old == base[e] && diverged >= max_changes {
+                        continue;
+                    }
+                }
+                cands.clear();
+                cands.extend([old.saturating_sub(1).max(1), (old + 1).min(max)]);
+                if self.mode == Mode::Offline {
+                    cands.extend([(old / 2).max(1), (old * 2).min(max)]);
+                }
+                cands.extend([1, max, rng.gen_range(1..=max)]);
+                let width = match self.mode {
+                    Mode::Offline => cands.len(),
+                    Mode::Online => 1,
+                };
+                for chunk in cands.chunks(width) {
+                    // Filter against the visited set serially, in candidate
+                    // order (set membership must not depend on scheduling).
+                    fresh.clear();
+                    for &cand in chunk.iter().filter(|&&c| c != old) {
+                        cur[e] = cand;
+                        if visited.insert(cur) {
+                            fresh.push(cand);
+                        }
+                        cur[e] = old;
+                    }
+                    evals += fresh.len() as u64;
+                    // Unroutable weights score ∞, and so does every
+                    // candidate (routability does not depend on the
+                    // weights): the neighbourhood is rejected unprobed.
+                    let Some(evs) = evs.as_deref_mut() else {
+                        continue;
+                    };
+                    let Some((cand, s, probes)) =
+                        first_improvement(evs, e, &fresh, self.robust, objective, score)
+                    else {
+                        continue;
+                    };
+                    for (ev, p) in evs.iter_mut().zip(probes) {
+                        ev.commit(p);
+                    }
+                    if let Some((base, max_changes)) = self.budget {
+                        diverged =
+                            diverged + usize::from(cand != base[e]) - usize::from(old != base[e]);
+                        debug_assert!(diverged <= max_changes, "change budget overrun");
+                    }
+                    cur[e] = cand;
+                    score = s;
+                    improved = true;
+                    watch(Step::Accept(cur, e, score, evals, evs));
+                    break; // first improvement: keep cand
+                }
+            }
+            watch(Step::Pass(pass, evals - pass_start, improved, score));
+            if !improved {
+                break;
+            }
+        }
+        (score, evals)
+    }
+}
+
+/// Scores `fresh` on link `e` against every evaluator and returns the first
+/// candidate, in candidate order, that beats `score`, with its score and
+/// its probes. The `(candidate × scenario)` grid fans out on the pool,
+/// candidate-major; probes borrow the base state read-only and repair only
+/// the destinations the change can touch. Picking the winner in candidate
+/// order on the caller keeps the search bit-identical at any thread count.
+fn first_improvement(
+    evs: &[IncrementalEvaluator<'_>],
+    e: usize,
+    fresh: &[u32],
+    robust: RobustObjective,
+    objective: Objective,
+    score: Score,
+) -> Option<(u32, Score, Vec<Probe>)> {
+    let k = evs.len();
+    let eid = EdgeId(e as u32);
+    let mut probes = segrout_par::par_map(fresh.len() * k, |t| {
+        evs[t % k].probe(eid, f64::from(fresh[t / k])).ok()
+    });
+    for (ci, &cand) in fresh.iter().enumerate() {
+        let group = &mut probes[ci * k..(ci + 1) * k];
+        let s = if group.iter().all(Option::is_some) {
+            let (phis, mlus): (Vec<f64>, Vec<f64>) =
+                group.iter().flatten().map(|p| (p.phi, p.mlu)).unzip();
+            score_from(robust.aggregate(&phis), robust.aggregate(&mlus), objective)
+        } else {
+            Score(f64::INFINITY, f64::INFINITY)
+        };
+        if s.better_than(&score) {
+            let group = group
+                .iter_mut()
+                .map(|p| p.take().expect("an infinite score never improves"));
+            return Some((cand, s, group.collect()));
+        }
+    }
+    None
 }
 
 #[cfg(test)]

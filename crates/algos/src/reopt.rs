@@ -6,20 +6,24 @@
 //! When the traffic matrix drifts, re-running HeurOSPF from scratch may
 //! rewrite most link weights; every changed weight triggers an IGP
 //! re-convergence with transient loops and packet loss, so operators want
-//! *few* changes. [`reoptimize_weights`] runs the same local search but
-//! constrains the result to differ from the currently deployed setting on
-//! at most `max_weight_changes` links. Because segment-routing waypoints
-//! are per-demand header state (no IGP flooding), waypoint churn is free by
-//! comparison — so [`reoptimize_joint`] first spends the cheap knob
-//! (waypoints on the *old* weights) and only then the constrained weight
-//! changes, quantifying the papers' intuition that the joint approach also
-//! helps operationally.
+//! *few* changes. [`reoptimize_weights`] runs HeurOSPF's descent, the
+//! crate's one Fortz–Thorup local search, once from the deployed setting
+//! under a change budget: at most `max_weight_changes` links may differ
+//! from it. The re-solve runs the descent online — the neighbourhood
+//! without the halve and double moves, candidates probed one at a time up
+//! to the first improvement — as `segrout serve` does on every local and
+//! escalate reply ([`reoptimize_weights_on`]). Because segment-routing
+//! waypoints are per-demand header state (no IGP flooding), waypoint churn
+//! is free by comparison — so [`reoptimize_joint`] first spends the cheap
+//! knob (waypoints on the *old* weights) and only then the constrained
+//! weight changes, quantifying the papers' intuition that the joint
+//! approach also helps operationally.
 
 use crate::greedy_wpo::{greedy_wpo, GreedyWpoConfig};
-use crate::heur_ospf::{heur_ospf, HeurOspfConfig, Objective};
-use segrout_core::rng::{SliceRandom, StdRng};
+use crate::heur_ospf::{heur_ospf, Descent, HeurOspfConfig, Mode, Step};
+use segrout_core::rng::StdRng;
 use segrout_core::{
-    DemandList, EdgeId, IncrementalEvaluator, Network, Router, TeError, WaypointSetting,
+    DemandList, IncrementalEvaluator, Network, RobustObjective, Router, TeError, WaypointSetting,
     WeightSetting,
 };
 use segrout_obs::{event, Level};
@@ -97,149 +101,65 @@ pub struct EvaluatorReopt {
     pub phi: f64,
     /// Number of links whose weight changed vs the base setting.
     pub weight_changes: usize,
-    /// Candidate evaluations (probes) the search spent.
+    /// Evaluations the search spent: the start's, plus one per probe.
     pub evaluations: u64,
 }
 
 /// The budgeted Fortz–Thorup descent on a **caller-provided** evaluator:
-/// the same local search as [`reoptimize_weights`], but every candidate is
-/// scored with an incremental probe against `ev`'s live state instead of a
-/// from-scratch router build — the daemon path must not rebuild `|D|`
-/// SP-DAGs per event, let alone per candidate. Accepted moves are committed
-/// in place, so on return the evaluator sits exactly on the returned
-/// weights.
-///
-/// The evaluator's committed weights are the deployed base and must already
-/// be integral in `[1, cfg.ospf.max_weight]` (see [`round_deployed`]);
-/// probes are bit-identical to scratch evaluation, so the search walks the
-/// identical acceptance trajectory the router-based variant would.
+/// HeurOSPF's engine run once, online, from the evaluator's committed
+/// weights, with at most `cfg.max_weight_changes` links allowed to differ
+/// from them. Every candidate is an incremental probe against `ev`'s live
+/// state — the daemon path must not rebuild `|D|` SP-DAGs per event, let
+/// alone per candidate — scored one at a time up to the first improvement,
+/// and accepted moves are committed in place, so on return the evaluator
+/// sits exactly on the returned weights.
 ///
 /// The objective is scored on whatever workload (demands, waypoints,
 /// failure mask, capacity overrides) the evaluator holds — which is what
 /// lets the serving loop re-optimize under link failures and capacity
 /// changes that a plain `(net, demands)` signature cannot express.
+///
+/// # Errors
+/// [`TeError::InvalidWeight`] for the first committed weight that is not
+/// an integer in `[1, cfg.ospf.max_weight]` (see [`round_deployed`]); the
+/// evaluator is left untouched.
 pub fn reoptimize_weights_on(
     ev: &mut IncrementalEvaluator<'_>,
     cfg: &ReoptimizeConfig,
 ) -> Result<EvaluatorReopt, TeError> {
     let _span = segrout_obs::span("reopt.weights");
-    let evals = segrout_obs::counter("reopt.evaluations");
-    let m = ev.network().edge_count();
-    let base: Vec<u32> = ev
-        .weights()
-        .iter()
-        .map(|&w| (w.round() as u32).clamp(1, cfg.ospf.max_weight))
-        .collect();
-    debug_assert!(
-        ev.weights().iter().zip(&base).all(|(&w, &b)| w == b as f64),
-        "reoptimize_weights_on requires integral deployed weights in range"
-    );
-    let objective = cfg.ospf.objective;
-    let pack = |phi: f64, mlu: f64| match objective {
-        Objective::PhiThenMlu => (phi, mlu),
-        Objective::MluThenPhi => (mlu, phi),
-    };
+    let max = f64::from(cfg.ospf.max_weight);
+    let mut base = Vec::with_capacity(ev.weights().len());
+    for (edge, &value) in ev.weights().iter().enumerate() {
+        if value.fract() != 0.0 || !(1.0..=max).contains(&value) {
+            return Err(TeError::InvalidWeight { edge, value });
+        }
+        base.push(value as u32);
+    }
 
+    // Flight recorder: `iter` counts the start plus the probes made.
+    segrout_obs::trace_point("reopt.start", 1, ev.phi(), ev.mlu());
+    let search = Descent {
+        cfg: &cfg.ospf,
+        mode: Mode::Online,
+        robust: RobustObjective::WorstCase,
+        budget: Some((&base, cfg.max_weight_changes)),
+    };
     let mut rng = StdRng::seed_from_u64(cfg.ospf.seed);
     let mut cur = base.clone();
-    let mut cur_score = pack(ev.phi(), ev.mlu());
-    let mut changed: Vec<usize> = Vec::new();
-
-    // Flight recorder: (phi, mlu) per accepted move, evals counted locally.
-    let unpack = |s: (f64, f64)| match objective {
-        Objective::PhiThenMlu => (s.0, s.1),
-        Objective::MluThenPhi => (s.1, s.0),
-    };
-    let mut total_evals: u64 = 1;
-    let (phi0, mlu0) = unpack(cur_score);
-    segrout_obs::trace_point("reopt.start", total_evals, phi0, mlu0);
-
-    let mut edge_order: Vec<usize> = (0..m).collect();
-    for _pass in 0..cfg.ospf.max_passes {
-        let mut improved = false;
-        edge_order.shuffle(&mut rng);
-        for &e in &edge_order {
-            // Budget: may modify an already-changed link freely, or a fresh
-            // one only while budget remains.
-            let is_changed = changed.contains(&e);
-            if !is_changed && changed.len() >= cfg.max_weight_changes {
-                continue;
-            }
-            let old = cur[e];
-            let candidates = [
-                old.saturating_sub(1).max(1),
-                (old + 1).min(cfg.ospf.max_weight),
-                1,
-                cfg.ospf.max_weight,
-                rng.gen_range(1..=cfg.ospf.max_weight),
-            ];
-            for &cand in &candidates {
-                if cand == old {
-                    continue;
-                }
-                let probe = ev.probe(EdgeId(e as u32), cand as f64)?;
-                evals.inc();
-                total_evals += 1;
-                let s = pack(probe.phi, probe.mlu);
-                if s.0 < cur_score.0 - 1e-12
-                    || (s.0 <= cur_score.0 + 1e-12 && s.1 < cur_score.1 - 1e-12)
-                {
-                    cur[e] = cand;
-                    ev.commit(probe);
-                    cur_score = s;
-                    improved = true;
-                    let (phi, mlu) = unpack(cur_score);
-                    segrout_obs::trace_point("reopt.accept", total_evals, phi, mlu);
-                    if !is_changed && cur[e] != base[e] {
-                        changed.push(e);
-                    }
-                    break;
-                }
-            }
-            // Reverting a changed link back to base frees budget.
-            if changed.contains(&e) && cur[e] == base[e] {
-                changed.retain(|&x| x != e);
-            }
-            // Commit-point hook: the changed-set bookkeeping must track the
-            // actual divergence from the deployed setting exactly — it is
-            // what enforces the reconfiguration budget (debug builds only).
-            #[cfg(debug_assertions)]
-            {
-                let diverged: Vec<usize> = (0..m).filter(|&i| cur[i] != base[i]).collect();
-                debug_assert!(
-                    diverged.len() <= cfg.max_weight_changes,
-                    "reopt commit: {} links diverged, budget {}",
-                    diverged.len(),
-                    cfg.max_weight_changes
-                );
-                for &i in &diverged {
-                    debug_assert!(
-                        changed.contains(&i),
-                        "reopt commit: link {i} diverged but is not tracked as changed"
-                    );
-                }
-            }
+    let evs = Some(std::slice::from_mut(ev));
+    let (_, probes) = search.run(&mut rng, evs, &mut cur, |step| {
+        if let Step::Accept(_, _, _, evals, evs) = step {
+            segrout_obs::trace_point("reopt.accept", 1 + evals, evs[0].phi(), evs[0].mlu());
         }
-        if !improved {
-            break;
-        }
-    }
+    });
+    segrout_obs::counter("reopt.evaluations").add(probes);
 
     let weights = WeightSetting::new(ev.network(), cur.iter().map(|&x| x as f64).collect())
         .expect("integer weights are valid");
-    debug_assert!(
-        weights
-            .as_slice()
-            .iter()
-            .zip(ev.weights())
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "evaluator must sit on the accepted weights after the search"
-    );
-    let mlu = ev.mlu();
+    let (mlu, phi) = (ev.mlu(), ev.phi());
     let weight_changes = cur.iter().zip(&base).filter(|(a, b)| a != b).count();
-    debug_assert!(weight_changes <= cfg.max_weight_changes);
-    let (phi_fin, _) = unpack(cur_score);
-    segrout_obs::trace_point("reopt.done", total_evals, phi_fin, mlu);
+    segrout_obs::trace_point("reopt.done", 1 + probes, phi, mlu);
     event!(
         Level::Info,
         "reopt.weights_done",
@@ -250,9 +170,9 @@ pub fn reoptimize_weights_on(
     Ok(EvaluatorReopt {
         weights,
         mlu,
-        phi: ev.phi(),
+        phi,
         weight_changes,
-        evaluations: total_evals,
+        evaluations: 1 + probes,
     })
 }
 
@@ -469,6 +389,45 @@ mod tests {
         let constrained = reoptimize_weights(&net, &after, &deployed, &cfg).unwrap();
         let oracle = reoptimize_unconstrained(&net, &after, &deployed, &cfg).unwrap();
         assert!(oracle.mlu <= constrained.mlu + 1e-9);
+    }
+
+    /// The descent walks integer weights, so an evaluator sitting elsewhere
+    /// — between integers, or above `max_weight` — is refused before any
+    /// probe, and left as it was. (Rounding it silently would return
+    /// weights the evaluator, and its reported MLU, never sat on.)
+    #[test]
+    fn start_off_the_integer_range_is_refused() {
+        let (net, _, after) = shifted_scenario();
+        let wp = WaypointSetting::none(after.len());
+        let cfg = ReoptimizeConfig::default();
+        for (w, edge, value) in [
+            (
+                vec![1.4, 1.5, 1.0, 1.7, 2.0, 1.0, 3.0, 1.0, 2.5, 1.0],
+                0,
+                1.4,
+            ),
+            (
+                vec![1.0, 2.0, 21.0, 1.0, 2.0, 1.0, 3.0, 1.0, 2.0, 1.0],
+                2,
+                21.0,
+            ),
+        ] {
+            let w = WeightSetting::new(&net, w).unwrap();
+            let mut ev = IncrementalEvaluator::new(&net, &w, &after, &wp).unwrap();
+            let before = (
+                ev.weights().to_vec(),
+                ev.mlu().to_bits(),
+                ev.phi().to_bits(),
+            );
+            let err = reoptimize_weights_on(&mut ev, &cfg).unwrap_err();
+            assert_eq!(err, TeError::InvalidWeight { edge, value });
+            let after = (
+                ev.weights().to_vec(),
+                ev.mlu().to_bits(),
+                ev.phi().to_bits(),
+            );
+            assert_eq!(after, before, "the evaluator must be left untouched");
+        }
     }
 
     #[test]

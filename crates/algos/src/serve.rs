@@ -11,14 +11,22 @@
 //! 1. **Probe** — the event's impact stays within `reopt_ratio` of the best
 //!    MLU seen, so the instant incremental readout is the answer; no
 //!    reconfiguration, zero churn.
-//! 2. **Local** — MLU drifted past the reopt threshold: run the budgeted
-//!    Fortz–Thorup descent ([`reoptimize_weights_on`]) on the live
-//!    evaluator, changing at most `reopt.max_weight_changes` link weights.
+//! 2. **Local** — MLU drifted past the reopt threshold: run HeurOSPF's
+//!    Fortz–Thorup descent once, online, from the live evaluator's weights
+//!    ([`reoptimize_weights_on`]), changing at most
+//!    `reopt.max_weight_changes` link weights.
 //! 3. **Escalate** — MLU blew past `escalate_ratio` (e.g. a link failure
-//!    severed a trunk): re-run the same warm-started descent with the
-//!    change budget opened to every link. The evaluator still carries the
+//!    severed a trunk): run the same warm-started descent with the change
+//!    budget opened to every link. The evaluator still carries the
 //!    failure mask and capacity overrides, so escalation optimizes the
 //!    *actual* degraded network.
+//!
+//! Both tiers run the crate's one local search (see the `heur_ospf`
+//! module) in its online mode: HeurOSPF's neighbourhood without the halve
+//! and double moves, one candidate probed at a time up to the first
+//! improvement, so an event pays for no probe past the move it accepts.
+//! The change budget is the only other difference from the offline
+//! search.
 //!
 //! Every response reports the minimal-churn weight diff (old/new pairs for
 //! exactly the links that changed), the post-event MLU/Φ, and bookkeeping
@@ -449,9 +457,10 @@ impl<'n> ServeSession<'n> {
                         (ServeTier::Local, r.evaluations)
                     }
                 }
-                // The search starts from a committed, feasible state and
-                // only probes single-weight changes, so it cannot fail; if
-                // it somehow does, serve the unoptimized readout.
+                // The search only refuses weights off its integer range,
+                // and the session's weights are rounded into it at
+                // construction and only ever moved by the search; if it
+                // somehow fails, serve the unoptimized readout.
                 Err(_) => (ServeTier::Probe, 0),
             }
             // Reconfigured (or at least searched): re-anchor on the new

@@ -15,7 +15,8 @@ pub enum TeError {
         /// Actual length supplied.
         actual: usize,
     },
-    /// A link weight is non-positive, NaN or infinite.
+    /// A link weight is invalid: non-positive, NaN or infinite, or — where
+    /// an optimizer searches integer weights — not an integer in its range.
     InvalidWeight {
         /// Index of the offending edge.
         edge: usize,
@@ -70,7 +71,8 @@ impl fmt::Display for TeError {
             TeError::InvalidWeight { edge, value } => {
                 write!(
                     f,
-                    "weight of edge {edge} must be a positive finite real, got {value}"
+                    "weight of edge {edge} must be positive and finite (and an integer in \
+                     range where an optimizer requires one), got {value}"
                 )
             }
             TeError::InvalidCapacity { edge, value } => {

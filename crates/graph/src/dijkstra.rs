@@ -233,6 +233,24 @@ fn dial_run<const MASKED: bool>(
     })
 }
 
+/// Reusable `BinaryHeap` scratch, per thread like [`DialScratch`]: the heap
+/// drains empty on every run, so only the settled flags need re-filling,
+/// and a full-Dijkstra fallback under non-integral weights allocates
+/// nothing once the scratch has grown.
+struct HeapScratch {
+    done: Vec<bool>,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+thread_local! {
+    static HEAP: RefCell<HeapScratch> = const {
+        RefCell::new(HeapScratch {
+            done: Vec::new(),
+            heap: BinaryHeap::new(),
+        })
+    };
+}
+
 /// The `BinaryHeap` engine, shared by both public entry points. As with
 /// [`dial_run`], the `MASKED` instantiation skips disabled edges.
 fn heap_run<const MASKED: bool>(
@@ -245,39 +263,43 @@ fn heap_run<const MASKED: bool>(
     let n = g.node_count();
     dist.clear();
     dist.resize(n, INFINITY);
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::with_capacity(n);
-    dist[target.index()] = 0.0;
-    heap.push(HeapEntry {
-        dist: 0.0,
-        node: target,
-    });
+    HEAP.with(|s| {
+        let mut s = s.borrow_mut();
+        let HeapScratch { done, heap } = &mut *s;
+        done.clear();
+        done.resize(n, false);
+        dist[target.index()] = 0.0;
+        heap.push(HeapEntry {
+            dist: 0.0,
+            node: target,
+        });
 
-    // Relaxations are tallied locally and flushed with one atomic add per
-    // run, so the inner loop stays free of shared-memory traffic.
-    let mut relaxations: u64 = 0;
-    while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
-        if done[v.index()] {
-            continue;
-        }
-        done[v.index()] = true;
-        // Relax incoming edges: a path u -> v -> ... -> target.
-        for &e in g.in_edges(v) {
-            if MASKED && disabled[e.index()] {
+        // Relaxations are tallied locally and flushed with one atomic add
+        // per run, so the inner loop stays free of shared-memory traffic.
+        let mut relaxations: u64 = 0;
+        while let Some(HeapEntry { dist: d, node: v }) = heap.pop() {
+            if done[v.index()] {
                 continue;
             }
-            let u = g.src(e);
-            let nd = d + weights[e.index()];
-            relaxations += 1;
-            if nd + EPS < dist[u.index()] {
-                dist[u.index()] = nd;
-                heap.push(HeapEntry { dist: nd, node: u });
+            done[v.index()] = true;
+            // Relax incoming edges: a path u -> v -> ... -> target.
+            for &e in g.in_edges(v) {
+                if MASKED && disabled[e.index()] {
+                    continue;
+                }
+                let u = g.src(e);
+                let nd = d + weights[e.index()];
+                relaxations += 1;
+                if nd + EPS < dist[u.index()] {
+                    dist[u.index()] = nd;
+                    heap.push(HeapEntry { dist: nd, node: u });
+                }
             }
         }
-    }
-    let (relax_counter, runs_counter, _) = counters();
-    relax_counter.add(relaxations);
-    runs_counter.inc();
+        let (relax_counter, runs_counter, _) = counters();
+        relax_counter.add(relaxations);
+        runs_counter.inc();
+    })
 }
 
 fn check_weights(g: &Digraph, weights: &[f64]) {

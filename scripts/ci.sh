@@ -141,9 +141,10 @@ EOF
 ./target/release/segrout report "$FR_DIR/run.json" "$FR_DIR/run.json"
 ./target/release/segrout catalog --check "$FR_DIR/metrics.jsonl"
 # The optimize run never emits the sweep.* and serve.* families: drift-check
-# a single+double Abilene sweep and a five-line serve stream (link down,
-# demand, link up, capacity, shutdown) too. The sweep's run artifact must
-# record the default seed it ran with and the topology.
+# a single+double Abilene sweep and a serve stream (link down, demand, link
+# up, capacity, a second link down and a heavy matrix that escalates,
+# shutdown) too. The sweep's run artifact must record the default seed it
+# ran with and the topology.
 ./target/release/segrout sweep --topology Abilene --doubles \
     --metrics-out "$FR_DIR/sweep-metrics.jsonl" \
     --run-out "$FR_DIR/sweep-run.json" >/dev/null
@@ -157,11 +158,48 @@ print("sweep run artifact OK")
 EOF
 printf '%s\n' '{"event":"link_down","edge":2}' \
     '{"event":"demand","index":0,"factor":1.5}' '{"event":"link_up","edge":2}' \
-    '{"event":"capacity","edge":1,"capacity":5000}' '{"event":"shutdown"}' \
-    >"$FR_DIR/events.jsonl"
+    '{"event":"capacity","edge":1,"capacity":5000}' '{"event":"link_down","edge":4}' \
+    '{"event":"matrix","demands":[[0,5,9000],[5,0,4000],[2,9,2500]]}' \
+    '{"event":"shutdown"}' >"$FR_DIR/events.jsonl"
 ./target/release/segrout serve --topology Abilene --events "$FR_DIR/events.jsonl" \
-    --metrics-out "$FR_DIR/serve-metrics.jsonl" >/dev/null 2>&1
+    --metrics-out "$FR_DIR/serve-metrics.jsonl" \
+    --trace-out "$FR_DIR/serve-trace.jsonl" >"$FR_DIR/serve-replies.jsonl" 2>/dev/null
 ./target/release/segrout catalog --check "$FR_DIR/serve-metrics.jsonl"
+# The re-solves keep their own trace names through the shared descent: each
+# local or escalate reply is one reopt.start -> reopt.accept* -> reopt.done
+# run whose iter (1 + probes made) rises to the reply's evaluations and
+# whose MLU never rises (the default objective is MLU first).
+python3 - "$FR_DIR" <<'EOF'
+import json, sys, os
+d = sys.argv[1]
+points = [json.loads(l) for l in open(os.path.join(d, "serve-trace.jsonl"))]
+runs, run = [], None
+for p in (p for p in points if p["event"].startswith("reopt.")):
+    kind = p["event"].split(".", 1)[1]
+    if kind == "start":
+        assert run is None, f"reopt.start inside a run: {p}"
+        run = [p]
+        continue
+    assert run is not None, f"{p['event']} outside a run"
+    last = run[-1]
+    assert p["iter"] > last["iter"] or (kind == "done" and p["iter"] == last["iter"]), \
+        f"iter does not rise: {last} -> {p}"
+    assert p["mlu"] <= last["mlu"] * (1 + 1e-9) + 1e-9, f"MLU rose: {last} -> {p}"
+    run.append(p)
+    if kind == "done":
+        runs.append(run)
+        run = None
+    else:
+        assert kind == "accept", f"unknown reopt point {p['event']}"
+assert run is None, "unterminated reopt run"
+replies = [json.loads(l) for l in open(os.path.join(d, "serve-replies.jsonl"))]
+solved = [r for r in replies if r.get("tier") in ("local", "escalate")]
+assert {r["tier"] for r in solved} == {"local", "escalate"}, "both tiers must run"
+assert len(runs) == len(solved), f"{len(runs)} reopt runs for {len(solved)} re-solves"
+for run, r in zip(runs, solved):
+    assert run[-1]["iter"] == r["evaluations"], f"seq {r['seq']}: {run[-1]} vs {r}"
+print(f"serve trace OK: {len(runs)} reopt runs, {sum(len(r) - 2 for r in runs)} accepts")
+EOF
 
 # Wire-protocol gate: the real binary over stdio JSONL — well-formed
 # responses, monotone sequence numbers, error replies for malformed,

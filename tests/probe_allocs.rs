@@ -1,13 +1,15 @@
 //! A rejected probe costs a fixed handful of allocations, however many
-//! destinations it dirties: the repair, the re-spread and the fold run in
-//! per-thread scratch, and a probe keeps only its sparse answer (the
-//! totals and the diff a commit would apply). This file is its own test
+//! destinations it dirties and whichever Dijkstra engine its repairs fall
+//! back to: the repair, the full-Dijkstra rebuild, the re-spread and the
+//! fold run in per-thread scratch, and a probe keeps only its sparse
+//! answer (the totals and the diff a commit would apply). This file is its own test
 //! binary because it installs a counting global allocator.
 
 use segrout::core::rng::StdRng;
 use segrout::core::{
     DemandList, EdgeId, IncrementalEvaluator, Network, NodeId, WaypointSetting, WeightSetting,
 };
+use segrout::graph::shortest_path_dag;
 use segrout::topo::{by_name, geo_backbone};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,11 +61,20 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Integral weights in 1..=20, so every repair and full Dijkstra runs on
-/// the bucket queue.
-fn weights(net: &Network, seed: u64) -> WeightSetting {
+/// the bucket queue; or, with `integral` off, the same draws plus a
+/// fractional part, as an inverse-capacity setting has, so every full
+/// Dijkstra runs on the binary heap.
+fn weights(net: &Network, seed: u64, integral: bool) -> WeightSetting {
     let mut rng = StdRng::seed_from_u64(seed);
     let w = (0..net.edge_count())
-        .map(|_| f64::from(rng.gen_range(1..=20u32)))
+        .map(|_| {
+            let w = f64::from(rng.gen_range(1..=20u32));
+            if integral {
+                w
+            } else {
+                w + rng.gen::<f64>()
+            }
+        })
         .collect();
     WeightSetting::new(net, w).unwrap()
 }
@@ -79,15 +90,18 @@ fn demands(net: &Network) -> DemandList {
     d
 }
 
-/// Counts the allocations of a tenfold weight probe and of a failure
-/// probe, each on the most loaded edge whose probe dirties at least
-/// `min_dirty` destinations (and, for the failure, stays routable). Each
+/// Allocations of the three probe kinds, each on the most loaded edges
+/// whose probe dirties at least `min_dirty` destinations (and, for the
+/// failures, stays routable): a tenfold weight probe, a single failure,
+/// and a double failure whose two edges lie on one DAG for at least three
+/// destinations, so those destinations take a full Dijkstra rebuild. Each
 /// probe runs once to grow the scratch, then again under the count.
 /// Returns `(allocations, dirty destinations)` of each.
-fn probe_allocations(net: &Network, min_dirty: usize) -> ((usize, usize), (usize, usize)) {
+fn probe_allocations(net: &Network, integral: bool, min_dirty: usize) -> [(usize, usize); 3] {
     let d = demands(net);
-    let ev = IncrementalEvaluator::new(net, &weights(net, 7), &d, &WaypointSetting::none(d.len()))
-        .expect("routable");
+    let w = weights(net, 7, integral);
+    let ev =
+        IncrementalEvaluator::new(net, &w, &d, &WaypointSetting::none(d.len())).expect("routable");
     let mut by_load: Vec<EdgeId> = (0..net.edge_count() as u32).map(EdgeId).collect();
     by_load.sort_by(|a, b| ev.loads()[b.index()].total_cmp(&ev.loads()[a.index()]));
     let heavier = |e: EdgeId| 10.0 * ev.weights()[e.index()];
@@ -101,36 +115,53 @@ fn probe_allocations(net: &Network, min_dirty: usize) -> ((usize, usize), (usize
     };
     let e = pick(&|e| dirty(ev.probe(e, heavier(e))));
     let f = pick(&|f| dirty(ev.probe_disable(&[f])));
+    // The heaviest link paired with the first other link that shares at
+    // least three destinations' DAGs with it.
+    let g = net.graph();
+    let dags: Vec<_> = (0..net.node_count() as u32)
+        .map(|t| shortest_path_dag(g, w.as_slice(), NodeId(t), &[]))
+        .collect();
+    let shared = |a: EdgeId, b: EdgeId| {
+        dags.iter()
+            .filter(|dag| dag.edge_on_dag[a.index()] && dag.edge_on_dag[b.index()])
+            .count()
+    };
+    let pair = by_load
+        .iter()
+        .flat_map(|&a| by_load.iter().map(move |&b| [a, b]))
+        .find(|&[a, b]| a < b && shared(a, b) >= 3 && dirty(ev.probe_disable(&[a, b])) >= min_dirty)
+        .expect("two links share enough DAGs");
 
     let _ = ev.probe(e, heavier(e));
     let (p, weight) = allocations(|| ev.probe(e, heavier(e)).unwrap());
     let weight_dirty = p.dirty_count;
     let _ = ev.probe_disable(&[f]);
     let (p, disable) = allocations(|| ev.probe_disable(&[f]).unwrap());
-    ((weight, weight_dirty), (disable, p.dirty_count))
+    let disable_dirty = p.dirty_count;
+    let _ = ev.probe_disable(&pair);
+    let (p, double) = allocations(|| ev.probe_disable(&pair).unwrap());
+    [
+        (weight, weight_dirty),
+        (disable, disable_dirty),
+        (double, p.dirty_count),
+    ]
 }
 
 #[test]
 fn a_probe_allocates_a_fixed_handful() {
     let g50 = by_name("Germany50").expect("embedded");
     let geo = geo_backbone(400, 800, 400);
-    let ((w50, d50), (x50, _)) = probe_allocations(&g50, 10);
-    let ((w400, d400), (x400, x400_dirty)) = probe_allocations(&geo, 100);
-    assert!(d50 >= 10 && d400 >= 100, "dirty: {d50}, {d400}");
-    assert!(
-        x400_dirty >= 100,
-        "the failure dirties {x400_dirty} destinations"
-    );
-    for (what, n) in [
-        ("Germany50 weight probe", w50),
-        ("Germany50 failure probe", x50),
-        ("geo400 weight probe", w400),
-        ("geo400 failure probe", x400),
-    ] {
-        assert!(n <= 8, "{what}: {n} allocations");
+    for integral in [true, false] {
+        let small = probe_allocations(&g50, integral, 10);
+        let large = probe_allocations(&geo, integral, 100);
+        let kinds = ["weight probe", "failure probe", "double-failure probe"];
+        for ((what, (n50, d50)), (n400, d400)) in kinds.iter().zip(small).zip(large) {
+            let what = format!("{what} (integral weights: {integral})");
+            assert!(d50 >= 10 && d400 >= 100, "{what} dirties {d50}, {d400}");
+            assert!(n50 <= 8 && n400 <= 8, "{what}: {n50}, {n400} allocations");
+            // The count does not grow with the damage: the geo400 probes
+            // dirty ten times the destinations of the Germany50 ones.
+            assert_eq!(n50, n400, "{what}");
+        }
     }
-    // The count does not grow with the damage: the geo400 probes dirty ten
-    // times the destinations of the Germany50 ones.
-    assert_eq!(w50, w400, "weight probes");
-    assert_eq!(x50, x400, "failure probes");
 }

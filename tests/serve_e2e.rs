@@ -46,6 +46,8 @@ not json at all
 {"event":"mystery"}
 {"event":"link_up","edge":4}
 {"event":"matrix","demands":[[0,5,100.0],[5,0,50.0],[2,9,25.0]]}
+{"event":"link_down","edge":4}
+{"event":"matrix","demands":[[0,5,9000],[5,0,4000],[2,9,2500]]}
 {"event":"shutdown"}
 "#;
 
@@ -55,10 +57,10 @@ fn protocol_round_trip_is_well_formed() {
     assert!(ok, "serve must exit cleanly; stderr:\n{stderr}");
 
     let lines: Vec<&str> = stdout.lines().collect();
-    // One response per input line: 9 events + the shutdown ack.
-    assert_eq!(lines.len(), 10, "stdout:\n{stdout}");
+    // One response per input line: 11 events + the shutdown ack.
+    assert_eq!(lines.len(), 12, "stdout:\n{stdout}");
 
-    for (i, line) in lines.iter().take(9).enumerate() {
+    for (i, line) in lines.iter().take(11).enumerate() {
         let rec = segrout::obs::Json::parse(line)
             .unwrap_or_else(|e| panic!("line {i} is not JSON ({e}): {line}"));
         assert_eq!(rec["type"].as_str(), Some("serve"), "line {i}");
@@ -102,16 +104,26 @@ fn protocol_round_trip_is_well_formed() {
     }
 
     // Shutdown control line gets the ack, not a serve response.
-    let bye = segrout::obs::Json::parse(lines[9]).expect("ack is JSON");
+    let bye = segrout::obs::Json::parse(lines[11]).expect("ack is JSON");
     assert_eq!(bye["type"].as_str(), Some("bye"));
-    assert_eq!(bye["events"].as_i64(), Some(9));
+    assert_eq!(bye["events"].as_i64(), Some(11));
 }
 
+/// The replay runs through both re-solve tiers: the first link-down drifts
+/// past the re-optimization threshold (a budgeted local re-solve), and the
+/// heavy matrix on the degraded network past the escalation threshold.
 #[test]
 fn replaying_the_same_event_log_is_byte_identical() {
     let (first, _, ok1) = run_serve(EVENT_LOG, &[]);
     let (second, _, ok2) = run_serve(EVENT_LOG, &[]);
     assert!(ok1 && ok2);
+    for tier in ["local", "escalate"] {
+        let replies = first
+            .lines()
+            .filter(|l| segrout::obs::Json::parse(l).expect("JSON")["tier"].as_str() == Some(tier))
+            .count();
+        assert!(replies >= 1, "no {tier} reply in the replay:\n{first}");
+    }
     assert_eq!(first, second, "replay must be byte-identical");
     // And at 4 worker threads as well.
     let (threaded, _, ok3) = run_serve(EVENT_LOG, &["--threads", "4"]);

@@ -51,7 +51,7 @@ fn main() {
     time_it("knapsack_milp_30", SAMPLES, || {
         let mut p = Problem::new(Sense::Maximize);
         let vars: Vec<_> = (0..30)
-            .map(|i| p.add_bin_var(format!("v{i}"), ((i * 7) % 13 + 1) as f64))
+            .map(|i| p.add_bin_var(((i * 7) % 13 + 1) as f64))
             .collect();
         let terms: Vec<_> = vars
             .iter()

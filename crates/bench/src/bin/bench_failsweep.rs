@@ -10,8 +10,9 @@
 //! to exceed 100 000 scenario evaluations in one run, and records the
 //! wall-time and throughput.
 //!
-//! Environment: `SEGROUT_FAST=1` shrinks to Abilene singles with one
-//! scaling and writes `BENCH_failsweep_fast.json` instead.
+//! Environment: `SEGROUT_FAST=1` shrinks to Abilene's single and double
+//! failures (120 patterns) at one scaling and writes
+//! `BENCH_failsweep_fast.json` instead.
 
 use segrout_bench::{banner, fast_mode, write_record};
 use segrout_core::{sweep_failures, FailureSet, WaypointSetting, WeightSetting};
@@ -19,11 +20,14 @@ use segrout_obs::json;
 use segrout_topo::by_name;
 use segrout_traffic::{gravity, TrafficConfig};
 
+/// The seed of the gravity demands, which the run artifact records.
+const TRAFFIC_SEED: u64 = 808;
+
 fn main() {
     banner("BENCH failsweep — single+double failure enumeration throughput");
     let fast = fast_mode();
     let (topo, doubles, scalings) = if fast {
-        ("Abilene", false, vec![1.0])
+        ("Abilene", true, vec![1.0])
     } else {
         // 26 scalings x 3 916 patterns = 101 816 scenarios.
         (
@@ -36,7 +40,7 @@ fn main() {
     let demands = gravity(
         &net,
         &TrafficConfig {
-            seed: 808,
+            seed: TRAFFIC_SEED,
             ..Default::default()
         },
     )
@@ -92,6 +96,7 @@ fn main() {
     };
     write_record(
         path,
+        TRAFFIC_SEED,
         &json!({
             "topology": topo,
             "doubles": doubles,

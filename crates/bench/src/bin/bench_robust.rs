@@ -25,6 +25,9 @@ use segrout_obs::json;
 use segrout_topo::by_name;
 use segrout_traffic::{diurnal_set, TrafficConfig};
 
+/// The seed of the diurnal demand set, which the run artifact records.
+const TRAFFIC_SEED: u64 = 404;
+
 fn main() {
     banner("BENCH robust — price of robustness on a diurnal demand set");
     let fast = fast_mode();
@@ -35,7 +38,7 @@ fn main() {
     };
     let net = by_name(topo).expect("embedded");
     let cfg = TrafficConfig {
-        seed: 404,
+        seed: TRAFFIC_SEED,
         ..Default::default()
     };
     let set = diurnal_set(&net, &cfg, matrices, 0.6).expect("connected");
@@ -157,11 +160,12 @@ fn main() {
     };
     write_record(
         path,
+        TRAFFIC_SEED,
         &json!({
             "topology": topo,
             "matrices": matrices,
             "generator": "diurnal(amplitude 0.6)",
-            "traffic_seed": 404,
+            "traffic_seed": TRAFFIC_SEED,
             "objective": "worst-case",
             "rows": rows,
         }),

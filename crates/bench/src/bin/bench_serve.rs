@@ -20,6 +20,9 @@ use segrout_obs::json;
 use segrout_topo::by_name;
 use segrout_traffic::{gravity, TrafficConfig};
 
+/// The seed of the gravity demands, which the run artifact records.
+const TRAFFIC_SEED: u64 = 808;
+
 fn main() {
     banner("BENCH serve — online reoptimization event-loop latency and churn");
     let fast = fast_mode();
@@ -32,7 +35,7 @@ fn main() {
     let demands = gravity(
         &net,
         &TrafficConfig {
-            seed: 808,
+            seed: TRAFFIC_SEED,
             ..Default::default()
         },
     )
@@ -168,6 +171,7 @@ fn main() {
     };
     write_record(
         path,
+        TRAFFIC_SEED,
         &json!({
             "topology": topo,
             "demands": n_demands,

@@ -108,7 +108,8 @@ pub fn fast_mode() -> bool {
 /// provenance (core count, thread setting, git rev) into the record and
 /// writing a sibling `<name>.run.json` run artifact — so a record
 /// measured on one core is self-describing and two bench runs can be
-/// diffed with `segrout report`.
+/// diffed with `segrout report`. A figure binary draws [`seeds`] demand
+/// sets, so the artifact records their number as `seeds` and no `seed`.
 pub fn write_json(name: &str, value: &Json) {
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_err() {
@@ -125,7 +126,8 @@ pub fn write_json(name: &str, value: &Json) {
         println!("[results written to {}]", path.display());
     }
     let artifact = dir.join(format!("{name}{suffix}.run.json"));
-    if let Err(e) = segrout_obs::write_run_artifact(&artifact, name, Some(seeds()), &[]) {
+    let n_seeds = [("seeds", Json::from(seeds()))];
+    if let Err(e) = segrout_obs::write_run_artifact(&artifact, name, None, &n_seeds) {
         eprintln!("warning: cannot write {}: {e}", artifact.display());
     }
     // Each binary's final act: also emit the run's metric registry to any
@@ -137,8 +139,9 @@ pub fn write_json(name: &str, value: &Json) {
 /// Writes a standalone benchmark record (e.g. `BENCH_serve.json` in the
 /// working directory), stamping host provenance (core count, thread
 /// setting, git rev) into the record and writing a sibling `<stem>.run.json`
-/// run artifact so two runs can be diffed with `segrout report`.
-pub fn write_record(path: &str, value: &Json) {
+/// run artifact, which records `seed`, the seed the bench drew its traffic
+/// from, so two runs can be diffed with `segrout report`.
+pub fn write_record(path: &str, seed: u64, value: &Json) {
     let record = segrout_obs::attach_provenance(value.clone());
     if let Err(e) = fs::write(path, record.render()) {
         eprintln!("warning: cannot write {path}: {e}");
@@ -147,8 +150,7 @@ pub fn write_record(path: &str, value: &Json) {
     }
     let stem = path.strip_suffix(".json").unwrap_or(path);
     let artifact = format!("{stem}.run.json");
-    if let Err(e) = segrout_obs::write_run_artifact(Path::new(&artifact), stem, Some(seeds()), &[])
-    {
+    if let Err(e) = segrout_obs::write_run_artifact(Path::new(&artifact), stem, Some(seed), &[]) {
         eprintln!("warning: cannot write {artifact}: {e}");
     }
 }

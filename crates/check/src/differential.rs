@@ -46,8 +46,8 @@ use segrout_core::{
     Segment, TeError, WaypointSetting, WeightSetting,
 };
 use segrout_graph::{
-    shortest_path_dag, single_target_distances, single_target_distances_heap,
-    update_shortest_path_dag, Digraph, EdgeId, NodeId, SpDag, SpDagUpdate,
+    patch_dag, shortest_path_dag, single_target_distances, single_target_distances_heap, DagRepair,
+    Digraph, EdgeId, NodeId, RepairOutcome, SpDag,
 };
 use std::fmt::Display;
 use std::sync::{Mutex, MutexGuard};
@@ -1132,6 +1132,25 @@ pub fn dag_repairs(nets: &[(String, Network)]) {
     }
 }
 
+/// `prev` after a change of the `changed` edges from `old_w` (see
+/// [`DagRepair::repair`]) under the new weights `w` and mask: the repair's
+/// diff patched in ([`patch_dag`]), as the incremental evaluator scores and
+/// commits a change.
+fn repaired_dag(
+    g: &Digraph,
+    w: &[f64],
+    prev: &SpDag,
+    (changed, old_w): (&[EdgeId], f64),
+    cap: usize,
+    mask: &[bool],
+) -> SpDag {
+    let mut r = DagRepair::default();
+    match r.repair(g, w, prev, changed, old_w, cap, mask) {
+        RepairOutcome::Unchanged => prev.clone(),
+        _ => patch_dag(g, w, mask, prev, r.moved(), changed),
+    }
+}
+
 /// Random single-edge weight changes, each repaired for six fixed targets
 /// and compared with a from-scratch build of the same state.
 fn weight_walk(label: &str, net: &Network, cap: usize) {
@@ -1149,10 +1168,7 @@ fn weight_walk(label: &str, net: &Network, cap: usize) {
         let old_w = w[e.index()];
         w[e.index()] = f64::from(rng.gen_range(1..=20u32));
         for (dag, &t) in dags.iter_mut().zip(&targets) {
-            let repaired = match update_shortest_path_dag(g, &w, dag, e, old_w, cap, &[]) {
-                SpDagUpdate::Unchanged => dag.clone(),
-                SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
-            };
+            let repaired = repaired_dag(g, &w, dag, (&[e], old_w), cap, &[]);
             let ctx = format!("{label} dag cap {cap} weight step {step} target {t:?}");
             assert_same_dag(&repaired, &scratch_dag(g, &w, t, &[], &ctx), &ctx);
             *dag = repaired;
@@ -1160,12 +1176,13 @@ fn weight_walk(label: &str, net: &Network, cap: usize) {
     }
 }
 
-/// For six fixed targets, disables random on-DAG edges one at a time under a
-/// growing mask (each a weight increase to ∞), then re-enables the masked
-/// edges in random order back to the intact topology (each a decrease from
-/// ∞), repairing every step with `update_shortest_path_dag` and comparing
-/// with a from-scratch masked build. Returns how many nodes the walks cut
-/// off.
+/// For six fixed targets, takes one to three edges down per step under a
+/// growing mask, in one repair (a weight increase to ∞ on each), then
+/// re-enables the masked edges in random order back to the intact topology
+/// (each a decrease from ∞), and compares every step with a from-scratch
+/// masked build. A down step takes a random on-DAG edge; any other edge it
+/// takes is another out-edge of that edge's tail, the same edge listed
+/// again, or any edge at all. Returns how many nodes the walks cut off.
 fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
     let g = net.graph();
     let m = net.edge_count();
@@ -1182,11 +1199,20 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
                 break; // every other node is cut off already
             }
             let e = EdgeId(on_dag[rng.gen_range(0..on_dag.len())] as u32);
-            mask[e.index()] = true;
-            let repaired = update_shortest_path_dag(g, &w, &dag, e, w[e.index()], cap, &mask)
-                .into_dag()
-                .expect("an on-DAG removal dirties the DAG");
-            let ctx = format!("{label} dag cap {cap} masked step {step} target {t:?}");
+            let mut dead = vec![e];
+            for _ in 0..rng.gen_range(0..3u32) {
+                let siblings = g.out_edges(g.src(e));
+                dead.push(match rng.gen_range(0..3u32) {
+                    0 => siblings[rng.gen_range(0..siblings.len())],
+                    1 => e,
+                    _ => EdgeId(rng.gen_range(0..m as u32)),
+                });
+            }
+            for d in &dead {
+                mask[d.index()] = true;
+            }
+            let repaired = repaired_dag(g, &w, &dag, (&dead, f64::INFINITY), cap, &mask);
+            let ctx = format!("{label} dag cap {cap} masked step {step} {dead:?} target {t:?}");
             assert_same_dag(&repaired, &scratch_dag(g, &w, t, &mask, &ctx), &ctx);
             for v in g.nodes() {
                 if dag.reaches_target(v) && !repaired.reaches_target(v) {
@@ -1200,8 +1226,7 @@ fn masked_walk(label: &str, net: &Network, cap: usize) -> usize {
         masked.shuffle(&mut up_rng);
         for (step, e) in masked.into_iter().map(|i| EdgeId(i as u32)).enumerate() {
             mask[e.index()] = false;
-            let upd = update_shortest_path_dag(g, &w, &dag, e, f64::INFINITY, cap, &mask);
-            let repaired = upd.into_dag().unwrap_or(dag);
+            let repaired = repaired_dag(g, &w, &dag, (&[e], f64::INFINITY), cap, &mask);
             let ctx = format!("{label} dag cap {cap} re-enable step {step} target {t:?}");
             assert_same_dag(&repaired, &scratch_dag(g, &w, t, &mask, &ctx), &ctx);
             dag = repaired;

@@ -451,7 +451,7 @@ mod tests {
         let _guard = guard();
         // max y st 2y <= 7: the root relaxation is 3.5, so B&B branches.
         let mut p = Problem::new(Sense::Maximize);
-        let y = p.add_int_var("y", 0.0, 100.0, 1.0);
+        let y = p.add_int_var(0.0, 100.0, 1.0);
         p.add_constraint(vec![(y, 2.0)], Cmp::Le, 7.0);
         let (options, warm) = (MilpOptions::default(), counter("milp.nodes_warm_started"));
 

@@ -15,22 +15,22 @@
 //! the size of the graph:
 //!
 //! 1. **Affected-destination test** — destination `t` is *dirty* only if the
-//!    changed edge can alter `t`'s DAG: a weight increase on an edge that is
-//!    on the DAG, or a decrease that reaches the current distance at the
-//!    edge's tail ([`segrout_graph::edge_change_affects_dag`]). Everything
-//!    else is provably clean and is skipped entirely.
+//!    change can alter `t`'s DAG: a weight increase on an edge that is on
+//!    the DAG, a decrease that reaches the current distance at the edge's
+//!    tail, or a failure with some dead edge on the DAG. Everything else is
+//!    provably clean and is skipped entirely.
 //! 2. **Bounded repair into a diff** — dirty destinations are repaired with
-//!    a Ramalingam–Reps-style dynamic Dijkstra update
-//!    ([`segrout_graph::DagRepair`]) in per-thread, epoch-stamped scratch.
-//!    It leaves a diff: the nodes whose distance moved, with their new
-//!    distances, as an overlay on the committed DAG, which answers whether
-//!    an edge is on the repaired DAG by re-testing only the edges the
-//!    change can flip. When the moved set exceeds the *fallback threshold*
-//!    (`frontier_cap`, default half the node count), or two dead edges sit
-//!    on one DAG, a full per-destination Dijkstra produces the diff
-//!    instead. A probe builds no DAG: only
-//!    [`IncrementalEvaluator::commit`] turns the accepted change's diffs
-//!    into DAGs ([`segrout_graph::patch_dag`]).
+//!    a Ramalingam–Reps-style dynamic Dijkstra update in per-thread,
+//!    epoch-stamped scratch; a failure of several links is one update over
+//!    all its dead edges. It leaves a diff: the nodes whose distance moved,
+//!    with their new distances, as an overlay on the committed DAG, which
+//!    answers whether an edge is on the repaired DAG by re-testing only the
+//!    edges the change can flip. When the moved set exceeds the *fallback
+//!    threshold* (`frontier_cap`, default half the node count), a full
+//!    per-destination Dijkstra produces the diff instead. One call per
+//!    destination, [`segrout_graph::DagRepair::repair`], makes both steps.
+//!    A probe builds no DAG: only [`IncrementalEvaluator::commit`] turns
+//!    the accepted change's diffs into DAGs ([`segrout_graph::patch_dag`]).
 //! 3. **Sparse re-spread and column fold** — from the diff, only the nodes
 //!    whose flow can change are re-spread: the moved nodes that carry flow
 //!    and both ends of every flipped edge whose tail carries flow seed a
@@ -53,9 +53,9 @@
 //! ([`IncrementalEvaluator::probe`]), a failure probe
 //! ([`IncrementalEvaluator::probe_disable`]) and a link going down or up
 //! ([`IncrementalEvaluator::set_link_state`]) all run the same
-//! per-destination loop, which branches on the change only to classify a
-//! destination: a link going down is a weight increase to ∞ on the edges it
-//! kills, a link coming back up a weight decrease from ∞. Each yields a
+//! per-destination loop, which hands each destination the changed edges: a
+//! link going down is a weight increase to ∞ on the edges it kills, a link
+//! coming back up a weight decrease from ∞. Each yields a
 //! [`Probe`], and [`IncrementalEvaluator::commit`] applies any of them: it
 //! patches the changed DAGs, writes the changed partials and node flows,
 //! and takes the totals, Φ and MLU from the probe, which already holds the
@@ -103,8 +103,8 @@ use crate::network::Network;
 use crate::waypoints::WaypointSetting;
 use crate::weights::WeightSetting;
 use segrout_graph::{
-    edge_change_affects_dag, edge_disabled, order_cmp, patch_dag, shortest_path_dag, DagRepair,
-    EdgeId, NodeId, RepairOutcome, SpDag, EPS,
+    edge_disabled, order_cmp, patch_dag, shortest_path_dag, DagRepair, EdgeId, NodeId,
+    RepairOutcome, SpDag, EPS,
 };
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -414,17 +414,6 @@ impl Change {
     }
 }
 
-/// How one destination's DAG absorbs a [`Change`].
-enum Fix {
-    /// Provably unaffected.
-    Clean,
-    /// A bounded repair for edge `e` whose old weight is given
-    /// (`f64::INFINITY`: the edge was down).
-    Repair(EdgeId, f64),
-    /// Two or more dead edges on the DAG: a full masked Dijkstra.
-    Rebuild,
-}
-
 /// The answer to one speculative change: the full objective state it would
 /// produce, plus the sparse diff needed to
 /// [`IncrementalEvaluator::commit`] it in place.
@@ -731,10 +720,10 @@ impl<'n> IncrementalEvaluator<'n> {
     ///
     /// The failed edges are masked out exactly as if deleted: destinations
     /// whose DAG does not use any dead edge are provably clean and skipped;
-    /// a DAG with one dead edge on it is repaired by a bounded repair (a
-    /// weight increase to ∞), one with two or more by a full Dijkstra under
-    /// the mask, and the result is bit-identical to a from-scratch
-    /// evaluation on the edge-deleted topology. A scenario that cuts some
+    /// a DAG with dead edges on it is repaired by one bounded repair (a
+    /// weight increase to ∞ on all of them), and the result is
+    /// bit-identical to a from-scratch evaluation on the edge-deleted
+    /// topology. An edge listed twice counts once. A scenario that cuts some
     /// demand off its destination returns [`TeError::Unroutable`] naming
     /// the lowest severed source of the lowest severed destination — the
     /// caller classifies it as disconnected.
@@ -756,42 +745,6 @@ impl<'n> IncrementalEvaluator<'n> {
         self.score(Change::Down(dead.to_vec()))
     }
 
-    /// How destination `dag` absorbs `change`: the per-destination
-    /// classification of the change path.
-    fn fix(&self, change: &Change, dag: &SpDag) -> Fix {
-        let g = self.net.graph();
-        let reweight = |e: EdgeId, old_w: f64, new_w: f64| {
-            let (u, v) = g.endpoints(e);
-            if edge_change_affects_dag(dag, e, u, v, new_w) {
-                Fix::Repair(e, old_w)
-            } else {
-                Fix::Clean
-            }
-        };
-        match *change {
-            Change::Weight(e, w) => {
-                let old_w = self.weights[e.index()];
-                if w == old_w || edge_disabled(&self.disabled, e) {
-                    return Fix::Clean;
-                }
-                reweight(e, old_w, w)
-            }
-            // A link coming back up is a weight decrease from ∞.
-            Change::Up(e) => reweight(e, f64::INFINITY, self.weights[e.index()]),
-            Change::Down(ref dead) => {
-                // Removal never adds tight edges, and an edge masked in the
-                // base state is never on a DAG: dirty iff some dead edge is
-                // on this one.
-                let mut on_dag = dead.iter().filter(|e| dag.edge_on_dag[e.index()]);
-                match (on_dag.next(), on_dag.next()) {
-                    (None, _) => Fix::Clean,
-                    (Some(&e), None) => Fix::Repair(e, self.weights[e.index()]),
-                    _ => Fix::Rebuild,
-                }
-            }
-        }
-    }
-
     /// Fills `mask` with the base mask, one flag per edge, and sets the
     /// flags of `edges` to `down`.
     fn mask_with<'s>(&self, mask: &'s mut Vec<bool>, edges: &[EdgeId], down: bool) -> &'s [bool] {
@@ -802,10 +755,10 @@ impl<'n> IncrementalEvaluator<'n> {
     }
 
     /// The one change path: scores `change` against the committed state
-    /// without mutating it. Every destination is classified ([`Self::fix`]);
-    /// the dirty ones are diffed under the changed weights and mask and
-    /// re-spread where their flow can change, and the touched columns are
-    /// re-summed.
+    /// without mutating it. One [`DagRepair::repair`] per destination
+    /// decides whether the change can touch its DAG and diffs the dirty
+    /// ones under the changed weights and mask; they are re-spread where
+    /// their flow can change, and the touched columns are re-summed.
     fn score(&self, change: Change) -> Result<Probe, TeError> {
         let c = counters();
         let g = self.net.graph();
@@ -833,6 +786,13 @@ impl<'n> IncrementalEvaluator<'n> {
                 Change::Down(dead) => (&self.weights, self.mask_with(mask, dead, true)),
                 Change::Up(e) => (&self.weights, self.mask_with(mask, &[*e], false)),
             };
+            // The weight the change moves from: a link coming up is a
+            // decrease from ∞, and links going down read none.
+            let old_w = match change {
+                Change::Weight(e, _) => self.weights[e.index()],
+                Change::Down(_) | Change::Up(_) => f64::INFINITY,
+            };
+            let (edges, cap) = (change.edges(), self.frontier_cap);
 
             diff.clear();
             let mut dirty_count = 0;
@@ -840,25 +800,14 @@ impl<'n> IncrementalEvaluator<'n> {
                 // A bounded repair moves few nodes and is re-spread where
                 // flow can change; a full Dijkstra may move most of them
                 // and is re-spread in full.
-                let bounded = match self.fix(&change, dag) {
-                    Fix::Clean => continue,
-                    Fix::Repair(e, old_w) => {
-                        let cap = self.frontier_cap;
-                        match repair.repair(g, weights, dag, e, old_w, cap, mask) {
-                            RepairOutcome::Unchanged => continue,
-                            RepairOutcome::Repaired(_) => {
-                                c.repairs.inc();
-                                true
-                            }
-                            RepairOutcome::Rebuilt => {
-                                recomputes.inc();
-                                false
-                            }
-                        }
+                let bounded = match repair.repair(g, weights, dag, edges, old_w, cap, mask) {
+                    RepairOutcome::Unchanged => continue,
+                    RepairOutcome::Repaired => {
+                        c.repairs.inc();
+                        true
                     }
-                    Fix::Rebuild => {
+                    RepairOutcome::Rebuilt => {
                         recomputes.inc();
-                        repair.rebuild(g, weights, dag, change.edges(), mask);
                         false
                     }
                 };
@@ -885,7 +834,7 @@ impl<'n> IncrementalEvaluator<'n> {
                 let changed = Changed {
                     weights,
                     mask,
-                    edges: change.edges(),
+                    edges,
                 };
                 if bounded {
                     self.respread(i, dag, repair, &changed, spread, diff);
@@ -1643,9 +1592,10 @@ mod tests {
 
     #[test]
     fn double_failure_on_one_dag_rebuilds_correctly() {
-        // Destination 3's DAG uses e0/e1 and e2/e3 and e4 under unit
-        // weights; killing e1 + e4 forces everything over 0->2->3 and cuts
-        // node 1 — unless node 1 has no demand, so use a 0->3 demand only.
+        // Destination 3's DAG uses e1, e3 and e4 under unit weights; killing
+        // e1 + e4 is one bounded repair over both, which forces everything
+        // over 0->2->3 and cuts node 1 — unless node 1 has no demand, so use
+        // a 0->3 demand only.
         let net = net();
         let mut d = DemandList::new();
         d.push(NodeId(0), NodeId(3), 2.0);
@@ -1657,6 +1607,31 @@ mod tests {
         assert_eq!(probe.loads[0], 0.0);
         assert_eq!(probe.loads[1], 0.0);
         assert_eq!(probe.loads[4], 0.0);
+    }
+
+    #[test]
+    fn a_dead_edge_listed_twice_fails_once() {
+        // e4 is node 0's only next hop towards 3, so a second drop of its
+        // support would underflow: listed twice, it is the same failure.
+        let net = net();
+        let d = demands();
+        let w = WeightSetting::unit(&net);
+        let wp = WaypointSetting::none(d.len());
+        let mut once = IncrementalEvaluator::new(&net, &w, &d, &wp).unwrap();
+        let mut twice = IncrementalEvaluator::new(&net, &w, &d, &wp).unwrap();
+        let a = once.probe_disable(&[EdgeId(4)]).unwrap();
+        let b = twice.probe_disable(&[EdgeId(4), EdgeId(4)]).unwrap();
+        let answer = |p: &Probe| {
+            let loads: Vec<u64> = p.loads.iter().map(|x| x.to_bits()).collect();
+            (loads, p.phi.to_bits(), p.mlu.to_bits(), p.dirty_count)
+        };
+        assert_eq!(answer(&a), answer(&b));
+        assert_eq!(a.dirty_count, 1);
+        once.commit(a);
+        twice.commit(b);
+        assert_eq!(eval_bits(&once), eval_bits(&twice));
+        assert!(twice.set_link_state(EdgeId(4), true).unwrap());
+        assert_eq!(eval_bits(&twice), fresh_bits(&net, &w, &d));
     }
 
     /// The diamond net with a different capacity on e0.
@@ -2104,8 +2079,8 @@ mod tests {
 
     #[test]
     fn two_dead_edges_on_one_dag_rebuild_exactly() {
-        // e1 and e4 both lie on destination 3's DAG: the probe rebuilds it
-        // with a full Dijkstra under the mask.
+        // e1 and e4 both lie on destination 3's DAG: the probe repairs it
+        // with one bounded increase over both dead edges.
         let net = net();
         let d = demand_list(&[(0, 3, 2.0), (2, 3, 0.25)]);
         walk(

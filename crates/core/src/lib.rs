@@ -33,7 +33,6 @@ pub mod esflow;
 pub mod failure;
 pub mod hooks;
 pub mod incremental;
-pub mod instance;
 pub mod network;
 pub mod report;
 pub mod rng;
@@ -51,7 +50,6 @@ pub use failure::{
     WorstCaseCertificate,
 };
 pub use incremental::{IncrementalEvaluator, Probe};
-pub use instance::TeInstance;
 pub use network::Network;
 pub use report::UtilizationReport;
 pub use robust::{evaluate_robust, DemandSet, RobustObjective, RobustReport};

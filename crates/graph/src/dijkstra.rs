@@ -36,9 +36,9 @@
 //! stay finite (the bucket queue keeps its `[1, MAX_DIAL_WEIGHT]` domain)
 //! and a failure is a mask bit, not a weight perturbation. Nodes cut off by
 //! a failure end at [`INFINITY`], a classified outcome rather than an error.
-//! The one repair entry point, [`update_shortest_path_dag`], still treats a
-//! mask bit like a weight: a link going down is an increase to ∞, and a link
-//! coming back up is a decrease from ∞.
+//! The one repair entry point, [`DagRepair::repair`], still treats a mask
+//! bit like a weight: links going down are an increase to ∞ on every dead
+//! edge at once, and a link coming back up is a decrease from ∞.
 
 use crate::digraph::{Digraph, EdgeId, NodeId};
 use crate::{approx_eq, EPS};
@@ -508,8 +508,6 @@ thread_local! {
             inserted: Vec::new(),
         })
     };
-    /// The repair scratch behind [`update_shortest_path_dag`].
-    static REPAIR: RefCell<DagRepair> = const { RefCell::new(DagRepair::new()) };
 }
 
 /// The tight-edge predicate: `e = (u, v)` lies on the DAG iff it is enabled,
@@ -736,30 +734,6 @@ pub fn patch_dag(
     })
 }
 
-/// Result of [`update_shortest_path_dag`]: how a single-edge change (a new
-/// weight or a flipped mask bit) was absorbed for one destination.
-#[derive(Clone, Debug)]
-pub enum SpDagUpdate {
-    /// The change cannot alter this destination's DAG (clean destination).
-    Unchanged,
-    /// The DAG was repaired by a bounded dynamic-Dijkstra update touching
-    /// the given number of nodes.
-    Repaired(SpDag, usize),
-    /// The repair frontier exceeded the threshold (or the change was too
-    /// structural); a full per-destination Dijkstra rebuilt the DAG.
-    Rebuilt(SpDag),
-}
-
-impl SpDagUpdate {
-    /// The updated DAG, if the destination was dirty.
-    pub fn into_dag(self) -> Option<SpDag> {
-        match self {
-            SpDagUpdate::Unchanged => None,
-            SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => Some(d),
-        }
-    }
-}
-
 /// Cheap dirty test: can changing edge `e` from `old_w` to `new_w` alter
 /// `dag`'s shortest-path structure at all?
 ///
@@ -771,7 +745,7 @@ impl SpDagUpdate {
 ///
 /// A `false` answer is exact (the DAG provably cannot change); `true` means
 /// "possibly dirty" and callers run the repair.
-pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new_w: f64) -> bool {
+fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new_w: f64) -> bool {
     let dv = dag.dist[v.index()];
     if !dv.is_finite() {
         // `e` can never be on a shortest path towards this target.
@@ -788,75 +762,26 @@ pub fn edge_change_affects_dag(dag: &SpDag, e: EdgeId, u: NodeId, v: NodeId, new
     cand + EPS < du || approx_eq(cand, du)
 }
 
-/// Repairs `prev` after one edge changed: edge `e`'s weight moved from
-/// `old_w` to `weights[e]` (`weights` is the **new** full weight vector), or
-/// `e`'s mask bit flipped. This is the one repair entry point: a
-/// [`DagRepair::repair`] diff followed by [`patch_dag`], the two halves the
-/// incremental evaluator runs apart (the diff when it scores a change, the
-/// patch only when it commits one). A link-state change is a weight change
-/// at its limit:
-///
-/// * **Link down** is a weight increase to ∞. `disabled` masks `e`: if `e`
-///   is on `prev` the increase repair runs under the new mask, otherwise
-///   the DAG provably cannot change ([`SpDagUpdate::Unchanged`]), and
-///   `old_w` is not read. Nodes whose every path used `e` end at
-///   [`INFINITY`] and leave `order`, a classified outcome, not an error.
-/// * **Link up** is a weight decrease from ∞: pass `old_w = f64::INFINITY`
-///   with `disabled` no longer masking `e`.
-///
-/// `prev` must have been built under `disabled` with at most `e`'s bit
-/// flipped, or with extra masked edges that are off `prev` (a multi-link
-/// failure whose other dead edges this DAG never used). The repair keeps
-/// honoring the mask: skipped relaxations, masked tight-edge tests, masked
-/// fallback Dijkstra.
-///
-/// With tie-exact weights (e.g. the integral vectors every optimizer in this
-/// workspace emits) the repaired DAG is **bit-identical** to
-/// [`shortest_path_dag`] on the new weights and mask: both paths compute the
-/// exact distance minima, the patch decides edge membership with the same
-/// predicate on the same inputs as the full scan, and the order is the
-/// unique permutation under the same key (see [`patch_dag`]).
-pub fn update_shortest_path_dag(
-    g: &Digraph,
-    weights: &[f64],
-    prev: &SpDag,
-    e: EdgeId,
-    old_w: f64,
-    frontier_cap: usize,
-    disabled: &[bool],
-) -> SpDagUpdate {
-    REPAIR.with(|r| {
-        let r = &mut *r.borrow_mut();
-        let outcome = r.repair(g, weights, prev, e, old_w, frontier_cap, disabled);
-        let patched = || patch_dag(g, weights, disabled, prev, r.moved(), &[e]);
-        match outcome {
-            RepairOutcome::Unchanged => SpDagUpdate::Unchanged,
-            RepairOutcome::Repaired(touched) => SpDagUpdate::Repaired(patched(), touched),
-            RepairOutcome::Rebuilt => SpDagUpdate::Rebuilt(patched()),
-        }
-    })
-}
-
-/// How [`DagRepair::repair`] absorbed a single-edge change.
+/// How [`DagRepair::repair`] absorbed a change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RepairOutcome {
-    /// The change cannot alter the DAG; the diff is empty.
+    /// The change cannot alter the DAG, which stays `prev`. The scratch was
+    /// not touched and holds no diff of this change.
     Unchanged,
-    /// A bounded dynamic-Dijkstra update touching the given number of nodes
-    /// produced the diff.
-    Repaired(usize),
+    /// A bounded dynamic-Dijkstra update produced the diff.
+    Repaired,
     /// The affected set exceeded the frontier cap; a full Dijkstra produced
     /// the diff.
     Rebuilt,
 }
 
-/// The diff half of a repair and its reusable scratch: after
-/// [`repair`](Self::repair) or [`rebuild`](Self::rebuild) it holds the
-/// repaired distances as an overlay on the previous DAG's and the nodes
-/// that moved, and answers whether an edge is on the repaired DAG
-/// ([`on_dag`](Self::on_dag)). [`patch_dag`] turns a diff into the repaired
-/// [`SpDag`]; the incremental evaluator reads the diff directly and builds
-/// DAGs only for the changes it commits.
+/// The one repair of a shortest-path DAG after an edge change, and its
+/// reusable scratch: [`repair`](Self::repair) decides whether a change can
+/// touch a DAG and, if it can, leaves the repaired distances as an overlay
+/// on the previous DAG's and the nodes that moved, and answers whether an
+/// edge is on the repaired DAG ([`on_dag`](Self::on_dag)). [`patch_dag`]
+/// turns such a diff into the repaired [`SpDag`]; the incremental evaluator
+/// reads the diff directly and builds DAGs only for the changes it commits.
 ///
 /// Every per-node and per-edge slot carries the stamp of the repair that
 /// wrote it and counts as unset under any other stamp, so a repair starts
@@ -891,24 +816,6 @@ pub struct DagRepair {
 }
 
 impl DagRepair {
-    /// Empty scratch; the slabs grow to the graph on first use.
-    pub const fn new() -> Self {
-        Self {
-            epoch: 0,
-            dist_at: Vec::new(),
-            dist: Vec::new(),
-            mark_at: Vec::new(),
-            done_at: Vec::new(),
-            support_at: Vec::new(),
-            support: Vec::new(),
-            changed_at: Vec::new(),
-            touched: Vec::new(),
-            moved: Vec::new(),
-            heap: BinaryHeap::new(),
-            full: Vec::new(),
-        }
-    }
-
     /// Starts a new diff: bumps the stamp (clearing every slot only when it
     /// wraps) and grows the slabs to the graph.
     fn begin(&mut self, n: usize, m: usize) {
@@ -1019,68 +926,80 @@ impl DagRepair {
         self.support[i]
     }
 
-    /// Diffs `prev` against the DAG after one edge changed, with the
-    /// contract of [`update_shortest_path_dag`] (which is this followed by
-    /// [`patch_dag`]). The distance work is proportional to the set of
-    /// nodes whose distance changes; above `frontier_cap` of them the
-    /// bounded repair is abandoned for a full Dijkstra
-    /// ([`RepairOutcome::Rebuilt`]).
+    /// Decides how the DAG `prev` absorbs a change of the `changed` edges
+    /// and, unless the change provably cannot alter it, diffs `prev`
+    /// against the DAG after the change. `weights` and `disabled` are the
+    /// **new** weight vector and mask; `prev` was built under the old ones,
+    /// which differ from them only at the `changed` edges. A link-state
+    /// change is a weight change at its limit:
     ///
-    /// The repair follows Ramalingam–Reps: identify the affected node set,
+    /// * **One edge that `disabled` leaves up** is a weight change from
+    ///   `old_w` to `weights[e]`; a link coming back up is a decrease from
+    ///   ∞ (`old_w = f64::INFINITY`). An unchanged weight, or a change
+    ///   `edge_change_affects_dag` rules out, is
+    ///   [`Unchanged`](RepairOutcome::Unchanged).
+    /// * **Otherwise every changed edge is masked**: links going down, each
+    ///   a weight increase to ∞, and `old_w` is not read. The list may name
+    ///   an edge twice, or edges off `prev`. If no dead edge is on `prev`,
+    ///   the change is `Unchanged`, since removal never adds a tight edge;
+    ///   otherwise one increase repair runs over every dead edge at once.
+    ///   Nodes whose every path used a dead edge end at [`INFINITY`] and
+    ///   leave `order`, a classified outcome, not an error.
+    ///
+    /// The decision reads only `prev`, so a change that cannot touch the
+    /// DAG costs a few flag reads and leaves the scratch as it was. The
+    /// repair follows Ramalingam–Reps: identify the affected node set,
     /// re-run Dijkstra restricted to it (a `BinaryHeap`: repair frontiers
     /// are small, where a heap beats a distance-spanning bucket ring), and
     /// keep the nodes whose distance changed bits as
-    /// [`moved`](Self::moved). No edge is re-tested here: the edge set is
-    /// derived where it is read ([`on_dag`](Self::on_dag), [`patch_dag`]).
-    #[allow(clippy::too_many_arguments)] // mirrors update_shortest_path_dag
+    /// [`moved`](Self::moved). The distance work is proportional to the set
+    /// of nodes whose distance changes; above `frontier_cap` of them the
+    /// bounded repair is abandoned for a full Dijkstra under the new mask
+    /// ([`Rebuilt`](RepairOutcome::Rebuilt)). No edge is re-tested here:
+    /// the edge set is derived where it is read ([`on_dag`](Self::on_dag),
+    /// [`patch_dag`]).
+    ///
+    /// With tie-exact weights (e.g. the integral vectors every optimizer in
+    /// this workspace emits) the DAG [`patch_dag`] derives from the diff is
+    /// **bit-identical** to [`shortest_path_dag`] on the new weights and
+    /// mask: both compute the exact distance minima, the patch decides
+    /// edge membership with the same predicate on the same inputs as the
+    /// full scan, and the order is the unique permutation under the same
+    /// key.
+    #[allow(clippy::too_many_arguments)] // the change, both states and the cap, flat
     pub fn repair(
         &mut self,
         g: &Digraph,
         weights: &[f64],
         prev: &SpDag,
-        e: EdgeId,
+        changed: &[EdgeId],
         old_w: f64,
         frontier_cap: usize,
         disabled: &[bool],
     ) -> RepairOutcome {
         check_mask(g, disabled);
-        self.begin_change(g, &[e]);
-        if edge_disabled(disabled, e) {
-            // A masked edge's weight is never read. On `prev` it was just
-            // taken down (an increase to ∞); off `prev` no path gets shorter
-            // and no tight edge appears.
-            return if prev.edge_on_dag[e.index()] {
-                self.increase(g, weights, prev, e, frontier_cap, disabled)
-            } else {
-                RepairOutcome::Unchanged
-            };
+        match *changed {
+            [e] if !edge_disabled(disabled, e) => {
+                let (u, v) = g.endpoints(e);
+                let new_w = weights[e.index()];
+                if new_w == old_w || !edge_change_affects_dag(prev, e, u, v, new_w) {
+                    return RepairOutcome::Unchanged;
+                }
+                if new_w < old_w {
+                    return self.decrease(g, weights, prev, e, frontier_cap, disabled);
+                }
+            }
+            _ => {
+                debug_assert!(
+                    changed.iter().all(|&e| edge_disabled(disabled, e)),
+                    "a change of several edges takes links down: the mask disables each"
+                );
+                if !changed.iter().any(|e| prev.edge_on_dag[e.index()]) {
+                    return RepairOutcome::Unchanged;
+                }
+            }
         }
-        let (u, v) = g.endpoints(e);
-        let new_w = weights[e.index()];
-        if new_w == old_w || !edge_change_affects_dag(prev, e, u, v, new_w) {
-            return RepairOutcome::Unchanged;
-        }
-        if new_w > old_w {
-            self.increase(g, weights, prev, e, frontier_cap, disabled)
-        } else {
-            self.decrease(g, weights, prev, e, u, v, frontier_cap, disabled)
-        }
-    }
-
-    /// Diffs `prev` against a full Dijkstra under the new weights and mask,
-    /// for a change too structural for one bounded repair (several dead
-    /// edges on one DAG). `changed` lists every edge whose weight or mask
-    /// bit differs from `prev`'s state.
-    pub fn rebuild(
-        &mut self,
-        g: &Digraph,
-        weights: &[f64],
-        prev: &SpDag,
-        changed: &[EdgeId],
-        disabled: &[bool],
-    ) {
-        check_mask(g, disabled);
-        self.full_diff(g, weights, prev, changed, disabled);
+        self.increase(g, weights, prev, changed, frontier_cap, disabled)
     }
 
     /// The full-Dijkstra diff: a fresh stamp drops whatever an abandoned
@@ -1117,42 +1036,54 @@ impl DagRepair {
                 self.moved.push((x, d));
             }
         }
-        RepairOutcome::Repaired(self.touched.len())
+        RepairOutcome::Repaired
     }
 
-    /// Weight increase on an on-DAG edge `e = (u, v)`, or `e` going down.
+    /// Weight increase on the `changed` edges: one on-DAG edge whose weight
+    /// grew, or the dead edges of a failure, at least one on the DAG.
     ///
     /// Phase 1 finds the affected set `A` — nodes *all* of whose shortest
-    /// paths used `e` — by support counting over the old DAG: `u` loses
-    /// `e`'s support; a node joins `A` when every one of its DAG out-edges
-    /// leads into `A`. If `u` keeps support, no node moves and only `e`
-    /// leaves the DAG. Phase 2 re-runs Dijkstra restricted to `A`, seeded with the
-    /// best detour through unaffected neighbours. Nodes outside `A` keep
+    /// paths used a changed edge — by support counting over the old DAG:
+    /// each changed edge on `prev` takes its support from its tail, and a
+    /// node joins `A` when every one of its DAG out-edges is changed or
+    /// leads into `A`. If every tail keeps support, no node moves and only
+    /// the changed edges leave the DAG. Phase 2 re-runs Dijkstra restricted
+    /// to `A`, seeded with the best detour through unaffected neighbours.
+    /// Nodes outside `A` keep a shortest path over unchanged edges, hence
     /// their exact old distances.
     fn increase(
         &mut self,
         g: &Digraph,
         weights: &[f64],
         prev: &SpDag,
-        e: EdgeId,
+        changed: &[EdgeId],
         frontier_cap: usize,
         disabled: &[bool],
     ) -> RepairOutcome {
-        let u = g.src(e);
-        // `e` no longer provides u's old distance (its weight strictly grew).
-        if self.drop_support(prev, u) > 0 {
-            return self.finish(prev);
+        self.begin(g.node_count(), g.edge_count());
+        // Each changed edge is stamped once, so an edge the list repeats
+        // drops its tail's support once.
+        for &e in changed {
+            if self.changed_at[e.index()] == self.epoch {
+                continue;
+            }
+            self.changed_at[e.index()] = self.epoch;
+            let u = g.src(e);
+            if prev.edge_on_dag[e.index()] && self.drop_support(prev, u) == 0 {
+                self.mark(u);
+            }
         }
-        self.mark(u);
         let mut head = 0;
         while head < self.touched.len() {
             let x = self.touched[head];
             head += 1;
             if head > frontier_cap {
-                return self.full_diff(g, weights, prev, &[e], disabled);
+                return self.full_diff(g, weights, prev, changed, disabled);
             }
             for &ein in g.in_edges(x) {
-                if !prev.edge_on_dag[ein.index()] {
+                // A changed edge gave its support up above; dropping it
+                // again would count it twice.
+                if !prev.edge_on_dag[ein.index()] || self.changed_at[ein.index()] == self.epoch {
                     continue;
                 }
                 let p = g.src(ein);
@@ -1163,9 +1094,10 @@ impl DagRepair {
         }
 
         // Phase 2: Dijkstra restricted to the affected set. Seeds are the
-        // best candidates through *unaffected* out-neighbours (including `e`
-        // itself at its new weight); edges between affected nodes relax as
-        // their heads settle, exactly like the full algorithm.
+        // best candidates through *unaffected* out-neighbours (including a
+        // changed edge that stays up, at its new weight); edges between
+        // affected nodes relax as their heads settle, exactly like the full
+        // algorithm.
         for k in 0..self.touched.len() {
             let a = self.touched[k];
             self.set_dist(a, INFINITY);
@@ -1228,18 +1160,17 @@ impl DagRepair {
     /// propagates backwards from `u` with a Dijkstra-like frontier over
     /// strictly improving nodes — the classical decrease-only dynamic SSSP,
     /// whose work is bounded by the set of nodes that actually get closer.
-    #[allow(clippy::too_many_arguments)] // internal repair kernel: one flat argument list
     fn decrease(
         &mut self,
         g: &Digraph,
         weights: &[f64],
         prev: &SpDag,
         e: EdgeId,
-        u: NodeId,
-        v: NodeId,
         frontier_cap: usize,
         disabled: &[bool],
     ) -> RepairOutcome {
+        self.begin_change(g, &[e]);
+        let (u, v) = g.endpoints(e);
         let cand = weights[e.index()] + prev.dist[v.index()];
         if cand + EPS >= prev.dist[u.index()] {
             return self.finish(prev);
@@ -1472,6 +1403,26 @@ mod tests {
         assert_eq!(a.order, b.order, "{ctx}: order diverged");
     }
 
+    /// A change of the `changed` edges applied the way the incremental
+    /// evaluator scores and commits it: [`DagRepair::repair`], then
+    /// [`patch_dag`] of its diff, or `prev` itself when unchanged.
+    fn repaired(
+        g: &Digraph,
+        w: &[f64],
+        prev: &SpDag,
+        (changed, old_w): (&[EdgeId], f64),
+        cap: usize,
+        disabled: &[bool],
+    ) -> (RepairOutcome, SpDag) {
+        let mut r = DagRepair::default();
+        let outcome = r.repair(g, w, prev, changed, old_w, cap, disabled);
+        let dag = match outcome {
+            RepairOutcome::Unchanged => prev.clone(),
+            _ => patch_dag(g, w, disabled, prev, r.moved(), changed),
+        };
+        (outcome, dag)
+    }
+
     /// Applies one weight change both incrementally and from scratch and
     /// checks the results match bit-for-bit.
     fn check_update(g: &Digraph, w_old: &[f64], e: EdgeId, new_w: f64, target: NodeId, cap: usize) {
@@ -1480,22 +1431,9 @@ mod tests {
         w_new[e.index()] = new_w;
         let scratch = shortest_path_dag(g, &w_new, target, &[]);
         let ctx = format!("e={e:?} {}->{} target={target:?}", w_old[e.index()], new_w);
-        check_diff(
-            g,
-            &w_new,
-            &prev,
-            e,
-            w_old[e.index()],
-            cap,
-            &[],
-            &scratch,
-            &ctx,
-        );
-        let upd = update_shortest_path_dag(g, &w_new, &prev, e, w_old[e.index()], cap, &[]);
-        let got = match upd {
-            SpDagUpdate::Unchanged => prev,
-            SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
-        };
+        let change = (&[e][..], w_old[e.index()]);
+        check_diff(g, &w_new, &prev, change, cap, &[], &scratch, &ctx);
+        let (_, got) = repaired(g, &w_new, &prev, change, cap, &[]);
         assert_same_dag(&got, &scratch, &ctx);
     }
 
@@ -1508,15 +1446,14 @@ mod tests {
         g: &Digraph,
         w: &[f64],
         prev: &SpDag,
-        e: EdgeId,
-        old_w: f64,
+        (changed, old_w): (&[EdgeId], f64),
         cap: usize,
         disabled: &[bool],
         want: &SpDag,
         ctx: &str,
     ) {
-        let mut r = DagRepair::new();
-        if r.repair(g, w, prev, e, old_w, cap, disabled) == RepairOutcome::Unchanged {
+        let mut r = DagRepair::default();
+        if r.repair(g, w, prev, changed, old_w, cap, disabled) == RepairOutcome::Unchanged {
             return;
         }
         let mut moved = vec![false; g.node_count()];
@@ -1569,10 +1506,9 @@ mod tests {
         let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let mut w_new = w.clone();
         w_new[2] = 9.0;
-        assert!(matches!(
-            update_shortest_path_dag(&g, &w_new, &prev, EdgeId(2), w[2], usize::MAX, &[]),
-            SpDagUpdate::Unchanged
-        ));
+        let mut r = DagRepair::default();
+        let outcome = r.repair(&g, &w_new, &prev, &[EdgeId(2)], w[2], usize::MAX, &[]);
+        assert_eq!(outcome, RepairOutcome::Unchanged);
     }
 
     #[test]
@@ -1587,10 +1523,10 @@ mod tests {
         let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let mut w_new = w.clone();
         w_new[2] = 5.0;
-        let upd = update_shortest_path_dag(&g, &w_new, &prev, EdgeId(2), w[2], 1, &[]);
-        assert!(matches!(upd, SpDagUpdate::Rebuilt(_)));
+        let (outcome, dag) = repaired(&g, &w_new, &prev, (&[EdgeId(2)], w[2]), 1, &[]);
+        assert_eq!(outcome, RepairOutcome::Rebuilt);
         let scratch = shortest_path_dag(&g, &w_new, NodeId(3), &[]);
-        assert_same_dag(&upd.into_dag().unwrap(), &scratch, "fallback rebuild");
+        assert_same_dag(&dag, &scratch, "fallback rebuild");
     }
 
     /// A copy of `g` with the masked edges actually deleted, plus the map
@@ -1678,33 +1614,21 @@ mod tests {
         assert_eq!(dag.order, vec![NodeId(2)]);
     }
 
-    /// Takes one edge down and back up through [`update_shortest_path_dag`]
-    /// (an increase to ∞, then a decrease from ∞) and checks each repaired
-    /// DAG against a from-scratch build under the same mask, bit for bit.
+    /// Takes one edge down and back up through [`DagRepair::repair`] (an
+    /// increase to ∞, then a decrease from ∞) and checks each repaired DAG
+    /// against a from-scratch build under the same mask, bit for bit.
     fn check_disable(g: &Digraph, w: &[f64], e: EdgeId, target: NodeId, cap: usize) {
         let intact = shortest_path_dag(g, w, target, &[]);
         let mut disabled = vec![false; g.edge_count()];
         disabled[e.index()] = true;
         let scratch = shortest_path_dag(g, w, target, &disabled);
         let ctx = format!("e={e:?} target={target:?}");
-        check_diff(
-            g,
-            w,
-            &intact,
-            e,
-            w[e.index()],
-            cap,
-            &disabled,
-            &scratch,
-            &ctx,
-        );
-        let down = update_shortest_path_dag(g, w, &intact, e, w[e.index()], cap, &disabled)
-            .into_dag()
-            .unwrap_or_else(|| intact.clone());
+        // Down does not read the old weight; up is a decrease from ∞.
+        let change = (&[e][..], INFINITY);
+        check_diff(g, w, &intact, change, cap, &disabled, &scratch, &ctx);
+        let (_, down) = repaired(g, w, &intact, change, cap, &disabled);
         assert_same_dag(&down, &scratch, &format!("disable {ctx}"));
-        let up = update_shortest_path_dag(g, w, &down, e, INFINITY, cap, &[])
-            .into_dag()
-            .unwrap_or(down);
+        let (_, up) = repaired(g, w, &down, change, cap, &[]);
         assert_same_dag(&up, &intact, &format!("re-enable {ctx}"));
     }
 
@@ -1728,6 +1652,47 @@ mod tests {
     }
 
     #[test]
+    fn multi_edge_failure_matches_scratch_randomized() {
+        // One repair takes 1–3 edges down at once: a second edge is the
+        // first listed again, another out-edge of its tail, or any edge,
+        // on the DAG or off it. Each repair must match a from-scratch
+        // masked build, unbounded and at a cap of 2 (the full fallback).
+        let mut state = 0x0bad_5eed_2024_u64;
+        let pick = |state: &mut u64, len: usize| (xorshift(state) % len as u64) as usize;
+        for _ in 0..60 {
+            let n = 5 + pick(&mut state, 10);
+            let g = random_graph(&mut state, n);
+            let m = g.edge_count();
+            let w: Vec<f64> = (0..m).map(|_| (1 + pick(&mut state, 10)) as f64).collect();
+            let target = NodeId(pick(&mut state, n) as u32);
+            let intact = shortest_path_dag(&g, &w, target, &[]);
+            let on_dag: Vec<usize> = (0..m).filter(|&i| intact.edge_on_dag[i]).collect();
+            let first = EdgeId(on_dag[pick(&mut state, on_dag.len())] as u32);
+            let mut dead = vec![first];
+            for _ in 0..pick(&mut state, 3) {
+                let outs = g.out_edges(g.src(first));
+                dead.push(match pick(&mut state, 3) {
+                    0 => first,
+                    1 => outs[pick(&mut state, outs.len())],
+                    _ => EdgeId(pick(&mut state, m) as u32),
+                });
+            }
+            let mut disabled = vec![false; m];
+            for e in &dead {
+                disabled[e.index()] = true;
+            }
+            let scratch = shortest_path_dag(&g, &w, target, &disabled);
+            for cap in [usize::MAX, 2] {
+                let ctx = format!("dead={dead:?} target={target:?} cap={cap}");
+                let change = (&dead[..], INFINITY);
+                check_diff(&g, &w, &intact, change, cap, &disabled, &scratch, &ctx);
+                let (_, got) = repaired(&g, &w, &intact, change, cap, &disabled);
+                assert_same_dag(&got, &scratch, &ctx);
+            }
+        }
+    }
+
+    #[test]
     fn disable_disconnecting_edge_repairs_to_infinity() {
         // Chain 0 -> 1 -> 2 -> 3 plus a chord 1 -> 3: killing 2 -> 3 leaves
         // node 2 disconnected while 0 and 1 reroute over the chord.
@@ -1740,8 +1705,13 @@ mod tests {
         check_disable(&g, &w, EdgeId(2), NodeId(3), usize::MAX);
         let prev = shortest_path_dag(&g, &w, NodeId(3), &[]);
         let disabled = vec![false, false, true, false];
-        let upd = update_shortest_path_dag(&g, &w, &prev, EdgeId(2), w[2], usize::MAX, &disabled);
-        let dag = upd.into_dag().expect("on-DAG edge must dirty the DAG");
+        let down = (&[EdgeId(2)][..], INFINITY);
+        let (outcome, dag) = repaired(&g, &w, &prev, down, usize::MAX, &disabled);
+        assert_eq!(
+            outcome,
+            RepairOutcome::Repaired,
+            "on-DAG edge must dirty the DAG"
+        );
         assert!(!dag.reaches_target(NodeId(2)));
         assert_eq!(dag.dist[1], 5.0); // rerouted over the chord
     }
@@ -1768,11 +1738,7 @@ mod tests {
                 let old_w = w[e.index()];
                 w[e.index()] = new_w;
                 let scratch = shortest_path_dag(&g, &w, target, &disabled);
-                let upd = update_shortest_path_dag(&g, &w, &prev, e, old_w, usize::MAX, &disabled);
-                let got = match upd {
-                    SpDagUpdate::Unchanged => prev,
-                    SpDagUpdate::Repaired(d, _) | SpDagUpdate::Rebuilt(d) => d,
-                };
+                let (_, got) = repaired(&g, &w, &prev, (&[e], old_w), usize::MAX, &disabled);
                 assert_same_dag(&got, &scratch, &format!("masked update e={e:?}"));
             }
         }

@@ -35,9 +35,8 @@ pub mod traversal;
 
 pub use digraph::{Digraph, EdgeId, NodeId};
 pub use dijkstra::{
-    csr_offsets, edge_change_affects_dag, edge_disabled, order_cmp, patch_dag, shortest_path_dag,
-    single_target_distances, single_target_distances_heap, update_shortest_path_dag, DagRepair,
-    RepairOutcome, SpDag, SpDagUpdate, INFINITY, MAX_DIAL_WEIGHT,
+    csr_offsets, edge_disabled, order_cmp, patch_dag, shortest_path_dag, single_target_distances,
+    single_target_distances_heap, DagRepair, RepairOutcome, SpDag, INFINITY, MAX_DIAL_WEIGHT,
 };
 pub use maxflow::{acyclic_max_flow, decompose_into_paths, max_flow, Flow, FlowPath};
 pub use metrics::{metrics, strongly_connected_components, GraphMetrics};

@@ -28,11 +28,6 @@ pub struct Basis {
 }
 
 impl Basis {
-    /// Number of rows (constraints) of the owning problem.
-    pub fn num_rows(&self) -> usize {
-        self.basic.len()
-    }
-
     /// Number of structural variables of the owning problem.
     pub fn num_vars(&self) -> usize {
         self.n_struct

@@ -28,14 +28,12 @@
 #![warn(missing_docs)]
 
 pub mod basis;
-pub mod lpwrite;
 pub mod milp;
 pub mod problem;
 pub mod revised;
 pub mod simplex;
 
 pub use basis::Basis;
-pub use lpwrite::to_lp_format;
 pub use milp::{solve_milp, solve_milp_with, MilpOptions, MilpResult, MilpStatus};
 pub use problem::{Cmp, Problem, Sense, VarId};
 pub use simplex::{solve_lp, solve_lp_from, LpResult, LpStatus};

@@ -475,10 +475,10 @@ mod tests {
         // max 8a + 11b + 6c + 4d st 5a + 7b + 4c + 3d <= 14, binary.
         // Optimum: b + c + d = 21 (weight 14).
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_bin_var("a", 8.0);
-        let b = p.add_bin_var("b", 11.0);
-        let c = p.add_bin_var("c", 6.0);
-        let d = p.add_bin_var("d", 4.0);
+        let a = p.add_bin_var(8.0);
+        let b = p.add_bin_var(11.0);
+        let c = p.add_bin_var(6.0);
+        let d = p.add_bin_var(4.0);
         p.add_constraint(vec![(a, 5.0), (b, 7.0), (c, 4.0), (d, 3.0)], Cmp::Le, 14.0);
         let r = solve_milp(&p, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);
@@ -492,7 +492,7 @@ mod tests {
     fn integer_rounding_is_not_lp_rounding() {
         // max y st 2y <= 7 -> LP gives 3.5, MILP must give 3.
         let mut p = Problem::new(Sense::Maximize);
-        let y = p.add_int_var("y", 0.0, 100.0, 1.0);
+        let y = p.add_int_var(0.0, 100.0, 1.0);
         p.add_constraint(vec![(y, 2.0)], Cmp::Le, 7.0);
         let r = solve_milp(&p, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);
@@ -503,7 +503,7 @@ mod tests {
     fn infeasible_integer_program() {
         // 0.4 <= x <= 0.6 has no integer point.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, 1.0, 1.0);
+        let x = p.add_int_var(0.0, 1.0, 1.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 0.4);
         p.add_constraint(vec![(x, 1.0)], Cmp::Le, 0.6);
         let r = solve_milp(&p, &MilpOptions::default());
@@ -516,8 +516,8 @@ mod tests {
         // min x + y, x integer, x + 2y >= 5.5, y <= 1.5:
         // x = 3, y = 1.25 -> obj 4.25 (x = 2 forces y > 1.5, infeasible).
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, 100.0, 1.0);
-        let y = p.add_var("y", 0.0, 1.5, 1.0);
+        let x = p.add_int_var(0.0, 100.0, 1.0);
+        let y = p.add_var(0.0, 1.5, 1.0);
         p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Ge, 5.5);
         let r = solve_milp(&p, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);
@@ -527,8 +527,8 @@ mod tests {
     #[test]
     fn warm_start_is_used_and_optimality_still_proven() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_bin_var("a", 5.0);
-        let b = p.add_bin_var("b", 4.0);
+        let a = p.add_bin_var(5.0);
+        let b = p.add_bin_var(4.0);
         p.add_constraint(vec![(a, 3.0), (b, 2.0)], Cmp::Le, 4.0);
         let opts = MilpOptions {
             warm_start: Some(vec![0.0, 1.0]), // feasible, obj 4
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn infeasible_warm_start_is_rejected() {
         let mut p = Problem::new(Sense::Maximize);
-        let a = p.add_bin_var("a", 1.0);
+        let a = p.add_bin_var(1.0);
         p.add_constraint(vec![(a, 1.0)], Cmp::Le, 0.0);
         let opts = MilpOptions {
             warm_start: Some(vec![1.0]), // violates the constraint
@@ -559,8 +559,8 @@ mod tests {
     fn non_finite_warm_start_is_ignored() {
         // min x + y, x integer in [0, 5], y in [0, 5], x >= 2 -> 2.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, 5.0, 1.0);
-        p.add_var("y", 0.0, 5.0, 1.0);
+        let x = p.add_int_var(0.0, 5.0, 1.0);
+        p.add_var(0.0, 5.0, 1.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
         let opts = MilpOptions {
             warm_start: Some(vec![2.0, f64::NAN]),
@@ -577,9 +577,7 @@ mod tests {
         // A problem needing some branching; with node_limit 1 we may only
         // have the root: status LimitReached but sound output.
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = (0..6)
-            .map(|i| p.add_bin_var(format!("v{i}"), (i + 1) as f64))
-            .collect();
+        let vars: Vec<_> = (0..6).map(|i| p.add_bin_var((i + 1) as f64)).collect();
         let terms: Vec<_> = vars.iter().map(|&v| (v, 2.0)).collect();
         p.add_constraint(terms, Cmp::Le, 7.0);
         let opts = MilpOptions {
@@ -595,7 +593,7 @@ mod tests {
     #[test]
     fn pure_lp_passes_through() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 1.0, 3.0, 2.0);
+        let x = p.add_var(1.0, 3.0, 2.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
         let r = solve_milp(&p, &MilpOptions::default());
         assert_eq!(r.status, MilpStatus::Optimal);
@@ -606,8 +604,8 @@ mod tests {
     fn equality_milp() {
         // x + y = 5, x,y integer, min 3x + y -> x = 0, y = 5, obj 5.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, 10.0, 3.0);
-        let y = p.add_int_var("y", 0.0, 10.0, 1.0);
+        let x = p.add_int_var(0.0, 10.0, 3.0);
+        let y = p.add_int_var(0.0, 10.0, 1.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 5.0);
         let r = solve_milp(&p, &MilpOptions::default());
         assert_close(r.objective.unwrap(), 5.0);
@@ -625,8 +623,8 @@ mod tests {
     fn rounded_incumbent_violating_tight_eq_row_is_rejected() {
         const DELTA: f64 = 9e-7; // below INT_TOL, but 2*DELTA > INC_FEAS_TOL
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, 1.0, 0.0);
-        let z = p.add_int_var("z", 0.0, 1.0, 0.0);
+        let x = p.add_int_var(0.0, 1.0, 0.0);
+        let z = p.add_int_var(0.0, 1.0, 0.0);
         // x + z = 1 and x - z = 1 - 2*DELTA intersect only at the
         // fractional point (1 - DELTA, DELTA): no integer point exists.
         p.add_constraint(vec![(x, 1.0), (z, 1.0)], Cmp::Eq, 1.0);

@@ -55,7 +55,6 @@ pub struct Problem {
     lower: Vec<f64>,
     upper: Vec<f64>,
     integer: Vec<bool>,
-    names: Vec<String>,
     constraints: Vec<Constraint>,
 }
 
@@ -68,7 +67,6 @@ impl Problem {
             lower: Vec::new(),
             upper: Vec::new(),
             integer: Vec::new(),
-            names: Vec::new(),
             constraints: Vec::new(),
         }
     }
@@ -79,7 +77,7 @@ impl Problem {
     ///
     /// # Panics
     /// Panics when `lower` is not finite or `upper < lower`.
-    pub fn add_var(&mut self, name: impl Into<String>, lower: f64, upper: f64, obj: f64) -> VarId {
+    pub fn add_var(&mut self, lower: f64, upper: f64, obj: f64) -> VarId {
         assert!(lower.is_finite(), "lower bound must be finite");
         assert!(upper >= lower, "upper bound below lower bound");
         assert!(obj.is_finite(), "objective coefficient must be finite");
@@ -88,26 +86,19 @@ impl Problem {
         self.lower.push(lower);
         self.upper.push(upper);
         self.integer.push(false);
-        self.names.push(name.into());
         id
     }
 
     /// Adds an integer variable with bounds `[lower, upper]`.
-    pub fn add_int_var(
-        &mut self,
-        name: impl Into<String>,
-        lower: f64,
-        upper: f64,
-        obj: f64,
-    ) -> VarId {
-        let id = self.add_var(name, lower, upper, obj);
+    pub fn add_int_var(&mut self, lower: f64, upper: f64, obj: f64) -> VarId {
+        let id = self.add_var(lower, upper, obj);
         self.integer[id.0] = true;
         id
     }
 
     /// Adds a binary (0/1) variable.
-    pub fn add_bin_var(&mut self, name: impl Into<String>, obj: f64) -> VarId {
-        self.add_int_var(name, 0.0, 1.0, obj)
+    pub fn add_bin_var(&mut self, obj: f64) -> VarId {
+        self.add_int_var(0.0, 1.0, obj)
     }
 
     /// Adds a constraint `Σ terms cmp rhs`. Terms with the same variable are
@@ -157,11 +148,6 @@ impl Problem {
     /// Integrality flags per variable.
     pub fn integrality(&self) -> &[bool] {
         &self.integer
-    }
-
-    /// Variable names (debugging / model dumps).
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.names[v.0]
     }
 
     /// The constraint rows.
@@ -219,12 +205,11 @@ mod tests {
     #[test]
     fn build_a_small_model() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 4.0, 3.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let x = p.add_var(0.0, 4.0, 3.0);
+        let y = p.add_var(0.0, f64::INFINITY, 2.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 5.0);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.num_constraints(), 1);
-        assert_eq!(p.var_name(x), "x");
         assert!(!p.has_integers());
         assert_eq!(p.objective_value(&[1.0, 1.0]), 5.0);
     }
@@ -232,7 +217,7 @@ mod tests {
     #[test]
     fn feasibility_check() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_int_var("x", 0.0, 10.0, 1.0);
+        let x = p.add_int_var(0.0, 10.0, 1.0);
         p.add_constraint(vec![(x, 2.0)], Cmp::Ge, 4.0);
         assert!(p.is_feasible(&[2.0], 1e-9));
         assert!(p.is_feasible(&[3.0], 1e-9));
@@ -246,8 +231,8 @@ mod tests {
         // No row sums y, and z's upper bound is infinite: a NaN y and an
         // infinite z once passed every test.
         let mut p = Problem::new(Sense::Minimize);
-        p.add_var("y", 0.0, 5.0, 1.0);
-        let z = p.add_var("z", 0.0, f64::INFINITY, 1.0);
+        p.add_var(0.0, 5.0, 1.0);
+        let z = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_constraint(vec![(z, 1.0)], Cmp::Ge, 1.0);
         assert!(p.is_feasible(&[0.0, 1.0], 1e-6));
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -267,6 +252,6 @@ mod tests {
     #[should_panic(expected = "lower bound must be finite")]
     fn free_variables_are_rejected() {
         let mut p = Problem::new(Sense::Minimize);
-        p.add_var("free", f64::NEG_INFINITY, f64::INFINITY, 0.0);
+        p.add_var(f64::NEG_INFINITY, f64::INFINITY, 0.0);
     }
 }

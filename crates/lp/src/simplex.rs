@@ -52,8 +52,8 @@ const BOUNDS_TOL: f64 = 1e-7;
 ///
 /// // max 3x + 2y  s.t.  x + y <= 4
 /// let mut p = Problem::new(Sense::Maximize);
-/// let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-/// let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+/// let x = p.add_var(0.0, f64::INFINITY, 3.0);
+/// let y = p.add_var(0.0, f64::INFINITY, 2.0);
 /// p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
 /// let r = solve_lp(&p);
 /// assert_eq!(r.status, LpStatus::Optimal);
@@ -113,8 +113,8 @@ mod tests {
     fn textbook_maximization() {
         // max 3x + 2y st x + y <= 4, x + 3y <= 6, x,y >= 0 -> (4, 0), obj 12.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 3.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let x = p.add_var(0.0, f64::INFINITY, 3.0);
+        let y = p.add_var(0.0, f64::INFINITY, 2.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         p.add_constraint(vec![(x, 1.0), (y, 3.0)], Cmp::Le, 6.0);
         let r = solve_lp(&p);
@@ -128,8 +128,8 @@ mod tests {
     fn minimization_with_ge_rows() {
         // min 2x + 3y st x + y >= 10, x >= 2, y >= 3 -> x=7, y=3, obj 23.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 2.0, f64::INFINITY, 2.0);
-        let y = p.add_var("y", 3.0, f64::INFINITY, 3.0);
+        let x = p.add_var(2.0, f64::INFINITY, 2.0);
+        let y = p.add_var(3.0, f64::INFINITY, 3.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 10.0);
         let r = solve_lp(&p);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -142,8 +142,8 @@ mod tests {
     fn equality_constraints() {
         // min x + y st x + 2y = 4, x - y = 1 -> x = 2, y = 1, obj 3.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Eq, 4.0);
         p.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
         let r = solve_lp(&p);
@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn detects_infeasible() {
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Le, 1.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Ge, 2.0);
         assert_eq!(solve_lp(&p).status, LpStatus::Infeasible);
@@ -164,8 +164,8 @@ mod tests {
     #[test]
     fn detects_unbounded() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 0.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 0.0);
         p.add_constraint(vec![(x, 1.0), (y, -1.0)], Cmp::Le, 1.0);
         assert_eq!(solve_lp(&p).status, LpStatus::Unbounded);
     }
@@ -173,8 +173,8 @@ mod tests {
     #[test]
     fn upper_bounds_are_respected() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 2.5, 1.0);
-        let y = p.add_var("y", 0.0, 1.0, 1.0);
+        let x = p.add_var(0.0, 2.5, 1.0);
+        let y = p.add_var(0.0, 1.0, 1.0);
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 10.0);
         let r = solve_lp(&p);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -185,7 +185,7 @@ mod tests {
     fn negative_lower_bounds() {
         // min x st x >= -5 with x <= -2 -> x = -5.
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", -5.0, f64::INFINITY, 1.0);
+        let x = p.add_var(-5.0, f64::INFINITY, 1.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Le, -2.0);
         let r = solve_lp(&p);
         assert_eq!(r.status, LpStatus::Optimal);
@@ -196,8 +196,8 @@ mod tests {
     fn degenerate_problem_terminates() {
         // Highly degenerate: many redundant constraints through the optimum.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, f64::INFINITY, 1.0);
-        let y = p.add_var("y", 0.0, f64::INFINITY, 1.0);
+        let x = p.add_var(0.0, f64::INFINITY, 1.0);
+        let y = p.add_var(0.0, f64::INFINITY, 1.0);
         for k in 1..8 {
             p.add_constraint(vec![(x, 1.0), (y, k as f64)], Cmp::Le, 1.0 + k as f64);
         }
@@ -213,9 +213,9 @@ mod tests {
         // Two parallel links (cap 3 and 1), route 2 units, minimise MLU:
         // min t st f1 + f2 = 2, f1 <= 3t, f2 <= t -> t = 0.5, f1 = 1.5.
         let mut p = Problem::new(Sense::Minimize);
-        let t = p.add_var("t", 0.0, f64::INFINITY, 1.0);
-        let f1 = p.add_var("f1", 0.0, f64::INFINITY, 0.0);
-        let f2 = p.add_var("f2", 0.0, f64::INFINITY, 0.0);
+        let t = p.add_var(0.0, f64::INFINITY, 1.0);
+        let f1 = p.add_var(0.0, f64::INFINITY, 0.0);
+        let f2 = p.add_var(0.0, f64::INFINITY, 0.0);
         p.add_constraint(vec![(f1, 1.0), (f2, 1.0)], Cmp::Eq, 2.0);
         p.add_constraint(vec![(f1, 1.0), (t, -3.0)], Cmp::Le, 0.0);
         p.add_constraint(vec![(f2, 1.0), (t, -1.0)], Cmp::Le, 0.0);
@@ -227,7 +227,7 @@ mod tests {
     #[test]
     fn bound_overrides_for_branching() {
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 10.0, 1.0);
+        let x = p.add_var(0.0, 10.0, 1.0);
         p.add_constraint(vec![(x, 1.0)], Cmp::Le, 7.3);
         let solve = |lower: &[f64], upper: &[f64]| solve_lp_from(&p, lower, upper, None, None).0;
         // Branch x <= 7.
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn zero_constraint_problem() {
         let mut p = Problem::new(Sense::Minimize);
-        p.add_var("x", 1.0, 2.0, 3.0);
+        p.add_var(1.0, 2.0, 3.0);
         let r = solve_lp(&p);
         assert_eq!(r.status, LpStatus::Optimal);
         assert_close(r.objective, 3.0);
@@ -251,7 +251,7 @@ mod tests {
     fn zero_constraint_maximize_flips_to_upper() {
         // With no rows the optimum is a pure bound-flip exercise.
         let mut p = Problem::new(Sense::Maximize);
-        p.add_var("x", 1.0, 2.0, 3.0);
+        p.add_var(1.0, 2.0, 3.0);
         let r = solve_lp(&p);
         assert_eq!(r.status, LpStatus::Optimal);
         assert_close(r.objective, 6.0);
@@ -262,8 +262,8 @@ mod tests {
         // Solve, then tighten a bound and re-solve from the final basis —
         // the warm solve must agree with a cold solve of the child.
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, 10.0, 3.0);
-        let y = p.add_var("y", 0.0, 10.0, 2.0);
+        let x = p.add_var(0.0, 10.0, 3.0);
+        let y = p.add_var(0.0, 10.0, 2.0);
         p.add_constraint(vec![(x, 1.0), (y, 2.0)], Cmp::Le, 14.0);
         p.add_constraint(vec![(x, 3.0), (y, 1.0)], Cmp::Le, 18.0);
         let (root, basis) = solve_lp_from(&p, p.lower_bounds(), p.upper_bounds(), None, None);
@@ -282,7 +282,7 @@ mod tests {
     #[test]
     fn warm_start_with_mismatched_basis_falls_back() {
         let mut small = Problem::new(Sense::Maximize);
-        small.add_var("x", 0.0, 1.0, 1.0);
+        small.add_var(0.0, 1.0, 1.0);
         let (_, small_basis) = solve_lp_from(
             &small,
             small.lower_bounds(),
@@ -293,8 +293,8 @@ mod tests {
         let small_basis = small_basis.expect("basis");
 
         let mut big = Problem::new(Sense::Maximize);
-        let x = big.add_var("x", 0.0, 4.0, 3.0);
-        let y = big.add_var("y", 0.0, f64::INFINITY, 2.0);
+        let x = big.add_var(0.0, 4.0, 3.0);
+        let y = big.add_var(0.0, f64::INFINITY, 2.0);
         big.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
         let (r, _) = solve_lp_from(
             &big,

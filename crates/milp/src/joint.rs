@@ -240,10 +240,10 @@ fn solve_joint(
     }
 
     let mut p = Problem::new(Sense::Minimize);
-    let theta = p.add_var("theta", 0.0, f64::INFINITY, 1.0);
+    let theta = p.add_var(0.0, f64::INFINITY, 1.0);
     let wvar: Vec<VarId> = g
         .edge_ids()
-        .map(|e| p.add_int_var(format!("w[{e}]"), 1.0, w_max, 0.0))
+        .map(|_| p.add_int_var(1.0, w_max, 0.0))
         .collect();
 
     // Destination blocks.
@@ -251,30 +251,21 @@ fn solve_joint(
     for &t in &dests {
         let dist: Vec<Option<VarId>> = all_nodes
             .iter()
-            .map(|&v| {
-                (v != t).then(|| p.add_var(format!("d[{t}][{v}]"), 0.0, (n as f64) * w_max, 0.0))
-            })
+            .map(|&v| (v != t).then(|| p.add_var(0.0, (n as f64) * w_max, 0.0)))
             .collect();
-        let x: Vec<VarId> = g
-            .edge_ids()
-            .map(|e| p.add_bin_var(format!("x[{t}][{e}]"), 0.0))
-            .collect();
+        let x: Vec<VarId> = g.edge_ids().map(|_| p.add_bin_var(0.0)).collect();
         let f: Vec<Vec<VarId>> = (0..nmat)
-            .map(|k| {
+            .map(|_| {
                 g.edge_ids()
-                    .map(|e| p.add_var(format!("f[{t}][{k}][{e}]"), 0.0, f64::INFINITY, 0.0))
+                    .map(|_| p.add_var(0.0, f64::INFINITY, 0.0))
                     .collect()
             })
             .collect();
         let share: Vec<Vec<Option<VarId>>> = (0..nmat)
-            .map(|k| {
+            .map(|_| {
                 all_nodes
                     .iter()
-                    .map(|&v| {
-                        (v != t).then(|| {
-                            p.add_var(format!("m[{t}][{k}][{v}]"), 0.0, f64::INFINITY, 0.0)
-                        })
-                    })
+                    .map(|&v| (v != t).then(|| p.add_var(0.0, f64::INFINITY, 0.0)))
                     .collect()
             })
             .collect();
@@ -324,12 +315,11 @@ fn solve_joint(
     // aligned, so demand index i is the same pair everywhere).
     // y[i][0] = direct; y[i][k] = candidate k.
     let mut yvars: Vec<Vec<(Option<NodeId>, VarId)>> = Vec::new();
-    for (i, &(src, dst)) in pairs.iter().enumerate() {
-        let mut row: Vec<(Option<NodeId>, VarId)> =
-            vec![(None, p.add_bin_var(format!("y[{i}][direct]"), 0.0))];
+    for &(src, dst) in &pairs {
+        let mut row: Vec<(Option<NodeId>, VarId)> = vec![(None, p.add_bin_var(0.0))];
         for &w in &candidates {
             if w != src && w != dst {
-                row.push((Some(w), p.add_bin_var(format!("y[{i}][{w}]"), 0.0)));
+                row.push((Some(w), p.add_bin_var(0.0)));
             }
         }
         p.add_constraint(row.iter().map(|&(_, y)| (y, 1.0)).collect(), Cmp::Eq, 1.0);

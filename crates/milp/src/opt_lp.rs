@@ -43,7 +43,7 @@ fn add_flow_block(
     for (&t, sources) in inj {
         let vars: Vec<VarId> = g
             .edge_ids()
-            .map(|e| p.add_var(format!("f[{t}][{e}]"), 0.0, f64::INFINITY, 0.0))
+            .map(|_| p.add_var(0.0, f64::INFINITY, 0.0))
             .collect();
         // Conservation at every node except the destination.
         for v in g.nodes() {
@@ -121,7 +121,7 @@ fn extract_loads(net: &Network, fvar: &HashMap<NodeId, Vec<VarId>>, values: &[f6
 pub fn opt_mlu_lp(net: &Network, demands: &DemandList) -> Result<OptLpOutcome, TeError> {
     assert!(!demands.is_empty(), "demand list must be non-empty");
     let mut p = Problem::new(Sense::Minimize);
-    let theta = p.add_var("theta", 0.0, f64::INFINITY, 1.0);
+    let theta = p.add_var(0.0, f64::INFINITY, 1.0);
     let inj = injections(demands);
     let fvar = add_flow_block(&mut p, net, &inj, None);
     // Capacity rows: sum of all commodities on e <= theta * c_e.
@@ -152,7 +152,7 @@ pub fn opt_mlu_lp(net: &Network, demands: &DemandList) -> Result<OptLpOutcome, T
 pub fn max_concurrent_lp(net: &Network, demands: &DemandList) -> Result<OptLpOutcome, TeError> {
     assert!(!demands.is_empty(), "demand list must be non-empty");
     let mut p = Problem::new(Sense::Maximize);
-    let lambda = p.add_var("lambda", 0.0, f64::INFINITY, 1.0);
+    let lambda = p.add_var(0.0, f64::INFINITY, 1.0);
     let inj = injections(demands);
     let fvar = add_flow_block(&mut p, net, &inj, Some(lambda));
     for e in net.graph().edge_ids() {

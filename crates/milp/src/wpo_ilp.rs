@@ -92,13 +92,10 @@ pub fn wpo_ilp(
 
     // Build the selection MILP.
     let mut p = Problem::new(Sense::Minimize);
-    let theta = p.add_var("theta", 0.0, f64::INFINITY, 1.0);
+    let theta = p.add_var(0.0, f64::INFINITY, 1.0);
     let mut yvars: Vec<Vec<VarId>> = Vec::new();
-    for (i, opts) in option_loads.iter().enumerate() {
-        let ys: Vec<VarId> = opts
-            .iter()
-            .map(|(k, _)| p.add_bin_var(format!("y[{i}][{k}]"), 0.0))
-            .collect();
+    for opts in &option_loads {
+        let ys: Vec<VarId> = opts.iter().map(|_| p.add_bin_var(0.0)).collect();
         p.add_constraint(ys.iter().map(|&y| (y, 1.0)).collect(), Cmp::Eq, 1.0);
         yvars.push(ys);
     }

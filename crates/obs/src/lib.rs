@@ -112,8 +112,3 @@ pub fn dump_metrics() {
 pub fn summary_table() -> String {
     registry().summary_table()
 }
-
-/// Clears the global metric registry (between benchmark repetitions).
-pub fn reset_metrics() {
-    registry().reset();
-}

@@ -365,29 +365,6 @@ impl Registry {
         }
     }
 
-    /// Zeroes every metric in place. Handles cached by call sites (hot
-    /// loops hold `Arc`s across calls) stay registered and keep reporting —
-    /// clearing the map instead would silently detach them.
-    pub fn reset(&self) {
-        let map = self.map.lock().expect("registry poisoned");
-        for metric in map.values() {
-            match metric {
-                Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => g.set(0.0),
-                Metric::Histogram(h) => {
-                    for b in h.buckets.iter() {
-                        b.store(0, Ordering::Relaxed);
-                    }
-                    h.count.store(0, Ordering::Relaxed);
-                    h.sum.update(|_| 0.0);
-                    h.min.update(|_| f64::INFINITY);
-                    h.max.update(|_| f64::NEG_INFINITY);
-                }
-                Metric::Series(s) => s.0.lock().expect("series poisoned").clear(),
-            }
-        }
-    }
-
     /// Name-sorted snapshot of all metrics.
     pub fn snapshot(&self) -> Vec<(String, Metric)> {
         self.map

@@ -409,17 +409,6 @@ where
     par_map(items.len(), |i| f(i, &items[i]))
 }
 
-/// [`par_map_slice`] with an explicit serial-fallback threshold (see
-/// [`par_map_min`]).
-pub fn par_map_slice_min<T, R, F>(items: &[T], serial_below: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_min(items.len(), serial_below, |i| f(i, &items[i]))
-}
-
 /// Maps `map` over `0..n` in parallel, then folds the results **in index
 /// order on the calling thread** — the ordered `(value, index)` reduction
 /// that keeps winner selection and floating-point accumulation

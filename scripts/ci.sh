@@ -88,11 +88,22 @@ echo "==> bench_robust (writes BENCH_robust_fast.json)"
 SEGROUT_FAST=1 ./target/release/bench_robust
 
 # Failure-sweep throughput record (full numbers live in EXPERIMENTS.md;
-# the smoke run checks the bench path, the disconnect classification and
-# that the record lands on disk).
+# the smoke run sweeps Abilene's single and double failures, so it checks
+# the bench path, the disconnect classification, the multi-link repair and
+# that the record and its run artifact land on disk, the artifact naming
+# the seed the bench drew its demands from).
 echo "==> bench_failsweep (writes BENCH_failsweep_fast.json)"
 SEGROUT_FAST=1 ./target/release/bench_failsweep
 test -s BENCH_failsweep_fast.json || { echo "BENCH_failsweep_fast.json missing"; exit 1; }
+python3 - <<'EOF'
+import json
+rec = json.load(open("BENCH_failsweep_fast.json"))
+assert rec["doubles"] and rec["patterns"] == 120, rec
+art = json.load(open("BENCH_failsweep_fast.run.json"))
+assert art["command"] == "BENCH_failsweep_fast", art["command"]
+assert art["seed"] == 808, f"run artifact records seed {art['seed']}, not 808"
+print(f"bench_failsweep OK: {rec['patterns']} patterns, seed {art['seed']}")
+EOF
 
 # Flight-recorder leg: a traced Germany50 optimization must produce a
 # parseable convergence trace, a schema-1 run artifact, a collapsed-stack

@@ -29,7 +29,7 @@ fn random_lp(rng: &mut StdRng, integer: bool) -> Problem {
     };
     let mut p = Problem::new(sense);
     let nv = rng.gen_range(1..=8usize);
-    for j in 0..nv {
+    for _ in 0..nv {
         let lb = if rng.gen_f64() < 0.25 {
             -(rng.gen_range(0..=4u32) as f64)
         } else {
@@ -44,9 +44,9 @@ fn random_lp(rng: &mut StdRng, integer: bool) -> Problem {
         if integer && rng.gen_f64() < 0.6 {
             // Integer vars need finite two-sided ranges to keep B&B small.
             let ub = if ub.is_finite() { ub.round() } else { 4.0 };
-            p.add_int_var(format!("x{j}"), lb, ub.max(lb), cost);
+            p.add_int_var(lb, ub.max(lb), cost);
         } else {
-            p.add_var(format!("x{j}"), lb, ub, cost);
+            p.add_var(lb, ub, cost);
         }
     }
     let rows = rng.gen_range(1..=10usize);
@@ -163,10 +163,10 @@ fn random_milps_agree_across_engines() {
 #[test]
 fn beale_cycling_example_terminates() {
     let mut p = Problem::new(Sense::Minimize);
-    let x1 = p.add_var("x1", 0.0, f64::INFINITY, -0.75);
-    let x2 = p.add_var("x2", 0.0, f64::INFINITY, 150.0);
-    let x3 = p.add_var("x3", 0.0, f64::INFINITY, -0.02);
-    let x4 = p.add_var("x4", 0.0, f64::INFINITY, 6.0);
+    let x1 = p.add_var(0.0, f64::INFINITY, -0.75);
+    let x2 = p.add_var(0.0, f64::INFINITY, 150.0);
+    let x3 = p.add_var(0.0, f64::INFINITY, -0.02);
+    let x4 = p.add_var(0.0, f64::INFINITY, 6.0);
     p.add_constraint(
         vec![(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
         Cmp::Le,

@@ -1,13 +1,16 @@
 //! A rejected probe costs a fixed handful of allocations, however many
 //! destinations it dirties and whichever Dijkstra engine its repairs fall
-//! back to: the repair, the full-Dijkstra rebuild, the re-spread and the
-//! fold run in per-thread scratch, and a probe keeps only its sparse
-//! answer (the totals and the diff a commit would apply). This file is its own test
-//! binary because it installs a counting global allocator.
+//! back to: the repair, the frontier-cap fallback to a full Dijkstra, the
+//! re-spread and the fold run in per-thread scratch, and a probe keeps only
+//! its sparse answer (the totals and the diff a commit would apply). A
+//! failure of two links on one DAG is one bounded repair, not a full
+//! Dijkstra. This file is its own test binary because it installs a
+//! counting global allocator and reads the process-global counters.
 
 use segrout::core::rng::StdRng;
 use segrout::core::{
-    DemandList, EdgeId, IncrementalEvaluator, Network, NodeId, WaypointSetting, WeightSetting,
+    DemandList, EdgeId, IncrementalEvaluator, Network, NodeId, Probe, WaypointSetting,
+    WeightSetting,
 };
 use segrout::graph::shortest_path_dag;
 use segrout::topo::{by_name, geo_backbone};
@@ -60,6 +63,32 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
+/// Full Dijkstra runs so far: evaluator builds and repair fallbacks.
+fn recomputes() -> u64 {
+    segrout::obs::counter("ecmp.recomputes").get()
+}
+
+/// What one counted probe cost.
+#[derive(Debug)]
+struct Measured {
+    allocs: usize,
+    dirty: usize,
+    /// Repairs that fell back to a full Dijkstra.
+    recomputes: u64,
+}
+
+/// Runs `probe` once to grow the scratch, then again under the count.
+fn measure(probe: impl Fn() -> Probe) -> Measured {
+    let _ = probe();
+    let before = recomputes();
+    let (p, allocs) = allocations(&probe);
+    Measured {
+        allocs,
+        dirty: p.dirty_count,
+        recomputes: recomputes() - before,
+    }
+}
+
 /// Integral weights in 1..=20, so every repair and full Dijkstra runs on
 /// the bucket queue; or, with `integral` off, the same draws plus a
 /// fractional part, as an inverse-capacity setting has, so every full
@@ -90,14 +119,15 @@ fn demands(net: &Network) -> DemandList {
     d
 }
 
-/// Allocations of the three probe kinds, each on the most loaded edges
-/// whose probe dirties at least `min_dirty` destinations (and, for the
-/// failures, stays routable): a tenfold weight probe, a single failure,
-/// and a double failure whose two edges lie on one DAG for at least three
-/// destinations, so those destinations take a full Dijkstra rebuild. Each
-/// probe runs once to grow the scratch, then again under the count.
-/// Returns `(allocations, dirty destinations)` of each.
-fn probe_allocations(net: &Network, integral: bool, min_dirty: usize) -> [(usize, usize); 3] {
+/// The four probe kinds, each on the most loaded edges whose probe
+/// dirties at least `min_dirty` destinations (and, for the failures, stays
+/// routable): a tenfold weight probe, a single failure, a double failure
+/// whose two edges lie on one DAG for at least three destinations, and a
+/// tenfold weight probe whose repair takes the frontier-cap fallback for
+/// some destination. Each edge of the double failure fails alone without a
+/// fallback, so only the destinations whose DAG holds both can take one.
+/// Returns the four with the number of those destinations.
+fn probe_allocations(net: &Network, integral: bool, min_dirty: usize) -> ([Measured; 4], usize) {
     let d = demands(net);
     let w = weights(net, 7, integral);
     let ev =
@@ -105,18 +135,22 @@ fn probe_allocations(net: &Network, integral: bool, min_dirty: usize) -> [(usize
     let mut by_load: Vec<EdgeId> = (0..net.edge_count() as u32).map(EdgeId).collect();
     by_load.sort_by(|a, b| ev.loads()[b.index()].total_cmp(&ev.loads()[a.index()]));
     let heavier = |e: EdgeId| 10.0 * ev.weights()[e.index()];
-    let dirty = |p: Result<_, _>| p.map_or(0, |p: segrout::core::Probe| p.dirty_count);
-    let pick = |dirtied: &dyn Fn(EdgeId) -> usize| {
+    let dirty = |p: Result<_, _>| p.map_or(0, |p: Probe| p.dirty_count);
+    let pick = |dirtied: &dyn Fn(EdgeId) -> bool| {
         by_load
             .iter()
             .copied()
-            .find(|&e| dirtied(e) >= min_dirty)
+            .find(|&e| dirtied(e))
             .expect("some link dirties enough destinations")
     };
-    let e = pick(&|e| dirty(ev.probe(e, heavier(e))));
-    let f = pick(&|f| dirty(ev.probe_disable(&[f])));
-    // The heaviest link paired with the first other link that shares at
-    // least three destinations' DAGs with it.
+    let e = pick(&|e| dirty(ev.probe(e, heavier(e))) >= min_dirty);
+    let f = pick(&|f| dirty(ev.probe_disable(&[f])) >= min_dirty);
+    let full = pick(&|e| {
+        let before = recomputes();
+        dirty(ev.probe(e, heavier(e))) >= min_dirty && recomputes() > before
+    });
+    // The first pair of loaded links that share at least three
+    // destinations' DAGs and each fail alone without a fallback.
     let g = net.graph();
     let dags: Vec<_> = (0..net.node_count() as u32)
         .map(|t| shortest_path_dag(g, w.as_slice(), NodeId(t), &[]))
@@ -126,25 +160,29 @@ fn probe_allocations(net: &Network, integral: bool, min_dirty: usize) -> [(usize
             .filter(|dag| dag.edge_on_dag[a.index()] && dag.edge_on_dag[b.index()])
             .count()
     };
+    let bounded_alone = |e: EdgeId| {
+        let before = recomputes();
+        ev.probe_disable(&[e]).is_ok() && recomputes() == before
+    };
     let pair = by_load
         .iter()
         .flat_map(|&a| by_load.iter().map(move |&b| [a, b]))
-        .find(|&[a, b]| a < b && shared(a, b) >= 3 && dirty(ev.probe_disable(&[a, b])) >= min_dirty)
+        .find(|&[a, b]| {
+            a < b
+                && shared(a, b) >= 3
+                && bounded_alone(a)
+                && bounded_alone(b)
+                && dirty(ev.probe_disable(&[a, b])) >= min_dirty
+        })
         .expect("two links share enough DAGs");
 
-    let _ = ev.probe(e, heavier(e));
-    let (p, weight) = allocations(|| ev.probe(e, heavier(e)).unwrap());
-    let weight_dirty = p.dirty_count;
-    let _ = ev.probe_disable(&[f]);
-    let (p, disable) = allocations(|| ev.probe_disable(&[f]).unwrap());
-    let disable_dirty = p.dirty_count;
-    let _ = ev.probe_disable(&pair);
-    let (p, double) = allocations(|| ev.probe_disable(&pair).unwrap());
-    [
-        (weight, weight_dirty),
-        (disable, disable_dirty),
-        (double, p.dirty_count),
-    ]
+    let kinds = [
+        measure(|| ev.probe(e, heavier(e)).unwrap()),
+        measure(|| ev.probe_disable(&[f]).unwrap()),
+        measure(|| ev.probe_disable(&pair).unwrap()),
+        measure(|| ev.probe(full, heavier(full)).unwrap()),
+    ];
+    (kinds, shared(pair[0], pair[1]))
 }
 
 #[test]
@@ -152,16 +190,39 @@ fn a_probe_allocates_a_fixed_handful() {
     let g50 = by_name("Germany50").expect("embedded");
     let geo = geo_backbone(400, 800, 400);
     for integral in [true, false] {
-        let small = probe_allocations(&g50, integral, 10);
-        let large = probe_allocations(&geo, integral, 100);
-        let kinds = ["weight probe", "failure probe", "double-failure probe"];
-        for ((what, (n50, d50)), (n400, d400)) in kinds.iter().zip(small).zip(large) {
+        let (small, shared50) = probe_allocations(&g50, integral, 10);
+        let (large, shared400) = probe_allocations(&geo, integral, 100);
+        let kinds = [
+            "weight probe",
+            "failure probe",
+            "double-failure probe",
+            "fallback probe",
+        ];
+        for ((what, s), l) in kinds.iter().zip(&small).zip(&large) {
             let what = format!("{what} (integral weights: {integral})");
-            assert!(d50 >= 10 && d400 >= 100, "{what} dirties {d50}, {d400}");
-            assert!(n50 <= 8 && n400 <= 8, "{what}: {n50}, {n400} allocations");
+            assert!(s.dirty >= 10 && l.dirty >= 100, "{what}: {s:?}, {l:?}");
+            assert!(s.allocs <= 8 && l.allocs <= 8, "{what}: {s:?}, {l:?}");
             // The count does not grow with the damage: the geo400 probes
             // dirty ten times the destinations of the Germany50 ones.
-            assert_eq!(n50, n400, "{what}");
+            assert_eq!(s.allocs, l.allocs, "{what}");
+        }
+        for (net, kinds, shared) in [
+            ("Germany50", &small, shared50),
+            ("geo400", &large, shared400),
+        ] {
+            let [_, _, double, fallback] = kinds;
+            // Both dead edges lie on `shared` DAGs, and each fails alone
+            // without a fallback: a full Dijkstra can only come from a
+            // repair over both that outgrows the frontier cap.
+            let what = format!("{net} double failure (integral weights: {integral})");
+            assert!(
+                double.recomputes < shared as u64,
+                "{what}: {double:?} on {shared} DAGs"
+            );
+            assert!(
+                fallback.recomputes > 0,
+                "{net} fallback probe: {fallback:?}"
+            );
         }
     }
 }

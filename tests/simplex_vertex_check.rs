@@ -66,8 +66,8 @@ fn simplex_matches_vertex_enumeration() {
         let upper = 50.0;
 
         let mut p = Problem::new(Sense::Maximize);
-        let x = p.add_var("x", 0.0, upper, obj_x);
-        let y = p.add_var("y", 0.0, upper, obj_y);
+        let x = p.add_var(0.0, upper, obj_x);
+        let y = p.add_var(0.0, upper, obj_y);
         for &(a, b, c) in &rows {
             p.add_constraint(vec![(x, a), (y, b)], Cmp::Le, c);
         }
@@ -115,8 +115,8 @@ fn minimization_matches_vertex_enumeration() {
         let rows: Vec<(f64, f64, f64)> = raw_rows.iter().map(|&(a, b, c)| (-a, -b, -c)).collect();
 
         let mut p = Problem::new(Sense::Minimize);
-        let x = p.add_var("x", 0.0, upper, obj_x);
-        let y = p.add_var("y", 0.0, upper, obj_y);
+        let x = p.add_var(0.0, upper, obj_x);
+        let y = p.add_var(0.0, upper, obj_y);
         for &(a, b, c) in &raw_rows {
             p.add_constraint(vec![(x, a), (y, b)], Cmp::Ge, c);
         }

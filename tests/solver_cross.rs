@@ -41,11 +41,7 @@ fn milp_matches_brute_force() {
         let cap = f64::from(rng.gen_range(5..60u32));
 
         let mut p = Problem::new(Sense::Maximize);
-        let vars: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| p.add_bin_var(format!("x{i}"), v))
-            .collect();
+        let vars: Vec<_> = values.iter().map(|&v| p.add_bin_var(v)).collect();
         p.add_constraint(
             vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect(),
             Cmp::Le,
@@ -74,8 +70,7 @@ fn relaxation_bounds_integer_optimum() {
         let mut p = Problem::new(Sense::Maximize);
         let vars: Vec<_> = values
             .iter()
-            .enumerate()
-            .map(|(i, &v)| p.add_bin_var(format!("x{i}"), f64::from(v)))
+            .map(|&v| p.add_bin_var(f64::from(v)))
             .collect();
         p.add_constraint(
             vars.iter()
@@ -127,8 +122,8 @@ fn opt_lp_matches_max_flow_single_commodity() {
 #[test]
 fn degenerate_lp_terminates() {
     let mut p = Problem::new(Sense::Minimize);
-    let x = p.add_var("x", 0.0, 10.0, 1.0);
-    let y = p.add_var("y", 0.0, 10.0, 1.0);
+    let x = p.add_var(0.0, 10.0, 1.0);
+    let y = p.add_var(0.0, 10.0, 1.0);
     for _ in 0..6 {
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
         p.add_constraint(vec![(x, 2.0), (y, 2.0)], Cmp::Ge, 8.0);

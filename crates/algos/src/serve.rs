@@ -334,7 +334,6 @@ impl<'n> ServeSession<'n> {
         self.stats.events += 1;
         m.events.inc();
 
-        let old_weights: Vec<f64> = self.ev.weights().to_vec();
         let mut response = match self.apply_inner(event) {
             Err(e) => {
                 self.stats.errors += 1;
@@ -351,7 +350,7 @@ impl<'n> ServeSession<'n> {
                     error: Some(e.to_string()),
                 }
             }
-            Ok(()) => self.answer(&old_weights),
+            Ok(()) => self.answer(),
         };
 
         let latency_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -371,25 +370,24 @@ impl<'n> ServeSession<'n> {
         match event {
             ServeEvent::Noop => Ok(()),
             ServeEvent::DemandScale { index, factor } => {
-                if *index >= self.demands.len() {
+                let Some(demand) = self.demands.as_slice().get(*index) else {
                     return Err(TeError::DimensionMismatch {
                         what: "demand index",
                         expected: self.demands.len(),
                         actual: *index,
                     });
-                }
+                };
                 if !(factor.is_finite() && *factor > 0.0) {
                     return Err(TeError::InvalidDemand {
                         index: *index,
                         value: *factor,
                     });
                 }
-                let mut scaled: Vec<Demand> = self.demands.as_slice().to_vec();
-                scaled[*index].size *= factor;
-                let new_demands = DemandList::from_vec(scaled)?;
-                self.ev.set_workload(&new_demands, &self.waypoints)?;
-                self.demands = new_demands;
-                Ok(())
+                // The evaluator rejects a size the list's setter would, with
+                // the same error, before it changes anything.
+                let size = demand.size * factor;
+                self.ev.set_demand(*index, size)?;
+                self.demands.set_size(*index, size)
             }
             ServeEvent::DemandMatrix { demands } => {
                 let list: Vec<Demand> = demands
@@ -419,10 +417,12 @@ impl<'n> ServeSession<'n> {
     }
 
     /// Tier classification and (if warranted) re-optimization, after the
-    /// event itself applied cleanly.
-    fn answer(&mut self, old_weights: &[f64]) -> ServeResponse {
+    /// event itself applied cleanly. Only a re-solve moves weights, so only
+    /// it snapshots them for the diff.
+    fn answer(&mut self) -> ServeResponse {
         let m = metrics();
         let mlu = self.ev.mlu();
+        let mut weight_diffs = Vec::new();
         let (tier, evaluations) = if mlu <= self.anchor_mlu * self.cfg.reopt_ratio + 1e-12 {
             // Within tolerance of the best state seen: the probe readout is
             // the answer. Track improvements so the anchor follows genuine
@@ -445,7 +445,16 @@ impl<'n> ServeSession<'n> {
             } else {
                 self.cfg.reopt.clone()
             };
-            match reoptimize_weights_on(&mut self.ev, &cfg) {
+            let old_weights = self.ev.weights().to_vec();
+            let searched = reoptimize_weights_on(&mut self.ev, &cfg);
+            weight_diffs = old_weights
+                .iter()
+                .zip(self.ev.weights())
+                .enumerate()
+                .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
+                .map(|(e, (&a, &b))| (EdgeId(e as u32), a, b))
+                .collect();
+            match searched {
                 Ok(r) => {
                     if escalate {
                         self.stats.escalations += 1;
@@ -469,14 +478,6 @@ impl<'n> ServeSession<'n> {
         if tier != ServeTier::Probe {
             self.anchor_mlu = self.ev.mlu();
         }
-
-        let weight_diffs: Vec<(EdgeId, f64, f64)> = old_weights
-            .iter()
-            .zip(self.ev.weights())
-            .enumerate()
-            .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
-            .map(|(e, (&a, &b))| (EdgeId(e as u32), a, b))
-            .collect();
         let churn = weight_diffs.len();
         self.stats.weight_churn += churn as u64;
         m.weight_churn.add(churn as u64);

@@ -14,7 +14,7 @@ use crate::case::{Case, CaseOutcome};
 use crate::validator::ValidatorConfig;
 use segrout_algos::ServeEvent;
 use segrout_core::rng::StdRng;
-use segrout_graph::{EdgeId, NodeId};
+use segrout_graph::{EdgeId, NodeId, EPS};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -185,23 +185,44 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
     // links preferentially brought back, but *disconnecting* downs and
     // out-of-range indices stay in: the daemon must answer them with error
     // replies, not die), capacity changes, matrix swaps and keep-alives.
+    // An eighth of the demand scalings, and every scaling of a demand
+    // already at or below `EPS`, set the demand to its factor times 2·`EPS`
+    // instead: the slice's factors (below 0.44) take it below `EPS`, where
+    // it injects nothing, and most others bring it back. After such a dive
+    // the next in-range scaling revisits that demand. The generator tracks
+    // the sizes its events set; a refused event leaves the session's size
+    // elsewhere.
     let n_events = match rng.gen_range(0..100u32) {
         0..=44 => 0,
         45..=79 => rng.gen_range(1..=4usize),
         _ => rng.gen_range(5..=10usize),
     };
     let mut down: Vec<u32> = Vec::new();
+    let mut sizes: Vec<f64> = demands.iter().map(|&(_, _, size)| size).collect();
+    let mut below: Option<usize> = None;
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
         events.push(match rng.gen_range(0..10u32) {
-            0..=3 => ServeEvent::DemandScale {
-                index: if rng.gen_range(0..8u32) == 0 {
+            0..=3 => {
+                let index = if rng.gen_range(0..8u32) == 0 {
                     demands.len() + rng.gen_range(0..3u64) as usize
                 } else {
-                    rng.gen_range(0..demands.len() as u64) as usize
-                },
-                factor: 0.25 + 1.5 * rng.gen::<f64>(),
-            },
+                    let drawn = rng.gen_range(0..demands.len() as u64) as usize;
+                    below.take().unwrap_or(drawn)
+                };
+                let u = rng.gen::<f64>();
+                let mut factor = 0.25 + 1.5 * u;
+                if let Some(size) = sizes.get_mut(index) {
+                    if u < 1.0 / 8.0 || *size <= EPS {
+                        factor *= 2.0 * EPS / *size;
+                    }
+                    *size *= factor;
+                    if *size <= EPS {
+                        below = Some(index);
+                    }
+                }
+                ServeEvent::DemandScale { index, factor }
+            }
             4 | 5 => {
                 let e = rng.gen_range(0..links.len() as u64) as u32;
                 if !down.contains(&e) {
@@ -217,12 +238,15 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
                 edge: EdgeId(rng.gen_range(0..links.len() as u64) as u32),
                 capacity: mean_cap * (0.25 + 1.5 * rng.gen::<f64>()),
             },
-            8 => ServeEvent::DemandMatrix {
-                demands: demands
+            8 => {
+                let matrix: Vec<(NodeId, NodeId, f64)> = demands
                     .iter()
                     .map(|&(s, t, size)| (NodeId(s), NodeId(t), size * (0.5 + rng.gen::<f64>())))
-                    .collect(),
-            },
+                    .collect();
+                sizes = matrix.iter().map(|&(_, _, size)| size).collect();
+                below = None;
+                ServeEvent::DemandMatrix { demands: matrix }
+            }
             _ => ServeEvent::Noop,
         });
     }

@@ -69,6 +69,22 @@ impl DemandList {
         self.demands.push(Demand::new(src, dst, size));
     }
 
+    /// Sets the size of demand `index`.
+    ///
+    /// # Errors
+    /// [`TeError::InvalidDemand`] when `size` is not positive finite, the
+    /// check [`DemandList::from_vec`] makes; the list is left untouched.
+    ///
+    /// # Panics
+    /// Panics when `index` is out of range.
+    pub fn set_size(&mut self, index: usize, size: f64) -> Result<(), TeError> {
+        if !(size.is_finite() && size > 0.0) {
+            return Err(TeError::InvalidDemand { index, value: size });
+        }
+        self.demands[index].size = size;
+        Ok(())
+    }
+
     /// Number of demands `|D|`.
     #[inline]
     pub fn len(&self) -> usize {
@@ -205,6 +221,23 @@ mod tests {
         assert!(DemandList::from_vec(vec![Demand::new(NodeId(0), NodeId(1), -1.0)]).is_err());
         assert!(DemandList::from_vec(vec![Demand::new(NodeId(0), NodeId(0), 1.0)]).is_err());
         assert!(DemandList::from_vec(vec![Demand::new(NodeId(0), NodeId(1), 1.0)]).is_ok());
+    }
+
+    #[test]
+    fn set_size_validates_and_leaves_an_invalid_size_out() {
+        let mut d = DemandList::new();
+        d.push(NodeId(0), NodeId(1), 1.0);
+        d.push(NodeId(1), NodeId(2), 2.0);
+        d.set_size(1, 0.5).unwrap();
+        assert_eq!(d[1].size, 0.5);
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let err = d.set_size(1, bad).unwrap_err();
+            assert!(
+                matches!(err, TeError::InvalidDemand { index: 1, .. }),
+                "{bad}"
+            );
+            assert_eq!(d[1].size, 0.5);
+        }
     }
 
     #[test]

@@ -272,7 +272,8 @@ impl<'n> Router<'n> {
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<LoadReport, TeError> {
-        let loads = self.loads_for_segments(&segments(self.net, demands, waypoints)?)?;
+        let (segments, _) = segments(self.net, demands, waypoints)?;
+        let loads = self.loads_for_segments(&segments)?;
         let mlu = max_link_utilization(&loads, self.net.capacities());
         Ok(LoadReport { loads, mlu })
     }
@@ -286,15 +287,16 @@ impl<'n> Router<'n> {
 }
 
 /// The segment decomposition of a workload under a waypoint setting, in
-/// demand order. [`TeError::InvalidWaypoints`] when the waypoint table has
-/// a different row count than the demand list, and the
+/// demand order, with each demand's run: demand `k`'s segments are
+/// `segments[runs[k]..runs[k + 1]]`. [`TeError::InvalidWaypoints`] when the
+/// waypoint table has a different row count than the demand list, and the
 /// [`Network::check_node`] error when a demand endpoint or a waypoint is not
 /// a node of `net`.
 pub(crate) fn segments(
     net: &Network,
     demands: &DemandList,
     waypoints: &WaypointSetting,
-) -> Result<Vec<Segment>, TeError> {
+) -> Result<(Vec<Segment>, Vec<u32>), TeError> {
     if waypoints.len() != demands.len() {
         return Err(TeError::InvalidWaypoints(format!(
             "waypoint table has {} rows for {} demands",
@@ -303,14 +305,23 @@ pub(crate) fn segments(
         )));
     }
     let mut segments = Vec::with_capacity(demands.len());
+    let mut runs = Vec::with_capacity(demands.len() + 1);
+    runs.push(0);
     for (i, d) in demands.iter().enumerate() {
-        for (src, dst, amount) in waypoints.segments_of(i, d) {
+        for (src, dst, amount) in waypoints.hops(i, d) {
             net.check_node(src)?;
             net.check_node(dst)?;
             segments.push(Segment { src, dst, amount });
         }
+        runs.push(segments.len() as u32);
     }
-    Ok(segments)
+    Ok((segments, runs))
+}
+
+/// Whether a segment injects flow: a segment to its own source or of an
+/// amount at or below `EPS` routes nothing.
+pub(crate) fn injects(seg: &Segment) -> bool {
+    seg.src != seg.dst && seg.amount > EPS
 }
 
 /// Groups segments by destination in deterministic (ascending) order,
@@ -319,16 +330,33 @@ pub(crate) fn segments(
 /// order, hence the same `f64` accumulation sequence).
 pub(crate) fn group_by_destination(segments: &[Segment]) -> BTreeMap<NodeId, Vec<(NodeId, f64)>> {
     let mut by_dest: BTreeMap<NodeId, Vec<(NodeId, f64)>> = BTreeMap::new();
-    for seg in segments {
-        if seg.src == seg.dst || seg.amount <= EPS {
-            continue;
-        }
+    for seg in segments.iter().filter(|seg| injects(seg)) {
         by_dest
             .entry(seg.dst)
             .or_default()
             .push((seg.src, seg.amount));
     }
     by_dest
+}
+
+/// [`TeError::Unroutable`] naming the first of `injections`, in list order,
+/// whose source cannot reach `dag.target`.
+pub(crate) fn check_reachable(dag: &SpDag, injections: &[(NodeId, f64)]) -> Result<(), TeError> {
+    match injections.iter().find(|&&(s, _)| !dag.reaches_target(s)) {
+        Some(&(src, _)) => Err(TeError::Unroutable {
+            src,
+            dst: dag.target,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Adds `injections` into `node_flow` in list order: the injection fold of
+/// every propagation, and of the incremental evaluator's cached seed rows.
+pub(crate) fn inject(injections: &[(NodeId, f64)], node_flow: &mut [f64]) {
+    for &(s, amount) in injections {
+        node_flow[s.index()] += amount;
+    }
 }
 
 /// The ECMP propagation pass for one destination: routes all `injections`
@@ -347,13 +375,8 @@ pub(crate) fn propagate_destination(
     loads: &mut [f64],
     node_flow: &mut [f64],
 ) -> Result<(), TeError> {
-    let t = dag.target;
-    for &(s, amount) in injections {
-        if !dag.reaches_target(s) {
-            return Err(TeError::Unroutable { src: s, dst: t });
-        }
-        node_flow[s.index()] += amount;
-    }
+    check_reachable(dag, injections)?;
+    inject(injections, node_flow);
     spread_seeded(net, dag, loads, node_flow);
     Ok(())
 }

@@ -294,6 +294,21 @@ fn scale_demands(demands: &DemandList, scale: f64) -> Result<DemandList, TeError
     DemandList::from_vec(scaled.collect())
 }
 
+/// The first link of maximum utilization under `loads`, with its load:
+/// ties go to the smallest edge id, the argmax rule `max_link_utilization`
+/// folds with.
+fn bottleneck(loads: &[f64], caps: &[f64]) -> (EdgeId, f64) {
+    let (mut bottleneck, mut best_util) = (0, f64::NEG_INFINITY);
+    for (i, (&l, &c)) in loads.iter().zip(caps).enumerate() {
+        let util = l / c;
+        if util > best_util {
+            best_util = util;
+            bottleneck = i;
+        }
+    }
+    (EdgeId(bottleneck as u32), loads[bottleneck])
+}
+
 /// Sweeps every `(failure pattern, demand scaling)` scenario of `set` over
 /// the given workload and reports per-scenario outcomes plus the worst-case
 /// certificate.
@@ -301,7 +316,8 @@ fn scale_demands(demands: &DemandList, scale: f64) -> Result<DemandList, TeError
 /// One [`IncrementalEvaluator`] is built per scaling (an intact-topology
 /// base state); each failure pattern is then answered by the read-only
 /// [`IncrementalEvaluator::probe_disable`], fanned out over the
-/// `segrout-par` pool. Results are deterministic and independent of the
+/// `segrout-par` pool, whose loads also name the scenario's bottleneck for
+/// the certificate. Results are deterministic and independent of the
 /// thread count — scenario outcomes are collected in sweep order, and each
 /// probe is bit-identical to a from-scratch evaluation of the edge-deleted
 /// topology.
@@ -332,30 +348,44 @@ pub fn sweep_failures(
     let mut base_mlu = Vec::with_capacity(scalings.len());
     let mut evaluated = 0usize;
     let mut disconnects = 0usize;
-    // Worst over evaluated scenarios: (mlu, index into `results`), ties to
-    // the earliest scenario so the certificate is deterministic.
-    let mut worst: Option<(f64, usize)> = None;
+    // Worst over evaluated scenarios, ties to the earliest scenario so the
+    // certificate is deterministic.
+    let mut worst: Option<WorstCaseCertificate> = None;
 
     for (si, &scale) in scalings.iter().enumerate() {
         let scaled = scale_demands(demands, scale)?;
         let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
         base_mlu.push(eval.mlu());
-        // Each worker reduces its probe to the outcome, so the collected
-        // results never hold a probe's repaired DAGs and partials.
+        // Each worker reduces its probe to the outcome and its bottleneck,
+        // which the certificate names should the scenario be the worst, so
+        // the collected results never hold a probe's loads, repaired DAGs
+        // and partials.
         let outcomes = segrout_par::par_map(set.len(), |p| {
             let probe = eval.probe_disable(&set.patterns()[p].dead)?;
-            Ok(ScenarioOutcome::Evaluated {
-                mlu: probe.mlu,
-                phi: probe.phi,
-                dirty_dests: probe.dirty_count,
-            })
+            let bottleneck = bottleneck(&probe.loads, net.capacities());
+            Ok((probe.mlu, probe.phi, probe.dirty_count, bottleneck))
         });
         for (p, out) in outcomes.into_iter().enumerate() {
             scen_counter.inc();
             let outcome = match out {
-                Ok(outcome) => {
+                Ok((mlu, phi, dirty_dests, (bottleneck, bottleneck_load))) => {
                     evaluated += 1;
-                    outcome
+                    if worst.as_ref().is_none_or(|w| mlu.total_cmp(&w.mlu).is_gt()) {
+                        worst = Some(WorstCaseCertificate {
+                            pattern: p,
+                            scaling: si,
+                            scale,
+                            dead: set.patterns()[p].dead.clone(),
+                            mlu,
+                            bottleneck,
+                            bottleneck_load,
+                        });
+                    }
+                    ScenarioOutcome::Evaluated {
+                        mlu,
+                        phi,
+                        dirty_dests,
+                    }
                 }
                 Err(TeError::Unroutable { src, dst }) => {
                     disconnects += 1;
@@ -364,15 +394,6 @@ pub fn sweep_failures(
                 }
                 Err(other) => return Err(other),
             };
-            if let ScenarioOutcome::Evaluated { mlu, .. } = outcome {
-                let better = match worst {
-                    None => true,
-                    Some((w, _)) => mlu.total_cmp(&w) == std::cmp::Ordering::Greater,
-                };
-                if better {
-                    worst = Some((mlu, results.len()));
-                }
-            }
             results.push(ScenarioResult {
                 pattern: p,
                 scaling: si,
@@ -380,39 +401,9 @@ pub fn sweep_failures(
             });
         }
     }
-
-    // Materialize the certificate: re-answer the winning scenario once to
-    // recover its load vector and name the bottleneck link.
-    let worst = match worst {
-        None => None,
-        Some((mlu, idx)) => {
-            let r = &results[idx];
-            let scaled = scale_demands(demands, scalings[r.scaling])?;
-            let eval = IncrementalEvaluator::new(net, weights, &scaled, waypoints)?;
-            let probe = eval
-                .probe_disable(&set.patterns()[r.pattern].dead)
-                .expect("worst scenario evaluated in the sweep must re-evaluate");
-            let caps = net.capacities();
-            let (mut bottleneck, mut best_util) = (EdgeId(0), f64::NEG_INFINITY);
-            for (i, (&l, &c)) in probe.loads.iter().zip(caps).enumerate() {
-                let util = l / c;
-                if util > best_util {
-                    best_util = util;
-                    bottleneck = EdgeId(i as u32);
-                }
-            }
-            worst_gauge.set(mlu);
-            Some(WorstCaseCertificate {
-                pattern: r.pattern,
-                scaling: r.scaling,
-                scale: scalings[r.scaling],
-                dead: set.patterns()[r.pattern].dead.clone(),
-                mlu,
-                bottleneck,
-                bottleneck_load: probe.loads[bottleneck.index()],
-            })
-        }
-    };
+    if let Some(w) = &worst {
+        worst_gauge.set(w.mlu);
+    }
 
     Ok(SweepReport {
         link_count: set.link_count(),

@@ -61,6 +61,17 @@
 //! and takes the totals, Φ and MLU from the probe, which already holds the
 //! exact fold.
 //!
+//! A workload update keeps every DAG, since no weight moves.
+//! [`IncrementalEvaluator::set_workload`] (a new matrix) and
+//! [`IncrementalEvaluator::set_demand`] (one demand's new size) rewrite the
+//! destination-grouped injection lists, refold the seed rows that moved,
+//! propagate only those destinations again, diffed against their committed
+//! node flows and partials, and re-sum only the columns whose partials
+//! changed. `set_demand` finds its demand's segments in the lists through
+//! the slots kept for them, so it costs in proportion to the demand's
+//! destinations, not to the workload. A change of the destination set
+//! rebuilds in place.
+//!
 //! The partials live in a `LoadArena`: one flat `|E| · |D|` slab stored
 //! edge-major, so edge `e`'s partials under every destination form one
 //! contiguous column and a re-sum walks it without striding. Every column
@@ -96,7 +107,8 @@
 use crate::cost::{fortz_phi, max_link_utilization};
 use crate::demand::DemandList;
 use crate::ecmp::{
-    group_by_destination, propagate_destination, recompute_counter, segments, Segment,
+    check_reachable, group_by_destination, inject, injects, propagate_destination,
+    recompute_counter, segments, spread_seeded, Segment,
 };
 use crate::error::TeError;
 use crate::network::Network;
@@ -109,6 +121,7 @@ use segrout_graph::{
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Counter handles for the incremental engine, resolved once per process
@@ -157,6 +170,19 @@ impl LoadArena {
     #[inline]
     fn at(&self, e: EdgeId, i: usize) -> usize {
         e.index() * self.dests + i
+    }
+
+    /// Takes `loads` from the committed totals to the totals under a
+    /// change: each column that has changed `partials` is re-summed in
+    /// ascending destination order with the new values substituted
+    /// ([`Columns`]); every other total stays.
+    fn refold(&self, partials: &[(EdgeId, u32, f64)], columns: &mut Columns, loads: &mut [f64]) {
+        counters().arena_reuses.inc();
+        columns.begin(loads.len());
+        for &(e, i, x) in partials {
+            columns.write(self, e, i as usize, x);
+        }
+        columns.fold_into(self.dests, loads);
     }
 }
 
@@ -367,9 +393,10 @@ struct Changed<'a> {
 
 /// Per-worker scratch reused across changes: the patched weight vector of
 /// a weight change, the patched mask of a link-state change, the repair
-/// and re-spread scratch and the probe's diff under construction. Probes
-/// run on pool workers, so a thread-local gives each worker its buffers
-/// once for the whole search instead of once per candidate.
+/// and re-spread scratch, the probe's diff under construction, and the
+/// dense seed or partial row of a workload update. Probes run on pool
+/// workers, so a thread-local gives each worker its buffers once for the
+/// whole search instead of once per candidate.
 #[derive(Default)]
 struct Scratch {
     weights: Vec<f64>,
@@ -378,6 +405,7 @@ struct Scratch {
     spread: Spread,
     columns: Columns,
     diff: Diff,
+    row: Vec<f64>,
 }
 
 thread_local! {
@@ -391,6 +419,45 @@ fn set_flags(mask: &mut Vec<bool>, edge_count: usize, edges: &[EdgeId], down: bo
     for e in edges {
         mask[e.index()] = down;
     }
+}
+
+/// Whether two rows hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// One segment of the workload: its endpoints, and its `(destination
+/// index, position)` slot in the evaluator's injection lists, or `None`
+/// while it injects nothing (an amount at or below `EPS`).
+#[derive(Clone, Copy, Debug)]
+struct SegmentSlot {
+    src: NodeId,
+    dst: NodeId,
+    slot: Option<(u32, u32)>,
+}
+
+/// The [`SegmentSlot`] of each of `segments` in the injection lists that
+/// `group_by_destination` builds from them, whose destinations are `dests`,
+/// in a network of `n` nodes.
+fn slot_table(segments: &[Segment], dests: &[NodeId], n: usize) -> Vec<SegmentSlot> {
+    // Per node: its destination index and the length of its list so far.
+    let mut lists = vec![(u32::MAX, 0u32); n];
+    for (i, t) in dests.iter().enumerate() {
+        lists[t.index()].0 = i as u32;
+    }
+    let mut slot = |seg: &Segment| {
+        let (i, len) = &mut lists[seg.dst.index()];
+        *len += 1;
+        (*i, *len - 1)
+    };
+    segments
+        .iter()
+        .map(|seg| SegmentSlot {
+            src: seg.src,
+            dst: seg.dst,
+            slot: injects(seg).then(|| slot(seg)),
+        })
+        .collect()
 }
 
 /// One edge change the evaluator can score and commit.
@@ -483,6 +550,14 @@ pub struct IncrementalEvaluator<'n> {
     disabled: Vec<bool>,
     /// Distinct destinations, ascending (the summation order).
     dests: Vec<NodeId>,
+    /// Per destination, its injections `(source, amount)`: the segments
+    /// towards it that inject, in segment order, as `group_by_destination`
+    /// lists them.
+    injections: Vec<Vec<(NodeId, f64)>>,
+    /// The workload's segments in demand order, with their slots in
+    /// `injections`: demand `k`'s are `segments[runs[k]..runs[k + 1]]`.
+    segments: Vec<SegmentSlot>,
+    runs: Vec<u32>,
     /// Flat `n × dests` slab of pre-folded injection seeds: row `i` is
     /// `node_flow` after seeding destination `i`'s injections. Injections
     /// and reachability are weight-independent (validated once at build), so
@@ -537,43 +612,43 @@ impl<'n> IncrementalEvaluator<'n> {
         waypoints: &WaypointSetting,
         failed: &[EdgeId],
     ) -> Result<Self, TeError> {
-        let segments = segments(net, demands, waypoints)?;
+        let (segments, runs) = segments(net, demands, waypoints)?;
         let mut disabled = Vec::new();
         if !failed.is_empty() {
             set_flags(&mut disabled, net.edge_count(), failed, true);
         }
-        Self::for_segments(net, weights, &segments, disabled)
+        Self::for_segments(net, weights, &segments, runs, disabled)
     }
 
-    /// Builds the evaluator for an explicit segment list under a base
-    /// disabled-edge mask (empty = intact topology).
+    /// Builds the evaluator for an explicit segment list, `runs` its
+    /// demands' runs, under a base disabled-edge mask (empty = intact
+    /// topology).
     fn for_segments(
         net: &'n Network,
         weights: &WeightSetting,
         segments: &[Segment],
+        runs: Vec<u32>,
         disabled: Vec<bool>,
     ) -> Result<Self, TeError> {
         let weights = weights.as_slice().to_vec();
-        let grouped: Vec<(NodeId, Vec<(NodeId, f64)>)> =
-            group_by_destination(segments).into_iter().collect();
+        let (dests, injections): (Vec<NodeId>, Vec<_>) =
+            group_by_destination(segments).into_iter().unzip();
         let n = net.node_count();
         let m = net.edge_count();
-        let d = grouped.len();
+        let d = dests.len();
 
         // Full build: one Dijkstra + one propagation per destination, fanned
         // out on the pool (pure per-destination work, summed on the caller).
         let recomputes = recompute_counter();
         let built = segrout_par::par_map(d, |i| {
-            let (t, injections) = &grouped[i];
             recomputes.inc();
-            let dag = shortest_path_dag(net.graph(), &weights, *t, &disabled);
+            let dag = shortest_path_dag(net.graph(), &weights, dests[i], &disabled);
             let mut partial = vec![0.0; m];
             let mut node_flow = vec![0.0; n];
-            propagate_destination(net, &dag, injections, &mut partial, &mut node_flow)?;
+            propagate_destination(net, &dag, &injections[i], &mut partial, &mut node_flow)?;
             Ok::<_, TeError>((dag, partial, node_flow))
         });
 
-        let mut dests = Vec::with_capacity(d);
         let mut seeds = vec![0.0; d * n];
         let mut flows = vec![0.0; d * n];
         let mut dags = Vec::with_capacity(d);
@@ -582,13 +657,10 @@ impl<'n> IncrementalEvaluator<'n> {
             cols: vec![0.0; m * d],
         };
         let mut loads = vec![0.0; m];
-        for ((i, (t, inj)), b) in grouped.into_iter().enumerate().zip(built) {
+        for (i, b) in built.into_iter().enumerate() {
             let (dag, partial, node_flow) = b?;
             // The same fold the router's injection loop performs, cached.
-            let seed_row = &mut seeds[i * n..(i + 1) * n];
-            for &(s, amount) in &inj {
-                seed_row[s.index()] += amount;
-            }
+            inject(&injections[i], &mut seeds[i * n..(i + 1) * n]);
             flows[i * n..(i + 1) * n].copy_from_slice(&node_flow);
             // Every column's ascending fold, advanced one destination at a
             // time as the router sums its per-destination vectors.
@@ -596,18 +668,21 @@ impl<'n> IncrementalEvaluator<'n> {
                 *total += x;
                 arena.cols[e * d + i] = x;
             }
-            dests.push(t);
             dags.push(dag);
         }
         counters().arena_rebuilds.inc();
         let caps = net.capacities().to_vec();
         let phi = fortz_phi(&loads, &caps);
         let mlu = max_link_utilization(&loads, &caps);
+        let segments = slot_table(segments, &dests, n);
         Ok(Self {
             net,
             weights,
             disabled,
             dests,
+            injections,
+            segments,
+            runs,
             seeds,
             flows,
             dags,
@@ -772,6 +847,7 @@ impl<'n> IncrementalEvaluator<'n> {
                 spread,
                 columns,
                 diff,
+                ..
             } = &mut *s.borrow_mut();
             // A weight change patches a copy of the weights and borrows the
             // base mask; a link-state change patches a copy of the mask and
@@ -845,7 +921,8 @@ impl<'n> IncrementalEvaluator<'n> {
             c.dirty_dests.add(dirty_count as u64);
             c.clean_dests.add((self.dests.len() - dirty_count) as u64);
 
-            let loads = self.fold(&diff.partials, columns);
+            let mut loads = self.loads.clone();
+            self.arena.refold(&diff.partials, columns, &mut loads);
             let phi = fortz_phi(&loads, &self.caps);
             let mlu = max_link_utilization(&loads, &self.caps);
             Ok(Probe {
@@ -1074,20 +1151,6 @@ impl<'n> IncrementalEvaluator<'n> {
         }
     }
 
-    /// The totals under a change: the committed totals, with each column
-    /// that has changed partials re-summed in ascending destination order
-    /// with the new values substituted ([`Columns`]).
-    fn fold(&self, partials: &[(EdgeId, u32, f64)], columns: &mut Columns) -> Vec<f64> {
-        counters().arena_reuses.inc();
-        columns.begin(self.net.edge_count());
-        for &(e, i, x) in partials {
-            columns.write(&self.arena, e, i as usize, x);
-        }
-        let mut loads = self.loads.clone();
-        columns.fold_into(self.arena.dests, &mut loads);
-        loads
-    }
-
     /// Writes a diff's partials and node flows into the committed slabs.
     fn apply_entries(&mut self, partials: &[(EdgeId, u32, f64)], flows: &[(usize, f64)]) {
         for &(e, i, x) in partials {
@@ -1166,15 +1229,17 @@ impl<'n> IncrementalEvaluator<'n> {
     }
 
     /// Replaces the demand workload in place — the event-application path for
-    /// demand updates and matrix replacement.
+    /// matrix replacement.
     ///
     /// When the new workload routes to the same destination set, only the
-    /// destinations whose injection seeds actually changed are re-propagated
-    /// (over their unchanged DAGs — weights did not move), which refills
-    /// their node flows, and only the columns whose partials changed are
-    /// re-summed. When the destination set differs, the evaluator rebuilds
-    /// in place with the full construction path. Either way the resulting
-    /// state is bit-identical to a fresh evaluator built on the new workload.
+    /// destinations whose injection seeds actually changed are re-seeded
+    /// (re-propagated over their unchanged DAGs — weights did not move),
+    /// which refills their node flows, and only the columns whose partials
+    /// changed are re-summed. When the destination set differs, the
+    /// evaluator rebuilds in place with the full construction path. Either
+    /// way the resulting state is bit-identical to a fresh evaluator built
+    /// on the new workload. Returns whether the loads, Φ or MLU could have
+    /// changed.
     ///
     /// # Errors
     /// [`TeError::Unroutable`] when some new segment cannot reach its
@@ -1186,94 +1251,219 @@ impl<'n> IncrementalEvaluator<'n> {
         demands: &DemandList,
         waypoints: &WaypointSetting,
     ) -> Result<bool, TeError> {
-        let segments = segments(self.net, demands, waypoints)?;
-        let grouped: Vec<(NodeId, Vec<(NodeId, f64)>)> =
-            group_by_destination(&segments).into_iter().collect();
-        if grouped.len() != self.dests.len()
-            || grouped.iter().zip(&self.dests).any(|((t, _), d)| t != d)
-        {
-            // Destination set changed: full in-place rebuild (one Dijkstra +
-            // one propagation per destination, like construction).
-            return self.rebuild_for_segments(&segments).map(|()| true);
+        let (segments, runs) = segments(self.net, demands, waypoints)?;
+        self.set_segments(&segments, runs)
+    }
+
+    /// Sets the size of demand `index` in place — the event-application
+    /// path for one demand's update, in time proportional to its
+    /// destinations, not to the workload.
+    ///
+    /// Each of the demand's segments (every hop of a waypointed demand) has
+    /// its amount rewritten in its destination's injection list; only those
+    /// destinations' seed rows are refolded, from their lists in list
+    /// order, and re-seeded over their unchanged DAGs — the step
+    /// [`set_workload`](Self::set_workload) re-seeds with. A size that
+    /// crosses `EPS` changes which segments inject at all, and perhaps the
+    /// destination set, so it takes `set_workload`'s path on the updated
+    /// workload. Either way the state is bit-identical to a fresh evaluator
+    /// built on it. Returns whether the loads, Φ or MLU could have changed.
+    ///
+    /// # Errors
+    /// [`TeError::DimensionMismatch`] when `index` is not a demand of the
+    /// workload, [`TeError::InvalidDemand`] when `size` is not positive
+    /// finite, and [`TeError::Unroutable`] when a demand at or below `EPS`
+    /// (which injects nothing) rises above it from a source that a failed
+    /// link has cut off — the evaluator is left untouched in each case.
+    pub fn set_demand(&mut self, index: usize, size: f64) -> Result<bool, TeError> {
+        let demands = self.runs.len() - 1;
+        if index >= demands {
+            return Err(TeError::DimensionMismatch {
+                what: "demand index",
+                expected: demands,
+                actual: index,
+            });
         }
-        let n = self.net.node_count();
-        let m = self.net.edge_count();
-        // Same destinations: the DAGs are all still valid. Re-fold the seed
-        // slab (the same injection fold construction performs) and find the
-        // rows whose seeds actually moved.
-        let mut new_seeds = vec![0.0; grouped.len() * n];
-        for (i, (_, inj)) in grouped.iter().enumerate() {
-            let seed_row = &mut new_seeds[i * n..(i + 1) * n];
-            for &(s, amount) in inj {
-                seed_row[s.index()] += amount;
-            }
+        if !(size.is_finite() && size > 0.0) {
+            return Err(TeError::InvalidDemand { index, value: size });
         }
-        let dirty: Vec<usize> = (0..grouped.len())
-            .filter(|&i| {
-                let new = &new_seeds[i * n..(i + 1) * n];
-                let old = &self.seeds[i * n..(i + 1) * n];
-                new.iter().zip(old).any(|(a, b)| a.to_bits() != b.to_bits())
-            })
-            .collect();
-        if dirty.is_empty() {
+        let run = self.runs[index] as usize..self.runs[index + 1] as usize;
+        // A demand's segments all carry its size, so they inject together.
+        let Some(first) = self.segments[run.clone()].first() else {
+            return Ok(false);
+        };
+        let injected = first.slot.is_some();
+        if injected != (size > EPS) {
+            let segments = self.segments_with(run, size);
+            return self.set_segments(&segments, self.runs.clone());
+        }
+        if !injected {
             return Ok(false);
         }
-        let c = counters();
-        c.dirty_dests.add(dirty.len() as u64);
-        c.clean_dests.add((self.dests.len() - dirty.len()) as u64);
-        // Re-propagate the changed destinations into temporaries first: a new
-        // source may be unreachable, and an error must leave the evaluator
-        // untouched. `propagate_destination` is the exact function a fresh
-        // build runs per destination, reachability check included.
-        let mut row = vec![0.0; m];
-        let mut node_flow = vec![0.0; n];
-        let (mut partials, mut flows) = (Vec::new(), Vec::new());
-        for &i in &dirty {
-            row.fill(0.0);
-            node_flow.fill(0.0);
-            propagate_destination(
-                self.net,
-                &self.dags[i],
-                &grouped[i].1,
-                &mut row,
-                &mut node_flow,
-            )?;
-            for (e, &x) in row.iter().enumerate() {
-                let e = EdgeId(e as u32);
-                if x.to_bits() != self.arena.cols[self.arena.at(e, i)].to_bits() {
-                    partials.push((e, i as u32, x));
-                }
+        // Only amounts move, so every source still reaches its destination.
+        let mut touched = Vec::new();
+        for seg in &self.segments[run] {
+            let (i, p) = seg.slot.expect("a demand's segments inject together");
+            self.injections[i as usize][p as usize].1 = size;
+            if !touched.contains(&(i as usize)) {
+                touched.push(i as usize);
             }
-            flows.extend(node_flow.iter().enumerate().map(|(v, &f)| (i * n + v, f)));
         }
-        self.loads = self.fold(&partials, &mut Columns::default());
-        self.apply_entries(&partials, &flows);
-        self.seeds = new_seeds;
-        self.phi = fortz_phi(&self.loads, &self.caps);
-        self.mlu = max_link_utilization(&self.loads, &self.caps);
-        self.generation += 1;
+        touched.sort_unstable();
+        let n = self.net.node_count();
+        SCRATCH.with(|s| {
+            let row = &mut s.borrow_mut().row;
+            touched.retain(|&i| {
+                row.clear();
+                row.resize(n, 0.0);
+                inject(&self.injections[i], row);
+                let seeds = &mut self.seeds[i * n..(i + 1) * n];
+                let moved = !same_bits(row, seeds);
+                if moved {
+                    seeds.copy_from_slice(row);
+                }
+                moved
+            });
+        });
+        if touched.is_empty() {
+            return Ok(false);
+        }
+        self.reseed(&touched);
         Ok(true)
     }
 
-    /// Full in-place rebuild for a new segment list (destination set changed):
-    /// runs the construction path and splices the result in, preserving the
-    /// committed weights, the disabled mask, any capacity overrides, and the
-    /// generation ordering.
-    fn rebuild_for_segments(&mut self, segments: &[Segment]) -> Result<(), TeError> {
-        let w = WeightSetting::new(self.net, self.weights.clone())
-            .expect("committed weights are positive finite");
-        let fresh = Self::for_segments(self.net, &w, segments, self.disabled.clone())?;
-        self.dests = fresh.dests;
-        self.seeds = fresh.seeds;
-        self.flows = fresh.flows;
-        self.dags = fresh.dags;
-        self.arena = fresh.arena;
-        self.loads = fresh.loads;
-        // Capacity overrides survive the rebuild (fresh computed Φ/MLU from
-        // the network's nominal capacities).
+    /// The workload's segments, with the amounts of those in `run` set to
+    /// `size`. An injecting segment's amount is in its list; one that
+    /// injects nothing is at or below `EPS`, where its value routes nothing,
+    /// and reads `0.0`.
+    fn segments_with(&self, run: Range<usize>, size: f64) -> Vec<Segment> {
+        let amount = |j: usize, slot: Option<(u32, u32)>| match slot {
+            _ if run.contains(&j) => size,
+            Some((i, p)) => self.injections[i as usize][p as usize].1,
+            None => 0.0,
+        };
+        let segment = |(j, seg): (usize, &SegmentSlot)| Segment {
+            src: seg.src,
+            dst: seg.dst,
+            amount: amount(j, seg.slot),
+        };
+        self.segments.iter().enumerate().map(segment).collect()
+    }
+
+    /// Moves the evaluator to a new segment list, `runs` its demands' runs:
+    /// [`set_workload`](Self::set_workload)'s path.
+    fn set_segments(&mut self, segments: &[Segment], runs: Vec<u32>) -> Result<bool, TeError> {
+        let (dests, injections): (Vec<NodeId>, Vec<_>) =
+            group_by_destination(segments).into_iter().unzip();
+        if dests != self.dests {
+            // Destination set changed: full in-place rebuild (one Dijkstra +
+            // one propagation per destination, like construction).
+            return self.rebuild_for_segments(segments, runs).map(|()| true);
+        }
+        // Same destinations: the DAGs are all still valid. Re-fold the seed
+        // rows (the same injection fold construction performs) and keep the
+        // ones that actually moved.
+        let n = self.net.node_count();
+        let (mut dirty, mut rows) = (Vec::new(), Vec::new());
+        for (i, inj) in injections.iter().enumerate() {
+            let at = rows.len();
+            rows.resize(at + n, 0.0);
+            inject(inj, &mut rows[at..]);
+            if same_bits(&rows[at..], &self.seeds[i * n..(i + 1) * n]) {
+                rows.truncate(at);
+            } else {
+                dirty.push(i);
+            }
+        }
+        // A new source may be unreachable, and an error must leave the
+        // evaluator untouched: check before writing anything, in the order
+        // a fresh build propagates.
+        for &i in &dirty {
+            check_reachable(&self.dags[i], &injections[i])?;
+        }
+        for (k, &i) in dirty.iter().enumerate() {
+            self.seeds[i * n..(i + 1) * n].copy_from_slice(&rows[k * n..(k + 1) * n]);
+        }
+        self.segments = slot_table(segments, &self.dests, n);
+        self.injections = injections;
+        self.runs = runs;
+        if dirty.is_empty() {
+            return Ok(false);
+        }
+        self.reseed(&dirty);
+        Ok(true)
+    }
+
+    /// The one re-seed step of [`set_workload`](Self::set_workload) and
+    /// [`set_demand`](Self::set_demand): the destinations `touched`
+    /// (ascending), whose rows in `seeds` are already rewritten, are
+    /// propagated over their unchanged DAGs into scratch and diffed against
+    /// their committed node flows and partials; only the columns with a
+    /// changed partial are re-summed, and then the diff is written.
+    fn reseed(&mut self, touched: &[usize]) {
+        let c = counters();
+        c.dirty_dests.add(touched.len() as u64);
+        c.clean_dests.add((self.dests.len() - touched.len()) as u64);
+        let (n, m) = (self.net.node_count(), self.net.edge_count());
+        SCRATCH.with(|s| {
+            let Scratch {
+                spread,
+                columns,
+                diff,
+                row,
+                ..
+            } = &mut *s.borrow_mut();
+            let node_flow = &mut spread.node_flow;
+            diff.clear();
+            for &i in touched {
+                node_flow.clear();
+                node_flow.extend_from_slice(&self.seeds[i * n..(i + 1) * n]);
+                row.clear();
+                row.resize(m, 0.0);
+                spread_seeded(self.net, &self.dags[i], row, node_flow);
+                for (e, &x) in row.iter().enumerate() {
+                    let e = EdgeId(e as u32);
+                    if x.to_bits() != self.arena.cols[self.arena.at(e, i)].to_bits() {
+                        diff.partials.push((e, i as u32, x));
+                    }
+                }
+                let flows = &self.flows[i * n..(i + 1) * n];
+                for (v, (&f, old)) in node_flow.iter().zip(flows).enumerate() {
+                    if f.to_bits() != old.to_bits() {
+                        diff.flows.push((i * n + v, f));
+                    }
+                }
+            }
+            self.arena.refold(&diff.partials, columns, &mut self.loads);
+            self.apply_entries(&diff.partials, &diff.flows);
+        });
         self.phi = fortz_phi(&self.loads, &self.caps);
         self.mlu = max_link_utilization(&self.loads, &self.caps);
         self.generation += 1;
+    }
+
+    /// Full in-place rebuild for a new segment list (destination set
+    /// changed): runs the construction path and splices the result in,
+    /// preserving the committed weights, the disabled mask, any capacity
+    /// overrides, the repair threshold and the generation ordering.
+    fn rebuild_for_segments(
+        &mut self,
+        segments: &[Segment],
+        runs: Vec<u32>,
+    ) -> Result<(), TeError> {
+        let w = WeightSetting::new(self.net, self.weights.clone())
+            .expect("committed weights are positive finite");
+        let fresh = Self::for_segments(self.net, &w, segments, runs, self.disabled.clone())?;
+        *self = Self {
+            caps: std::mem::take(&mut self.caps),
+            frontier_cap: self.frontier_cap,
+            generation: self.generation + 1,
+            ..fresh
+        };
+        // Φ/MLU from the overridden capacities, not the network's nominal
+        // ones the fresh build used.
+        self.phi = fortz_phi(&self.loads, &self.caps);
+        self.mlu = max_link_utilization(&self.loads, &self.caps);
         Ok(())
     }
 
@@ -1747,6 +1937,148 @@ mod tests {
         bad2.push(NodeId(3), NodeId(1), 1.0);
         assert!(eval.set_workload(&bad2, &WaypointSetting::none(1)).is_err());
         assert_eq!(eval_bits(&eval), before);
+    }
+
+    /// Everything a workload update can touch, as bits: the totals, Φ and
+    /// MLU, the destinations, the injection lists and every segment's
+    /// slot, the seed and node-flow slabs and the partials.
+    type WorkloadBits = (Bits, Vec<u32>, Vec<Vec<(u32, u64)>>, Vec<u64>, Vec<u64>);
+
+    fn workload_bits(e: &IncrementalEvaluator<'_>) -> WorkloadBits {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let lists = e.injections.iter();
+        let lists = lists.map(|inj| inj.iter().map(|&(s, a)| (s.0, a.to_bits())).collect());
+        let slots = e.segments.iter().map(|seg| match seg.slot {
+            Some((i, p)) => u64::from(i) << 32 | u64::from(p),
+            None => u64::MAX,
+        });
+        let mut slabs = bits(&e.seeds);
+        slabs.extend(bits(&e.flows));
+        slabs.extend(bits(&e.arena.cols));
+        (
+            bits_of(&e.loads, &e.caps),
+            e.dests.iter().map(|t| t.0).collect(),
+            lists.collect(),
+            slots.collect(),
+            slabs,
+        )
+    }
+
+    /// `set_demand(k, size)` on `eval`, then the state against a fresh
+    /// build on `d` with demand `k` at `size`, which `d` takes on.
+    fn set_and_compare(
+        eval: &mut IncrementalEvaluator<'_>,
+        d: &mut DemandList,
+        wp: &WaypointSetting,
+        (k, size): (usize, f64),
+    ) {
+        eval.set_demand(k, size).unwrap();
+        d.set_size(k, size).unwrap();
+        let w = WeightSetting::new(eval.net, eval.weights.clone()).unwrap();
+        let dead: Vec<EdgeId> = (0..eval.disabled.len() as u32)
+            .map(EdgeId)
+            .filter(|&e| edge_disabled(&eval.disabled, e))
+            .collect();
+        let fresh = IncrementalEvaluator::new_with_failures(eval.net, &w, d, wp, &dead).unwrap();
+        assert_eq!(
+            workload_bits(eval),
+            workload_bits(&fresh),
+            "demand {k} at {size}"
+        );
+    }
+
+    #[test]
+    fn set_demand_tracks_fresh_builds_through_eps_and_back() {
+        let net = net();
+        let w = WeightSetting::unit(&net);
+        // Demand 0 plain, then waypointed over node 1: one event rewrites
+        // the injections of destinations 1 and 3.
+        let mut via = WaypointSetting::none(3);
+        via.set(0, vec![NodeId(1)]);
+        for wp in [WaypointSetting::none(3), via] {
+            let mut d = demands();
+            let mut eval = IncrementalEvaluator::new(&net, &w, &d, &wp).unwrap();
+            for step in [
+                (0, 3.5),
+                (0, 1e-10),
+                (0, 5e-10),
+                (0, 2.0),
+                (1, 0.25),
+                (2, 7.0),
+            ] {
+                set_and_compare(&mut eval, &mut d, &wp, step);
+            }
+            assert_eq!(eval.destination_count(), 2 + wp.max_used());
+            // Probe and commit still track scratch after the updates.
+            let probe = eval.probe(EdgeId(4), 5.0).unwrap();
+            let mut w2 = WeightSetting::unit(&net);
+            w2.set(EdgeId(4), 5.0);
+            let fresh = Router::new(&net, &w2).evaluate(&d, &wp).unwrap();
+            assert_eq!(probe.mlu.to_bits(), fresh.mlu.to_bits());
+            eval.commit(probe);
+        }
+    }
+
+    #[test]
+    fn the_last_demand_of_a_destination_below_eps_drops_the_destination() {
+        let net = net();
+        let w = WeightSetting::unit(&net);
+        let wp = WaypointSetting::none(3);
+        let mut d = demands();
+        let mut eval = IncrementalEvaluator::new(&net, &w, &d, &wp).unwrap();
+        // Demand 2 is destination 2's only one.
+        set_and_compare(&mut eval, &mut d, &wp, (2, 1e-12));
+        assert_eq!(eval.destination_count(), 1);
+        set_and_compare(&mut eval, &mut d, &wp, (1, 3.0));
+        set_and_compare(&mut eval, &mut d, &wp, (2, 0.5));
+        assert_eq!(eval.destination_count(), 2);
+    }
+
+    #[test]
+    fn a_cut_off_demand_below_eps_cannot_rise() {
+        let net = net();
+        let w = WeightSetting::unit(&net);
+        // e1 (1 -> 3) is node 1's only way to 3. Its demand injects nothing,
+        // so the link can fail; bringing the demand back must then fail,
+        // whether destination 3 has other demands (re-seed) or none
+        // (rebuild).
+        for d in [
+            demand_list(&[(0, 3, 2.0), (1, 3, 1e-10), (0, 2, 0.5)]),
+            demand_list(&[(1, 3, 1e-10), (0, 2, 0.5)]),
+        ] {
+            let wp = WaypointSetting::none(d.len());
+            let mut eval = IncrementalEvaluator::new(&net, &w, &d, &wp).unwrap();
+            assert!(eval.set_link_state(EdgeId(1), false).unwrap());
+            let k = d.len() - 2;
+            let before = workload_bits(&eval);
+            let pending = eval.probe(EdgeId(2), 3.0).unwrap();
+            let want = TeError::Unroutable {
+                src: NodeId(1),
+                dst: NodeId(3),
+            };
+            assert_eq!(eval.set_demand(k, 1.0).unwrap_err(), want);
+            // Invalid requests are refused before anything moves too.
+            let count = d.len();
+            assert_eq!(
+                eval.set_demand(count, 1.0).unwrap_err(),
+                TeError::DimensionMismatch {
+                    what: "demand index",
+                    expected: count,
+                    actual: count,
+                }
+            );
+            for bad in [0.0, -1.0, f64::INFINITY] {
+                let err = TeError::InvalidDemand {
+                    index: 0,
+                    value: bad,
+                };
+                assert_eq!(eval.set_demand(0, bad).unwrap_err(), err);
+            }
+            assert!(eval.set_demand(0, f64::NAN).is_err());
+            assert_eq!(workload_bits(&eval), before);
+            // Nor did the generation move: the earlier probe commits.
+            eval.commit(pending);
+        }
     }
 
     #[test]

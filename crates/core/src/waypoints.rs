@@ -83,18 +83,24 @@ impl WaypointSetting {
     /// trailing waypoint equal to `t`) are skipped, matching the semantics
     /// that "reaching" an already-reached node is a no-op.
     pub fn segments_of(&self, i: usize, demand: &Demand) -> Vec<(NodeId, NodeId, f64)> {
-        let mut segs = Vec::with_capacity(self.per_demand[i].len() + 1);
-        let mut cur = demand.src;
-        for &w in &self.per_demand[i] {
-            if w != cur {
-                segs.push((cur, w, demand.size));
-                cur = w;
-            }
-        }
-        if cur != demand.dst {
-            segs.push((cur, demand.dst, demand.size));
-        }
-        segs
+        self.hops(i, demand).collect()
+    }
+
+    /// [`segments_of`](Self::segments_of) without collecting: the hops of
+    /// demand `i`'s segments, in order.
+    pub(crate) fn hops(
+        &self,
+        i: usize,
+        demand: &Demand,
+    ) -> impl Iterator<Item = (NodeId, NodeId, f64)> + '_ {
+        let Demand { src, dst, size } = *demand;
+        let mut cur = src;
+        let ends = self.per_demand[i].iter().copied().chain([dst]);
+        ends.filter_map(move |w| {
+            let hop = (w != cur).then_some((cur, w, size));
+            cur = w;
+            hop
+        })
     }
 }
 

@@ -27,13 +27,6 @@ pub struct Basis {
     pub(crate) n_struct: usize,
 }
 
-impl Basis {
-    /// Number of structural variables of the owning problem.
-    pub fn num_vars(&self) -> usize {
-        self.n_struct
-    }
-}
-
 /// Flat-arena eta file: the ordered sequence of eta vectors making up the
 /// product-form basis inverse.
 #[derive(Debug, Default)]

@@ -4,8 +4,10 @@
 //! re-spread and the fold run in per-thread scratch, and a probe keeps only
 //! its sparse answer (the totals and the diff a commit would apply). A
 //! failure of two links on one DAG is one bounded repair, not a full
-//! Dijkstra. This file is its own test binary because it installs a
-//! counting global allocator and reads the process-global counters.
+//! Dijkstra. A demand update (`set_demand`) also costs a fixed handful,
+//! however many demands the workload holds, and runs no Dijkstra. This
+//! file is its own test binary because it installs a counting global
+//! allocator and reads the process-global counters.
 
 use segrout::core::rng::StdRng;
 use segrout::core::{
@@ -14,6 +16,7 @@ use segrout::core::{
 };
 use segrout::graph::shortest_path_dag;
 use segrout::topo::{by_name, geo_backbone};
+use segrout::traffic::{gravity, mcf_synthetic, TrafficConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -225,4 +228,52 @@ fn a_probe_allocates_a_fixed_handful() {
             );
         }
     }
+}
+
+/// The allocations and full Dijkstra runs of one `set_demand` that doubles
+/// the heaviest demand, measured after a warm-up that makes the same
+/// update and undoes it, which restores the state bit for bit.
+fn demand_update(net: &Network, demands: &DemandList) -> (usize, u64) {
+    let w = weights(net, 7, true);
+    let wp = WaypointSetting::none(demands.len());
+    let mut ev = IncrementalEvaluator::new(net, &w, demands, &wp).expect("routable");
+    let sizes = demands.as_slice().iter().map(|d| d.size);
+    let (k, size) = sizes
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap();
+    assert!(ev.set_demand(k, 2.0 * size).unwrap());
+    assert!(ev.set_demand(k, size).unwrap());
+    let before = recomputes();
+    let (changed, allocs) = allocations(|| ev.set_demand(k, 2.0 * size).unwrap());
+    assert!(changed);
+    (allocs, recomputes() - before)
+}
+
+#[test]
+fn a_demand_update_allocates_a_fixed_handful() {
+    let g50 = by_name("Germany50").expect("embedded");
+    let geo = geo_backbone(400, 800, 400);
+    let all_pairs = TrafficConfig {
+        seed: 808,
+        ..Default::default()
+    };
+    let sparse = TrafficConfig {
+        pair_fraction: 0.02,
+        flows_per_pair: Some(1),
+        mcf_epsilon: 0.2,
+        ..Default::default()
+    };
+    let g50_demands = gravity(&g50, &all_pairs).expect("routable");
+    let geo_demands = mcf_synthetic(&geo, &sparse).expect("routable");
+    assert_eq!(g50_demands.len(), 2450);
+    assert!(geo_demands.len() > 3000, "{}", geo_demands.len());
+    let small = demand_update(&g50, &g50_demands);
+    let large = demand_update(&geo, &geo_demands);
+    assert!(small.0 <= 8 && large.0 <= 8, "{small:?}, {large:?}");
+    assert_eq!(
+        small.0, large.0,
+        "the count does not grow with the workload"
+    );
+    assert_eq!((small.1, large.1), (0, 0), "no DAG is rebuilt");
 }

@@ -16,6 +16,7 @@
 //! factor `n⌈ln Δ*⌉` of the maximum flow.
 
 use crate::dag_weights::dag_realizing_weights;
+use segrout_core::esflow::es_flow_loads;
 use segrout_core::{Network, NodeId, TeError, WeightSetting};
 use segrout_graph::{acyclic_max_flow, topological_order, EPS};
 
@@ -181,33 +182,16 @@ pub fn lwo_apx(net: &Network, s: NodeId, t: NodeId) -> Result<LwoApxResult, TeEr
 
 /// The exact maximum even-split flow on the pruned DAG under capacities
 /// `usable`: per-edge loads of a unit ES-flow from `s`, scaled to the
-/// tightest edge.
+/// tightest edge; 0 when `s` is cut off from `t` or no flow reaches `t`.
 fn exact_es_flow(net: &Network, mask: &[bool], usable: &[f64], s: NodeId, t: NodeId) -> f64 {
     let g = net.graph();
-    let order = topological_order(g, mask).expect("pruned DAG stays acyclic");
-    let mut inflow = vec![0.0; g.node_count()];
-    let mut unit_load = vec![0.0; g.edge_count()];
-    inflow[s.index()] = 1.0;
-    for &v in &order {
-        if v == t || inflow[v.index()] <= EPS {
-            continue;
-        }
-        let outs: Vec<_> = g
-            .out_edges(v)
-            .iter()
-            .copied()
-            .filter(|e| mask[e.index()])
-            .collect();
-        if outs.is_empty() {
-            return 0.0; // s cut off from t
-        }
-        let share = inflow[v.index()] / outs.len() as f64;
-        for e in outs {
-            unit_load[e.index()] += share;
-            inflow[g.endpoints(e).1.index()] += share;
-        }
-    }
-    if inflow[t.index()] <= EPS {
+    let unit_load = match es_flow_loads(g, mask, s, t, 1.0) {
+        Ok(loads) => loads,
+        Err(TeError::Unroutable { .. }) => return 0.0, // s cut off from t
+        Err(e) => panic!("pruned DAG stays acyclic: {e}"),
+    };
+    let at_t: f64 = g.in_edges(t).iter().map(|e| unit_load[e.index()]).sum();
+    if at_t <= EPS {
         return 0.0;
     }
     let mut scale = f64::INFINITY;

@@ -371,10 +371,10 @@ impl<'n> ServeSession<'n> {
             ServeEvent::Noop => Ok(()),
             ServeEvent::DemandScale { index, factor } => {
                 let Some(demand) = self.demands.as_slice().get(*index) else {
-                    return Err(TeError::DimensionMismatch {
-                        what: "demand index",
-                        expected: self.demands.len(),
-                        actual: *index,
+                    return Err(TeError::OutOfRange {
+                        what: "demand",
+                        index: *index,
+                        count: self.demands.len(),
                     });
                 };
                 if !(factor.is_finite() && *factor > 0.0) {

@@ -8,7 +8,6 @@
 //! # segrout-case v1
 //! seed 42
 //! threads 4
-//! incremental 1
 //! pipeline 1
 //! nodes 4
 //! link 0 1 100
@@ -29,15 +28,14 @@
 //! same rules as deployed configurations.
 
 use crate::differential::{
-    disable, guard, joint, joint_cfg, ospf, ospf_cfg, reductions, robust_joint, run_case_kind,
-    serve, sweep, walk, wpo, Kind,
+    assert_mcf_bound, disable, guard, invariants, joint, joint_cfg, ospf, ospf_cfg, reductions,
+    robust_joint, run_case_kind, serve, sweep, walk, wpo, Kind,
 };
 use crate::lp_oracle;
-use crate::validator::{ValidationReport, Validator, ValidatorConfig, Violation};
 use segrout_algos::{joint_heur, joint_heur_robust, JointHeurResult, ServeEvent};
 use segrout_core::{
-    read_config, Demand, DemandList, DemandSet, Network, RobustObjective, TeError, WaypointSetting,
-    WeightSetting,
+    read_config, Demand, DemandList, DemandSet, Network, RobustObjective, Router, TeError,
+    WaypointSetting, WeightSetting,
 };
 use segrout_graph::{EdgeId, NodeId};
 use segrout_lp::{MilpOptions, MilpStatus};
@@ -59,17 +57,15 @@ pub enum CaseOutcome {
     /// The state is not evaluable (unroutable, invalid weights, solver
     /// limit, ...) — a property of the input, **not** a failure.
     Error(String),
-    /// At least one invariant or differential check failed.
-    Violations(Vec<Violation>),
-    /// A differential kind's check failed, or the pipeline panicked
-    /// (recorded by the fuzzer's catch-unwind shim).
+    /// A check failed, or the pipeline panicked (recorded by the fuzzer's
+    /// catch-unwind shim).
     Panic(String),
 }
 
 impl CaseOutcome {
     /// `true` for the outcomes that indicate a genuine bug.
     pub fn is_failure(&self) -> bool {
-        matches!(self, Self::Violations(_) | Self::Panic(_))
+        matches!(self, Self::Panic(_))
     }
 }
 
@@ -78,13 +74,6 @@ impl fmt::Display for CaseOutcome {
         match self {
             Self::Pass { checks } => write!(f, "pass ({checks} checks)"),
             Self::Error(e) => write!(f, "benign error: {e}"),
-            Self::Violations(vs) => {
-                writeln!(f, "{} violation(s):", vs.len())?;
-                for v in vs {
-                    writeln!(f, "  {v}")?;
-                }
-                Ok(())
-            }
             Self::Panic(msg) => write!(f, "panic: {msg}"),
         }
     }
@@ -113,15 +102,11 @@ pub struct Case {
     pub weights: Vec<f64>,
     /// Waypoint rows, one per demand (possibly empty).
     pub waypoints: Vec<Vec<u32>>,
-    /// Worker-thread count the validator and the MILP oracle run under, and
+    /// Worker-thread count the MCF bound and the MILP oracle run under, and
     /// at which every kind reruns against its 1-thread trace.
     pub threads: usize,
-    /// Whether the incremental evaluation engine is cross-checked: the
-    /// `walk` kind and the validator's evaluator comparison. The optimizers
-    /// always score through it.
-    pub incremental: bool,
     /// Whether the optimizer kinds (`ospf`, `wpo`, `joint`) and the MILP
-    /// oracle on tiny instances run on top of the state validation.
+    /// oracle on tiny instances run on top of the state's checks.
     pub pipeline: bool,
     /// Seed of the `walk` kind's probes and of every HeurOSPF search.
     pub seed: u64,
@@ -275,7 +260,6 @@ impl Case {
         let mut out = String::from("# segrout-case v1\n");
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("threads {}\n", self.threads));
-        out.push_str(&format!("incremental {}\n", u8::from(self.incremental)));
         out.push_str(&format!("pipeline {}\n", u8::from(self.pipeline)));
         out.push_str(&format!("nodes {}\n", self.nodes));
         for &(u, v, cap) in &self.links {
@@ -345,7 +329,6 @@ impl Case {
             weights: Vec::new(),
             waypoints: Vec::new(),
             threads: 1,
-            incremental: true,
             pipeline: true,
             seed: 0,
         };
@@ -363,7 +346,6 @@ impl Case {
             match directive {
                 "seed" => case.seed = int(p, lineno, "a seed")?,
                 "threads" => case.threads = int(p, lineno, "a thread count")?,
-                "incremental" => case.incremental = flag(p, lineno)?,
                 "pipeline" => case.pipeline = flag(p, lineno)?,
                 "nodes" => case.nodes = int(p, lineno, "a node count")?,
                 "link" => {
@@ -460,19 +442,21 @@ impl Case {
 
     /// Runs every check of the case and reports the outcome.
     ///
-    /// The [`Validator`] checks the given state at the case's thread count.
-    /// Then the [`differential`](crate::differential) kinds run, each checked
-    /// at 1 thread and again at the case's thread count when that is above
-    /// 1, which must reproduce the 1-thread trace: `walk` when `incremental`
-    /// is set, `disable` and `sweep`, `serve` on an event stream, `ospf`,
-    /// `wpo` and `joint` when `pipeline` is set, and `reductions` and
-    /// `robust_joint` on extra matrices. A kind reports a failed check by
-    /// panicking, which the fuzzer's shield turns into
-    /// [`CaseOutcome::Panic`]. Last, when `pipeline` is set, JOINT-Heur's
-    /// output state goes through the validator, and on tiny instances the
-    /// MILP oracle runs once (see `run_milp`). The whole run holds the
-    /// differential lock, so no concurrent run moves the thread count.
-    pub fn run(&self, vcfg: &ValidatorConfig) -> CaseOutcome {
+    /// A case that does not build or whose state does not route is a
+    /// benign [`CaseOutcome::Error`]. Otherwise the
+    /// [`differential`](crate::differential) kinds run, each checked at 1
+    /// thread and again at the case's thread count when that is above 1,
+    /// which must reproduce the 1-thread trace: `invariants` first, then on
+    /// a non-empty demand list `walk`, `disable` and `sweep`, `serve` on an
+    /// event stream, `ospf`, `wpo` and `joint` when `pipeline` is set, and
+    /// `reductions` and `robust_joint` on extra matrices. Last, the bounds
+    /// run once at the case's thread count (see `run_bounds`): the MCF
+    /// lower bound unless `fast` is set, and the MILP oracle on tiny
+    /// instances when `pipeline` is set. A failed check panics, which the
+    /// fuzzer's shield turns into [`CaseOutcome::Panic`]. The whole run
+    /// holds the differential lock, so no concurrent run moves the thread
+    /// count.
+    pub fn run(&self, fast: bool) -> CaseOutcome {
         let _guard = guard();
         segrout_par::set_threads(self.threads);
 
@@ -482,62 +466,43 @@ impl Case {
             let weights = self.weight_setting(&net)?;
             let waypoints = self.waypoint_setting()?;
             let set = self.demand_set()?;
-            Ok::<_, TeError>((net, demands, weights, waypoints, set))
+            let mlu = Router::new(&net, &weights)
+                .evaluate(&demands, &waypoints)?
+                .mlu;
+            Ok::<_, TeError>((net, demands, set, mlu))
         })();
-        let (net, demands, weights, waypoints, set) = match built {
+        let (net, demands, set, mlu) = match built {
             Ok(x) => x,
             Err(e) => return CaseOutcome::Error(e.to_string()),
         };
 
-        let mut cfg = vcfg.clone();
-        cfg.compare_incremental = self.incremental;
-        let mut violations = Vec::new();
-        let mut checks = 0usize;
-
-        // Stage 1: full invariant suite on the given state.
-        match Validator::new(&net, &demands, &weights, &waypoints)
-            .with_config(cfg.clone())
-            .validate()
-        {
-            Ok(rep) => {
-                checks += rep.checks;
-                violations.extend(rep.violations);
-            }
-            Err(e) => return CaseOutcome::Error(e.to_string()),
+        let mut checks = 0;
+        for (name, kind) in self.kinds() {
+            checks += run_case_kind(name, self, kind);
         }
-
-        if !self.demands.is_empty() {
-            for (name, kind) in self.kinds() {
-                checks += run_case_kind(name, self, kind);
-            }
-            segrout_par::set_threads(self.threads);
-            if self.pipeline {
-                match self.run_milp(&net, &demands, &set, &cfg) {
-                    Ok(rep) => {
-                        checks += rep.checks;
-                        violations.extend(rep.violations);
-                    }
-                    Err(e) => return CaseOutcome::Error(e.to_string()),
-                }
-            }
-        }
-
-        if violations.is_empty() {
-            CaseOutcome::Pass { checks }
-        } else {
-            CaseOutcome::Violations(violations)
+        segrout_par::set_threads(self.threads);
+        match self.run_bounds(&net, &demands, &set, mlu, fast) {
+            Ok(bounds) => CaseOutcome::Pass {
+                checks: checks + bounds,
+            },
+            Err(e) => CaseOutcome::Error(e.to_string()),
         }
     }
 
-    /// The differential kinds the case runs: `walk` when `incremental` is
-    /// set, `disable` and `sweep`, `serve` on an event stream, the optimizer
-    /// kinds when `pipeline` is set, and the robust kinds on extra matrices.
+    /// The differential kinds the case runs: `invariants`, then on a
+    /// non-empty demand list `walk`, `disable` and `sweep`, `serve` on an
+    /// event stream, the optimizer kinds when `pipeline` is set, and the
+    /// robust kinds on extra matrices.
     fn kinds(&self) -> Vec<(&'static str, Kind)> {
-        let mut kinds: Vec<(&str, Kind)> = Vec::new();
-        if self.incremental {
-            kinds.push(("walk", walk));
+        let mut kinds: Vec<(&str, Kind)> = vec![("invariants", invariants)];
+        if self.demands.is_empty() {
+            return kinds;
         }
-        kinds.extend([("disable", disable as Kind), ("sweep", sweep)]);
+        kinds.extend([
+            ("walk", walk as Kind),
+            ("disable", disable),
+            ("sweep", sweep),
+        ]);
         if !self.events.is_empty() {
             kinds.push(("serve", serve));
         }
@@ -553,38 +518,40 @@ impl Case {
         kinds
     }
 
-    /// JOINT-Heur's output state through the validator, then on tiny
-    /// instances the MILP oracle, once each: the heuristic's MLU must lie
-    /// between the Joint MILP's dual bound and its proven optimum, the same
-    /// MILP solved over the [`lp_oracle`] must agree on a proven optimum,
-    /// and on extra matrices JOINT-Heur-robust's worst-case MLU must lie
-    /// the same way against the robust Joint MILP, which runs on the
-    /// production engine only. The heuristics search a subset of the MILP's
-    /// space (integer weights up to [`ospf_cfg`]'s 4, at most one waypoint),
-    /// so a proven-optimal MILP can never lose to them, and the dual bound
-    /// holds unconditionally.
-    fn run_milp(
+    /// The bounds, once per case, on a non-empty demand list: the case
+    /// state's `mlu` must not beat the MCF lower bound ([`assert_mcf_bound`],
+    /// skipped when `fast` is set), and on tiny instances with `pipeline`
+    /// set the MILP oracle runs. JOINT-Heur's MLU must lie between the
+    /// Joint MILP's dual bound and its proven optimum, the same MILP solved
+    /// over the [`lp_oracle`] must agree on a proven optimum, and on extra
+    /// matrices JOINT-Heur-robust's worst-case MLU must lie the same way
+    /// against the robust Joint MILP, which runs on the production engine
+    /// only. The heuristics search a subset of the MILP's space (integer
+    /// weights up to [`ospf_cfg`]'s 4, at most one waypoint), so a
+    /// proven-optimal MILP can never lose to them, and the dual bound holds
+    /// unconditionally. Returns the number of checks made.
+    fn run_bounds(
         &self,
         net: &Network,
         demands: &DemandList,
         set: &DemandSet,
-        vcfg: &ValidatorConfig,
-    ) -> Result<ValidationReport, TeError> {
-        let heur = joint_heur(net, demands, &joint_cfg(self.seed))?;
-        let mut cfg = vcfg.clone();
-        cfg.mcf_lower_bound = false; // already checked on the input state
-        let mut rep = Validator::new(net, demands, &heur.weights, &heur.waypoints)
-            .with_config(cfg)
-            .validate()?;
-        for v in &mut rep.violations {
-            v.detail = format!("pipeline output: {}", v.detail);
+        mlu: f64,
+        fast: bool,
+    ) -> Result<usize, TeError> {
+        if demands.is_empty() {
+            return Ok(0);
         }
-
+        let mut checks = 0;
+        if !fast {
+            assert_mcf_bound(net, demands, mlu, "case input")?;
+            checks += 1;
+        }
         let tiny =
             net.node_count() <= 5 && net.edge_count() <= 12 && (1..=3).contains(&demands.len());
-        if !tiny {
-            return Ok(rep);
+        if !(self.pipeline && tiny) {
+            return Ok(checks);
         }
+        let heur = joint_heur(net, demands, &joint_cfg(self.seed))?;
         let options = |warm: &JointHeurResult| JointMilpOptions {
             max_weight: ospf_cfg(self.seed).max_weight,
             waypoints: 1,
@@ -601,36 +568,38 @@ impl Case {
             Err(TeError::SolverLimit { .. }) => Ok(None),
             r => r.map(Some),
         };
-        // Each check flags a comparison that holds, so a NaN reads as no
-        // violation: an unproved dual bound of `-inf` makes
-        // `bound - TOL · (1 + bound)` NaN.
-        let sandwich =
-            |rep: &mut ValidationReport, invariant, milp: &JointMilpOutcome, mlu: f64| {
-                let loses =
-                    milp.status == MilpStatus::Optimal && milp.mlu > mlu + TOL * (1.0 + mlu);
-                rep.check(!loses, invariant, || {
-                    format!("optimal MILP MLU {} exceeds heuristic MLU {mlu}", milp.mlu)
-                });
-                let beats = mlu < milp.bound - TOL * (1.0 + milp.bound);
-                rep.check(!beats, invariant, || {
-                    format!(
-                        "heuristic MLU {mlu} beats the MILP dual bound {}",
-                        milp.bound
-                    )
-                });
-            };
+        // Each assert fails only when its comparison holds, so a NaN passes:
+        // an unproved dual bound of `-inf` makes `bound - TOL · (1 + bound)`
+        // NaN.
+        let sandwich = |invariant: &str, milp: &JointMilpOutcome, mlu: f64| {
+            let loses = milp.status == MilpStatus::Optimal && milp.mlu > mlu + TOL * (1.0 + mlu);
+            let (opt, bound) = (milp.mlu, milp.bound);
+            assert!(
+                !loses,
+                "case [{invariant}]: optimal MILP MLU {opt} exceeds heuristic MLU {mlu}"
+            );
+            let beats = mlu < bound - TOL * (1.0 + bound);
+            assert!(
+                !beats,
+                "case [{invariant}]: heuristic MLU {mlu} beats the MILP dual bound {bound}"
+            );
+        };
 
         let heur_options = options(&heur);
         if let Some(primary) = decided(joint_milp(net, demands, &heur_options))? {
-            sandwich(&mut rep, "milp-oracle", &primary, heur.mlu);
+            sandwich("milp-oracle", &primary, heur.mlu);
+            checks += 1;
             let oracle = joint_milp_with(net, demands, &heur_options, lp_oracle::solve_milp);
             let optimal = |o: &JointMilpOutcome| o.status == MilpStatus::Optimal;
             if let Some(oracle) = decided(oracle)?.filter(|o| optimal(o) && optimal(&primary)) {
                 let (a, b) = (primary.mlu, oracle.mlu);
                 let differ = (a - b).abs() > TOL * (1.0 + a);
-                rep.check(!differ, "engine-differential", || {
-                    format!("optimal MLU differs from the LP oracle's: {a} vs {b}")
-                });
+                assert!(
+                    !differ,
+                    "case [engine-differential]: optimal MLU differs from the LP oracle's: \
+                     {a} vs {b}"
+                );
+                checks += 1;
             }
         }
 
@@ -639,10 +608,11 @@ impl Case {
             let robust = joint_heur_robust(net, set, worst, &joint_cfg(self.seed))?;
             let milp = joint_milp_robust(net, set, worst, &options(&robust));
             if let Some(milp) = decided(milp)? {
-                sandwich(&mut rep, "robust-milp-oracle", &milp, robust.mlu);
+                sandwich("robust-milp-oracle", &milp, robust.mlu);
+                checks += 1;
             }
         }
-        Ok(rep)
+        Ok(checks)
     }
 }
 
@@ -689,7 +659,6 @@ mod tests {
             weights: vec![1.0; 8],
             waypoints: vec![vec![2], vec![]],
             threads: 2,
-            incremental: true,
             pipeline: true,
             seed: 7,
         }
@@ -736,7 +705,7 @@ mod tests {
                 "line 2: a source must be a non-negative integer",
             ),
             ("threads -1", "line 1: a thread count must be"),
-            ("incremental 2", "line 1: needs 0 or 1"),
+            ("pipeline 2", "line 1: needs 0 or 1"),
             ("event down 1.5", "line 1: an edge id must be"),
             ("event scale -1 2", "line 1: a demand index must be"),
             ("event matrix 0 1.5 2", "line 1: a destination must be"),
@@ -768,7 +737,7 @@ mod tests {
 
     #[test]
     fn diamond_case_passes_end_to_end() {
-        let outcome = diamond_case().run(&ValidatorConfig::default());
+        let outcome = diamond_case().run(false);
         match outcome {
             CaseOutcome::Pass { checks } => assert!(checks > 50, "only {checks} checks"),
             other => panic!("expected pass, got {other}"),
@@ -779,7 +748,7 @@ mod tests {
     fn bad_extra_matrix_size_is_benign() {
         let mut case = diamond_case();
         case.extra_matrices[0][1] = -3.0;
-        let outcome = case.run(&ValidatorConfig::default());
+        let outcome = case.run(false);
         assert!(matches!(outcome, CaseOutcome::Error(_)), "got {outcome}");
         assert!(!outcome.is_failure());
     }
@@ -795,14 +764,10 @@ mod tests {
             weights: vec![1.0, 1.0],
             waypoints: vec![vec![]],
             threads: 1,
-            incremental: true,
             pipeline: false,
             seed: 1,
         };
-        assert!(matches!(
-            case.run(&ValidatorConfig::default()),
-            CaseOutcome::Error(_)
-        ));
-        assert!(!case.run(&ValidatorConfig::default()).is_failure());
+        assert!(matches!(case.run(false), CaseOutcome::Error(_)));
+        assert!(!case.run(false).is_failure());
     }
 }

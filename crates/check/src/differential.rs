@@ -5,14 +5,16 @@
 //! weights, waypoints, extra matrices, events and seed) and returns a bit
 //! [`Trace`] of everything it observed:
 //!
+//! * [`invariants`]: the oracle on the case's state, checked against the
+//!   paper's routing model from first principles ([`assert_invariants`]);
 //! * [`walk`]: seeded probe/commit/discard weight changes through
 //!   `IncrementalEvaluator`;
 //! * [`disable`] and [`sweep`]: edge-disable probes and failure sweeps;
 //! * [`serve`]: the case's event stream through a `ServeSession`;
 //! * [`ospf`], [`wpo`], [`joint`], [`reductions`] and [`robust_joint`]: the
 //!   optimizers (GreedyWPO's waypoints also against the dense
-//!   [`reference_greedy_wpo`]), and [`router`]: the oracle's own thread
-//!   invariance;
+//!   [`reference_greedy_wpo`], JOINT-Heur's output also through
+//!   [`assert_invariants`]);
 //! * [`dag_engines`] and [`dag_repairs`]: the Dijkstra engines and the
 //!   SP-DAG repairs on given networks, with no thread axis (the graph crate
 //!   runs single-threaded).
@@ -20,8 +22,7 @@
 //! The one oracle is `Router` on a copy of the network with the dead edges
 //! deleted and the current capacities (`oracle`). Its loads map back by
 //! edge id, and dead edges read exactly `0.0`. A fast path must equal it bit
-//! for bit when every weight is integral, and within the validator's
-//! `LOAD_TOL` otherwise.
+//! for bit when every weight is integral, and within `LOAD_TOL` otherwise.
 //!
 //! The one thread axis: a kind runs at 1 thread with its checks, then at
 //! more threads, where it must reproduce the 1-thread trace bit for bit.
@@ -31,9 +32,12 @@
 //! a case's kinds at 1 thread and again at the case's own thread count
 //! (`segrout fuzz` and `corpus_replay`). Both hold the one lock ([`guard`]),
 //! since the thread count and the obs counters are process-global.
+//!
+//! A failed check of any kind is a panic naming the case, the kind, the
+//! thread count and the step; [`assert_invariants`] and
+//! [`assert_mcf_bound`] also name the invariant that failed.
 
 use crate::case::Case;
-use crate::validator::LOAD_TOL;
 use segrout_algos::{
     greedy_wpo, greedy_wpo_robust, heur_ospf, heur_ospf_robust, joint_heur, joint_heur_robust,
     reoptimize_weights_on, GreedyWpoConfig, HeurOspfConfig, JointHeurConfig, JointHeurResult,
@@ -46,11 +50,17 @@ use segrout_core::{
     Segment, TeError, WaypointSetting, WeightSetting,
 };
 use segrout_graph::{
-    patch_dag, shortest_path_dag, single_target_distances, single_target_distances_heap, DagRepair,
-    Digraph, EdgeId, NodeId, RepairOutcome, SpDag,
+    approx_eq, patch_dag, shortest_path_dag, single_target_distances, single_target_distances_heap,
+    topological_order, DagRepair, Digraph, EdgeId, NodeId, RepairOutcome, SpDag, INFINITY,
 };
 use std::fmt::Display;
 use std::sync::{Mutex, MutexGuard};
+
+/// Relative tolerance for comparing independently recomputed load vectors.
+/// ECMP propagation accumulates sums in an implementation-defined order, so
+/// a scaled tolerance is required; genuine logic errors produce divergences
+/// many orders of magnitude above it.
+const LOAD_TOL: f64 = 1e-7;
 
 /// The bit patterns of `xs`.
 pub fn bits(xs: &[f64]) -> Vec<u64> {
@@ -331,6 +341,180 @@ fn input(case: &Case) -> Input {
         weights: case.weights.clone(),
         waypoints: case.waypoint_setting().expect("the case builds"),
     }
+}
+
+/// `invariants`: the oracle on the case's state, whose multi-destination
+/// loads must not depend on the thread count. The checking run asserts
+/// [`assert_invariants`] on the state.
+pub fn invariants(case: &Case, ctx: &Ctx) -> Trace {
+    let Input {
+        net,
+        demands,
+        weights,
+        waypoints,
+    } = input(case);
+    if ctx.checks {
+        assert_invariants(&net, &demands, &weights, &waypoints, &ctx.at("input"))
+            .expect("the case routes");
+    }
+    vec![intact_oracle(&net, &weights, &demands, &waypoints).row()]
+}
+
+/// Asserts the paper's routing model (§2) on one state from first
+/// principles. A failure names `at` and its invariant:
+///
+/// * `stitching`: every demand's segment chain starts at its source, ends
+///   at its destination, is consecutive, and carries the demand's size on
+///   every hop;
+/// * `dag-optimal`, `dag-tight`, `dag-adjacency` and `dag-acyclic`: for
+///   every destination a segment routes to, `Router`'s distances are
+///   Bellman-optimal, its DAG's edges are exactly the tight edges, the CSR
+///   adjacency lists the same edges, and they form no cycle;
+/// * `even-split`: an independent propagation, the segments' amounts split
+///   evenly over the DAG out-edges in a `topological_order`, re-derives
+///   `Router`'s loads within `LOAD_TOL`;
+/// * `conservation`: at every node, link inflow plus injected traffic
+///   equals link outflow plus delivered traffic;
+/// * `load-nonnegative` and `mlu-consistent`: every load is finite and
+///   non-negative, and the MLU is exactly the largest utilization.
+///
+/// # Errors
+/// The router's error when the state does not route: a property of the
+/// input, not a failed check.
+pub fn assert_invariants(
+    net: &Network,
+    demands: &DemandList,
+    weights: &[f64],
+    waypoints: &WaypointSetting,
+    at: &str,
+) -> Result<(), TeError> {
+    let router = Router::new(net, &weight_setting(net, weights));
+    let report = router.evaluate(demands, waypoints)?;
+    let (g, loads) = (net.graph(), &report.loads);
+
+    let mut segments = Vec::new();
+    for (i, d) in demands.iter().enumerate() {
+        let segs = waypoints.segments_of(i, d);
+        let first = segs.first().map_or(d.src, |hop| hop.0);
+        let last = segs.last().map_or(d.src, |hop| hop.1);
+        let stitched = (first, last) == (d.src, d.dst)
+            && segs.windows(2).all(|pair| pair[0].1 == pair[1].0)
+            && segs
+                .iter()
+                .all(|&(s, t, amount)| s != t && approx_eq(amount, d.size));
+        assert!(
+            stitched,
+            "{at}: [stitching] demand {i} {d:?}: chain {segs:?}"
+        );
+        segments.extend(segs);
+    }
+
+    let mut dests: Vec<NodeId> = segments.iter().map(|&(_, t, _)| t).collect();
+    dests.sort_unstable();
+    dests.dedup();
+    let mut reference = vec![0.0; g.edge_count()];
+    for t in dests {
+        let dag = router.dag(t);
+        let at = format!("{at}: dest {t:?}");
+        let dt = dag.dist[t.index()];
+        assert!(dt == 0.0, "{at}: [dag-optimal] distance {dt} to itself");
+        for (e, u, v) in g.edges() {
+            let (du, dv, w) = (dag.dist[u.index()], dag.dist[v.index()], weights[e.index()]);
+            let via = w + dv;
+            if dv < INFINITY {
+                assert!(
+                    du <= via || approx_eq(du, via),
+                    "{at}: [dag-optimal] {e:?} ({u:?}->{v:?}): {du} > {w} + {dv}"
+                );
+            }
+            let tight = du < INFINITY && dv < INFINITY && approx_eq(du, via);
+            let on = dag.edge_on_dag[e.index()];
+            assert!(
+                on == tight,
+                "{at}: [dag-tight] {e:?} on the DAG: {on}, tight: {tight} ({du} vs {w} + {dv})"
+            );
+            let listed = dag.dag_out(u).contains(&e);
+            assert!(
+                listed == on,
+                "{at}: [dag-adjacency] {e:?} listed: {listed}, on: {on}"
+            );
+        }
+        let order = topological_order(g, &dag.edge_on_dag)
+            .unwrap_or_else(|| panic!("{at}: [dag-acyclic] the DAG has a cycle"));
+        let mut node_flow = vec![0.0; g.node_count()];
+        for &(s, _, amount) in segments.iter().filter(|hop| hop.1 == t) {
+            node_flow[s.index()] += amount;
+        }
+        for v in order.into_iter().filter(|&v| v != t) {
+            let outs = dag.dag_out(v);
+            let share = node_flow[v.index()] / outs.len() as f64;
+            for &e in outs {
+                reference[e.index()] += share;
+                node_flow[g.dst(e).index()] += share;
+            }
+        }
+    }
+
+    let scale = 1.0 + loads.iter().copied().fold(0.0, f64::max);
+    for (e, (&got, &want)) in loads.iter().zip(&reference).enumerate() {
+        let ok = agree(got, want, false, scale);
+        assert!(
+            ok,
+            "{at}: [even-split] edge {e}: load {got} vs even split {want}"
+        );
+    }
+    let mut injected = vec![0.0; g.node_count()];
+    for &(s, t, amount) in &segments {
+        injected[s.index()] += amount;
+        injected[t.index()] -= amount;
+    }
+    for v in g.nodes() {
+        let sum = |edges: &[EdgeId]| edges.iter().map(|e| loads[e.index()]).sum::<f64>();
+        let (inflow, outflow) = (sum(g.in_edges(v)), sum(g.out_edges(v)));
+        let imbalance = inflow + injected[v.index()] - outflow;
+        assert!(
+            imbalance.abs() <= LOAD_TOL * scale,
+            "{at}: [conservation] {v:?}: inflow {inflow} + injected {} - outflow {outflow}",
+            injected[v.index()]
+        );
+    }
+    for (e, &load) in loads.iter().enumerate() {
+        let ok = load.is_finite() && load >= 0.0;
+        assert!(ok, "{at}: [load-nonnegative] edge {e}: load {load}");
+    }
+    let util = max_link_utilization(loads, net.capacities());
+    assert!(
+        report.mlu.to_bits() == util.to_bits(),
+        "{at}: [mlu-consistent] MLU {} vs largest utilization {util}",
+        report.mlu
+    );
+    Ok(())
+}
+
+/// The FPTAS accuracy of [`assert_mcf_bound`].
+const MCF_EPSILON: f64 = 0.1;
+
+/// `mcf-lower-bound`: no routing of `demands` has an MLU below the optimal
+/// multi-commodity flow's, which the FPTAS bounds from below by `(1 - ε)² ·
+/// opt_mlu`. A failure names `at`.
+///
+/// # Errors
+/// The FPTAS's error when a demand does not route.
+pub fn assert_mcf_bound(
+    net: &Network,
+    demands: &DemandList,
+    mlu: f64,
+    at: &str,
+) -> Result<(), TeError> {
+    let mcf = segrout_algos::max_concurrent_flow(net, demands, MCF_EPSILON)?;
+    let lower = (1.0 - MCF_EPSILON) * (1.0 - MCF_EPSILON) * mcf.opt_mlu;
+    assert!(
+        mlu >= lower - LOAD_TOL * (1.0 + lower),
+        "{at}: [mcf-lower-bound] MLU {mlu} beats the fluid lower bound {lower} \
+         (FPTAS opt_mlu {}, ε {MCF_EPSILON})",
+        mcf.opt_mlu
+    );
+    Ok(())
 }
 
 /// `walk`: 24 seeded single-edge weight probes to weights in `[1, 8]`
@@ -928,15 +1112,20 @@ pub fn wpo(case: &Case, ctx: &Ctx) -> Trace {
     trace
 }
 
-/// `joint`: JOINT-Heur's weights, waypoints and MLUs; the MLU must equal
-/// the oracle's.
+/// `joint`: JOINT-Heur's weights, waypoints and MLUs. The MLU must equal
+/// the oracle's, the output state must pass [`assert_invariants`], and a
+/// fresh `IncrementalEvaluator` on it must equal the oracle.
 pub fn joint(case: &Case, ctx: &Ctx) -> Trace {
     let Input { net, demands, .. } = input(case);
     let j = joint_heur(&net, &demands, &joint_cfg(case.seed)).expect("routes");
-    let state = intact_oracle(&net, j.weights.as_slice(), &demands, &j.waypoints);
+    let (weights, waypoints) = (j.weights.as_slice(), &j.waypoints);
+    let state = intact_oracle(&net, weights, &demands, waypoints);
     if ctx.checks {
-        let at = ctx.at("joint_heur MLU");
-        assert_eq!(j.mlu.to_bits(), state.mlu, "{at}");
+        assert_eq!(j.mlu.to_bits(), state.mlu, "{}", ctx.at("joint_heur MLU"));
+        let at = ctx.at("joint_heur output");
+        assert_invariants(&net, &demands, weights, waypoints, &at).expect("the output routes");
+        let ev = IncrementalEvaluator::new(&net, &j.weights, &demands, waypoints).expect("routes");
+        assert_oracle(&State::of_evaluator(&ev), &state, weights, &at);
     }
     vec![joint_bits(&j), state.row()]
 }
@@ -1054,18 +1243,6 @@ pub fn robust_joint(case: &Case, ctx: &Ctx) -> Trace {
         trace.extend(state);
     }
     trace
-}
-
-/// `router`: the oracle itself on the case's state, whose multi-destination
-/// loads must not depend on the thread count.
-pub fn router(case: &Case, _: &Ctx) -> Trace {
-    let Input {
-        net,
-        demands,
-        weights,
-        waypoints,
-    } = input(case);
-    vec![intact_oracle(&net, &weights, &demands, &waypoints).row()]
 }
 
 /// Seeded integral weights in `[1, 20]` for the `dag` walks.
@@ -1252,10 +1429,74 @@ mod tests {
             weights,
             waypoints: vec![Vec::new(); 2],
             threads: 1,
-            incremental: true,
             pipeline: true,
             seed: 7,
         }
+    }
+
+    /// The state of a case as [`assert_invariants`] takes it.
+    fn assert_case(case: &Case) -> Result<(), TeError> {
+        let Input {
+            net,
+            demands,
+            weights,
+            waypoints,
+        } = input(case);
+        assert_invariants(&net, &demands, &weights, &waypoints, "test")
+    }
+
+    #[test]
+    fn a_waypointed_diamond_passes_the_invariants() {
+        let mut case = diamond(vec![1.0; 8]);
+        case.waypoints[0] = vec![2];
+        assert_case(&case).unwrap();
+        let Input {
+            net,
+            demands,
+            weights,
+            waypoints,
+        } = input(&case);
+        let mlu = f64::from_bits(intact_oracle(&net, &weights, &demands, &waypoints).mlu);
+        assert_mcf_bound(&net, &demands, mlu, "test").unwrap();
+    }
+
+    #[test]
+    fn fractional_weights_pass_the_invariants_within_tolerance() {
+        assert_case(&diamond(vec![1.25, 1.0, 1.0, 1.25, 1.0, 1.0, 1.25, 1.0])).unwrap();
+    }
+
+    #[test]
+    fn an_unroutable_state_is_an_error_not_a_failed_check() {
+        // One-way chain: the demand runs against the arrows.
+        let case = Case {
+            nodes: 3,
+            links: vec![(0, 1, 1.0), (1, 2, 1.0)],
+            demands: vec![(2, 0, 1.0)],
+            extra_matrices: Vec::new(),
+            events: Vec::new(),
+            weights: vec![1.0; 2],
+            waypoints: vec![Vec::new()],
+            threads: 1,
+            pipeline: false,
+            seed: 1,
+        };
+        let err = assert_case(&case).unwrap_err();
+        assert!(matches!(err, TeError::Unroutable { .. }), "{err}");
+    }
+
+    #[test]
+    fn abilene_gravity_passes_the_invariants_and_the_mcf_bound() {
+        let net = segrout_topo::abilene();
+        let cfg = segrout_traffic::TrafficConfig {
+            seed: 5,
+            ..Default::default()
+        };
+        let demands = segrout_traffic::gravity(&net, &cfg).unwrap();
+        let weights = WeightSetting::inverse_capacity(&net);
+        let none = WaypointSetting::none(demands.len());
+        assert_invariants(&net, &demands, weights.as_slice(), &none, "test").unwrap();
+        let mlu = Router::new(&net, &weights).mlu(&demands).unwrap();
+        assert_mcf_bound(&net, &demands, mlu, "test").unwrap();
     }
 
     /// A kind whose trace records the thread count it ran at.
@@ -1308,7 +1549,7 @@ mod tests {
             ("disable", disable),
             ("sweep", sweep),
             ("robust_joint", robust_joint),
-            ("router", router),
+            ("invariants", invariants),
         ] {
             run_kind(name, Grid::Full, table(), kind);
         }

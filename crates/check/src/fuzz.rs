@@ -1,9 +1,9 @@
 //! Seeded differential fuzzer with case shrinking.
 //!
 //! [`fuzz_campaign`] derives one [`Case`] per index from the campaign seed,
-//! runs it ([`Case::run`]: the validator, the case's differential kinds and
-//! the MILP oracle) under a panic shield, which turns a failed kind check
-//! into [`CaseOutcome::Panic`], and — when a case fails — **shrinks** it to
+//! runs it ([`Case::run`]: the case's differential kinds, the MCF bound and
+//! the MILP oracle) under a panic shield, which turns a failed check into
+//! [`CaseOutcome::Panic`], and — when a case fails — **shrinks** it to
 //! a minimal reproducer by greedily dropping serve events, demands, and
 //! links, rounding weights, clearing waypoints and simplifying execution knobs,
 //! re-running after every mutation and keeping only mutations that preserve
@@ -11,7 +11,6 @@
 //! the [`Case`] text format so `tests/corpus_replay.rs` pins them forever.
 
 use crate::case::{Case, CaseOutcome};
-use crate::validator::ValidatorConfig;
 use segrout_algos::ServeEvent;
 use segrout_core::rng::StdRng;
 use segrout_graph::{EdgeId, NodeId, EPS};
@@ -29,8 +28,8 @@ pub struct FuzzConfig {
     pub shrink: bool,
     /// Where to write shrunk reproducers (`None` keeps them in memory only).
     pub corpus_dir: Option<PathBuf>,
-    /// Validator configuration applied to every case.
-    pub validator: ValidatorConfig,
+    /// Skip the MCF lower bound, an FPTAS run on every case.
+    pub fast: bool,
 }
 
 impl Default for FuzzConfig {
@@ -40,7 +39,7 @@ impl Default for FuzzConfig {
             cases: 100,
             shrink: true,
             corpus_dir: None,
-            validator: ValidatorConfig::default(),
+            fast: false,
         }
     }
 }
@@ -75,8 +74,8 @@ pub struct FuzzReport {
 
 /// Runs a case under a panic shield, mapping unwinds (a differential kind's
 /// failed check among them) to [`CaseOutcome::Panic`].
-fn run_guarded(case: &Case, vcfg: &ValidatorConfig) -> CaseOutcome {
-    match panic::catch_unwind(AssertUnwindSafe(|| case.run(vcfg))) {
+fn run_guarded(case: &Case, fast: bool) -> CaseOutcome {
+    match panic::catch_unwind(AssertUnwindSafe(|| case.run(fast))) {
         Ok(outcome) => outcome,
         Err(payload) => {
             let msg = payload
@@ -252,9 +251,9 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
     }
 
     let threads = if rng.gen::<bool>() { 4 } else { 1 };
-    let incremental = rng.gen::<bool>();
-    // Once the case's LP engine: drawn and dropped, so every campaign seed
+    // Two draws that no longer choose anything, kept so every campaign seed
     // still generates the cases it always did.
+    let _ = rng.gen::<bool>();
     let _ = rng.gen::<bool>();
     Case {
         nodes,
@@ -265,7 +264,6 @@ pub fn generate_case(campaign_seed: u64, index: usize) -> Case {
         weights,
         waypoints,
         threads,
-        incremental,
         pipeline: nodes <= 10,
         seed: rng.next_u64(),
     }
@@ -362,7 +360,7 @@ fn mutations(case: &Case) -> Vec<Case> {
 fn shrink_case(
     case: &Case,
     outcome: CaseOutcome,
-    vcfg: &ValidatorConfig,
+    fast: bool,
     step_counter: &segrout_obs::Counter,
 ) -> (Case, CaseOutcome, usize) {
     const MAX_RUNS: usize = 400;
@@ -377,7 +375,7 @@ fn shrink_case(
                 return (best, best_outcome, accepted);
             }
             runs += 1;
-            let o = run_guarded(&cand, vcfg);
+            let o = run_guarded(&cand, fast);
             if o.is_failure() {
                 best = cand;
                 best_outcome = o;
@@ -410,7 +408,7 @@ pub fn fuzz_campaign(cfg: &FuzzConfig) -> FuzzReport {
     let mut report = FuzzReport::default();
     for index in 0..cfg.cases {
         let case = generate_case(cfg.seed, index);
-        let outcome = run_guarded(&case, &cfg.validator);
+        let outcome = run_guarded(&case, cfg.fast);
         report.cases += 1;
         cases_counter.inc();
         match outcome {
@@ -419,7 +417,7 @@ pub fn fuzz_campaign(cfg: &FuzzConfig) -> FuzzReport {
             failing => {
                 violations_counter.inc();
                 let (case, outcome, shrink_steps) = if cfg.shrink {
-                    shrink_case(&case, failing, &cfg.validator, &shrink_counter)
+                    shrink_case(&case, failing, cfg.fast, &shrink_counter)
                 } else {
                     (case, failing, 0)
                 };
@@ -528,13 +526,9 @@ mod tests {
             cases: 6,
             shrink: true,
             corpus_dir: None,
-            validator: ValidatorConfig {
-                // Keep the unit-test campaign cheap; the CI smoke leg and
-                // the release campaign run the full suite.
-                mcf_lower_bound: false,
-                compare_thread_counts: false,
-                ..ValidatorConfig::default()
-            },
+            // Keep the unit-test campaign cheap; the CI fuzz legs run the
+            // MCF bound.
+            fast: true,
         });
         assert_eq!(report.cases, 6);
         assert!(

@@ -266,7 +266,7 @@ impl<'n> Router<'n> {
     /// Evaluates a full demand list under a waypoint setting, producing loads
     /// and MLU. Use [`WaypointSetting::none`] for pure OSPF/ECMP routing.
     /// A demand endpoint or waypoint outside the network is a
-    /// [`TeError::DimensionMismatch`].
+    /// [`TeError::OutOfRange`].
     pub fn evaluate(
         &self,
         demands: &DemandList,

@@ -6,14 +6,24 @@ use std::fmt;
 /// Errors raised by model construction and flow evaluation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TeError {
-    /// A per-edge attribute vector has the wrong length.
+    /// A per-edge or per-node attribute vector has the wrong length.
     DimensionMismatch {
         /// What the vector describes ("weights", "capacities", ...).
         what: &'static str,
-        /// Expected length (edge or demand count).
+        /// Expected length (edge or node count).
         expected: usize,
         /// Actual length supplied.
         actual: usize,
+    },
+    /// A node id, edge id or demand index passed in by a caller names no
+    /// node, edge or demand.
+    OutOfRange {
+        /// What the index names: `"node"`, `"edge"` or `"demand"`.
+        what: &'static str,
+        /// The index passed in.
+        index: usize,
+        /// How many there are: the valid indices are `0..count`.
+        count: usize,
     },
     /// A link weight is invalid: non-positive, NaN or infinite, or — where
     /// an optimizer searches integer weights — not an integer in its range.
@@ -68,6 +78,9 @@ impl fmt::Display for TeError {
                 expected,
                 actual,
             } => write!(f, "{what} vector has length {actual}, expected {expected}"),
+            TeError::OutOfRange { what, index, count } => {
+                write!(f, "{what} {index} out of range ({count} {what}s)")
+            }
             TeError::InvalidWeight { edge, value } => {
                 write!(
                     f,
@@ -126,6 +139,14 @@ mod tests {
             actual: 2,
         };
         assert!(e.to_string().contains("weights"));
+
+        // An index out of range does not read like a vector length.
+        let e = TeError::OutOfRange {
+            what: "demand",
+            index: 2458,
+            count: 2450,
+        };
+        assert_eq!(e.to_string(), "demand 2458 out of range (2450 demands)");
 
         // A solver limit must never read like a disconnected demand pair.
         let e = TeError::SolverLimit {

@@ -754,16 +754,16 @@ impl<'n> IncrementalEvaluator<'n> {
         self.dests.len()
     }
 
-    /// [`TeError::DimensionMismatch`] unless `e` is an edge of the network.
+    /// [`TeError::OutOfRange`] unless `e` is an edge of the network.
     fn check_edge(&self, e: EdgeId) -> Result<(), TeError> {
         let edge_count = self.net.edge_count();
         if e.index() < edge_count {
             return Ok(());
         }
-        Err(TeError::DimensionMismatch {
-            what: "edge id",
-            expected: edge_count,
-            actual: e.index(),
+        Err(TeError::OutOfRange {
+            what: "edge",
+            index: e.index(),
+            count: edge_count,
         })
     }
 
@@ -773,7 +773,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// base state.
     ///
     /// # Errors
-    /// [`TeError::DimensionMismatch`] when `e` is not an edge of the network.
+    /// [`TeError::OutOfRange`] when `e` is not an edge of the network.
     ///
     /// # Panics
     /// Panics if `new_w` is not a positive finite real.
@@ -808,7 +808,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// links down in place, like [`set_link_state`](Self::set_link_state).
     ///
     /// # Errors
-    /// [`TeError::DimensionMismatch`] when some dead edge is not an edge of
+    /// [`TeError::OutOfRange`] when some dead edge is not an edge of
     /// the network, and [`TeError::Unroutable`] on a disconnect.
     ///
     /// [`FailureSet`]: crate::failure::FailureSet
@@ -1207,7 +1207,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// did.
     ///
     /// # Errors
-    /// [`TeError::DimensionMismatch`] when `e` is not an edge of the network
+    /// [`TeError::OutOfRange`] when `e` is not an edge of the network
     /// and [`TeError::InvalidCapacity`] when `cap` is not positive finite —
     /// the evaluator is left untouched.
     pub fn set_capacity(&mut self, e: EdgeId, cap: f64) -> Result<bool, TeError> {
@@ -1244,7 +1244,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// # Errors
     /// [`TeError::Unroutable`] when some new segment cannot reach its
     /// destination, [`TeError::InvalidWaypoints`] on a row-count mismatch,
-    /// and [`TeError::DimensionMismatch`] on a node id outside the network
+    /// and [`TeError::OutOfRange`] on a node id outside the network
     /// — the evaluator is left untouched in each case.
     pub fn set_workload(
         &mut self,
@@ -1270,7 +1270,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// built on it. Returns whether the loads, Φ or MLU could have changed.
     ///
     /// # Errors
-    /// [`TeError::DimensionMismatch`] when `index` is not a demand of the
+    /// [`TeError::OutOfRange`] when `index` is not a demand of the
     /// workload, [`TeError::InvalidDemand`] when `size` is not positive
     /// finite, and [`TeError::Unroutable`] when a demand at or below `EPS`
     /// (which injects nothing) rises above it from a source that a failed
@@ -1278,10 +1278,10 @@ impl<'n> IncrementalEvaluator<'n> {
     pub fn set_demand(&mut self, index: usize, size: f64) -> Result<bool, TeError> {
         let demands = self.runs.len() - 1;
         if index >= demands {
-            return Err(TeError::DimensionMismatch {
-                what: "demand index",
-                expected: demands,
-                actual: index,
+            return Err(TeError::OutOfRange {
+                what: "demand",
+                index,
+                count: demands,
             });
         }
         if !(size.is_finite() && size > 0.0) {
@@ -1478,7 +1478,7 @@ impl<'n> IncrementalEvaluator<'n> {
     /// with the new mask. Neither direction counts as a probe.
     ///
     /// # Errors
-    /// [`TeError::DimensionMismatch`] when `e` is not an edge of the network,
+    /// [`TeError::OutOfRange`] when `e` is not an edge of the network,
     /// and [`TeError::Unroutable`] when taking the link down severs a demand
     /// from its destination — the evaluator is left untouched.
     pub fn set_link_state(&mut self, e: EdgeId, up: bool) -> Result<bool, TeError> {
@@ -2061,10 +2061,10 @@ mod tests {
             let count = d.len();
             assert_eq!(
                 eval.set_demand(count, 1.0).unwrap_err(),
-                TeError::DimensionMismatch {
-                    what: "demand index",
-                    expected: count,
-                    actual: count,
+                TeError::OutOfRange {
+                    what: "demand",
+                    index: count,
+                    count,
                 }
             );
             for bad in [0.0, -1.0, f64::INFINITY] {
@@ -2187,10 +2187,10 @@ mod tests {
         let before = state(&eval);
         let pending = eval.probe(EdgeId(4), 3.0).unwrap();
         let bad = EdgeId(5);
-        let want = TeError::DimensionMismatch {
-            what: "edge id",
-            expected: 5,
-            actual: 5,
+        let want = TeError::OutOfRange {
+            what: "edge",
+            index: 5,
+            count: 5,
         };
         assert_eq!(eval.probe(bad, 2.0).unwrap_err(), want);
         assert_eq!(eval.probe_disable(&[EdgeId(0), bad]).unwrap_err(), want);

@@ -85,17 +85,17 @@ impl Network {
     /// endpoint, a waypoint or a waypoint candidate.
     ///
     /// # Errors
-    /// [`TeError::DimensionMismatch`] (`what: "node id"`) unless `v` is a
-    /// node of the network.
+    /// [`TeError::OutOfRange`] (`what: "node"`) unless `v` is a node of the
+    /// network.
     pub fn check_node(&self, v: NodeId) -> Result<(), TeError> {
         let node_count = self.node_count();
         if v.index() < node_count {
             return Ok(());
         }
-        Err(TeError::DimensionMismatch {
-            what: "node id",
-            expected: node_count,
-            actual: v.index(),
+        Err(TeError::OutOfRange {
+            what: "node",
+            index: v.index(),
+            count: node_count,
         })
     }
 

@@ -65,11 +65,6 @@ impl WeightSetting {
     pub fn as_slice(&self) -> &[f64] {
         &self.weights
     }
-
-    /// Consumes the setting, returning the raw vector.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.weights
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,6 @@ mod tests {
         let mut w = WeightSetting::unit(&net);
         w.set(EdgeId(1), 7.0);
         assert_eq!(w.get(EdgeId(1)), 7.0);
-        assert_eq!(w.into_vec(), vec![1.0, 7.0]);
     }
 
     #[test]

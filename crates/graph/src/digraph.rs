@@ -123,13 +123,6 @@ impl Digraph {
         id
     }
 
-    /// Adds the pair of directed edges `u -> v` and `v -> u`, returning both
-    /// ids. Convenience for the "bi-directed arc" convention of the paper's
-    /// figures and of SNDLib topologies.
-    pub fn add_bidirected(&mut self, u: NodeId, v: NodeId) -> (EdgeId, EdgeId) {
-        (self.add_edge(u, v), self.add_edge(v, u))
-    }
-
     /// The `(source, destination)` pair of an edge.
     #[inline]
     pub fn endpoints(&self, e: EdgeId) -> (NodeId, NodeId) {
@@ -301,13 +294,5 @@ mod tests {
         assert_eq!(g.node_count(), 5);
         g.add_edge(NodeId(3), v);
         assert_eq!(g.in_degree(v), 1);
-    }
-
-    #[test]
-    fn bidirected_adds_two_edges() {
-        let mut g = Digraph::new(2);
-        let (f, b) = g.add_bidirected(NodeId(0), NodeId(1));
-        assert_eq!(g.endpoints(f), (NodeId(0), NodeId(1)));
-        assert_eq!(g.endpoints(b), (NodeId(1), NodeId(0)));
     }
 }

@@ -155,11 +155,6 @@ impl Problem {
         &self.constraints
     }
 
-    /// `true` when at least one variable is integer.
-    pub fn has_integers(&self) -> bool {
-        self.integer.iter().any(|&b| b)
-    }
-
     /// Evaluates the objective at a point.
     pub fn objective_value(&self, x: &[f64]) -> f64 {
         self.objective.iter().zip(x).map(|(c, v)| c * v).sum()
@@ -210,7 +205,6 @@ mod tests {
         p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 5.0);
         assert_eq!(p.num_vars(), 2);
         assert_eq!(p.num_constraints(), 1);
-        assert!(!p.has_integers());
         assert_eq!(p.objective_value(&[1.0, 1.0]), 5.0);
     }
 

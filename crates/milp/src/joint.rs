@@ -126,7 +126,7 @@ struct DestBlock {
 /// Returns [`TeError::Unroutable`] when the model is proven infeasible
 /// (some demand pair is disconnected), [`TeError::SolverLimit`] when the
 /// search hit its node/time limit without finding any incumbent, and
-/// [`TeError::DimensionMismatch`] when a waypoint candidate is not a node
+/// [`TeError::OutOfRange`] when a waypoint candidate is not a node
 /// of the network.
 pub fn joint_milp(
     net: &Network,
@@ -170,7 +170,7 @@ pub fn joint_milp_with(
 /// Returns [`TeError::Unroutable`] when the model is proven infeasible,
 /// [`TeError::SolverLimit`] on a limit abort without incumbent,
 /// [`TeError::InvalidWaypoints`] for misaligned sets, and
-/// [`TeError::DimensionMismatch`] when a waypoint candidate is not a node
+/// [`TeError::OutOfRange`] when a waypoint candidate is not a node
 /// of the network.
 ///
 /// # Panics

@@ -43,8 +43,8 @@ pub mod trace;
 
 pub use json::{Json, JsonError};
 pub use log::{
-    add_sink, elapsed_us, enabled, flush, level, set_level, set_sinks, Event, JsonlSink, Level,
-    Sink, StderrSink,
+    add_sink, elapsed_us, enabled, flush, level, set_level, Event, JsonlSink, Level, Sink,
+    StderrSink,
 };
 pub use metrics::{
     latency_bounds_ms, registry, time_bounds_ms, Counter, Gauge, Histogram, Metric, Registry,

@@ -225,11 +225,6 @@ pub fn add_sink(sink: Box<dyn Sink>) {
     sinks().lock().expect("sink stack poisoned").push(sink);
 }
 
-/// Replaces the whole sink stack (tests use this to capture output).
-pub fn set_sinks(stack: Vec<Box<dyn Sink>>) {
-    *sinks().lock().expect("sink stack poisoned") = stack;
-}
-
 /// Emits one event to every sink. Call sites should guard with
 /// [`enabled`] (or use the [`crate::event!`] macro, which does).
 pub fn emit(level: Level, name: &str, fields: &[(&str, Json)]) {

@@ -1,18 +1,17 @@
 //! # segrout-par — deterministic parallelism for the optimizer hot paths
 //!
-//! A zero-dependency worker pool with chunked [`par_map`] /
-//! [`par_map_reduce`] over index ranges. The design goal is a hard
-//! **determinism contract**: for a pure per-index function `f`, every result
-//! of this crate is **bit-identical at any thread count** —
-//! `SEGROUT_THREADS=1` (the serial reference), `2`, `8`, or the machine
-//! default all produce the same bytes.
+//! A zero-dependency worker pool with chunked [`par_map`] over index
+//! ranges. The design goal is a hard **determinism contract**: for a pure
+//! per-index function `f`, every result of this crate is **bit-identical
+//! at any thread count** — `SEGROUT_THREADS=1` (the serial reference),
+//! `2`, `8`, or the machine default all produce the same bytes.
 //!
 //! How the contract is met:
 //!
 //! * [`par_map`] writes each `f(i)` into a dedicated result slot `i`; the
 //!   scheduling order can vary, the output vector cannot.
-//! * [`par_map_reduce`] folds the mapped values **in index order on the
-//!   calling thread** — floating-point accumulation order is fixed, so
+//! * A caller that reduces the results folds that vector **in index order
+//!   on its own thread** — floating-point accumulation order is fixed, so
 //!   non-associativity of `f64` addition never leaks thread-count noise.
 //! * With an effective thread count of 1 the pool is bypassed entirely and
 //!   `f` runs inline on the caller — the serial path is the parallel path
@@ -409,19 +408,6 @@ where
     par_map(items.len(), |i| f(i, &items[i]))
 }
 
-/// Maps `map` over `0..n` in parallel, then folds the results **in index
-/// order on the calling thread** — the ordered `(value, index)` reduction
-/// that keeps winner selection and floating-point accumulation
-/// bit-identical at any thread count.
-pub fn par_map_reduce<R, A, F, G>(n: usize, map: F, init: A, fold: G) -> A
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    par_map(n, map).into_iter().fold(init, fold)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,23 +465,6 @@ mod tests {
                 let got: Vec<usize> = par_map_chunked(53, chunk, |i| i + 1);
                 assert_eq!(got, (1..=53).collect::<Vec<_>>(), "chunk={chunk}");
             }
-        });
-    }
-
-    #[test]
-    fn reduce_is_index_ordered() {
-        // Collect indices in fold order: must be 0..n at any thread count.
-        forced(8, || {
-            let order = par_map_reduce(
-                200,
-                |i| i,
-                Vec::new(),
-                |mut acc, i| {
-                    acc.push(i);
-                    acc
-                },
-            );
-            assert_eq!(order, (0..200).collect::<Vec<_>>());
         });
     }
 

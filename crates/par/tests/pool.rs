@@ -9,7 +9,7 @@
 //! either way (that is the crate's contract); the lock keeps each test's
 //! *scheduling* assumption (inline vs pooled) honest.
 
-use segrout_par::{par_map, par_map_chunked, par_map_reduce, par_map_slice, set_threads};
+use segrout_par::{par_map, par_map_chunked, par_map_slice, set_threads};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -76,27 +76,6 @@ fn chunk_size_never_changes_results() {
     }
 }
 
-#[test]
-fn reduce_folds_in_index_order_under_contention() {
-    // The fold result depends on order (string concatenation); it must be
-    // the serial order at any thread count.
-    let expected: String = (0..100).map(|i| format!("{i},")).collect();
-    for threads in [1, 2, 8] {
-        let got = with_threads(threads, || {
-            par_map_reduce(
-                100,
-                |i| format!("{i},"),
-                String::new(),
-                |mut acc, s| {
-                    acc.push_str(&s);
-                    acc
-                },
-            )
-        });
-        assert_eq!(got, expected, "threads={threads}");
-    }
-}
-
 // ---------- nesting ----------
 
 #[test]
@@ -118,20 +97,13 @@ fn nested_scopes_complete_without_deadlock() {
 
 #[test]
 fn deeply_nested_scopes() {
-    let total = with_threads(4, || {
-        par_map_reduce(
-            4,
-            |a| {
-                par_map_reduce(
-                    4,
-                    move |b| par_map(4, move |c| a + b + c),
-                    0,
-                    |acc, v| acc + v.iter().sum::<usize>(),
-                )
-            },
-            0,
-            |acc, v| acc + v,
-        )
+    let total: usize = with_threads(4, || {
+        let inner = |a| {
+            par_map(4, move |b| {
+                par_map(4, move |c| a + b + c).iter().sum::<usize>()
+            })
+        };
+        par_map(4, |a| inner(a).iter().sum::<usize>()).iter().sum()
     });
     let mut expected = 0;
     for a in 0..4 {

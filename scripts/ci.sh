@@ -38,15 +38,17 @@ cargo build --release -q -p segrout-bench
 echo "==> LP differential suite (revised vs the tableau oracle)"
 cargo test -q --test lp_differential
 
-# Bounded differential-fuzz smoke leg: every generated case runs the
-# validator and the same differential kinds as the suites below
-# (segrout::check::differential), each checked at 1 thread and rerun at the
-# case's own thread count. A fixed seed keeps it deterministic, --fast
-# skips the MCF lower-bound check. Any failure writes a shrunk reproducer
-# that belongs in tests/corpus/.
-echo "==> segrout fuzz smoke (seed 42, 60 cases, --fast)"
+# Bounded differential-fuzz smoke leg: every generated case runs the same
+# differential kinds as the suites below (segrout::check::differential),
+# the routing invariants first, each checked at 1 thread and rerun at the
+# case's own thread count, then the MCF lower bound and, on tiny instances,
+# the MILP oracle. A fixed seed keeps it deterministic. This band runs the
+# MCF bound, which --fast skips in the two bands below. Any failure writes
+# a shrunk reproducer that belongs in tests/corpus/. The summary line kept
+# from the output reports the band's wall time and check count.
+echo "==> segrout fuzz smoke (seed 42, 60 cases)"
 cargo build --release -q
-./target/release/segrout fuzz --seed 42 --cases 60 --fast --corpus tests/corpus >/dev/null
+./target/release/segrout fuzz --seed 42 --cases 60 --corpus tests/corpus | grep 'cases in'
 
 # Replay every shrunk reproducer in tests/corpus/ through the full
 # differential check (also part of the workspace runs above; the named
@@ -77,7 +79,8 @@ SEGROUT_THREADS=4 cargo test -q --test robust_properties --test serve_counters
 # the `reductions` and `robust_joint` kinds and the robust MILP oracle see
 # more traffic on every CI run. Each case pins its own thread count and
 # reruns every kind at it, so the ambient SEGROUT_THREADS never reaches a
-# case and one run covers both.
+# case and one run covers both. --fast skips the MCF bound, which the
+# seed-42 band runs.
 echo "==> segrout fuzz smoke, multi-matrix band (seed 1042, 60 cases, --fast)"
 ./target/release/segrout fuzz --seed 1042 --cases 60 --fast \
     --corpus tests/corpus >/dev/null

@@ -36,8 +36,8 @@
 //! | [`sim`]   | hash-based ECMP stream simulator |
 //! | [`instances`] | the paper's worst-case constructions |
 //! | [`obs`]   | structured events, span timers, metrics registry, JSONL telemetry |
-//! | [`par`]   | deterministic worker pool: chunked `par_map` with ordered reduction |
-//! | [`check`] | invariant validator, differential fuzzer, shrinking corpus |
+//! | [`par`]   | deterministic worker pool: chunked `par_map`, results in index order |
+//! | [`check`] | differential kinds, routing invariants, fuzzer, shrinking corpus |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

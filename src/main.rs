@@ -446,7 +446,7 @@ const METRIC_CATALOG: &[(&str, &str, &str)] = &[
     (
         "check.violations",
         "counter",
-        "invariant violations found by the fuzzer",
+        "fuzz cases that failed a check, counted before shrinking",
     ),
     (
         "dijkstra.bucket_ops",
@@ -1437,16 +1437,12 @@ fn cmd_fuzz(flags: &Flags) -> Result<Run, String> {
     let cases = flags
         .get("cases", |_| true, "a non-negative integer")?
         .unwrap_or(500);
-    let mut validator = segrout::check::ValidatorConfig::default();
-    if flags.has("fast") {
-        validator.mcf_lower_bound = false;
-    }
     let cfg = segrout::check::FuzzConfig {
         seed,
         cases,
         shrink: !flags.has("no-shrink"),
         corpus_dir: flags.value("corpus").map(std::path::PathBuf::from),
-        validator,
+        fast: flags.has("fast"),
     };
 
     outln!("fuzzing: {cases} cases from seed {seed} ...");

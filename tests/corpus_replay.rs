@@ -4,7 +4,7 @@
 //! and must pass cleanly: a regression here means a previously fixed bug is
 //! back.
 
-use segrout::check::{Case, CaseOutcome, ValidatorConfig};
+use segrout::check::{Case, CaseOutcome};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -37,7 +37,6 @@ fn corpus_cases_parse_and_round_trip() {
 
 #[test]
 fn corpus_cases_pass_the_full_differential_check() {
-    let vcfg = ValidatorConfig::default();
     let mut seen = 0;
     for entry in std::fs::read_dir(corpus_dir()).expect("tests/corpus must exist") {
         let path = entry.unwrap().path();
@@ -48,7 +47,7 @@ fn corpus_cases_pass_the_full_differential_check() {
         let text = std::fs::read_to_string(&path).unwrap();
         let case = Case::from_text(&text)
             .unwrap_or_else(|e| panic!("{}: parse failed: {e}", path.display()));
-        match case.run(&vcfg) {
+        match case.run(false) {
             CaseOutcome::Pass { checks } => {
                 assert!(checks > 0, "{}: ran zero checks", path.display());
             }

@@ -108,7 +108,6 @@ fn entry(label: &str, net: &Network, demands: &DemandList) -> (String, Case) {
         weights: (0..m).map(|_| f64::from(rng.gen_range(1..=8u32))).collect(),
         waypoints: vec![Vec::new(); demands.len()],
         threads: 1,
-        incremental: true,
         pipeline: true,
         seed: 0xd15ea5e,
     };

@@ -1,6 +1,6 @@
 //! Node ids that library callers pass in are range-checked: a demand
 //! endpoint, a waypoint or a waypoint candidate outside the network is the
-//! `DimensionMismatch` error that `segrout serve` replies with, never an
+//! `OutOfRange` error that `segrout serve` replies with, never an
 //! index panic or a Joint MILP with a phantom destination block. One test
 //! per entry point, on TE-Instance 1 with m = 3 (4 nodes).
 
@@ -29,7 +29,7 @@ fn with_bad_demand(d: &DemandList) -> (DemandList, WaypointSetting) {
 
 fn assert_rejected<T>(r: Result<T, TeError>) {
     let err = r.err().expect("node 999 was accepted");
-    assert_eq!(err.to_string(), "node id vector has length 999, expected 4");
+    assert_eq!(err.to_string(), "node 999 out of range (4 nodes)");
 }
 
 #[test]

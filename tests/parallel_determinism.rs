@@ -2,16 +2,18 @@
 //! weights, GreedyWPO waypoints, JOINT-Heur results and the ECMP
 //! evaluator's loads are bit-identical at 1, 2, 4 and 8 threads. GreedyWPO's
 //! waypoints must also equal a dense reference greedy's at 1 thread, on
-//! as-is and split demands, one and four matrices, budgets 1 and 2. The
-//! optimizer kinds live in `segrout::check::differential`, the case table
-//! in `tests/differential/mod.rs`; Germany50 is left out of the HeurOSPF
-//! and JOINT-Heur runs, which take seconds there in a debug build, and runs
+//! as-is and split demands, one and four matrices, budgets 1 and 2, and the
+//! evaluator's routing of every case, as-is and waypointed, must pass the
+//! paper's routing invariants at 1 thread. The kinds live in
+//! `segrout::check::differential`, the case table in
+//! `tests/differential/mod.rs`; Germany50 is left out of the HeurOSPF and
+//! JOINT-Heur runs, which take seconds there in a debug build, and runs
 //! GreedyWPO on its split demands at budget 1 only.
 
 mod differential;
 
-use differential::{cases, small_cases};
-use segrout::check::differential::{joint, ospf, router, run_kind, wpo, Grid};
+use differential::{cases, detoured, small_cases};
+use segrout::check::differential::{invariants, joint, ospf, run_kind, wpo, Grid};
 
 #[test]
 fn heur_ospf_is_thread_count_invariant() {
@@ -30,5 +32,11 @@ fn joint_heur_is_thread_count_invariant() {
 
 #[test]
 fn parallel_evaluator_is_thread_count_invariant() {
-    run_kind("router", Grid::Threads, cases(), router);
+    run_kind("invariants", Grid::Full, cases(), invariants);
+    run_kind(
+        "waypointed invariants",
+        Grid::Full,
+        detoured(cases()),
+        invariants,
+    );
 }

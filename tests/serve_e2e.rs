@@ -43,6 +43,7 @@ const EVENT_LOG: &str = r#"{"event":"noop"}
 {"event":"capacity","edge":1,"capacity":4000}
 not json at all
 {"event":"demand","index":999999,"factor":2.0}
+{"event":"link_down","edge":99}
 {"event":"mystery"}
 {"event":"link_up","edge":4}
 {"event":"matrix","demands":[[0,5,100.0],[5,0,50.0],[2,9,25.0]]}
@@ -57,10 +58,10 @@ fn protocol_round_trip_is_well_formed() {
     assert!(ok, "serve must exit cleanly; stderr:\n{stderr}");
 
     let lines: Vec<&str> = stdout.lines().collect();
-    // One response per input line: 11 events + the shutdown ack.
-    assert_eq!(lines.len(), 12, "stdout:\n{stdout}");
+    // One response per input line: 12 events + the shutdown ack.
+    assert_eq!(lines.len(), 13, "stdout:\n{stdout}");
 
-    for (i, line) in lines.iter().take(11).enumerate() {
+    for (i, line) in lines.iter().take(12).enumerate() {
         let rec = segrout::obs::Json::parse(line)
             .unwrap_or_else(|e| panic!("line {i} is not JSON ({e}): {line}"));
         assert_eq!(rec["type"].as_str(), Some("serve"), "line {i}");
@@ -87,12 +88,14 @@ fn protocol_round_trip_is_well_formed() {
         );
     }
 
-    // The three malformed lines (bad JSON, out-of-range index, unknown
-    // event) get error replies in place.
+    // The four malformed lines (bad JSON, out-of-range demand index and
+    // edge id, unknown event) get error replies in place. An index out of
+    // range names the index and the count, not a vector length.
     for (i, want) in [
         (4, "invalid JSON"),
-        (5, "demand index"),
-        (6, "unknown event type"),
+        (5, "demand 999999 out of range (154 demands)"),
+        (6, "edge 99 out of range (30 edges)"),
+        (7, "unknown event type"),
     ] {
         let rec = segrout::obs::Json::parse(lines[i]).expect("parsed above");
         assert_eq!(rec["tier"].as_str(), Some("error"), "line {i}");
@@ -104,9 +107,9 @@ fn protocol_round_trip_is_well_formed() {
     }
 
     // Shutdown control line gets the ack, not a serve response.
-    let bye = segrout::obs::Json::parse(lines[11]).expect("ack is JSON");
+    let bye = segrout::obs::Json::parse(lines[12]).expect("ack is JSON");
     assert_eq!(bye["type"].as_str(), Some("bye"));
-    assert_eq!(bye["events"].as_i64(), Some(11));
+    assert_eq!(bye["events"].as_i64(), Some(12));
 }
 
 /// The replay runs through both re-solve tiers: the first link-down drifts

@@ -8,12 +8,13 @@
 //!
 //! `EtaFile` stores every eta in one flat arena so a solve performs zero
 //! per-pivot allocations beyond the arena growth itself. [`Basis`] is the
-//! compact, cloneable snapshot of a basis (basic column per row plus the
-//! at-upper flags of the nonbasic columns) that the branch-and-bound driver
-//! hands from a parent node to its children for warm starts.
+//! cloneable snapshot of a basis (basic column per row, the at-upper flags
+//! of the nonbasic columns, and the factorization of the basic columns)
+//! that the branch-and-bound driver hands from a parent node to its
+//! children for warm starts.
 
-/// Compact snapshot of a simplex basis, used to warm-start later solves of
-/// the same problem (typically with tightened variable bounds, as in
+/// Snapshot of a simplex basis, used to warm-start later solves of the
+/// same problem (typically with tightened variable bounds, as in
 /// branch-and-bound). [`solve_lp_from`](crate::simplex::solve_lp_from)
 /// returns one and takes one back.
 #[derive(Clone, Debug)]
@@ -25,16 +26,31 @@ pub struct Basis {
     pub(crate) at_upper: Vec<bool>,
     /// Number of structural variables of the problem this basis belongs to.
     pub(crate) n_struct: usize,
+    /// The eta file of a refactorization of `basic` with no pivot since,
+    /// when the snapshot was taken at an optimum, and the id of the column
+    /// form it factorizes. A refactorization depends only on the set of
+    /// basic columns, so a warm start on the same columns installs this
+    /// file instead of rebuilding the same one.
+    pub(crate) eta: Option<(u64, EtaFile)>,
+}
+
+/// One eta of the file: its pivot row and value, and its off-pivot
+/// entries `entries[start..end]`.
+#[derive(Clone, Copy, Debug)]
+struct Eta {
+    row: u32,
+    pivot: f64,
+    start: u32,
+    end: u32,
 }
 
 /// Flat-arena eta file: the ordered sequence of eta vectors making up the
 /// product-form basis inverse.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct EtaFile {
-    /// `(row, value)` entries of every eta, concatenated.
+    /// Off-pivot `(row, value)` entries of every eta, concatenated.
     entries: Vec<(u32, f64)>,
-    /// Per eta: `(pivot_row, start, end)` into `entries`.
-    etas: Vec<(u32, u32, u32)>,
+    etas: Vec<Eta>,
 }
 
 impl EtaFile {
@@ -44,28 +60,39 @@ impl EtaFile {
         self.etas.clear();
     }
 
+    /// Drops the spare capacity, so a snapshot holds only its etas.
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+        self.etas.shrink_to_fit();
+    }
+
     /// Number of etas currently in the file.
     pub fn len(&self) -> usize {
         self.etas.len()
     }
 
-    /// Total stored entries (a proxy for FTRAN/BTRAN cost).
+    /// Total stored entries, pivots included (a proxy for FTRAN/BTRAN
+    /// cost).
     pub fn nnz(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.etas.len()
     }
 
     /// Appends an eta with the given pivot row; `column` holds the dense
-    /// transformed column (only entries above `drop_tol` are stored, except
-    /// the pivot entry which is always kept).
+    /// transformed column. The pivot goes in the eta's header; of the other
+    /// entries, only those above `drop_tol` in magnitude are stored.
     pub fn push(&mut self, pivot_row: usize, column: &[f64], drop_tol: f64) {
         let start = self.entries.len() as u32;
         for (i, &v) in column.iter().enumerate() {
-            if i == pivot_row || v.abs() > drop_tol {
+            if i != pivot_row && v.abs() > drop_tol {
                 self.entries.push((i as u32, v));
             }
         }
-        let end = self.entries.len() as u32;
-        self.etas.push((pivot_row as u32, start, end));
+        self.etas.push(Eta {
+            row: pivot_row as u32,
+            pivot: column[pivot_row],
+            start,
+            end: self.entries.len() as u32,
+        });
     }
 
     /// FTRAN: solves `B x = w` in place by applying every eta in order.
@@ -73,21 +100,12 @@ impl EtaFile {
     /// For an eta `E` with pivot row `r` and column `v`, solving `E x = w`
     /// gives `x_r = w_r / v_r` and `x_i = w_i − v_i x_r` for `i ≠ r`.
     pub fn ftran(&self, w: &mut [f64]) {
-        for &(r, start, end) in &self.etas {
-            let r = r as usize;
-            let entries = &self.entries[start as usize..end as usize];
-            let piv = entries
-                .iter()
-                .find(|&&(i, _)| i as usize == r)
-                .map(|&(_, v)| v)
-                .unwrap_or(1.0);
-            let xr = w[r] / piv;
+        for eta in &self.etas {
+            let r = eta.row as usize;
+            let xr = w[r] / eta.pivot;
             if xr != 0.0 {
-                for &(i, v) in entries {
-                    let i = i as usize;
-                    if i != r {
-                        w[i] -= v * xr;
-                    }
+                for &(i, v) in &self.entries[eta.start as usize..eta.end as usize] {
+                    w[i as usize] -= v * xr;
                 }
             }
             w[r] = xr;
@@ -101,20 +119,13 @@ impl EtaFile {
     /// leaves `y_i = w_i` for `i ≠ r` and sets
     /// `y_r = (w_r − Σ_{i≠r} v_i w_i) / v_r`.
     pub fn btran(&self, w: &mut [f64]) {
-        for &(r, start, end) in self.etas.iter().rev() {
-            let r = r as usize;
-            let entries = &self.entries[start as usize..end as usize];
-            let mut piv = 1.0;
+        for eta in self.etas.iter().rev() {
             let mut dot = 0.0;
-            for &(i, v) in entries {
-                let i = i as usize;
-                if i == r {
-                    piv = v;
-                } else {
-                    dot += v * w[i];
-                }
+            for &(i, v) in &self.entries[eta.start as usize..eta.end as usize] {
+                dot += v * w[i as usize];
             }
-            w[r] = (w[r] - dot) / piv;
+            let r = eta.row as usize;
+            w[r] = (w[r] - dot) / eta.pivot;
         }
     }
 }

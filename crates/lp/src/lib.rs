@@ -13,8 +13,10 @@
 //!   pricing is Dantzig with a Bland anti-cycling fallback, and the ratio
 //!   test is a Harris-style two-pass. [`solve_lp`] solves a problem as
 //!   built; [`solve_lp_from`] takes overridden bounds, a deadline and a
-//!   previous basis snapshot to warm-start from — the branch-and-bound
-//!   driver uses it to start each child from its parent's basis. The dense
+//!   previous basis snapshot (with its factorization) to warm-start from —
+//!   the branch-and-bound driver uses it to start each child from its
+//!   parent's basis. A [`Problem`] keeps its column form from its first
+//!   solve until it changes, so repeated solves share it. The dense
 //!   tableau this crate started with is `segrout_check::lp_oracle` now,
 //!   where only tests and `segrout fuzz` reach it.
 //! * [`milp`] — best-bound branch-and-bound over the LP relaxation with

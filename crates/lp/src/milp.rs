@@ -4,6 +4,10 @@
 //! branching, feasibility-verified incumbents, optional warm incumbent (the
 //! TE heuristics provide excellent starting solutions for the Joint MILP),
 //! parent-basis warm starts for the child relaxations, and node/time limits.
+//! The root relaxation is solved once, cold; every other node starts from
+//! its parent's basis and factorization. A node keeps its bounds as its
+//! branching path from the root, which is written out into two reused
+//! buffers when the node is popped.
 //! With the limits disabled the solver is exact; with limits it reports the
 //! best incumbent plus a global dual bound — exactly how the paper's Gurobi
 //! runs on Abilene-scale Joint instances behave in practice.
@@ -88,12 +92,46 @@ pub struct MilpResult {
 struct Node {
     /// Priority: relaxation bound converted so that "larger is better".
     priority: f64,
-    lower: Vec<f64>,
-    upper: Vec<f64>,
-    /// Final basis of the parent relaxation, shared by both children: the
-    /// child differs from the parent by a single bound, so the revised
-    /// engine restores feasibility from it in a handful of pivots.
+    /// The last branching on the way from the root (`None` at the root).
+    path: Option<Rc<Branch>>,
+    /// Final basis of the parent relaxation, with its factorization, shared
+    /// by both children. A child differs from its parent by one bound, so
+    /// the basis stays dual feasible; the child's solve installs the
+    /// factorization and restores primal feasibility from there.
     basis: Option<Rc<Basis>>,
+}
+
+/// One branching: variable `var` gets the bounds `[lo, hi]`. A node's
+/// bounds are the problem's, overwritten by its path from the root.
+struct Branch {
+    var: usize,
+    lo: f64,
+    hi: f64,
+    parent: Option<Rc<Branch>>,
+}
+
+/// Writes the bounds of the node at the end of `path` into `lower` and
+/// `upper`; `scratch` holds the path's branchings, leaf first.
+fn node_bounds(
+    p: &Problem,
+    path: Option<&Rc<Branch>>,
+    lower: &mut [f64],
+    upper: &mut [f64],
+    scratch: &mut Vec<(usize, f64, f64)>,
+) {
+    lower.clone_from_slice(p.lower_bounds());
+    upper.clone_from_slice(p.upper_bounds());
+    scratch.clear();
+    let mut at = path;
+    while let Some(b) = at {
+        scratch.push((b.var, b.lo, b.hi));
+        at = b.parent.as_ref();
+    }
+    // Root first, so a deeper branching on the same variable wins.
+    for &(j, lo, hi) in scratch.iter().rev() {
+        lower[j] = lo;
+        upper[j] = hi;
+    }
 }
 
 impl PartialEq for Node {
@@ -139,7 +177,8 @@ fn select_branch_var(values: &[f64], integrality: &[bool]) -> Option<(usize, f64
 }
 
 /// Solves a mixed-integer program by branch-and-bound. Every child node
-/// warm-starts the revised simplex from its parent's final basis.
+/// warm-starts the revised simplex from its parent's final basis and
+/// factorization.
 pub fn solve_milp(p: &Problem, options: &MilpOptions) -> MilpResult {
     solve_milp_with(p, options, |p, lower, upper, deadline, basis| {
         if basis.is_some() {
@@ -251,14 +290,19 @@ where
     let prio = |obj: f64| if minimize { -obj } else { obj };
     heap.push(Node {
         priority: prio(root.objective),
-        lower: p.lower_bounds().to_vec(),
-        upper: p.upper_bounds().to_vec(),
-        basis: root_basis.map(Rc::new),
+        path: None,
+        basis: None,
     });
 
     let mut nodes = 0usize;
     let mut limit_hit = false;
     let mut bound = root.objective;
+    // The root node's relaxation, solved above: the first pop uses it.
+    let mut root_relaxation = Some((root, root_basis));
+    // The popped node's bounds.
+    let mut lower = p.lower_bounds().to_vec();
+    let mut upper = p.upper_bounds().to_vec();
+    let mut path_scratch = Vec::new();
     let node_counter = segrout_obs::counter("milp.nodes");
 
     while let Some(node) = heap.pop() {
@@ -310,7 +354,17 @@ where
         nodes += 1;
         node_counter.inc();
 
-        let (lp, lp_basis) = relax(p, &node.lower, &node.upper, deadline, node.basis.as_deref());
+        node_bounds(
+            p,
+            node.path.as_ref(),
+            &mut lower,
+            &mut upper,
+            &mut path_scratch,
+        );
+        let (lp, lp_basis) = match root_relaxation.take() {
+            Some(solved) => solved,
+            None => relax(p, &lower, &upper, deadline, node.basis.as_deref()),
+        };
         match lp.status {
             LpStatus::Infeasible => continue,
             LpStatus::IterLimit => {
@@ -369,7 +423,7 @@ where
                 // near-integral variable so both children exclude the
                 // current relaxation point; the continuous variables then
                 // re-optimize against the pinned integer side.
-                match fallback_branch_var(&lp.values, p.integrality(), &node.lower, &node.upper) {
+                match fallback_branch_var(&lp.values, p.integrality(), &lower, &upper) {
                     Some(jv) => jv,
                     None => {
                         // Every integer variable is fixed: no split can
@@ -390,31 +444,27 @@ where
         let frac = (v - k).abs();
         let (down_ub, up_lb) = if frac > INT_TOL {
             (v.floor(), v.ceil())
-        } else if v < k || (v == k && node.lower[j] < k - INT_TOL) {
+        } else if v < k || (v == k && lower[j] < k - INT_TOL) {
             (k - 1.0, k)
         } else {
             (k, k + 1.0)
         };
         let parent_basis = lp_basis.map(Rc::new);
-        if down_ub >= node.lower[j] - INT_TOL {
-            let mut up = node.upper.clone();
-            up[j] = down_ub;
-            heap.push(Node {
-                priority: prio(lp.objective),
-                lower: node.lower.clone(),
-                upper: up,
-                basis: parent_basis.clone(),
-            });
+        let child = |lo: f64, hi: f64, basis: Option<Rc<Basis>>| Node {
+            priority: prio(lp.objective),
+            path: Some(Rc::new(Branch {
+                var: j,
+                lo,
+                hi,
+                parent: node.path.clone(),
+            })),
+            basis,
+        };
+        if down_ub >= lower[j] - INT_TOL {
+            heap.push(child(lower[j], down_ub, parent_basis.clone()));
         }
-        if up_lb <= node.upper[j] + INT_TOL {
-            let mut lo = node.lower.clone();
-            lo[j] = up_lb;
-            heap.push(Node {
-                priority: prio(lp.objective),
-                lower: lo,
-                upper: node.upper.clone(),
-                basis: parent_basis,
-            });
+        if up_lb <= upper[j] + INT_TOL {
+            heap.push(child(up_lb, upper[j], parent_basis));
         }
     }
 
@@ -486,6 +536,36 @@ mod tests {
         let v = r.values.unwrap();
         assert_close(v[0], 0.0);
         assert_close(v[1], 1.0);
+    }
+
+    /// The root relaxation is solved once, cold; every later node solve
+    /// starts from its parent's basis.
+    #[test]
+    fn the_root_is_solved_once() {
+        let mut p = Problem::new(Sense::Maximize);
+        let weights = [5.0, 7.0, 4.0, 3.0];
+        let vars: Vec<_> = [8.0, 11.0, 6.0, 4.0]
+            .iter()
+            .map(|&v| p.add_bin_var(v))
+            .collect();
+        let terms = vars.iter().zip(weights).map(|(&x, w)| (x, w)).collect();
+        p.add_constraint(terms, Cmp::Le, 14.0);
+        let (mut cold, mut warm) = (0, 0);
+        let r = solve_milp_with(
+            &p,
+            &MilpOptions::default(),
+            |p, lower, upper, deadline, b| {
+                if b.is_some() {
+                    warm += 1;
+                } else {
+                    cold += 1;
+                }
+                solve_lp_from(p, lower, upper, deadline, b)
+            },
+        );
+        assert_eq!(r.status, MilpStatus::Optimal);
+        assert!(r.nodes > 1, "the search branches");
+        assert_eq!((cold, warm), (1, r.nodes - 1));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Model builder for linear and mixed-integer programs.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Handle to a decision variable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,7 +50,11 @@ pub struct Constraint {
 /// Every variable has a finite lower bound (default 0) and an optional upper
 /// bound; this covers all formulations in this workspace (flows, weights,
 /// distances and indicator variables are all naturally bounded below).
-#[derive(Clone, Debug)]
+///
+/// The first solve builds the problem's column form (see
+/// `StandardForm`) and keeps it until the next `add_*` call, so the
+/// branch-and-bound nodes of one search share one copy.
+#[derive(Clone)]
 pub struct Problem {
     sense: Sense,
     objective: Vec<f64>,
@@ -56,6 +62,117 @@ pub struct Problem {
     upper: Vec<f64>,
     integer: Vec<bool>,
     constraints: Vec<Constraint>,
+    form: OnceLock<StandardForm>,
+}
+
+impl fmt::Debug for Problem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Problem")
+            .field("sense", &self.sense)
+            .field("objective", &self.objective)
+            .field("lower", &self.lower)
+            .field("upper", &self.upper)
+            .field("integer", &self.integer)
+            .field("constraints", &self.constraints)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The bound-independent part of a problem in the revised simplex's form
+/// `[A | I] x = b`: one slack per row, whose bounds encode the row's sense
+/// (`≤` rows get a slack in `[0, ∞)`, `≥` rows one in `(−∞, 0]`, `=` rows
+/// a fixed slack `[0, 0]`), and the costs in minimize form.
+#[derive(Clone, Debug)]
+pub(crate) struct StandardForm {
+    /// Unique per build (clones share it), so a basis snapshot can tell
+    /// whether its factorization belongs to these columns.
+    pub id: u64,
+    /// Sparse structural columns (`(row, coeff)`, duplicates pre-summed).
+    pub cols: Vec<Vec<(u32, f64)>>,
+    /// Bounds per slack.
+    pub slack_lb: Vec<f64>,
+    pub slack_ub: Vec<f64>,
+    /// Cost per column, structurals then slacks, in minimize form.
+    pub cost: Vec<f64>,
+    /// Right-hand side per row.
+    pub b: Vec<f64>,
+}
+
+impl StandardForm {
+    fn build(p: &Problem) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let n = p.num_vars();
+        let m = p.num_constraints();
+        let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        let mut b = Vec::with_capacity(m);
+        let mut slack_lb = Vec::with_capacity(m);
+        let mut slack_ub = Vec::with_capacity(m);
+        let mut acc: Vec<f64> = vec![0.0; n];
+        let mut touched: Vec<usize> = Vec::new();
+        for (i, c) in p.constraints.iter().enumerate() {
+            for &(v, a) in &c.terms {
+                if acc[v.0] == 0.0 && a != 0.0 {
+                    touched.push(v.0);
+                }
+                acc[v.0] += a;
+            }
+            for &j in &touched {
+                if acc[j] != 0.0 {
+                    cols[j].push((i as u32, acc[j]));
+                }
+                acc[j] = 0.0;
+            }
+            touched.clear();
+            b.push(c.rhs);
+            // a'x + s = rhs.
+            let (sl, su) = match c.cmp {
+                Cmp::Le => (0.0, f64::INFINITY),
+                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                Cmp::Eq => (0.0, 0.0),
+            };
+            slack_lb.push(sl);
+            slack_ub.push(su);
+        }
+        let sign = match p.sense {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        };
+        let mut cost = vec![0.0; n + m];
+        for (j, &c) in p.objective.iter().enumerate() {
+            cost[j] = sign * c;
+        }
+        Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            cols,
+            slack_lb,
+            slack_ub,
+            cost,
+            b,
+        }
+    }
+
+    /// Structural column count.
+    pub fn n(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Iterates the nonzeros of column `j` (structural or slack).
+    #[inline]
+    pub fn for_col(&self, j: usize, mut f: impl FnMut(usize, f64)) {
+        match self.cols.get(j) {
+            Some(col) => {
+                for &(i, a) in col {
+                    f(i as usize, a);
+                }
+            }
+            None => f(j - self.n(), 1.0),
+        }
+    }
+
+    /// Column nonzero count.
+    pub fn col_nnz(&self, j: usize) -> usize {
+        self.cols.get(j).map_or(1, Vec::len)
+    }
 }
 
 impl Problem {
@@ -68,6 +185,7 @@ impl Problem {
             upper: Vec::new(),
             integer: Vec::new(),
             constraints: Vec::new(),
+            form: OnceLock::new(),
         }
     }
 
@@ -81,6 +199,7 @@ impl Problem {
         assert!(lower.is_finite(), "lower bound must be finite");
         assert!(upper >= lower, "upper bound below lower bound");
         assert!(obj.is_finite(), "objective coefficient must be finite");
+        self.form.take();
         let id = VarId(self.objective.len());
         self.objective.push(obj);
         self.lower.push(lower);
@@ -112,7 +231,13 @@ impl Problem {
             assert!(v.0 < self.objective.len(), "unknown variable {v:?}");
             assert!(a.is_finite(), "constraint coefficient must be finite");
         }
+        self.form.take();
         self.constraints.push(Constraint { terms, cmp, rhs });
+    }
+
+    /// The column form, built on the first call after the last change.
+    pub(crate) fn standard_form(&self) -> &StandardForm {
+        self.form.get_or_init(|| StandardForm::build(self))
     }
 
     /// Objective sense.
@@ -233,6 +358,21 @@ mod tests {
             assert!(!p.is_feasible(&[bad, 1.0], 1e-6), "y = {bad}");
             assert!(!p.is_feasible(&[0.0, bad], 1e-6), "z = {bad}");
         }
+    }
+
+    #[test]
+    fn changes_drop_the_column_form() {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(0.0, 4.0, 3.0);
+        p.add_constraint(vec![(x, 1.0)], Cmp::Le, 5.0);
+        assert_eq!(p.standard_form().n(), 1);
+        let y = p.add_var(0.0, 1.0, 2.0);
+        assert_eq!(p.standard_form().n(), 2);
+        p.add_constraint(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 4.5);
+        let form = p.standard_form();
+        assert_eq!(form.b, [5.0, 4.5]);
+        assert_eq!(form.cols[1], [(1, 1.0)]);
+        assert_eq!(form.cost, [-3.0, -2.0, 0.0, 0.0]);
     }
 
     #[test]

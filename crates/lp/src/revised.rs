@@ -19,9 +19,19 @@
 //!    (the classic composite / piecewise-linear phase 1). This works from
 //!    *any* starting basis, which is exactly what the warm-start entry point
 //!    needs: a branch-and-bound child re-solves from its parent's final
-//!    basis, restores feasibility in a handful of pivots (the parent basis
-//!    stays dual-consistent — only one variable bound moved), and re-enters
-//!    phase 2.
+//!    basis (the parent basis stays dual-consistent — only one variable
+//!    bound moved), restores primal feasibility in phase 1, and re-enters
+//!    phase 2. That takes tens of pivots, not a handful: on the WPO
+//!    selection MILP of `exact-abilene` a child averages 22 phase-1 plus
+//!    7 phase-2 pivots (median 14, p90 78).
+//!
+//! The pivots are the only per-node cost that grows with the search:
+//! the problem's column form (`StandardForm`: the `[A | I]` columns, slack
+//! bounds, costs and right-hand side) is built on its first solve and
+//! borrowed by every later one, and a [`Basis`] snapshot taken at an
+//! optimum carries the factorization of its basis, which the child
+//! installs instead of refactorizing. So a child refactorizes only on the
+//! pivot schedule and once at the end, for crisp values.
 //!
 //! Pricing is Dantzig (most negative reduced cost) with the same automatic
 //! switch to Bland's rule after a degenerate stall as the reference tableau.
@@ -35,7 +45,7 @@
 //! O(m) flips.
 
 use crate::basis::{Basis, EtaFile};
-use crate::problem::{Cmp, Problem, Sense};
+use crate::problem::{Problem, StandardForm};
 use crate::simplex::{LpResult, LpStatus};
 use std::time::Instant;
 
@@ -83,7 +93,7 @@ pub(crate) fn solve(
     warm: Option<&Basis>,
 ) -> (LpResult, Option<Basis>) {
     let _span = segrout_obs::span("simplex");
-    let mut rsm = Rsm::build(p, lower, upper, deadline);
+    let mut rsm = Rsm::build(p.standard_form(), lower, upper, deadline);
     let warmed = match warm {
         Some(basis) if rsm.apply_warm_basis(basis) => {
             segrout_obs::counter("simplex.warm_starts").inc();
@@ -118,22 +128,18 @@ enum StepOutcome {
     Unbounded,
 }
 
-struct Rsm {
+struct Rsm<'a> {
+    /// The problem's bound-independent column form.
+    form: &'a StandardForm,
     /// Structural variable count.
     n: usize,
     /// Row count.
     m: usize,
     /// Total column count (`n + m`: structurals then one slack per row).
     nn: usize,
-    /// Sparse structural columns (`(row, coeff)`, duplicates pre-summed).
-    cols: Vec<Vec<(u32, f64)>>,
     /// Bounds per column (slack bounds encode the row sense).
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// Phase-2 cost per column, in minimize form.
-    cost: Vec<f64>,
-    /// Right-hand side per row.
-    b: Vec<f64>,
     stat: Vec<VStat>,
     /// Basic column per row.
     basic: Vec<usize>,
@@ -148,66 +154,39 @@ struct Rsm {
     /// Scratch dense vectors (length `m`).
     alpha: Vec<f64>,
     work: Vec<f64>,
+    /// Ratio-test scratch.
+    blockers: Vec<Blocker>,
+    /// Refactorization scratch: the pivot order, the rows already
+    /// assigned, and the new basic column per row.
+    order: Vec<usize>,
+    assigned: Vec<bool>,
+    new_basic: Vec<usize>,
 }
 
-impl Rsm {
-    fn build(p: &Problem, lower: &[f64], upper: &[f64], deadline: Option<Instant>) -> Self {
-        let n = p.num_vars();
-        let m = p.num_constraints();
+impl<'a> Rsm<'a> {
+    fn build(
+        form: &'a StandardForm,
+        lower: &[f64],
+        upper: &[f64],
+        deadline: Option<Instant>,
+    ) -> Self {
+        let n = form.n();
+        let m = form.b.len();
         let nn = n + m;
-
-        let mut cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        let mut b = Vec::with_capacity(m);
-        let mut lb = lower.to_vec();
-        let mut ub = upper.to_vec();
-        lb.reserve(m);
-        ub.reserve(m);
-        let mut acc: Vec<f64> = vec![0.0; n];
-        let mut touched: Vec<usize> = Vec::new();
-        for (i, c) in p.constraints().iter().enumerate() {
-            for &(v, a) in &c.terms {
-                if acc[v.0] == 0.0 && a != 0.0 {
-                    touched.push(v.0);
-                }
-                acc[v.0] += a;
-            }
-            for &j in &touched {
-                if acc[j] != 0.0 {
-                    cols[j].push((i as u32, acc[j]));
-                }
-                acc[j] = 0.0;
-            }
-            touched.clear();
-            b.push(c.rhs);
-            // Slack bounds encode the sense: a'x + s = rhs.
-            let (sl, su) = match c.cmp {
-                Cmp::Le => (0.0, f64::INFINITY),
-                Cmp::Ge => (f64::NEG_INFINITY, 0.0),
-                Cmp::Eq => (0.0, 0.0),
-            };
-            lb.push(sl);
-            ub.push(su);
-        }
-
-        let sign = match p.sense() {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
-        let mut cost = vec![0.0; nn];
-        for (j, &c) in p.objective().iter().enumerate() {
-            cost[j] = sign * c;
-        }
-
+        let mut lb = Vec::with_capacity(nn);
+        lb.extend_from_slice(lower);
+        lb.extend_from_slice(&form.slack_lb);
+        let mut ub = Vec::with_capacity(nn);
+        ub.extend_from_slice(upper);
+        ub.extend_from_slice(&form.slack_ub);
         let iter_limit = 2000 + 200 * (m + nn);
         Self {
+            form,
             n,
             m,
             nn,
-            cols,
             lb,
             ub,
-            cost,
-            b,
             stat: vec![VStat::AtLower; nn],
             basic: vec![usize::MAX; m],
             xb: vec![0.0; m],
@@ -219,27 +198,10 @@ impl Rsm {
             deadline,
             alpha: vec![0.0; m],
             work: vec![0.0; m],
-        }
-    }
-
-    /// Iterates the nonzeros of column `j` (structural or slack).
-    #[inline]
-    fn for_col(&self, j: usize, mut f: impl FnMut(usize, f64)) {
-        if j < self.n {
-            for &(i, a) in &self.cols[j] {
-                f(i as usize, a);
-            }
-        } else {
-            f(j - self.n, 1.0);
-        }
-    }
-
-    /// Column nonzero count (for the refactorization pivot order).
-    fn col_nnz(&self, j: usize) -> usize {
-        if j < self.n {
-            self.cols[j].len()
-        } else {
-            1
+            blockers: Vec::with_capacity(m),
+            order: Vec::with_capacity(m),
+            assigned: vec![false; m],
+            new_basic: vec![usize::MAX; m],
         }
     }
 
@@ -256,30 +218,31 @@ impl Rsm {
         self.compute_xb();
     }
 
-    /// Restores a snapshot from a previous solve of the same problem.
-    /// Returns `false` (leaving the state unusable — caller must fall back
-    /// to [`cold_basis`](Self::cold_basis)) when the snapshot does not match
+    /// Restores a snapshot from a previous solve of the same problem,
+    /// installing its factorization when it carries one of these columns
+    /// and refactorizing otherwise. Returns `false` (leaving the state
+    /// unusable — caller must fall back to
+    /// [`cold_basis`](Self::cold_basis)) when the snapshot does not match
     /// or its basis has become singular.
     fn apply_warm_basis(&mut self, basis: &Basis) -> bool {
         if basis.n_struct != self.n || basis.basic.len() != self.m {
             return false;
         }
-        let mut seen = vec![false; self.nn];
+        self.stat.fill(VStat::AtLower);
         for &c in &basis.basic {
             let c = c as usize;
-            if c >= self.nn || seen[c] {
+            if c >= self.nn || self.stat[c] == VStat::Basic {
                 return false;
             }
-            seen[c] = true;
+            self.stat[c] = VStat::Basic;
         }
-        for (j, &in_basis) in seen.iter().enumerate() {
-            self.stat[j] = if in_basis {
-                VStat::Basic
-            } else if basis.at_upper[j] && self.ub[j].is_finite() {
-                VStat::AtUpper
-            } else {
-                VStat::AtLower
-            };
+        for j in 0..self.nn {
+            if self.stat[j] == VStat::Basic {
+                continue;
+            }
+            if basis.at_upper[j] && self.ub[j].is_finite() {
+                self.stat[j] = VStat::AtUpper;
+            }
             // A nonbasic column needs a finite bound to sit at; `≥`-row
             // slacks have no lower bound, so park them at their upper (0).
             if self.stat[j] == VStat::AtLower && !self.lb[j].is_finite() {
@@ -289,52 +252,64 @@ impl Rsm {
         for (i, &c) in basis.basic.iter().enumerate() {
             self.basic[i] = c as usize;
         }
-        if !self.refactor() {
-            return false;
+        match &basis.eta {
+            // The snapshot's rows are already in the order a refactorization
+            // of its column set assigns, and the file is the one it builds.
+            Some((form, eta)) if *form == self.form.id => self.eta = eta.clone(),
+            // A snapshot of other columns only seeds the basis.
+            _ => {
+                if !self.refactor() {
+                    return false;
+                }
+            }
         }
         self.compute_xb();
         true
     }
 
     /// Rebuilds the eta file from the current basic column set (product-form
-    /// reinversion), reassigning pivot rows. Returns `false` on a singular
-    /// basis.
+    /// reinversion), reassigning pivot rows. The result depends only on the
+    /// set of basic columns, not on their row order. Returns `false` on a
+    /// singular basis.
     fn refactor(&mut self) -> bool {
         self.eta.clear();
         self.refactorizations += 1;
         self.pivots_since_refactor = 0;
-        let mut order: Vec<usize> = self.basic.clone();
-        order.sort_by_key(|&c| (self.col_nnz(c), c));
-        let mut assigned = vec![false; self.m];
-        let mut new_basic = vec![usize::MAX; self.m];
-        let mut w = vec![0.0; self.m];
-        for &c in &order {
+        let form = self.form;
+        self.order.clone_from(&self.basic);
+        // Columns are distinct, so the keys are too and an unstable sort is
+        // deterministic.
+        self.order.sort_unstable_by_key(|&c| (form.col_nnz(c), c));
+        self.assigned.fill(false);
+        self.new_basic.fill(usize::MAX);
+        let w = &mut self.work;
+        for &c in &self.order {
             w.fill(0.0);
-            self.for_col(c, |i, a| w[i] = a);
-            self.eta.ftran(&mut w);
+            form.for_col(c, |i, a| w[i] = a);
+            self.eta.ftran(w);
             let mut r = usize::MAX;
             let mut best = 1e-10;
-            for i in 0..self.m {
-                if !assigned[i] && w[i].abs() > best {
-                    best = w[i].abs();
+            for (i, &v) in w.iter().enumerate() {
+                if !self.assigned[i] && v.abs() > best {
+                    best = v.abs();
                     r = i;
                 }
             }
             if r == usize::MAX {
                 return false; // singular
             }
-            assigned[r] = true;
-            new_basic[r] = c;
+            self.assigned[r] = true;
+            self.new_basic[r] = c;
             // A still-unit column needs no eta.
             let is_unit = (w[r] - 1.0).abs() < 1e-12
                 && w.iter()
                     .enumerate()
                     .all(|(i, &v)| i == r || v.abs() < 1e-12);
             if !is_unit {
-                self.eta.push(r, &w, ETA_DROP_TOL);
+                self.eta.push(r, w, ETA_DROP_TOL);
             }
         }
-        self.basic = new_basic;
+        std::mem::swap(&mut self.basic, &mut self.new_basic);
         true
     }
 
@@ -350,18 +325,19 @@ impl Rsm {
 
     /// Recomputes `x_B = B⁻¹ (b − N x_N)` from scratch.
     fn compute_xb(&mut self) {
-        let mut w = self.b.clone();
+        let form = self.form;
+        self.xb.copy_from_slice(&form.b);
         for j in 0..self.nn {
             if self.stat[j] == VStat::Basic {
                 continue;
             }
             let v = self.nb_value(j);
             if v != 0.0 {
-                self.for_col(j, |i, a| w[i] -= a * v);
+                let xb = &mut self.xb;
+                form.for_col(j, |i, a| xb[i] -= a * v);
             }
         }
-        self.eta.ftran(&mut w);
-        self.xb.copy_from_slice(&w);
+        self.eta.ftran(&mut self.xb);
     }
 
     /// Largest bound violation among the basic variables.
@@ -463,7 +439,7 @@ impl Rsm {
                     0.0
                 }
             } else {
-                self.cost[c]
+                self.form.cost[c]
             };
             if ci != 0.0 {
                 self.work[i] = ci;
@@ -483,13 +459,13 @@ impl Rsm {
             if st == VStat::Basic || self.lb[j] == self.ub[j] {
                 continue;
             }
-            let cj = if phase1 { 0.0 } else { self.cost[j] };
+            let cj = if phase1 { 0.0 } else { self.form.cost[j] };
             let mut d = cj;
             if any_cost {
                 let y = &self.work;
                 let mut dot = 0.0;
                 if j < self.n {
-                    for &(i, a) in &self.cols[j] {
+                    for &(i, a) in &self.form.cols[j] {
                         dot += a * y[i as usize];
                     }
                 } else {
@@ -529,7 +505,7 @@ impl Rsm {
         {
             let alpha = &mut self.alpha;
             if q < self.n {
-                for &(i, a) in &self.cols[q] {
+                for &(i, a) in &self.form.cols[q] {
                     alpha[i as usize] = a;
                 }
             } else {
@@ -541,7 +517,7 @@ impl Rsm {
         // Harris two-pass ratio test.
         let t_bound = self.ub[q] - self.lb[q]; // may be +inf
         let mut t_max = t_bound;
-        let mut blockers: Vec<Blocker> = Vec::new();
+        self.blockers.clear();
         for i in 0..self.m {
             let a = self.alpha[i];
             if a.abs() <= PIVOT_TOL {
@@ -579,7 +555,7 @@ impl Rsm {
             };
             if let Some((relaxed, exact, to_upper)) = cand {
                 t_max = t_max.min(relaxed.max(0.0));
-                blockers.push(Blocker {
+                self.blockers.push(Blocker {
                     row: i,
                     step: exact.max(0.0),
                     to_upper,
@@ -587,7 +563,7 @@ impl Rsm {
             }
         }
 
-        if blockers.is_empty() && t_bound.is_infinite() {
+        if self.blockers.is_empty() && t_bound.is_infinite() {
             return StepOutcome::Unbounded;
         }
         if t_bound <= t_max {
@@ -610,6 +586,7 @@ impl Rsm {
         // lowest-basic-index tie-break (the anti-cycling guarantee). Harris
         // mode: among blockers within the relaxed maximum step, the largest
         // pivot magnitude wins (numerical stability on degenerate vertices).
+        let blockers = &self.blockers;
         let chosen = if use_bland {
             blockers.iter().copied().min_by(|a, b| {
                 a.step
@@ -620,7 +597,7 @@ impl Rsm {
         } else {
             let mut best: Option<Blocker> = None;
             let mut best_piv = 0.0f64;
-            for bl in &blockers {
+            for bl in blockers {
                 if bl.step <= t_max + FEAS_TOL {
                     let mag = self.alpha[bl.row].abs();
                     if best.is_none() || mag > best_piv {
@@ -683,10 +660,19 @@ impl Rsm {
         segrout_obs::counter("simplex.solves").inc();
         segrout_obs::counter("simplex.refactorizations").add(self.refactorizations);
 
+        // At an optimum the eta file is a refactorization of the final basis
+        // with no pivot since (bound flips leave it alone), so the snapshot
+        // carries it.
+        let eta = (status == LpStatus::Optimal).then(|| {
+            let mut eta = std::mem::take(&mut self.eta);
+            eta.shrink_to_fit();
+            (self.form.id, eta)
+        });
         let snapshot = basis_ok.then(|| Basis {
             basic: self.basic.iter().map(|&c| c as u32).collect(),
             at_upper: self.stat.iter().map(|&s| s == VStat::AtUpper).collect(),
             n_struct: self.n,
+            eta,
         });
         if status != LpStatus::Optimal {
             return (

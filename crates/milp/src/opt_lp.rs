@@ -9,7 +9,7 @@
 
 use segrout_core::{DemandList, Network, NodeId, TeError};
 use segrout_lp::{solve_lp, Cmp, LpStatus, Problem, Sense, VarId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of an OPT LP solve.
 #[derive(Clone, Debug)]
@@ -21,25 +21,28 @@ pub struct OptLpOutcome {
     pub loads: Vec<f64>,
 }
 
-/// Aggregates demands to per-destination injections: `inj[t][v] = Σ d(v→t)`.
-fn injections(demands: &DemandList) -> HashMap<NodeId, HashMap<NodeId, f64>> {
-    let mut inj: HashMap<NodeId, HashMap<NodeId, f64>> = HashMap::new();
+/// Aggregates demands to per-destination injections: `inj[t][v] = Σ d(v→t)`,
+/// destinations in ascending order, so the model's variable and row order
+/// (and with it every bit of the solve) is a function of the input.
+fn injections(net: &Network, demands: &DemandList) -> BTreeMap<NodeId, Vec<f64>> {
+    let mut inj: BTreeMap<NodeId, Vec<f64>> = BTreeMap::new();
     for d in demands {
-        *inj.entry(d.dst).or_default().entry(d.src).or_insert(0.0) += d.size;
+        inj.entry(d.dst)
+            .or_insert_with(|| vec![0.0; net.node_count()])[d.src.index()] += d.size;
     }
     inj
 }
 
 /// Builds per-destination flow variables and conservation rows; returns the
-/// flow variable grid `fvar[t][e]`.
+/// flow variable grid `fvar[k][e]` of the `k`-th destination of `inj`.
 fn add_flow_block(
     p: &mut Problem,
     net: &Network,
-    inj: &HashMap<NodeId, HashMap<NodeId, f64>>,
+    inj: &BTreeMap<NodeId, Vec<f64>>,
     scale_var: Option<VarId>,
-) -> HashMap<NodeId, Vec<VarId>> {
+) -> Vec<Vec<VarId>> {
     let g = net.graph();
-    let mut fvar: HashMap<NodeId, Vec<VarId>> = HashMap::new();
+    let mut fvar = Vec::with_capacity(inj.len());
     for (&t, sources) in inj {
         let vars: Vec<VarId> = g
             .edge_ids()
@@ -57,7 +60,7 @@ fn add_flow_block(
             for &e in g.in_edges(v) {
                 terms.push((vars[e.index()], -1.0));
             }
-            let demand_here = sources.get(&v).copied().unwrap_or(0.0);
+            let demand_here = sources[v.index()];
             match scale_var {
                 // out - in = demand (fixed-demand MLU minimization)
                 None => p.add_constraint(terms, Cmp::Eq, demand_here),
@@ -70,7 +73,7 @@ fn add_flow_block(
                 }
             }
         }
-        fvar.insert(t, vars);
+        fvar.push(vars);
     }
     fvar
 }
@@ -101,9 +104,9 @@ fn lp_failure(what: &'static str, status: LpStatus, demands: &DemandList) -> TeE
     }
 }
 
-fn extract_loads(net: &Network, fvar: &HashMap<NodeId, Vec<VarId>>, values: &[f64]) -> Vec<f64> {
+fn extract_loads(net: &Network, fvar: &[Vec<VarId>], values: &[f64]) -> Vec<f64> {
     let mut loads = vec![0.0; net.edge_count()];
-    for vars in fvar.values() {
+    for vars in fvar {
         for (e, v) in vars.iter().enumerate() {
             loads[e] += values[v.0];
         }
@@ -122,12 +125,11 @@ pub fn opt_mlu_lp(net: &Network, demands: &DemandList) -> Result<OptLpOutcome, T
     assert!(!demands.is_empty(), "demand list must be non-empty");
     let mut p = Problem::new(Sense::Minimize);
     let theta = p.add_var(0.0, f64::INFINITY, 1.0);
-    let inj = injections(demands);
+    let inj = injections(net, demands);
     let fvar = add_flow_block(&mut p, net, &inj, None);
     // Capacity rows: sum of all commodities on e <= theta * c_e.
     for e in net.graph().edge_ids() {
-        let mut terms: Vec<(VarId, f64)> =
-            fvar.values().map(|vars| (vars[e.index()], 1.0)).collect();
+        let mut terms: Vec<(VarId, f64)> = fvar.iter().map(|vars| (vars[e.index()], 1.0)).collect();
         terms.push((theta, -net.capacity(e)));
         p.add_constraint(terms, Cmp::Le, 0.0);
     }
@@ -153,10 +155,10 @@ pub fn max_concurrent_lp(net: &Network, demands: &DemandList) -> Result<OptLpOut
     assert!(!demands.is_empty(), "demand list must be non-empty");
     let mut p = Problem::new(Sense::Maximize);
     let lambda = p.add_var(0.0, f64::INFINITY, 1.0);
-    let inj = injections(demands);
+    let inj = injections(net, demands);
     let fvar = add_flow_block(&mut p, net, &inj, Some(lambda));
     for e in net.graph().edge_ids() {
-        let terms: Vec<(VarId, f64)> = fvar.values().map(|vars| (vars[e.index()], 1.0)).collect();
+        let terms: Vec<(VarId, f64)> = fvar.iter().map(|vars| (vars[e.index()], 1.0)).collect();
         p.add_constraint(terms, Cmp::Le, net.capacity(e));
     }
     let r = solve_lp(&p);

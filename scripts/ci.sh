@@ -31,12 +31,15 @@ SEGROUT_THREADS=4 cargo test -q --workspace
 echo "==> cargo build --release -p segrout-bench"
 cargo build --release -q -p segrout-bench
 
-# The LP differential suite (the revised simplex against the dense
-# tableau of segrout::check::lp_oracle) in isolation — it is part of the
-# workspace runs above, but this leg keeps a named gate on solver
-# agreement even if test filters change.
-echo "==> LP differential suite (revised vs the tableau oracle)"
-cargo test -q --test lp_differential
+# The solver gates in isolation — part of the workspace runs above, but
+# this leg keeps them named even if test filters change: the LP
+# differential suite (the revised simplex against the dense tableau of
+# segrout::check::lp_oracle), the LP and MILP crates' own tests, and the
+# branch-and-bound pins (status, objective, bound and choices of WPO,
+# Joint and LWO searches, bit for bit).
+echo "==> solver gates (LP differential suite, lp and milp crates, B&B pins)"
+cargo test -q --test lp_differential --test milp_pins
+cargo test -q -p segrout-lp -p segrout-milp
 
 # Bounded differential-fuzz smoke leg: every generated case runs the same
 # differential kinds as the suites below (segrout::check::differential),

@@ -5,9 +5,11 @@
 //! its sparse answer (the totals and the diff a commit would apply). A
 //! failure of two links on one DAG is one bounded repair, not a full
 //! Dijkstra. A demand update (`set_demand`) also costs a fixed handful,
-//! however many demands the workload holds, and runs no Dijkstra. This
-//! file is its own test binary because it installs a counting global
-//! allocator and reads the process-global counters.
+//! however many demands the workload holds, and runs no Dijkstra. So does
+//! a branch-and-bound node's warm LP solve, however many columns the
+//! problem has: the problem's column form is built once, and the solve
+//! borrows it. This file is its own test binary because it installs a
+//! counting global allocator and reads the process-global counters.
 
 use segrout::core::rng::StdRng;
 use segrout::core::{
@@ -15,6 +17,7 @@ use segrout::core::{
     WeightSetting,
 };
 use segrout::graph::shortest_path_dag;
+use segrout::lp::{solve_lp_from, Cmp, LpStatus, Problem, Sense, VarId};
 use segrout::topo::{by_name, geo_backbone};
 use segrout::traffic::{gravity, mcf_synthetic, TrafficConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -276,4 +279,95 @@ fn a_demand_update_allocates_a_fixed_handful() {
         "the count does not grow with the workload"
     );
     assert_eq!((small.1, large.1), (0, 0), "no DAG is rebuilt");
+}
+
+/// A WPO-style selection LP: minimize θ over 16 demands that each pick a
+/// convex combination of 4 options, under 12 capacity rows `Σ load · y ≤
+/// cap · θ`. With `copies > 1`, every option column gets `copies − 1`
+/// duplicates with cost 1, which never price in ahead of the original, so
+/// the simplex takes the same pivots with `copies` times the columns.
+/// Variables: θ, then the originals, then the duplicates.
+fn selection_lp(copies: usize) -> Problem {
+    const DEMANDS: usize = 16;
+    const OPTIONS: usize = 4;
+    const LINKS: usize = 12;
+    let mut rng = StdRng::seed_from_u64(11);
+    let loads: Vec<Vec<f64>> = (0..DEMANDS * OPTIONS)
+        .map(|_| {
+            (0..LINKS)
+                .map(|_| {
+                    if rng.gen_range(0..3u32) == 0 {
+                        1.0 + f64::from(rng.gen_range(0..9u32))
+                    } else {
+                        0.0
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut p = Problem::new(Sense::Minimize);
+    let theta = p.add_var(0.0, f64::INFINITY, 1.0);
+    let columns: Vec<Vec<VarId>> = (0..copies)
+        .map(|c| {
+            let cost = if c == 0 { 0.0 } else { 1.0 };
+            (0..DEMANDS * OPTIONS)
+                .map(|_| p.add_var(0.0, 1.0, cost))
+                .collect()
+        })
+        .collect();
+    for i in 0..DEMANDS {
+        let terms = columns
+            .iter()
+            .flat_map(|ys| &ys[i * OPTIONS..(i + 1) * OPTIONS])
+            .map(|&y| (y, 1.0))
+            .collect();
+        p.add_constraint(terms, Cmp::Eq, 1.0);
+    }
+    for e in 0..LINKS {
+        let mut terms: Vec<(VarId, f64)> = columns
+            .iter()
+            .flat_map(|ys| ys.iter().zip(&loads))
+            .filter(|(_, l)| l[e] != 0.0)
+            .map(|(&y, l)| (y, l[e]))
+            .collect();
+        terms.push((theta, -(6.0 + e as f64)));
+        p.add_constraint(terms, Cmp::Le, 0.0);
+    }
+    p
+}
+
+/// The allocations and pivots of one warm node solve of
+/// [`selection_lp`]: the root's most fractional option fixed to 0, solved
+/// from the root's basis, measured after the same solve once as warm-up.
+fn lp_node(copies: usize) -> (usize, usize) {
+    let p = selection_lp(copies);
+    let (root, basis) = solve_lp_from(&p, p.lower_bounds(), p.upper_bounds(), None, None);
+    assert_eq!(root.status, LpStatus::Optimal);
+    let basis = basis.expect("an optimal solve returns its basis");
+    let j = (1..p.num_vars())
+        .max_by(|&a, &b| {
+            let frac = |j: usize| 0.5 - (root.values[j] - 0.5).abs();
+            frac(a).total_cmp(&frac(b)).then(b.cmp(&a))
+        })
+        .unwrap();
+    assert!(root.values[j] > 1e-6, "the root is fractional");
+    let mut upper = p.upper_bounds().to_vec();
+    upper[j] = 0.0;
+    let node = || solve_lp_from(&p, p.lower_bounds(), &upper, None, Some(&basis));
+    let _ = node();
+    let ((r, _), allocs) = allocations(node);
+    assert_eq!(r.status, LpStatus::Optimal);
+    (allocs, r.iterations)
+}
+
+#[test]
+fn a_warm_lp_node_allocates_a_fixed_handful() {
+    let (small, small_pivots) = lp_node(1);
+    let (large, large_pivots) = lp_node(10);
+    assert!(small_pivots > 0, "the node pivots");
+    assert_eq!(small_pivots, large_pivots, "the duplicates never enter");
+    // The solve's dense vectors and scratch, the eta file's growth, the
+    // result, the basis snapshot and the metric lookups.
+    assert!(small <= 32, "{small} allocations");
+    assert_eq!(small, large, "the count does not grow with the columns");
 }

@@ -7,8 +7,9 @@ use segrout_core::rng::StdRng;
 use segrout_core::{DemandList, NodeId};
 use segrout_graph::max_flow;
 use segrout_lp::{solve_lp, solve_milp, Cmp, MilpOptions, Problem, Sense};
-use segrout_milp::{max_concurrent_lp, opt_mlu_lp};
-use segrout_topo::random_connected;
+use segrout_milp::{max_concurrent_lp, opt_mlu_lp, OptLpOutcome};
+use segrout_topo::{by_name, random_connected};
+use segrout_traffic::{mcf_synthetic, TrafficConfig};
 
 /// Brute force: maximize c·x over binary x subject to one knapsack row.
 fn brute_force_knapsack(values: &[f64], weights: &[f64], cap: f64) -> f64 {
@@ -115,6 +116,32 @@ fn opt_lp_matches_max_flow_single_commodity() {
             (lambda * lp - 1.0).abs() < 1e-5,
             "lambda {lambda} * mlu {lp} != 1"
         );
+    }
+}
+
+/// The OPT LPs build their per-destination flow blocks in destination
+/// order, so the same call returns the same bits. They once followed a
+/// `HashMap`'s per-map random order: 20 in-process calls on this instance
+/// gave 17 distinct `opt_mlu_lp` results.
+#[test]
+fn opt_lps_are_bit_reproducible() {
+    let net = by_name("Abilene").expect("embedded topology");
+    let cfg = TrafficConfig {
+        seed: 7,
+        pair_fraction: 0.1,
+        flows_per_pair: Some(1),
+        ..Default::default()
+    };
+    let demands = mcf_synthetic(&net, &cfg).expect("connected");
+    let bits = |r: OptLpOutcome| {
+        let loads: Vec<u64> = r.loads.iter().map(|l| l.to_bits()).collect();
+        (r.objective.to_bits(), loads)
+    };
+    let opt = bits(opt_mlu_lp(&net, &demands).expect("connected"));
+    let concurrent = bits(max_concurrent_lp(&net, &demands).expect("connected"));
+    for _ in 0..4 {
+        assert_eq!(bits(opt_mlu_lp(&net, &demands).unwrap()), opt);
+        assert_eq!(bits(max_concurrent_lp(&net, &demands).unwrap()), concurrent);
     }
 }
 
